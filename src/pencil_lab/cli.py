@@ -44,6 +44,12 @@ class ConfigError(Exception):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is an input error: exit 3
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _threads() -> int:
     raw = os.environ.get("PENCIL_LAB_THREADS", "1")
     try:
@@ -93,12 +99,12 @@ def _metric(section: dict, n: int) -> MetricField:
 
 
 def _lambdas(cfg: dict, override) -> list:
-    if override is not None:
-        try:
-            return [float(tok) for tok in override.split(",") if tok]
-        except ValueError:
-            raise ConfigError(f"bad --lambda list: {override!r}")
-    return [float(v) for v in cfg.get("lambdas", [0.0])]
+    raw = (cfg.get("lambdas", [0.0]) if override is None
+           else [tok for tok in override.split(",") if tok])
+    try:
+        return [float(v) for v in raw]
+    except (TypeError, ValueError):
+        raise ConfigError(f"bad shift list: {raw!r}")
 
 
 def _verdict(value: float, lo: float, hi: float) -> str:
@@ -366,30 +372,26 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="pencil-lab", description=__doc__)
+    parser = _Parser(prog="pencil-lab", description=__doc__)
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True)
     parser.add_argument("--out", default=None)
     parser.add_argument("--lambda", dest="lam", default=None,
                         help="comma-separated shift values")
     parser.add_argument("--grid", type=int, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    args = parser.parse_args(argv)
 
     t0 = time.monotonic()
     try:
+        args = parser.parse_args(argv)
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (ConfigError, OSError, json.JSONDecodeError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
 
     try:
         table, extra, artifacts = COMMANDS[args.command](cfg, args)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 3
-    except ParseError as e:
+    except (ConfigError, ParseError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
     except MarchError as e:

@@ -10,6 +10,7 @@ integration never leaves the grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,13 +55,23 @@ class Chart:
         return cls(n, tuple((lo, hi) for _ in range(n)), (m,) * n)
 
     def axes(self) -> list[np.ndarray]:
-        return [np.linspace(lo, hi, m) for (lo, hi), m in zip(self.box, self.shape)]
+        """Samples per axis: read-only arrays built once per chart."""
+        return list(self._grids[0])
 
     def spacing(self) -> list[float]:
         return [(hi - lo) / (m - 1) for (lo, hi), m in zip(self.box, self.shape)]
 
     def mesh(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*self.axes(), indexing="ij"))
+        """Coordinate grids ('ij'): read-only arrays built once per chart."""
+        return list(self._grids[1])
+
+    @cached_property
+    def _grids(self) -> tuple:
+        axes = [np.linspace(lo, hi, m) for (lo, hi), m in zip(self.box, self.shape)]
+        mesh = np.meshgrid(*axes, indexing="ij")
+        for a in (*axes, *mesh):
+            a.flags.writeable = False
+        return axes, mesh
 
     def corner(self) -> tuple:
         return tuple(lo for lo, _ in self.box)
@@ -114,9 +125,8 @@ def cumint(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     a = np.moveaxis(arr, axis, 0)
     cells = np.empty((m - 1,) + a.shape[1:], dtype=np.result_type(a, float))
     cells[0] = _C_LEFT[0] * a[0] + _C_LEFT[1] * a[1] + _C_LEFT[2] * a[2] + _C_LEFT[3] * a[3]
-    for i in range(1, m - 2):
-        cells[i] = (_C_MID[0] * a[i - 1] + _C_MID[1] * a[i]
-                    + _C_MID[2] * a[i + 1] + _C_MID[3] * a[i + 2])
+    cells[1:m - 2] = (_C_MID[0] * a[0:m - 3] + _C_MID[1] * a[1:m - 2]
+                      + _C_MID[2] * a[2:m - 1] + _C_MID[3] * a[3:m])
     cells[m - 2] = (_C_LEFT[0] * a[m - 1] + _C_LEFT[1] * a[m - 2]
                     + _C_LEFT[2] * a[m - 3] + _C_LEFT[3] * a[m - 4])
     out = np.empty_like(a, dtype=cells.dtype)

@@ -2,8 +2,9 @@
 
 Every file embeds the digest of the canonicalized configuration that
 produced it, and identical configurations yield byte-identical files:
-numbers are printed with 17 significant digits, line endings are LF, and
-JSON keys are sorted.
+numbers are printed as ``"%.17g" % float(x)``, line endings are LF, and JSON
+keys are sorted.  CSV and OBJ rows are formatted and written in blocks of
+_BLOCK_ROWS rows; complex or text values raise TypeError.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ import json
 import numpy as np
 
 __all__ = ["canonical_digest", "write_csv_grid", "write_obj",
-           "write_json_report", "fmt"]
+           "write_json_report"]
+
+# Rows per %-operation: amortizes the call, keeps a block's text small.
+_BLOCK_ROWS = 4096
 
 
 def canonical_digest(config: dict) -> str:
@@ -22,8 +26,10 @@ def canonical_digest(config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def fmt(x: float) -> str:
-    return "%.17g" % float(x)
+def _write_rows(fh, row: str, table: np.ndarray) -> None:
+    """Write the rows of a 2-D table through the %-template ``row``."""
+    for block in np.split(table, range(_BLOCK_ROWS, len(table), _BLOCK_ROWS)):
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_csv_grid(path, chart, columns: dict, digest: str) -> None:
@@ -32,18 +38,11 @@ def write_csv_grid(path, chart, columns: dict, digest: str) -> None:
     Rows run in row-major order over the grid; values use 17 significant
     digits so a re-read reproduces the doubles exactly.
     """
-    mesh = chart.mesh()
-    names = list(columns)
+    flat = [np.ravel(c) for c in chart.mesh() + list(columns.values())]
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# config={digest}\n")
-        coord_names = [f"R{d + 1}" for d in range(chart.n)]
-        fh.write(",".join(coord_names + names) + "\n")
-        flat_coords = [m.reshape(-1) for m in mesh]
-        flat_vals = [np.asarray(columns[k]).reshape(-1) for k in names]
-        for row in range(flat_coords[0].size):
-            cells = [fmt(c[row]) for c in flat_coords]
-            cells += [fmt(v[row]) for v in flat_vals]
-            fh.write(",".join(cells) + "\n")
+        fh.write(",".join([f"R{d + 1}" for d in range(chart.n)] + list(columns)) + "\n")
+        _write_rows(fh, ",".join(["%.17g"] * len(flat)) + "\n", np.column_stack(flat))
 
 
 def write_obj(path, vertices, normals, digest: str) -> None:
@@ -53,28 +52,17 @@ def write_obj(path, vertices, normals, digest: str) -> None:
     row-major and 1-based as OBJ requires.
     """
     m1, m2, _ = vertices.shape
+    vid = np.arange(1, m1 * m2 + 1).reshape(m1, m2)
+    p, q, r, s = vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]
+    faces = np.stack([p, p, q, q, r, r, p, p, r, r, s, s], axis=-1)
     with open(path, "w", newline="\n") as fh:
         fh.write(f"# config={digest}\n")
-        for a in range(m1):
-            for b in range(m2):
-                v = vertices[a, b]
-                fh.write(f"v {fmt(v[0])} {fmt(v[1])} {fmt(v[2])}\n")
-        for a in range(m1):
-            for b in range(m2):
-                vn = normals[a, b]
-                fh.write(f"vn {fmt(vn[0])} {fmt(vn[1])} {fmt(vn[2])}\n")
-
-        def vid(a, b):
-            return a * m2 + b + 1
-
-        for a in range(m1 - 1):
-            for b in range(m2 - 1):
-                p = vid(a, b)
-                q = vid(a + 1, b)
-                r = vid(a + 1, b + 1)
-                s = vid(a, b + 1)
-                fh.write(f"f {p}//{p} {q}//{q} {r}//{r}\n")
-                fh.write(f"f {p}//{p} {r}//{r} {s}//{s}\n")
+        _write_rows(fh, "v %.17g %.17g %.17g\n",
+                    np.asarray(vertices).reshape(m1 * m2, 3))
+        _write_rows(fh, "vn %.17g %.17g %.17g\n",
+                    np.asarray(normals).reshape(m1 * m2, 3))
+        _write_rows(fh, "f %d//%d %d//%d %d//%d\nf %d//%d %d//%d %d//%d\n",
+                    faces.reshape(-1, 12))
 
 
 def write_json_report(path, report: dict) -> None:

@@ -206,3 +206,29 @@ def test_outputs_are_deterministic(tmp_path):
     assert main(["solve-diagonal", "--config", cfg, "--out", str(out_b)]) == 0
     for name in ("report.json", "beta.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-hamiltonian"],                            # no --config
+    ["check-hamiltonian", "--config", "{cfg}", "--grid", "abc"],
+    ["no-such-command", "--config", "{cfg}"],
+    ["check-hamiltonian", "--config", "{cfg}", "--tol", "1e-3"],  # removed
+])
+def test_usage_errors_are_config_errors(tmp_path, capsys, argv):
+    cfg = _write(tmp_path, "c.json", _cfg_ham())
+    argv = [a.format(cfg=cfg) for a in argv] + ["--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command,cfg_dict", [
+    ("check-compat", _cfg_compat(["1+R1^2", "3+R2^2"])),
+    ("deform-surface", _cfg_surface()),
+])
+@pytest.mark.parametrize("lambdas", [["abc"], 5, [None]])
+def test_bad_lambdas_are_config_errors(tmp_path, capsys, command, cfg_dict,
+                                       lambdas):
+    cfg = _write(tmp_path, "c.json", dict(cfg_dict, lambdas=lambdas))
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+    assert "config error" in capsys.readouterr().err

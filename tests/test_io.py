@@ -1,0 +1,87 @@
+import numpy as np
+import pytest
+
+from pencil_lab.grids import Chart
+from pencil_lab.io import _BLOCK_ROWS, write_csv_grid, write_obj
+
+DIGEST = "d" * 64
+SPECIAL = [-0.0, 1e-300, 1.0 / 3.0, -2.5e300, 5e-324, np.nan, np.inf, 0.1]
+
+
+def _f(x):
+    return "%.17g" % float(x)
+
+
+def _csv_reference(chart, columns, digest):
+    """The per-value writer: one "%.17g" % float(x) per cell."""
+    mesh = [m.reshape(-1) for m in chart.mesh()]
+    vals = [np.asarray(v).reshape(-1) for v in columns.values()]
+    lines = [f"# config={digest}",
+             ",".join([f"R{d + 1}" for d in range(chart.n)] + list(columns))]
+    for row in range(mesh[0].size):
+        lines.append(",".join(_f(c[row]) for c in mesh + vals))
+    return "\n".join(lines) + "\n"
+
+
+def _obj_reference(vertices, normals, digest):
+    m1, m2, _ = vertices.shape
+    lines = [f"# config={digest}"]
+    for tag, arr in (("v", vertices), ("vn", normals)):
+        for a in range(m1):
+            for b in range(m2):
+                lines.append(f"{tag} " + " ".join(_f(x) for x in arr[a, b, :3]))
+    for a in range(m1 - 1):
+        for b in range(m2 - 1):
+            p, q = a * m2 + b + 1, (a + 1) * m2 + b + 1
+            r, s = q + 1, p + 1
+            lines.append(f"f {p}//{p} {q}//{q} {r}//{r}")
+            lines.append(f"f {p}//{p} {r}//{r} {s}//{s}")
+    return "\n".join(lines) + "\n"
+
+
+def _values(shape, seed):
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    vals.flat[:len(SPECIAL)] = SPECIAL
+    return vals
+
+
+@pytest.mark.parametrize("chart", [
+    Chart(2, ((0.0, 1.0), (-1.0, 3.0)), (9, 7)),
+    Chart(3, ((0.0, 1.0), (0.5, 1.5), (0.0, 2.0)), (5, 6, 7)),
+    Chart(2, ((0.0, 1.0), (0.0, 1.0)), (71, 67)),  # more rows than a block
+])
+def test_csv_matches_per_value_reference(tmp_path, chart):
+    big = _values(tuple(2 * m for m in chart.shape), 1)
+    columns = {"a": _values(chart.shape, 2),
+               "strided": big[(slice(None, None, 2),) * chart.n],
+               "ints": np.arange(np.prod(chart.shape)).reshape(chart.shape)}
+    path = tmp_path / "g.csv"
+    write_csv_grid(path, chart, columns, DIGEST)
+    assert path.read_bytes() == _csv_reference(chart, columns, DIGEST).encode()
+
+
+@pytest.mark.parametrize("shape", [(5, 4, 3), (71, 67, 3), (1, 6, 3)])
+def test_obj_matches_per_value_reference(tmp_path, shape):
+    verts = _values(shape, 3)
+    norms = np.swapaxes(_values((shape[1], shape[0], 3), 4), 0, 1)  # strided
+    path = tmp_path / "m.obj"
+    write_obj(path, verts, norms, DIGEST)
+    assert path.read_bytes() == _obj_reference(verts, norms, DIGEST).encode()
+
+
+def test_block_size_is_exercised():
+    assert 71 * 67 > _BLOCK_ROWS and 70 * 66 > _BLOCK_ROWS
+
+
+def test_writers_reject_non_real_values(tmp_path):
+    chart = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (5, 5))
+    z = np.ones(chart.shape, dtype=complex)
+    with pytest.raises(TypeError):
+        write_csv_grid(tmp_path / "c.csv", chart, {"z": z}, DIGEST)
+    with pytest.raises(TypeError):
+        write_csv_grid(tmp_path / "t.csv", chart,
+                       {"t": np.full(chart.shape, "x")}, DIGEST)
+    verts = np.zeros((5, 5, 3), dtype=complex)
+    with pytest.raises(TypeError):
+        write_obj(tmp_path / "m.obj", verts, verts.real, DIGEST)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from pencil_lab.expr import parse_expr
-from pencil_lab.grids import Chart, GridError, cumint, deriv, eval_grid
+from pencil_lab.grids import (_C_LEFT, _C_MID, Chart, GridError, cumint,
+                              deriv, eval_grid)
 from pencil_lab.march import MarchError, Unknown, solve_compatible
 
 
@@ -32,6 +33,58 @@ def test_cumint_polynomial_exact():
     x = ch.axes()[0]
     F = cumint(x ** 3, 0, ch.spacing()[0])
     assert np.max(np.abs(F - x ** 4 / 4)) < 1e-13
+
+
+def _cumint_loop(arr, axis, h):
+    """Reference: the per-cell loop form of cumint, cell by cell."""
+    a = np.moveaxis(np.asarray(arr), axis, 0)
+    m = a.shape[0]
+    cells = np.empty((m - 1,) + a.shape[1:], dtype=np.result_type(a, float))
+    cells[0] = _C_LEFT[0] * a[0] + _C_LEFT[1] * a[1] + _C_LEFT[2] * a[2] + _C_LEFT[3] * a[3]
+    for i in range(1, m - 2):
+        cells[i] = (_C_MID[0] * a[i - 1] + _C_MID[1] * a[i]
+                    + _C_MID[2] * a[i + 1] + _C_MID[3] * a[i + 2])
+    cells[m - 2] = (_C_LEFT[0] * a[m - 1] + _C_LEFT[1] * a[m - 2]
+                    + _C_LEFT[2] * a[m - 3] + _C_LEFT[3] * a[m - 4])
+    out = np.empty_like(a, dtype=cells.dtype)
+    out[0] = 0.0
+    np.cumsum(cells, axis=0, out=out[1:])
+    out *= h
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("shape", [(17, 9), (4, 6), (5, 5), (9, 7, 6),
+                                   (4, 5, 6), (33, 1), (33, 1, 1),
+                                   (33, 33, 1)])
+def test_cumint_matches_loop_bytes(shape):
+    rng = np.random.default_rng(sum(shape))
+    arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    for axis in range(len(shape)):
+        if shape[axis] < 4:
+            continue
+        got = cumint(arr, axis, 0.1)
+        want = _cumint_loop(arr, axis, 0.1)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    # a strided view takes the same path
+    view = np.swapaxes(arr, 0, -1)
+    if view.shape[0] >= 4:
+        assert cumint(view, 0, 0.3).tobytes() == _cumint_loop(view, 0, 0.3).tobytes()
+
+
+def test_chart_mesh_is_cached_and_read_only():
+    ch = Chart(2, ((0.0, 1.0), (-1.0, 2.0)), (9, 17))
+    X, Y = ch.mesh()
+    assert X is ch.mesh()[0] and ch.axes()[1] is ch.axes()[1]
+    ref = np.meshgrid(np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 2.0, 17),
+                      indexing="ij")
+    assert X.tobytes() == ref[0].tobytes() and Y.tobytes() == ref[1].tobytes()
+    with pytest.raises(ValueError):
+        X[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        ch.axes()[0][:] = 0.0
+    ch.mesh().append(None)  # the returned list is the caller's own
+    assert len(ch.mesh()) == 2
 
 
 def test_chart_guards():
