@@ -3,7 +3,7 @@
 The first metric is Euclidean, the second is diagonal with each entry a
 function of its own coordinate.  We build the pencil operator, run the two
 operator-level criteria, derive the second set of connection coefficients
-from the pencil, and finish with a direct sweep over linear combinations.
+from the pencil, and finish with a sweep over linear combinations.
 """
 
 import numpy as np
@@ -38,7 +38,7 @@ pc = check_pencil(levi_civita_operator(g), levi_civita_operator(gt), box,
                   (0.0, 0.75, 1.5, 2.25, 3.0))
 print(f"bilinear conditions: C1 {pc.residuals['C1']:.3e}, "
       f"C2 {pc.residuals['C2']:.3e}")
-print(f"direct sweep over {pc.lambdas_used}: "
+print(f"sweep over {pc.lambdas_used}: "
       f"{pc.residuals['lambda_sweep']:.3e}  -> {pc.verdict}")
 
 # a deliberately broken second metric for contrast

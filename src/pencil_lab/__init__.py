@@ -10,8 +10,8 @@ shape operator.
 from .expr import (Expr, DomainError, ParseError, parse_expr, evaluate, diff,
                    to_text, coords_used)
 from .grids import Chart, GridError, eval_grid, deriv, cumint, max_abs
-from .geometry import (MetricField, ConnectionField, OperatorField,
-                       GeometryError, christoffel, riemann_max, is_flat,
+from .geometry import (MetricField, ConnectionField, GeometryError,
+                       christoffel, riemann_max, is_flat,
                        covariant_derivative, raise_index, nijenhuis,
                        nijenhuis_max)
 from .march import MarchError, Unknown, solve_compatible

@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import compat, diagonal, lax, surface
-from .expr import ParseError, parse_expr
+from .expr import DomainError, ParseError, parse_expr
 from .geometry import MetricField, expr_array, GeometryError
 from .grids import Chart, GridError
 from .io import canonical_digest, write_csv_grid, write_json_report, write_obj
@@ -101,6 +101,8 @@ def _metric(section: dict, n: int) -> MetricField:
 def _lambdas(cfg: dict, override) -> list:
     raw = (cfg.get("lambdas", [0.0]) if override is None
            else [tok for tok in override.split(",") if tok])
+    if not isinstance(raw, list):
+        raise ConfigError(f"shift list must be a list: {raw!r}")
     try:
         return [float(v) for v in raw]
     except (TypeError, ValueError):
@@ -108,10 +110,10 @@ def _lambdas(cfg: dict, override) -> list:
 
 
 def _verdict(value: float, lo: float, hi: float) -> str:
+    if not np.isfinite(value) or value >= hi:
+        return "fail"
     if value <= lo:
         return "pass"
-    if value >= hi:
-        return "fail"
     return "inconclusive"
 
 
@@ -391,7 +393,7 @@ def main(argv=None) -> int:
 
     try:
         table, extra, artifacts = COMMANDS[args.command](cfg, args)
-    except (ConfigError, ParseError) as e:
+    except (ConfigError, ParseError, DomainError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
     except MarchError as e:

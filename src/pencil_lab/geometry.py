@@ -19,7 +19,7 @@ from .expr import Expr, ZERO, ONE, Const, const, diff, div
 from .grids import Chart, eval_grid, max_abs
 
 __all__ = [
-    "MetricField", "ConnectionField", "OperatorField", "GeometryError",
+    "MetricField", "ConnectionField", "GeometryError",
     "expr_array", "eval_array", "grid_max",
     "christoffel", "riemann_expr", "riemann_max", "is_flat",
     "covariant_derivative", "raise_index", "nijenhuis", "nijenhuis_max",
@@ -142,19 +142,6 @@ class MetricField:
         return all(self.gU[i, j] == ZERO
                    for i in range(self.n) for j in range(self.n) if i != j)
 
-    def check(self, chart: Chart, tol: float = 1e-10) -> None:
-        """Sampled invariants: symmetry, gU·gL = I, nondegeneracy."""
-        gU = eval_array(self.gU, chart)
-        gL = eval_array(self.gL, chart)
-        if max_abs(gU - np.swapaxes(gU, 0, 1)) > tol:
-            raise GeometryError("contravariant metric is not symmetric")
-        prod = np.einsum("is...,sj...->ij...", gU, gL)
-        eye = np.zeros_like(prod)
-        for i in range(self.n):
-            eye[i, i] = 1.0
-        if max_abs(prod - eye) > tol * (1.0 + max_abs(gU)):
-            raise GeometryError("gU · gL deviates from the identity")
-
 
 @dataclass(frozen=True)
 class ConnectionField:
@@ -162,21 +149,6 @@ class ConnectionField:
 
     n: int
     gamma: np.ndarray
-
-
-@dataclass(frozen=True)
-class OperatorField:
-    """Mixed (1,1)-tensor field r^i_j."""
-
-    n: int
-    r: np.ndarray
-
-    def symmetry_residual(self, g: MetricField, chart: Chart) -> float:
-        """Max grid violation of r^i_s g^{sj} = r^j_s g^{si}."""
-        r = eval_array(self.r, chart)
-        gU = eval_array(g.gU, chart)
-        rg = np.einsum("is...,sj...->ij...", r, gU)
-        return max_abs(rg - np.swapaxes(rg, 0, 1))
 
 
 def christoffel(g: MetricField) -> ConnectionField:

@@ -137,10 +137,13 @@ def cumint(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 
 def max_abs(*arrays) -> float:
-    """Largest absolute entry over any number of arrays (0.0 when empty)."""
+    """Largest absolute entry over any number of arrays (0.0 when empty).
+
+    A NaN anywhere makes the result NaN, so that it cannot read as a pass.
+    """
     best = 0.0
     for a in arrays:
         a = np.asarray(a)
         if a.size:
-            best = max(best, float(np.max(np.abs(a))))
-    return best
+            best = np.maximum(best, np.max(np.abs(a)))
+    return float(best)

@@ -101,11 +101,13 @@ def solve_compatible(chart: Chart, unknowns: list[Unknown],
         delta = 0.0
         for u in unknowns:
             new = _transport(u, state, mesh, chart, order, spacing)
-            delta = max(delta, max_abs(new - state[u.name]))
+            delta = max_abs(delta, new - state[u.name])
             state[u.name] = new
-        scale = 1.0 + max(max_abs(state[u.name]) for u in unknowns)
-        if scale > blowup:
-            raise MarchError("solution magnitude exceeded the blow-up guard")
+        scale = 1.0 + max_abs(*(state[u.name] for u in unknowns))
+        # A NaN or inf in any unknown (the only way delta can be one) makes
+        # scale non-finite, which this comparison rejects.
+        if not scale <= blowup:
+            raise MarchError("solution exceeded the blow-up guard or is not finite")
         if delta <= tol * scale:
             return state
     raise MarchError(f"no fixed point after {max_iter} sweeps (last delta {delta:.3e})")

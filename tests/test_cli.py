@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from pencil_lab.cli import main
+from pencil_lab.cli import SOLVER_FAIL, SOLVER_PASS, _verdict, main
 
 BD_KEYS = {"1,2": "0.2", "2,1": "0.1*R1", "3,1": "0.15",
            "1,3": "0.1+0.05*R3", "2,3": "0.2", "3,2": "0.25"}
@@ -184,6 +184,23 @@ def test_bad_expression_is_config_error(tmp_path):
                  "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("diag", [["log(R1-5)", "1"],   # log of a negative
+                                  ["R1-0.5", "1"]])     # vanishes on the box
+def test_domain_error_is_config_error(tmp_path, capsys, diag):
+    cfg_dict = _cfg_ham()
+    cfg_dict["metric"]["diag"] = diag
+    cfg = _write(tmp_path, "c.json", cfg_dict)
+    assert main(["check-hamiltonian", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 3
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_solver_residual_fails(value):
+    assert _verdict(value, SOLVER_PASS, SOLVER_FAIL) == "fail"
+
+
 def test_small_grid_is_config_error(tmp_path):
     cfg = _write(tmp_path, "c.json", _cfg_ham())
     assert main(["check-hamiltonian", "--config", cfg,
@@ -226,7 +243,7 @@ def test_usage_errors_are_config_errors(tmp_path, capsys, argv):
     ("check-compat", _cfg_compat(["1+R1^2", "3+R2^2"])),
     ("deform-surface", _cfg_surface()),
 ])
-@pytest.mark.parametrize("lambdas", [["abc"], 5, [None]])
+@pytest.mark.parametrize("lambdas", [["abc"], 5, [None], "15"])
 def test_bad_lambdas_are_config_errors(tmp_path, capsys, command, cfg_dict,
                                        lambdas):
     cfg = _write(tmp_path, "c.json", dict(cfg_dict, lambdas=lambdas))

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from pencil_lab.compat import (
-    HamiltonianOperator, check_hamiltonian, check_pencil, check_theorem1,
-    btilde_from_r, hamiltonian_residuals, levi_civita_operator,
-    pencil_operator, pencil_symmetry_residual, verify_appendix,
+    ComplianceReport, HamiltonianOperator, _dg_eval, check_hamiltonian,
+    check_pencil, check_theorem1, btilde_from_r, hamiltonian_residuals,
+    levi_civita_operator, pencil_operator, verify_appendix,
 )
 from pencil_lab.expr import Const, evaluate, parse_expr
-from pencil_lab.geometry import MetricField, expr_array
+from pencil_lab.geometry import MetricField, eval_array, expr_array
 from pencil_lab.grids import Chart
 
 
@@ -52,7 +52,9 @@ def test_constant_metric_perturbed_coefficients_fail(box2):
 def test_pencil_operator_symmetry(box2, flat_pencil):
     g, gt = flat_pencil
     p = pencil_operator(g, gt)
-    assert pencil_symmetry_residual(p, box2) == 0.0
+    rg = np.einsum("is...,sj...->ij...", eval_array(p.r, box2),
+                   eval_array(p.g.gU, box2))
+    assert np.max(np.abs(rg - np.swapaxes(rg, 0, 1))) == 0.0
     assert evaluate(p.r[0, 0], (1.3, 0.7)) == pytest.approx(1 + 1.3 ** 2)
     assert evaluate(p.r[0, 1], (1.3, 0.7)) == 0.0
 
@@ -127,10 +129,92 @@ def test_lambda_sweep_skips_degenerate_values(box2):
 
 
 def test_report_three_valued_verdicts():
-    from pencil_lab.compat import ComplianceReport
     rep = ComplianceReport("t", {"a": 1e-10, "b": 5e-7, "c": 1e-3}, 1.0)
     assert rep.verdicts == {"a": "pass", "b": "inconclusive", "c": "fail"}
     assert rep.verdict == "fail"
     d = rep.as_dict()
     assert d["verdict"] == "fail"
     assert list(d["residuals"]) == sorted(d["residuals"])
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_residual_fails(value):
+    rep = ComplianceReport("t", {"a": value, "b": 0.0}, 1.0)
+    assert rep.verdicts == {"a": "fail", "b": "pass"}
+    assert rep.verdict == "fail"
+
+
+def _violating_pencil(case):
+    e = MetricField.euclidean(2)
+    if case == "swapped":     # two Hamiltonian operators, not compatible
+        gt = MetricField.diagonal_contravariant([_p("R2"), _p("R1")])
+        bt = levi_civita_operator(gt).b
+    else:
+        gt = MetricField.diagonal_contravariant([_p("1+R1^2"), _p("3+R2^2")])
+        bt = btilde_from_r(pencil_operator(e, gt))
+        bt[0, 1, 0] = bt[0, 1, 0] + _p("0.1*R2")
+    return levi_civita_operator(e), HamiltonianOperator(gt, bt)
+
+
+def _explicit_bilinear(A, At, chart):
+    """Reference: C1/C2 as the term-by-term bilinear expansion of J1/J2."""
+    gn, gtn = eval_array(A.g.gU, chart), eval_array(At.g.gU, chart)
+    bn, btn = eval_array(A.b, chart), eval_array(At.b, chart)
+    dg, dgt = _dg_eval(A.g.gU, chart), _dg_eval(At.g.gU, chart)
+    db, dbt = _dg_eval(A.b, chart), _dg_eval(At.b, chart)
+    c1 = (2.0 * np.einsum("kis...,sj...->kij...", btn, gn)
+          + 2.0 * np.einsum("kis...,sj...->kij...", bn, gtn)
+          - np.einsum("js...,sik...->kij...", gtn, dg)
+          - np.einsum("js...,sik...->kij...", gn, dgt)
+          - np.einsum("ks...,sij...->kij...", gtn, dg)
+          - np.einsum("ks...,sij...->kij...", gn, dgt)
+          + np.einsum("is...,skj...->kij...", gtn, dg)
+          + np.einsum("is...,skj...->kij...", gn, dgt))
+    skew_t = btn - np.swapaxes(btn, 0, 1)
+    skew = bn - np.swapaxes(bn, 0, 1)
+    c2 = (np.einsum("js...,sikn...->ijkn...", gtn, db)
+          + np.einsum("js...,sikn...->ijkn...", gn, dbt)
+          - np.einsum("is...,sjkn...->ijkn...", gtn, db)
+          - np.einsum("is...,sjkn...->ijkn...", gn, dbt)
+          + np.einsum("ijs...,skn...->ijkn...", skew_t, bn)
+          + np.einsum("ijs...,skn...->ijkn...", skew, btn)
+          + np.einsum("iks...,jsn...->ijkn...", btn, bn)
+          + np.einsum("iks...,jsn...->ijkn...", bn, btn)
+          - np.einsum("jks...,isn...->ijkn...", btn, bn)
+          - np.einsum("jks...,isn...->ijkn...", bn, btn))
+    return np.max(np.abs(c1)), np.max(np.abs(c2))
+
+
+def _direct_sweep(A, At, chart, lambdas):
+    """Reference: J of g̃ + λg, b̃ + λb rebuilt symbolically for each λ."""
+    n = A.g.n
+    worst = 0.0
+    for lam in lambdas:
+        cl = Const(float(lam))
+        gU = expr_array((n, n))
+        b = expr_array((n, n, n))
+        for idx in np.ndindex(n, n):
+            gU[idx] = At.g.gU[idx] + cl * A.g.gU[idx]
+        for idx in np.ndindex(n, n, n):
+            b[idx] = At.b[idx] + cl * A.b[idx]
+        r1, r2, _ = hamiltonian_residuals(gU, b, chart)
+        worst = max(worst, r1, r2)
+    return worst
+
+
+@pytest.mark.parametrize("case", ["swapped", "perturbed"])
+def test_polarized_pencil_matches_direct_evaluation(box2, case):
+    A, At = _violating_pencil(case)
+    rep = check_pencil(A, At, box2, lambdas=(-1.0, 0.0, 0.75, 1.5, 3.0))
+    skipped = [-1.0] if case == "swapped" else []   # R2 − 1 = 0 on the box
+    assert rep.lambdas_skipped == skipped
+    assert len(rep.lambdas_used) == 5 - len(skipped)
+    assert rep.verdict == "fail"
+    tol = 1e-12 * rep.scale
+    direct = _direct_sweep(A, At, box2, rep.lambdas_used)
+    assert direct > 1e-3
+    assert abs(rep.residuals["lambda_sweep"] - direct) <= tol
+    c1, c2 = _explicit_bilinear(A, At, box2)
+    assert max(c1, c2) > 1e-3
+    assert abs(rep.residuals["C1"] - c1) <= tol
+    assert abs(rep.residuals["C2"] - c2) <= tol

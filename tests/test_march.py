@@ -3,7 +3,7 @@ import pytest
 
 from pencil_lab.expr import parse_expr
 from pencil_lab.grids import (_C_LEFT, _C_MID, Chart, GridError, cumint,
-                              deriv, eval_grid)
+                              deriv, eval_grid, max_abs)
 from pencil_lab.march import MarchError, Unknown, solve_compatible
 
 
@@ -129,6 +129,26 @@ def test_blowup_guard():
                 free_axis=None, boundary=1.0)
     with pytest.raises(MarchError):
         solve_compatible(ch, [u], blowup=1e3)
+
+
+def test_nan_state_is_not_a_fixed_point():
+    ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
+    u = Unknown("u", {0: lambda s, m: np.where(m[0] > 0.5, np.nan, 0.0),
+                      1: lambda s, m: 0.0 * s["u"]},
+                free_axis=None, boundary=1.0)
+    with pytest.raises(MarchError, match="blow-up guard or is not finite"):
+        solve_compatible(ch, [u])
+
+
+@pytest.mark.parametrize("arrays", [([np.nan],), ([1.0, np.nan],),
+                                    ([np.nan], [2.0]), ([2.0], [np.nan])])
+def test_max_abs_propagates_nan(arrays):
+    assert np.isnan(max_abs(*arrays))
+
+
+def test_max_abs_values():
+    assert max_abs() == 0.0
+    assert max_abs([], [-3.0, 1.0], [2.0]) == 3.0
 
 
 def test_boundary_expr_reproduced_exactly():
