@@ -14,7 +14,8 @@ from .geometry import (MetricField, ConnectionField, GeometryError,
                        christoffel, riemann_max, is_flat,
                        covariant_derivative, raise_index, nijenhuis,
                        nijenhuis_max)
-from .march import MarchError, Unknown, solve_compatible
+from .march import (MarchError, PoleError, Unknown, path_integral,
+                    solve_compatible)
 from .compat import (HamiltonianOperator, PencilOperator, ComplianceReport,
                      levi_civita_operator, check_hamiltonian, pencil_operator,
                      btilde_from_r, check_theorem1, check_pencil,

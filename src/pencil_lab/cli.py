@@ -28,7 +28,7 @@ from .expr import DomainError, ParseError, parse_expr
 from .geometry import MetricField, expr_array, GeometryError
 from .grids import Chart, GridError
 from .io import canonical_digest, write_csv_grid, write_json_report, write_obj
-from .march import MarchError
+from .march import MarchError, PoleError
 
 __all__ = ["main"]
 
@@ -393,13 +393,10 @@ def main(argv=None) -> int:
 
     try:
         table, extra, artifacts = COMMANDS[args.command](cfg, args)
-    except (ConfigError, ParseError, DomainError) as e:
+    except (ConfigError, ParseError, DomainError, PoleError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
     except MarchError as e:
-        if "pole" in str(e):
-            print(f"config error: {e}", file=sys.stderr)
-            return 3
         print(f"run failed: {e}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expr, coords_used, evaluate, diff, parse_expr
+from .expr import Expr, as_expr, coords_used, evaluate, diff, parse_expr
 from .grids import Chart, cumint, deriv, eval_grid, max_abs
 from .march import MarchError, Unknown, solve_compatible
 
@@ -27,14 +27,6 @@ __all__ = [
     "pencil_residual_F3", "solve_S", "solve_lame", "conserved_P",
     "mu_constants", "integrate_S2", "monge_ampere_residual", "beta_from_pqr",
 ]
-
-
-def _as_expr(v, n: int) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, str):
-        return parse_expr(v, n)
-    return parse_expr(repr(float(v)), n)
 
 
 @dataclass(frozen=True)
@@ -59,7 +51,7 @@ class DiagonalModel:
 
     @classmethod
     def from_text(cls, texts, n: int) -> "DiagonalModel":
-        return cls(n, tuple(_as_expr(t, n) for t in texts))
+        return cls(n, tuple(as_expr(t, n) for t in texts))
 
     @classmethod
     def constant(cls, consts) -> "DiagonalModel":
@@ -103,7 +95,7 @@ class BoundaryData:
 
     @classmethod
     def from_text(cls, texts: dict, n: int) -> "BoundaryData":
-        return cls(n, {k: _as_expr(v, n) for k, v in texts.items()})
+        return cls(n, {k: as_expr(v, n) for k, v in texts.items()})
 
     def expr(self, i: int, j: int) -> Expr:
         return self.lines.get((i, j), parse_expr("0", self.n))
@@ -146,15 +138,15 @@ def flatness_residuals(beta: dict, chart: Chart):
             for k in range(n):
                 if k in (i, j):
                     continue
-                f1 = max(f1, max_abs(deriv(beta[(i, j)], k, h[k])
-                                     - beta[(i, k)] * beta[(k, j)]))
+                f1 = max_abs(f1, deriv(beta[(i, j)], k, h[k])
+                             - beta[(i, k)] * beta[(k, j)])
             if i < j:
                 acc = (deriv(beta[(i, j)], i, h[i])
                        + deriv(beta[(j, i)], j, h[j]))
                 for k in range(n):
                     if k not in (i, j):
                         acc = acc + beta[(k, i)] * beta[(k, j)]
-                f2 = max(f2, max_abs(acc))
+                f2 = max_abs(f2, acc)
     return f1, f2
 
 
@@ -178,7 +170,7 @@ def pencil_residual_F3(model: DiagonalModel, beta: dict, chart: Chart) -> float:
             for k in range(n):
                 if k not in (i, j):
                     acc = acc + eta[k] * beta[(k, i)] * beta[(k, j)]
-            worst = max(worst, max_abs(acc))
+            worst = max_abs(worst, acc)
     return worst
 
 
@@ -212,18 +204,19 @@ def solve_S(model: DiagonalModel, bd: BoundaryData, chart: Chart,
     etap = model.eta_prime_grids(chart)
 
     def rhs_resolved(i, j):
-        def f(state, mesh):
-            acc = (0.5 * etap[i] * state[f"b{i}{j}"]
-                   + 0.5 * etap[j] * state[f"b{j}{i}"])
+        def f(state, idx):
+            acc = (0.5 * etap[i][idx] * state[f"b{i}{j}"][idx]
+                   + 0.5 * etap[j][idx] * state[f"b{j}{i}"][idx])
             for k in range(n):
                 if k not in (i, j):
-                    acc = acc + (eta[k] - eta[j]) * state[f"b{k}{i}"] * state[f"b{k}{j}"]
-            return acc / (eta[j] - eta[i])
+                    acc = acc + ((eta[k][idx] - eta[j][idx])
+                                 * state[f"b{k}{i}"][idx] * state[f"b{k}{j}"][idx])
+            return acc / (eta[j][idx] - eta[i][idx])
         return f
 
     def rhs_cross(i, j, k):
-        def f(state, mesh):
-            return state[f"b{i}{k}"] * state[f"b{k}{j}"]
+        def f(state, idx):
+            return state[f"b{i}{k}"][idx] * state[f"b{k}{j}"][idx]
         return f
 
     unknowns = []
@@ -256,15 +249,15 @@ def solve_lame(beta: dict, chart: Chart, h_boundary: dict,
     n = chart.n
 
     def rhs(i, j):
-        def f(state, mesh):
-            return beta[(i, j)] * state[f"H{i}"]
+        def f(state, idx):
+            return beta[(i, j)][idx] * state[f"H{i}"][idx]
         return f
 
     unknowns = []
     for j in range(n):
         unknowns.append(Unknown(
             f"H{j}", {i: rhs(i, j) for i in range(n) if i != j},
-            free_axis=j, boundary=_as_expr(h_boundary[j], n)))
+            free_axis=j, boundary=as_expr(h_boundary[j], n)))
     sol = solve_compatible(chart, unknowns, order=order, tol=tol)
     return [sol[f"H{j}"] for j in range(n)]
 
@@ -291,7 +284,7 @@ def conserved_P(model: DiagonalModel, beta: dict, chart: Chart):
         P.append(acc)
         for j in range(n):
             if j != i:
-                drift = max(drift, max_abs(deriv(acc, j, h[j])))
+                drift = max_abs(drift, deriv(acc, j, h[j]))
     return P, drift
 
 
@@ -328,28 +321,28 @@ def integrate_S2(chart: Chart, p0, q0, r0, order=None, tol: float = 1e-13,
         raise ValueError("the angle system lives on a three-dimensional chart")
     m1, m2, m3 = (float(m) for m in mus)
     unknowns = [
-        Unknown("p", {1: lambda s, m: -m2 * np.cosh(s["q"]),
-                      2: lambda s, m: m3 * np.cos(s["r"])},
-                free_axis=0, boundary=_as_expr(p0, 3)),
-        Unknown("q", {0: lambda s, m: m1 * np.cos(s["p"]),
-                      2: lambda s, m: m3 * np.sin(s["r"])},
-                free_axis=1, boundary=_as_expr(q0, 3)),
-        Unknown("r", {0: lambda s, m: -m1 * np.sin(s["p"]),
-                      1: lambda s, m: m2 * np.sinh(s["q"])},
-                free_axis=2, boundary=_as_expr(r0, 3)),
+        Unknown("p", {1: lambda s, i: -m2 * np.cosh(s["q"][i]),
+                      2: lambda s, i: m3 * np.cos(s["r"][i])},
+                free_axis=0, boundary=as_expr(p0, 3)),
+        Unknown("q", {0: lambda s, i: m1 * np.cos(s["p"][i]),
+                      2: lambda s, i: m3 * np.sin(s["r"][i])},
+                free_axis=1, boundary=as_expr(q0, 3)),
+        Unknown("r", {0: lambda s, i: -m1 * np.sin(s["p"][i]),
+                      1: lambda s, i: m2 * np.sinh(s["q"][i])},
+                free_axis=2, boundary=as_expr(r0, 3)),
     ]
     sol = solve_compatible(chart, unknowns, order=order, tol=tol,
                            max_iter=max_iter, blowup=1e6)
     if max_abs(sol["q"]) > 20.0:
         raise MarchError("angle q left the trustworthy range (|q| > 20)")
     h = chart.spacing()
-    res = max(
-        max_abs(deriv(sol["q"], 0, h[0]) - m1 * np.cos(sol["p"])),
-        max_abs(deriv(sol["r"], 0, h[0]) + m1 * np.sin(sol["p"])),
-        max_abs(deriv(sol["p"], 1, h[1]) + m2 * np.cosh(sol["q"])),
-        max_abs(deriv(sol["r"], 1, h[1]) - m2 * np.sinh(sol["q"])),
-        max_abs(deriv(sol["p"], 2, h[2]) - m3 * np.cos(sol["r"])),
-        max_abs(deriv(sol["q"], 2, h[2]) - m3 * np.sin(sol["r"])),
+    res = max_abs(
+        deriv(sol["q"], 0, h[0]) - m1 * np.cos(sol["p"]),
+        deriv(sol["r"], 0, h[0]) + m1 * np.sin(sol["p"]),
+        deriv(sol["p"], 1, h[1]) + m2 * np.cosh(sol["q"]),
+        deriv(sol["r"], 1, h[1]) - m2 * np.sinh(sol["q"]),
+        deriv(sol["p"], 2, h[2]) - m3 * np.cos(sol["r"]),
+        deriv(sol["q"], 2, h[2]) - m3 * np.sin(sol["r"]),
     )
     return sol, res
 

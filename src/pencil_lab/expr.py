@@ -24,7 +24,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Coord", "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Call",
     "ExprError", "ParseError", "DomainError",
-    "parse_expr", "evaluate", "diff", "to_text", "coords_used",
+    "parse_expr", "as_expr", "evaluate", "diff", "to_text", "coords_used",
     "ZERO", "ONE",
 ]
 
@@ -375,16 +375,10 @@ def _prec(e: Expr) -> int:
     return _PREC_ADD
 
 
-def _fmt_number(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return repr(v)
-    return repr(v)
-
-
 def to_text(e: Expr) -> str:
     """Render to the input grammar; print -> parse -> print is a fixed point."""
     if isinstance(e, Const):
-        return _fmt_number(e.value)
+        return repr(e.value)
     if isinstance(e, Coord):
         return f"R{e.index}"
     if isinstance(e, Call):
@@ -569,3 +563,12 @@ def parse_expr(text: str, n: int) -> Expr:
     symbols, or coordinate indices above ``n``.
     """
     return _Parser(text, n).parse()
+
+
+def as_expr(v, n: int) -> Expr:
+    """An Expr as is, a string parsed over R1..R{n}, or a number as a constant."""
+    if isinstance(v, Expr):
+        return v
+    if isinstance(v, str):
+        return parse_expr(v, n)
+    return parse_expr(repr(float(v)), n)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .diagonal import DiagonalModel
 from .grids import Chart, deriv, max_abs
-from .march import MarchError, Unknown, solve_compatible
+from .march import MarchError, check_shift, position_vector, solve_frame
 
 __all__ = [
     "LaxConnection", "FrameSolution", "build_lax", "build_lax_L1",
@@ -26,9 +26,6 @@ __all__ = [
     "induced_metric_residual", "hypersurface_curvatures",
     "weingarten_scaling_report",
 ]
-
-POLE_GUARD = 1e-8
-
 
 @dataclass(frozen=True)
 class LaxConnection:
@@ -50,10 +47,7 @@ class LaxConnection:
 def _shifted(model: DiagonalModel, chart: Chart, lam: float):
     eta = model.eta_grids(chart)
     shifted = [lam + e for e in eta]
-    low = min(float(np.min(s)) for s in shifted)
-    if low <= POLE_GUARD:
-        raise MarchError(
-            f"shift {lam} touches a pole: min(lam + eta) = {low:.3e}")
+    check_shift(lam, shifted)
     return shifted
 
 
@@ -137,22 +131,32 @@ def gauge_residual(L1: LaxConnection, L2: LaxConnection,
                 T[..., i, j] = s[i] * A[..., i, j] / s[j]
         # S varies along direction d only through its d-th entry.
         T[..., d, d] += deriv(s[d], d, h[d]) / s[d]
-        worst = max(worst, max_abs(T - L2.mats[d]))
+        worst = max_abs(worst, T - L2.mats[d])
     return worst
 
 
 def zero_curvature_residual(conn: LaxConnection, chart: Chart) -> float:
-    """Max-abs of F_dj = d_d A_j - d_j A_d - [A_d, A_j] over the grid."""
+    """Max-abs of F_dj = d_d A_j - d_j A_d - [A_d, A_j] over the grid.
+
+    The matrix products are sums over the inner index in order, which for
+    real float64 give the values of einsum, on component-leading copies
+    A[d][i, j] (grid axes follow the two component axes).
+    """
     n = chart.n
     h = chart.spacing()
+    A = [np.ascontiguousarray(np.moveaxis(M, (-2, -1), (0, 1)))
+         for M in conn.mats]
+
+    def product(X, Y):
+        return sum(X[:, c, None] * Y[None, c] for c in range(len(X)))
+
     worst = 0.0
     for d in range(n):
         for j in range(d + 1, n):
-            Ad, Aj = conn.mats[d], conn.mats[j]
-            F = (deriv(Aj, d, h[d]) - deriv(Ad, j, h[j])
-                 - (np.einsum("...ik,...kj->...ij", Ad, Aj)
-                    - np.einsum("...ik,...kj->...ij", Aj, Ad)))
-            worst = max(worst, max_abs(F))
+            Ad, Aj = A[d], A[j]
+            F = (deriv(Aj, d + 2, h[d]) - deriv(Ad, j + 2, h[j])
+                 - (product(Ad, Aj) - product(Aj, Ad)))
+            worst = max_abs(worst, F)
     return worst
 
 
@@ -179,32 +183,7 @@ def integrate_frame(conn: LaxConnection, model: DiagonalModel, H: list,
     if conn.gauge != "skew":
         raise ValueError("frame integration expects the skew gauge")
     n = chart.n
-    mats = conn.mats
-
-    def rhs_entry(a, b):
-        def f(state, mesh):
-            acc = mats[f.axis][..., a, 0] * state[f"F0{b}"]
-            for c in range(1, n):
-                acc = acc + mats[f.axis][..., a, c] * state[f"F{c}{b}"]
-            return acc
-        return f
-
-    unknowns = []
-    for a in range(n):
-        for b in range(n):
-            rhs = {}
-            for d in range(n):
-                fd = rhs_entry(a, b)
-                fd.axis = d
-                rhs[d] = fd
-            unknowns.append(Unknown(f"F{a}{b}", rhs, free_axis=None,
-                                    boundary=1.0 if a == b else 0.0))
-    sol = solve_compatible(chart, unknowns, tol=tol, max_iter=max_iter)
-    phi = np.zeros(chart.shape + (n, n))
-    for a in range(n):
-        for b in range(n):
-            phi[..., a, b] = sol[f"F{a}{b}"]
-
+    phi = solve_frame(chart, conn.mats, tol=tol, max_iter=max_iter)
     gram = np.einsum("...ki,...kj->...ij", phi, phi)
     drift = max_abs(gram - np.eye(n))
     if drift > 1e-4:
@@ -213,18 +192,8 @@ def integrate_frame(conn: LaxConnection, model: DiagonalModel, H: list,
             "coefficients are not consistent on this box")
 
     sh = _shifted(model, chart, conn.lam)
-    coeff = [H[d] / np.sqrt(sh[d]) for d in range(n)]
-
-    def rvec_rhs(d, c):
-        def f(state, mesh):
-            return coeff[d] * phi[..., d, c]
-        return f
-
-    r_unknowns = [Unknown(f"r{c}", {d: rvec_rhs(d, c) for d in range(n)},
-                          free_axis=None, boundary=0.0)
-                  for c in range(n)]
-    rsol = solve_compatible(chart, r_unknowns, tol=tol, max_iter=max_iter)
-    rvec = np.stack([rsol[f"r{c}"] for c in range(n)], axis=-1)
+    rvec = position_vector(chart, [H[d] / np.sqrt(sh[d]) for d in range(n)],
+                           phi)
     return FrameSolution(conn.lam, phi, rvec, drift)
 
 
@@ -240,7 +209,7 @@ def induced_metric_residual(fs: FrameSolution, model: DiagonalModel,
         for j in range(n):
             dot = np.einsum("...c,...c->...", dr[i], dr[j])
             target = H[i] ** 2 / sh[i] if i == j else 0.0
-            worst = max(worst, max_abs(dot - target))
+            worst = max_abs(worst, dot - target)
     return worst
 
 
@@ -311,7 +280,7 @@ def weingarten_scaling_report(model: DiagonalModel, beta: dict, H: list,
     ratio_res = 0.0
     if not umbilic:
         for a, b in zip(ka, kb):
-            ratio_res = max(ratio_res, max_abs(a - factor * b))
+            ratio_res = max_abs(ratio_res, a - factor * b)
     report = {
         "lam_a": lam_a,
         "lam_b": lam_b,

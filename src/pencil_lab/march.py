@@ -3,12 +3,13 @@
 Each unknown carries its prescribed derivative fields along a subset of the
 coordinate axes; at most one axis per unknown may be "free", in which case the
 unknown's values on the coordinate line of that axis (through the box corner)
-are boundary data.  The solver iterates the integral form of the system:
-values are transported from the boundary line along a staircase of axis legs,
-with a 4th-order cumulative quadrature, until the fixed point is reached.
-Compatibility (Frobenius) of the system is certified afterwards by residuals,
-not assumed silently: path-independence can be probed by permuting the leg
-order.
+are boundary data.  Unknowns may carry trailing component axes.  One pass of
+the integral form (``path_integral``) transports values from the boundary
+along a staircase of axis legs with a 4th-order cumulative quadrature, asking
+each rhs only for the slab of the grid its leg sweeps; ``solve_compatible``
+repeats the passes until the fixed point is reached.  Compatibility
+(Frobenius) of the system is certified afterwards by residuals, not assumed
+silently: path-independence can be probed by permuting the leg order.
 """
 
 from __future__ import annotations
@@ -21,37 +22,60 @@ import numpy as np
 from .expr import Expr, evaluate
 from .grids import Chart, cumint, max_abs
 
-__all__ = ["Unknown", "MarchError", "solve_compatible"]
+__all__ = ["Unknown", "MarchError", "PoleError", "POLE_GUARD", "check_shift",
+           "path_integral", "solve_compatible", "solve_frame",
+           "position_vector"]
+
+# Smallest admissible value of lam + eta_i on the box for a spectral shift.
+POLE_GUARD = 1e-8
 
 
 class MarchError(RuntimeError):
     """Divergence or blow-up during the fixed-point integration."""
 
 
+class PoleError(MarchError):
+    """A spectral shift puts a pole of lam + eta_i on (or inside) the box."""
+
+
+def check_shift(lam: float, shifted) -> None:
+    """Raise PoleError unless every grid of lam + eta_i stays above POLE_GUARD."""
+    low = min(float(np.min(s)) for s in shifted)
+    if low <= POLE_GUARD:
+        raise PoleError(
+            f"shift {lam} touches a pole: min(lam + eta) = {low:.3e}")
+
+
 @dataclass
 class Unknown:
-    """One scalar unknown of a compatible system.
+    """One unknown of a compatible system, scalar or with component axes.
 
-    rhs maps axis -> callable(state, mesh) -> full-grid derivative field.
+    rhs maps axis -> callable(state, idx) -> derivative field on ``grid[idx]``:
+    ``idx`` is a tuple of one slice per chart axis (the slab of the current
+    staircase leg) and ``state`` maps names to full grids, so a field read
+    from the state or from a precomputed grid is ``grid[idx]``.  The result
+    may be anything that broadcasts to the slab (plus the component axes).
     ``free_axis`` has no rhs entry; ``boundary`` is an Expr in that axis'
     coordinate (values on the coordinate line through the corner).  With
     ``free_axis=None`` the boundary is the value at the corner and every axis
-    needs an rhs entry.
+    needs an rhs entry; an array corner value gives the unknown its trailing
+    component axes.
     """
 
     name: str
     rhs: dict[int, Callable]
     free_axis: int | None = None
-    boundary: Expr | float = 0.0
+    boundary: Expr | float | np.ndarray = 0.0
 
 
 def _boundary_array(u: Unknown, chart: Chart) -> np.ndarray:
     """Boundary data broadcast to a grid slab (size 1 along non-free axes)."""
     corner = chart.corner()
     if u.free_axis is None:
-        v = float(u.boundary) if not isinstance(u.boundary, Expr) \
-            else float(evaluate(u.boundary, corner))
-        return np.full((1,) * chart.n, v)
+        v = evaluate(u.boundary, corner) if isinstance(u.boundary, Expr) \
+            else u.boundary
+        v = np.asarray(v, dtype=float)
+        return v.reshape((1,) * chart.n + v.shape)
     axis = u.free_axis
     coords = list(corner)
     coords[axis] = chart.axes()[axis]
@@ -65,20 +89,47 @@ def _boundary_array(u: Unknown, chart: Chart) -> np.ndarray:
     return vals.reshape(shape)
 
 
-def _transport(u: Unknown, state: dict, mesh, chart: Chart,
-               order: tuple, spacing) -> np.ndarray:
-    """One path-integration pass for a single unknown from its boundary data."""
+def _full(part: np.ndarray, chart: Chart) -> np.ndarray:
+    shape = chart.shape + part.shape[chart.n:]
+    return np.ascontiguousarray(np.broadcast_to(part, shape))
+
+
+def _order(chart: Chart, order) -> tuple:
+    order = tuple(range(chart.n)) if order is None else tuple(order)
+    if sorted(order) != list(range(chart.n)):
+        raise ValueError(f"order {order} is not a permutation of the axes")
+    return order
+
+
+def path_integral(chart: Chart, u: Unknown, order: tuple | None = None,
+                  state: dict | None = None) -> np.ndarray:
+    """One path-integration pass for ``u`` from its boundary data.
+
+    Legs follow ``order`` (default 0..n-1); axes not yet traversed (and not
+    free) stay pinned at the corner, so leg i asks each rhs for the slab of
+    the grid spanned by the free axis and the first i+1 legs.  Exact when the
+    rhs does not read ``state``.
+    """
+    order = _order(chart, order)
+    spacing = chart.spacing()
     part = _boundary_array(u, chart)
+    comps = part.shape[chart.n:]
     dirs = [k for k in order if k != u.free_axis]
     for i, k in enumerate(dirs):
-        field = np.asarray(u.rhs[k](state, mesh))
-        field = np.broadcast_to(field, chart.shape)
-        # Axes not yet traversed (and not free) stay pinned at the corner.
         idx = [slice(None)] * chart.n
         for later in dirs[i + 1:]:
             idx[later] = slice(0, 1)
-        part = part + cumint(field[tuple(idx)], k, spacing[k])
-    return np.ascontiguousarray(np.broadcast_to(part, chart.shape))
+        idx = tuple(idx)
+        slab = tuple(1 if s.stop == 1 else m for s, m in zip(idx, chart.shape))
+        field = np.broadcast_to(u.rhs[k](state, idx), slab + comps)
+        part = part + cumint(field, k, spacing[k])
+    return _full(part, chart)
+
+
+def _guard(scale: float, blowup: float) -> None:
+    # A NaN or inf makes scale non-finite, which this comparison rejects.
+    if not scale <= blowup:
+        raise MarchError("solution exceeded the blow-up guard or is not finite")
 
 
 def solve_compatible(chart: Chart, unknowns: list[Unknown],
@@ -90,24 +141,58 @@ def solve_compatible(chart: Chart, unknowns: list[Unknown],
     ``order`` is the axis permutation defining the staircase legs (defaults to
     0..n-1).  Deterministic: fixed sweep order, fixed quadrature.
     """
-    order = tuple(range(chart.n)) if order is None else tuple(order)
-    if sorted(order) != list(range(chart.n)):
-        raise ValueError(f"order {order} is not a permutation of the axes")
-    mesh = chart.mesh()
-    spacing = chart.spacing()
-    state = {u.name: np.ascontiguousarray(
-        np.broadcast_to(_boundary_array(u, chart), chart.shape)) for u in unknowns}
+    order = _order(chart, order)
+    state = {u.name: _full(_boundary_array(u, chart), chart) for u in unknowns}
     for _ in range(max_iter):
         delta = 0.0
         for u in unknowns:
-            new = _transport(u, state, mesh, chart, order, spacing)
+            new = path_integral(chart, u, order, state)
             delta = max_abs(delta, new - state[u.name])
             state[u.name] = new
         scale = 1.0 + max_abs(*(state[u.name] for u in unknowns))
-        # A NaN or inf in any unknown (the only way delta can be one) makes
-        # scale non-finite, which this comparison rejects.
-        if not scale <= blowup:
-            raise MarchError("solution exceeded the blow-up guard or is not finite")
+        _guard(scale, blowup)  # a NaN or inf in delta also shows in scale
         if delta <= tol * scale:
             return state
     raise MarchError(f"no fixed point after {max_iter} sweeps (last delta {delta:.3e})")
+
+
+def solve_frame(chart: Chart, mats, tol: float = 1e-13,
+                max_iter: int = 600) -> np.ndarray:
+    """Solve d_d X = A_d X from X = identity at the corner.
+
+    mats[d] has shape grid + (k, k); returns X with that shape.  Each row of
+    X is one unknown with k components; entry (a, b) of the sweep reads only
+    column b, so the Gauss-Seidel order is that of one scalar unknown per
+    entry taken row by row.
+    """
+    k = mats[0].shape[-1]
+
+    def row(a, d):
+        def f(state, idx):
+            A = mats[d][idx]
+            acc = A[..., a, 0, None] * state["F0"][idx]
+            for c in range(1, k):
+                acc = acc + A[..., a, c, None] * state[f"F{c}"][idx]
+            return acc
+        return f
+
+    unknowns = [Unknown(f"F{a}", {d: row(a, d) for d in range(len(mats))},
+                        boundary=np.eye(k)[a]) for a in range(k)]
+    sol = solve_compatible(chart, unknowns, tol=tol, max_iter=max_iter)
+    return np.stack([sol[f"F{a}"] for a in range(k)], axis=-2)
+
+
+def position_vector(chart: Chart, coeffs, frame: np.ndarray) -> np.ndarray:
+    """Integrate d_d r = coeffs[d] * (row d of frame) from r = 0 at the corner.
+
+    The rhs does not depend on r, so one pass is exact; the result has shape
+    grid + (frame.shape[-1],).  Raises MarchError under solve_compatible's
+    default blow-up guard.
+    """
+    def leg(d):
+        return lambda state, idx: coeffs[d][idx][..., None] * frame[idx][..., d, :]
+
+    r = path_integral(chart, Unknown("r", {d: leg(d) for d in range(chart.n)},
+                                     boundary=np.zeros(frame.shape[-1])))
+    _guard(1.0 + max_abs(r), 1e6)
+    return r

@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Expr, call, coords_used, diff, evaluate, parse_expr
+from .expr import Expr, as_expr, call, coords_used, diff, evaluate
 from .grids import Chart, deriv, eval_grid, max_abs
-from .march import MarchError, Unknown, solve_compatible
+from .march import (POLE_GUARD, MarchError, Unknown, check_shift,
+                    position_vector, solve_compatible, solve_frame)
 
 __all__ = [
     "SurfaceModel", "CurvatureData", "SurfaceMesh", "seed_surface_model",
@@ -31,20 +32,11 @@ __all__ = [
 ]
 
 UMBILIC_GUARD = 1e-8
-POLE_GUARD = 1e-8
-
-
-def _ex(v) -> Expr:
-    if isinstance(v, Expr):
-        return v
-    if isinstance(v, str):
-        return parse_expr(v, 2)
-    return parse_expr(repr(float(v)), 2)
 
 
 def _grid(v, chart: Chart):
     if isinstance(v, str):
-        v = _ex(v)
+        v = as_expr(v, 2)
     if isinstance(v, Expr):
         return eval_grid(v, chart)
     return np.broadcast_to(np.asarray(v, dtype=float), chart.shape)
@@ -69,8 +61,8 @@ class SurfaceModel:
 
     @classmethod
     def from_text(cls, g11, g22, eta1, eta2, chart, lambdas=(0.0,)):
-        return cls(_ex(g11), _ex(g22), _ex(eta1), _ex(eta2), chart,
-                   tuple(float(v) for v in lambdas))
+        return cls(as_expr(g11, 2), as_expr(g22, 2), as_expr(eta1, 2),
+                   as_expr(eta2, 2), chart, tuple(float(v) for v in lambdas))
 
     def validate(self) -> list:
         problems = []
@@ -93,7 +85,7 @@ class SurfaceModel:
 
     def shifted_form(self, lam: float):
         """Expressions of the shifted third fundamental form entries."""
-        cl = _ex(lam)
+        cl = as_expr(lam, 2)
         return self.g11 / (cl + self.eta1), self.g22 / (cl + self.eta2)
 
     def lame_beta(self):
@@ -108,9 +100,9 @@ class SurfaceModel:
 def gaussian_curvature_expr(E: Expr, G: Expr) -> Expr:
     """Gaussian curvature of the orthogonal metric E (dR1)^2 + G (dR2)^2."""
     root = call("sqrt", E * G)
-    half = _ex(0.5)
+    half = as_expr(0.5, 2)
     inner = diff(diff(G, 1) / root, 1) + diff(diff(E, 2) / root, 2)
-    return _ex(0.0) - half * inner / root
+    return as_expr(0.0, 2) - half * inner / root
 
 
 def _metric_flatness(g11: Expr, g22: Expr, chart: Chart) -> float:
@@ -121,10 +113,8 @@ def constant_curvature_check(model: SurfaceModel) -> dict:
     """Per-shift max-abs of (Gaussian curvature of the shifted form) - 1."""
     out = {}
     for lam in model.lambdas:
-        for eta in (model.eta1, model.eta2):
-            low = float(np.min(lam + eval_grid(eta, model.chart)))
-            if low <= POLE_GUARD:
-                raise MarchError(f"shift {lam} touches a pole (min {low:.3e})")
+        check_shift(lam, [lam + eval_grid(eta, model.chart)
+                          for eta in (model.eta1, model.eta2)])
         Gt11, Gt22 = model.shifted_form(lam)
         K = gaussian_curvature_expr(Gt11, Gt22)
         out[lam] = max_abs(eval_grid(K, model.chart) - 1.0)
@@ -143,7 +133,7 @@ class CurvatureData:
 def _log_deriv(G, axis: int, chart: Chart):
     """Grid of d_axis ln sqrt(G), exact for expressions."""
     if isinstance(G, Expr):
-        return eval_grid(diff(G, axis + 1) / (_ex(2.0) * G), chart)
+        return eval_grid(diff(G, axis + 1) / (as_expr(2.0, 2) * G), chart)
     g = _grid(G, chart)
     return deriv(g, axis, chart.spacing()[axis]) / (2.0 * g)
 
@@ -165,7 +155,7 @@ def pc_residual(G11, G22, k1, k2, chart: Chart) -> float:
             else deriv(k2g, 0, h[0]))
     r1 = d2k1 - (k2g - k1g) * _log_deriv(G11, 1, chart)
     r2 = d1k2 - (k1g - k2g) * _log_deriv(G22, 0, chart)
-    return max(max_abs(r1), max_abs(r2))
+    return max_abs(r1, r2)
 
 
 def solve_codazzi(G11, G22, k1_line, k2_line, chart: Chart,
@@ -179,8 +169,8 @@ def solve_codazzi(G11, G22, k1_line, k2_line, chart: Chart,
     """
     L1 = _log_deriv(G11, 1, chart)
     L2 = _log_deriv(G22, 0, chart)
-    k1_line = _ex(k1_line)
-    k2_line = _ex(k2_line)
+    k1_line = as_expr(k1_line, 2)
+    k2_line = as_expr(k2_line, 2)
 
     corner = chart.corner()
     k1c = evaluate(k1_line, corner)
@@ -203,9 +193,9 @@ def solve_codazzi(G11, G22, k1_line, k2_line, chart: Chart,
                 f"({want:.6g})")
 
     unknowns = [
-        Unknown("k1", {1: lambda s, m: (s["k2"] - s["k1"]) * L1},
+        Unknown("k1", {1: lambda s, i: (s["k2"][i] - s["k1"][i]) * L1[i]},
                 free_axis=0, boundary=k1_line),
-        Unknown("k2", {0: lambda s, m: (s["k1"] - s["k2"]) * L2},
+        Unknown("k2", {0: lambda s, i: (s["k1"][i] - s["k2"][i]) * L2[i]},
                 free_axis=1, boundary=k2_line),
     ]
     sol = solve_compatible(chart, unknowns, tol=tol)
@@ -229,10 +219,10 @@ def surface_system_residual(H1, H2, b12, b21, eta1, eta2,
     H1g, H2g = _grid(H1, chart), _grid(H2, chart)
     b12g, b21g = _grid(b12, chart), _grid(b21, chart)
     e1, e2 = _grid(eta1, chart), _grid(eta2, chart)
-    e1p = (eval_grid(diff(_ex(eta1), 1), chart) if isinstance(eta1, (Expr, str))
-           else np.zeros(chart.shape))
-    e2p = (eval_grid(diff(_ex(eta2), 2), chart) if isinstance(eta2, (Expr, str))
-           else np.zeros(chart.shape))
+    e1p = (eval_grid(diff(as_expr(eta1, 2), 1), chart)
+           if isinstance(eta1, (Expr, str)) else np.zeros(chart.shape))
+    e2p = (eval_grid(diff(as_expr(eta2, 2), 2), chart)
+           if isinstance(eta2, (Expr, str)) else np.zeros(chart.shape))
     d1b12 = deriv(b12g, 0, h[0])
     d2b21 = deriv(b21g, 1, h[1])
     r1 = max_abs(deriv(H2g, 0, h[0]) - b12g * H1g)
@@ -254,27 +244,27 @@ def solve_surface_system(eta1, eta2, chart: Chart, b12_line, b21_line,
     so b12 and H2 are free along the second coordinate line while b21 and H1
     are free along the first.  Returns the four grids plus the residuals.
     """
-    eta1, eta2 = _ex(eta1), _ex(eta2)
+    eta1, eta2 = as_expr(eta1, 2), as_expr(eta2, 2)
     e1 = eval_grid(eta1, chart)
-    e2 = eval_grid(eta2, chart)
-    if float(np.min(np.abs(e2 - e1))) < 1e-8:
+    gap = eval_grid(eta2, chart) - e1
+    if float(np.min(np.abs(gap))) < 1e-8:
         raise MarchError("eta1 and eta2 collide on the box")
     e1p = eval_grid(diff(eta1, 1), chart)
     e2p = eval_grid(diff(eta2, 2), chart)
 
-    def c_of(state):
-        return (0.5 * e1p * state["b12"] + 0.5 * e2p * state["b21"]
-                + state["H1"] * state["H2"])
+    def c_of(s, i):
+        return (0.5 * e1p[i] * s["b12"][i] + 0.5 * e2p[i] * s["b21"][i]
+                + s["H1"][i] * s["H2"][i])
 
     unknowns = [
-        Unknown("b12", {0: lambda s, m: c_of(s) / (e2 - e1)},
-                free_axis=1, boundary=_ex(b12_line)),
-        Unknown("b21", {1: lambda s, m: -c_of(s) / (e2 - e1)},
-                free_axis=0, boundary=_ex(b21_line)),
-        Unknown("H1", {1: lambda s, m: s["b21"] * s["H2"]},
-                free_axis=0, boundary=_ex(h1_line)),
-        Unknown("H2", {0: lambda s, m: s["b12"] * s["H1"]},
-                free_axis=1, boundary=_ex(h2_line)),
+        Unknown("b12", {0: lambda s, i: c_of(s, i) / gap[i]},
+                free_axis=1, boundary=as_expr(b12_line, 2)),
+        Unknown("b21", {1: lambda s, i: -c_of(s, i) / gap[i]},
+                free_axis=0, boundary=as_expr(b21_line, 2)),
+        Unknown("H1", {1: lambda s, i: s["b21"][i] * s["H2"][i]},
+                free_axis=0, boundary=as_expr(h1_line, 2)),
+        Unknown("H2", {0: lambda s, i: s["b12"][i] * s["H1"][i]},
+                free_axis=1, boundary=as_expr(h2_line, 2)),
     ]
     sol = solve_compatible(chart, unknowns, tol=tol, max_iter=max_iter)
     res = surface_system_residual(sol["H1"], sol["H2"], sol["b12"],
@@ -331,8 +321,7 @@ def lax_residuals_3x3_2x2(H1, H2, b12, b21, eta1, eta2, chart: Chart,
     out = {}
     for lam in lambdas:
         s1, s2 = lam + e1, lam + e2
-        if min(float(np.min(s1)), float(np.min(s2))) <= POLE_GUARD:
-            raise MarchError(f"shift {lam} touches a pole")
+        check_shift(lam, (s1, s2))
         B1, B2, M1, M2 = _lax_mats(H1g, H2g, b12g, b21g, s1, s2, chart)
         out[lam] = (_zero_curvature(B1, B2, chart),
                     _zero_curvature(M1, M2, chart))
@@ -353,27 +342,6 @@ class SurfaceMesh:
     def normal_unit_drift(self) -> float:
         return max_abs(np.einsum("...c,...c->...", self.normals,
                                  self.normals) - 1.0)
-
-
-def _integrate_linear_3x3(mats, chart: Chart, tol: float = 1e-13):
-    """Solve d_d X = A_d X, X = identity at the corner, for a 3x3 system."""
-    def rhs_entry(a, b, d):
-        def f(state, mesh):
-            return (mats[d][..., a, 0] * state[f"F0{b}"]
-                    + mats[d][..., a, 1] * state[f"F1{b}"]
-                    + mats[d][..., a, 2] * state[f"F2{b}"])
-        return f
-
-    unknowns = [Unknown(f"F{a}{b}",
-                        {d: rhs_entry(a, b, d) for d in range(2)},
-                        free_axis=None, boundary=1.0 if a == b else 0.0)
-                for a in range(3) for b in range(3)]
-    sol = solve_compatible(chart, unknowns, tol=tol)
-    X = np.zeros(chart.shape + (3, 3))
-    for a in range(3):
-        for b in range(3):
-            X[..., a, b] = sol[f"F{a}{b}"]
-    return X
 
 
 def _mesh_shape_operator(mesh: SurfaceMesh, chart: Chart):
@@ -413,29 +381,19 @@ def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
     meshes = []
     for lam in lambdas:
         s1, s2 = lam + e1, lam + e2
-        if min(float(np.min(s1)), float(np.min(s2))) <= POLE_GUARD:
-            raise MarchError(f"shift {lam} touches a pole")
+        check_shift(lam, (s1, s2))
         B1, B2, _, _ = _lax_mats(H1g, H2g, b12g, b21g, s1, s2, chart)
-        frame = _integrate_linear_3x3((B1, B2), chart, tol=tol)
+        frame = solve_frame(chart, (B1, B2), tol=tol)
         gram = np.einsum("...ki,...kj->...ij", frame, frame)
         drift = max_abs(gram - np.eye(3))
         normal = frame[..., 2, :]
         # d_1 n = -(H1/sqrt(s1)) e1 and d_2 n = -(H2/sqrt(s2)) e2; the
         # Gauss map must actually move for the surface to exist.
-        span = max(max_abs(H1g / np.sqrt(s1)), max_abs(H2g / np.sqrt(s2)))
+        span = max_abs(H1g / np.sqrt(s1), H2g / np.sqrt(s2))
         if span < 1e-10:
             raise MarchError("Gauss map degenerate")
         coeff = [curv.k1 * H1g / np.sqrt(s1), curv.k2 * H2g / np.sqrt(s2)]
-
-        def rvec_rhs(d, c):
-            def f(state, mesh):
-                return coeff[d] * frame[..., d, c]
-            return f
-
-        unknowns = [Unknown(f"r{c}", {d: rvec_rhs(d, c) for d in range(2)},
-                            free_axis=None, boundary=0.0) for c in range(3)]
-        rsol = solve_compatible(chart, unknowns, tol=tol)
-        verts = np.stack([rsol[f"r{c}"] for c in range(3)], axis=-1)
+        verts = position_vector(chart, coeff, frame)
 
         mesh = SurfaceMesh(float(lam), verts, normal,
                            np.zeros(chart.shape + (2,)))
@@ -477,7 +435,7 @@ def weingarten_family_compare(meshes: list, chart: Chart,
     eigs = [np.sort(np.linalg.eigvals(S).real, axis=-1) for S in ops]
     for a in range(len(ops)):
         for b in range(a + 1, len(ops)):
-            eig_dev = max(eig_dev, max_abs(eigs[a] - eigs[b]))
+            eig_dev = max_abs(eig_dev, eigs[a] - eigs[b])
     for S, ev in zip(ops, eigs):
         gap = np.abs(ev[..., 1] - ev[..., 0])
         ok = gap >= 1e-6
@@ -485,9 +443,7 @@ def weingarten_family_compare(meshes: list, chart: Chart,
         # In curvature-line parameters the operator should be diagonal; the
         # off-diagonal terms measure the rotation of its eigenframe.
         off = np.maximum(np.abs(S[..., 0, 1]), np.abs(S[..., 1, 0]))
-        ang = np.arctan2(off[ok], gap[ok]) if np.any(ok) else np.array([0.0])
-        if ang.size:
-            angle_dev = max(angle_dev, float(np.max(ang)))
+        angle_dev = max_abs(angle_dev, np.arctan2(off[ok], gap[ok]))
     return {
         "eigenvalue_deviation": eig_dev,
         "misalignment_angle": angle_dev,
@@ -511,7 +467,7 @@ def mesh_nontriviality(mesh_a: SurfaceMesh, mesh_b: SurfaceMesh) -> float:
     tb = cKDTree(B)
     d1 = float(np.max(tb.query(A)[0]))
     d2 = float(np.max(ta.query(B)[0]))
-    return max(d1, d2)
+    return max_abs(d1, d2)
 
 
 def seed_surface_model(chart: Chart | None = None,

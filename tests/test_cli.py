@@ -249,3 +249,13 @@ def test_bad_lambdas_are_config_errors(tmp_path, capsys, command, cfg_dict,
     cfg = _write(tmp_path, "c.json", dict(cfg_dict, lambdas=lambdas))
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 3
     assert "config error" in capsys.readouterr().err
+
+
+def test_deform_surface_pole_is_config_error(tmp_path, capsys):
+    # eta1 = 5 - R1^2 reaches 2.75 on the box, so a shift of -3 crosses it
+    cfg = _write(tmp_path, "s.json", _cfg_surface())
+    assert main(["deform-surface", "--config", cfg, "--out",
+                 str(tmp_path / "o"), "--lambda=0,-3"]) == 3
+    err = capsys.readouterr().err
+    assert "config error: shift -3.0 touches a pole" in err
+    assert not (tmp_path / "o" / "report.json").exists()

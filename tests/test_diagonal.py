@@ -253,3 +253,40 @@ def test_shift_identity_matches_twisted_flatness():
                     f3 = f3 + c[k] * beta[(k, i)] * beta[(k, j)]
             worst = max(worst, max_abs(np.sqrt(c[i] * c[j]) * f2 - f3))
     assert worst < 1e-12
+
+
+@pytest.fixture(scope="module")
+def beta9():
+    ch = _chart3(9)
+    model = DiagonalModel.constant(ETAS3)
+    beta, _ = solve_S(model, BoundaryData.from_text(BD3, 3), ch)
+    return model, beta, ch
+
+
+@pytest.mark.parametrize("key", [(0, 1), (2, 1), (1, 2)])
+def test_nan_beta_is_not_flat(beta9, key):
+    model, beta, ch = beta9
+    broken = dict(beta)
+    broken[key] = np.full(ch.shape, np.nan)
+    assert all(np.isnan(v) for v in flatness_residuals(broken, ch))
+    assert np.isnan(pencil_residual_F3(model, broken, ch))
+    _, drift = conserved_P(model, broken, ch)
+    assert np.isnan(drift)
+
+
+@pytest.mark.parametrize("which", range(6))
+def test_nan_in_any_angle_equation_reaches_consistency(monkeypatch, which):
+    # the six consistency terms each difference one angle grid; a NaN in
+    # any one of them must show in the folded residual
+    import pencil_lab.diagonal as diagonal
+    from pencil_lab.grids import deriv
+    calls = []
+
+    def nan_deriv(arr, axis, h):
+        calls.append(axis)
+        out = deriv(arr, axis, h)
+        return out * np.nan if len(calls) == which + 1 else out
+
+    monkeypatch.setattr(diagonal, "deriv", nan_deriv)
+    _, cons = integrate_S2(_chart3(9), "0", "0", "0")
+    assert len(calls) == 6 and np.isnan(cons)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pencil_lab.expr import (
-    Const, DomainError, ParseError, coords_used, diff, evaluate, parse_expr,
-    to_text,
+    Const, DomainError, ParseError, as_expr, coords_used, diff, evaluate,
+    parse_expr, to_text,
 )
 
 
@@ -127,3 +127,13 @@ def test_mixed_partials_commute(e):
     d21 = diff(diff(e, 2), 1)
     pt = (0.9, 1.4)
     assert evaluate(d12, pt) == pytest.approx(evaluate(d21, pt), abs=1e-12)
+
+
+def test_as_expr_accepts_expr_text_and_numbers():
+    e = parse_expr("R1*R2", 2)
+    assert as_expr(e, 2) is e
+    assert to_text(as_expr("R2+1", 2)) == to_text(parse_expr("R2+1", 2))
+    assert to_text(as_expr(3, 2)) == "3.0"
+    assert to_text(as_expr(0.1, 1)) == "0.1"
+    with pytest.raises(ParseError):
+        as_expr("R3", 2)

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from pencil_lab.diagonal import BoundaryData, DiagonalModel, solve_S, solve_lame
-from pencil_lab.grids import Chart
+from pencil_lab.grids import Chart, deriv
 from pencil_lab.lax import (
-    build_lax, build_lax_L1, gauge_L1_to_L2, gauge_residual,
-    hypersurface_curvatures, induced_metric_residual, integrate_frame,
-    weingarten_scaling_report, zero_curvature_residual,
+    FrameSolution, LaxConnection, build_lax, build_lax_L1, gauge_L1_to_L2,
+    gauge_residual, hypersurface_curvatures, induced_metric_residual,
+    integrate_frame, weingarten_scaling_report, zero_curvature_residual,
 )
-from pencil_lab.march import MarchError
+from pencil_lab.march import MarchError, PoleError, Unknown, solve_compatible
 
 BD3 = {(0, 1): "0.2", (1, 0): "0.1*R1", (2, 0): "0.15",
        (0, 2): "0.1+0.05*R3", (1, 2): "0.2", (2, 1): "0.25"}
@@ -196,3 +196,129 @@ def test_umbilic_slice_is_flagged(model, chart):
     rep = weingarten_scaling_report(model, beta, H, chart, 1.0, 0.0)
     assert rep["umbilic_flat_slice"]
     assert "vacuous" in rep["note"]
+
+
+def test_pole_is_a_pole_error(model, chart, solved):
+    beta, _ = solved
+    with pytest.raises(PoleError):
+        build_lax(model, beta, chart, -1.0)
+
+
+def _frame_by_scalar_unknowns(conn, model, H, chart):
+    """Reference: one scalar unknown per frame entry, then one scalar
+    unknown per position-vector component solved to its fixed point."""
+    n = chart.n
+    mats = conn.mats
+
+    def entry(a, b, d):
+        def f(state, idx):
+            acc = mats[d][..., a, 0][idx] * state[f"F0{b}"][idx]
+            for c in range(1, n):
+                acc = acc + mats[d][..., a, c][idx] * state[f"F{c}{b}"][idx]
+            return acc
+        return f
+
+    sol = solve_compatible(chart, [
+        Unknown(f"F{a}{b}", {d: entry(a, b, d) for d in range(n)},
+                boundary=1.0 if a == b else 0.0)
+        for a in range(n) for b in range(n)])
+    phi = np.zeros(chart.shape + (n, n))
+    for a in range(n):
+        for b in range(n):
+            phi[..., a, b] = sol[f"F{a}{b}"]
+    coeff = [H[d] / np.sqrt(conn.lam + e)
+             for d, e in enumerate(model.eta_grids(chart))]
+
+    def leg(d, c):
+        return lambda state, idx: coeff[d][idx] * phi[..., d, c][idx]
+
+    rsol = solve_compatible(chart, [
+        Unknown(f"r{c}", {d: leg(d, c) for d in range(n)}, boundary=0.0)
+        for c in range(n)])
+    return phi, np.stack([rsol[f"r{c}"] for c in range(n)], axis=-1)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1.5])
+def test_frame_matches_scalar_unknowns_bytes(model, chart, solved, lam):
+    beta, H = solved
+    conn = build_lax(model, beta, chart, lam)
+    fs = integrate_frame(conn, model, H, chart)
+    phi, rvec = _frame_by_scalar_unknowns(conn, model, H, chart)
+    assert fs.phi.tobytes() == phi.tobytes()
+    assert fs.rvec.tobytes() == rvec.tobytes()
+
+
+def test_frame_2d_matches_scalar_unknowns_bytes():
+    ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (17, 13))
+    model = DiagonalModel.from_text(["1+0.5*R1", "3"], 2)
+    beta, _ = solve_S(model, BoundaryData.from_text(
+        {(0, 1): "0.2", (1, 0): "0.1*R1"}, 2), ch)
+    H = solve_lame(beta, ch, {0: "1", 1: "1+0.1*R2"})
+    conn = build_lax(model, beta, ch, 0.3)
+    fs = integrate_frame(conn, model, H, ch)
+    phi, rvec = _frame_by_scalar_unknowns(conn, model, H, ch)
+    assert fs.phi.tobytes() == phi.tobytes()
+    assert fs.rvec.tobytes() == rvec.tobytes()
+
+
+def _zero_curvature_einsum(conn, chart):
+    h = chart.spacing()
+    worst = 0.0
+    for d in range(chart.n):
+        for j in range(d + 1, chart.n):
+            Ad, Aj = conn.mats[d], conn.mats[j]
+            F = (deriv(Aj, d, h[d]) - deriv(Ad, j, h[j])
+                 - (np.einsum("...ik,...kj->...ij", Ad, Aj)
+                    - np.einsum("...ik,...kj->...ij", Aj, Ad)))
+            worst = max(worst, float(np.max(np.abs(F))))
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_zero_curvature_matches_einsum(n):
+    ch = Chart.cube(n, 0.0, 1.0, 5 if n > 3 else 9)
+    rng = np.random.default_rng(n)
+    mats = tuple(rng.standard_normal(ch.shape + (n, n)) for _ in range(n))
+    conn = LaxConnection(0.0, mats)
+    assert zero_curvature_residual(conn, ch) == _zero_curvature_einsum(conn, ch)
+
+
+def test_zero_curvature_matches_einsum_on_solved_connection(model, chart, solved):
+    beta, _ = solved
+    for conn in (build_lax(model, beta, chart, 0.5),
+                 build_lax_L1(model, beta, chart, 0.5)):
+        assert zero_curvature_residual(conn, chart) == \
+            _zero_curvature_einsum(conn, chart)
+
+
+def _nan_grids(chart, shape=()):
+    return np.full(chart.shape + shape, np.nan)
+
+
+def test_nan_connection_is_not_flat(chart):
+    conn = LaxConnection(0.0, tuple(_nan_grids(chart, (3, 3))
+                                    for _ in range(3)))
+    assert np.isnan(zero_curvature_residual(conn, chart))
+
+
+def test_nan_gauge_residual(model, chart, solved):
+    beta, _ = solved
+    L1 = build_lax_L1(model, beta, chart, 1.0)
+    L2 = LaxConnection(1.0, tuple(_nan_grids(chart, (3, 3))
+                                  for _ in range(3)))
+    assert np.isnan(gauge_residual(L1, L2, model, chart))
+
+
+def test_nan_position_vector_fails_metric_check(model, chart, solved):
+    _, H = solved
+    fs = FrameSolution(1.0, np.broadcast_to(np.eye(3), chart.shape + (3, 3)),
+                       _nan_grids(chart, (3,)), 0.0)
+    assert np.isnan(induced_metric_residual(fs, model, H, chart))
+
+
+def test_nan_curvatures_fail_scaling_ratio(model, chart, solved):
+    beta, H = solved
+    broken = dict(beta)
+    broken[(2, 1)] = _nan_grids(chart)
+    rep = weingarten_scaling_report(model, broken, H, chart, 1.0, 0.0)
+    assert np.isnan(rep["closed_form_residual"])

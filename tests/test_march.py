@@ -4,7 +4,9 @@ import pytest
 from pencil_lab.expr import parse_expr
 from pencil_lab.grids import (_C_LEFT, _C_MID, Chart, GridError, cumint,
                               deriv, eval_grid, max_abs)
-from pencil_lab.march import MarchError, Unknown, solve_compatible
+from pencil_lab.march import (POLE_GUARD, MarchError, PoleError, Unknown,
+                              check_shift, path_integral, position_vector,
+                              solve_compatible, solve_frame)
 
 
 def test_deriv_fourth_order():
@@ -97,7 +99,7 @@ def test_chart_guards():
 def test_linear_transport():
     # d_1 u = u with u = exp(R2) on the second-coordinate line: u = exp(R1+R2)
     ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (33, 33))
-    u = Unknown("u", {0: lambda s, m: s["u"]}, free_axis=1,
+    u = Unknown("u", {0: lambda s, i: s["u"][i]}, free_axis=1,
                 boundary=parse_expr("exp(R2)", 2))
     sol = solve_compatible(ch, [u])
     X, Y = ch.mesh()
@@ -110,10 +112,10 @@ def test_coupled_pair_and_path_independence():
     # pick a = cos(R1+R2), b = -sin(R1+R2) instead and check both orders.
     ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (33, 33))
     unknowns = [
-        Unknown("a", {0: lambda s, m: s["b"],
-                      1: lambda s, m: s["b"]}, free_axis=None, boundary=1.0),
-        Unknown("b", {0: lambda s, m: -s["a"],
-                      1: lambda s, m: -s["a"]}, free_axis=None, boundary=0.0),
+        Unknown("a", {0: lambda s, i: s["b"][i],
+                      1: lambda s, i: s["b"][i]}, free_axis=None, boundary=1.0),
+        Unknown("b", {0: lambda s, i: -s["a"][i],
+                      1: lambda s, i: -s["a"][i]}, free_axis=None, boundary=0.0),
     ]
     sol1 = solve_compatible(ch, unknowns)
     sol2 = solve_compatible(ch, unknowns, order=(1, 0))
@@ -125,7 +127,7 @@ def test_coupled_pair_and_path_independence():
 
 def test_blowup_guard():
     ch = Chart(2, ((0.0, 4.0), (0.0, 4.0)), (17, 17))
-    u = Unknown("u", {0: lambda s, m: s["u"] ** 2, 1: lambda s, m: 0.0 * s["u"]},
+    u = Unknown("u", {0: lambda s, i: s["u"][i] ** 2, 1: lambda s, i: 0.0 * s["u"][i]},
                 free_axis=None, boundary=1.0)
     with pytest.raises(MarchError):
         solve_compatible(ch, [u], blowup=1e3)
@@ -133,8 +135,8 @@ def test_blowup_guard():
 
 def test_nan_state_is_not_a_fixed_point():
     ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
-    u = Unknown("u", {0: lambda s, m: np.where(m[0] > 0.5, np.nan, 0.0),
-                      1: lambda s, m: 0.0 * s["u"]},
+    u = Unknown("u", {0: lambda s, i: np.where(ch.mesh()[0][i] > 0.5, np.nan, 0.0),
+                      1: lambda s, i: 0.0 * s["u"][i]},
                 free_axis=None, boundary=1.0)
     with pytest.raises(MarchError, match="blow-up guard or is not finite"):
         solve_compatible(ch, [u])
@@ -153,8 +155,107 @@ def test_max_abs_values():
 
 def test_boundary_expr_reproduced_exactly():
     ch = Chart(2, ((0.0, 1.0), (0.0, 2.0)), (17, 17))
-    u = Unknown("u", {0: lambda s, m: np.zeros(ch.shape)}, free_axis=1,
+    u = Unknown("u", {0: lambda s, i: np.zeros(ch.shape)[i]}, free_axis=1,
                 boundary=parse_expr("1+R2^2", 2))
     sol = solve_compatible(ch, [u])
     y = ch.axes()[1]
     assert np.max(np.abs(sol["u"][0, :] - (1 + y ** 2))) == 0.0
+
+
+@pytest.mark.parametrize("order,free,want", [
+    ((0, 1, 2), None, [(9, 1, 1), (9, 9, 1), (9, 9, 9)]),
+    ((2, 0, 1), None, [(1, 1, 9), (9, 1, 9), (9, 9, 9)]),
+    ((0, 1, 2), 1, [(9, 9, 1), (9, 9, 9)]),
+    ((1, 2, 0), 0, [(9, 9, 1), (9, 9, 9)]),
+])
+def test_legs_receive_slabs(order, free, want):
+    ch = Chart.cube(3, 0.0, 1.0, 9)
+    log = []
+
+    def record(state, idx):
+        log.append(ch.mesh()[0][idx].shape)
+        return np.ones(log[-1])
+
+    u = Unknown("u", {k: record for k in range(3) if k != free},
+                free_axis=free)
+    path_integral(ch, u, order)
+    assert log == want
+    log.clear()
+    solve_compatible(ch, [u], order=order)
+    assert log == want * 2  # the second sweep finds the fixed point
+
+
+def test_path_integral_is_one_exact_pass():
+    # A state-independent rhs: one pass equals the fixed point, bit for bit.
+    ch = Chart(2, ((0.0, 1.0), (0.0, 2.0)), (17, 9))
+    X, Y = ch.mesh()
+    rhs = {0: lambda s, i: np.cos(X[i] * Y[i]),
+           1: lambda s, i: X[i] ** 2 - Y[i]}
+    one = path_integral(ch, Unknown("u", rhs, boundary=0.5))
+    fixed = solve_compatible(ch, [Unknown("u", rhs, boundary=0.5)])["u"]
+    assert one.flags.c_contiguous and one.tobytes() == fixed.tobytes()
+
+
+def test_vector_unknown_matches_stacked_scalars():
+    # u' = w u componentwise and w' = 0.3 cos(u_0 u_1): the vector unknown
+    # must sweep exactly like its stacked scalar components.
+    ch = Chart.cube(3, 0.0, 0.5, 9)
+    corner = np.array([1.0, -0.5])
+
+    def w_rhs(u0, u1):
+        return lambda s, i: 0.3 * np.cos(u0(s)[i] * u1(s)[i])
+
+    vector = [
+        Unknown("u", {k: lambda s, i: s["w"][i][..., None] * s["u"][i]
+                      for k in range(3)}, boundary=corner),
+        Unknown("w", {k: w_rhs(lambda s: s["u"][..., 0],
+                               lambda s: s["u"][..., 1]) for k in range(3)}),
+    ]
+    scalars = [
+        Unknown(f"u{c}", {k: (lambda c: lambda s, i: s["w"][i] * s[f"u{c}"][i])(c)
+                          for k in range(3)}, boundary=corner[c])
+        for c in range(2)
+    ] + [Unknown("w", {k: w_rhs(lambda s: s["u0"], lambda s: s["u1"])
+                       for k in range(3)})]
+    for order in ((0, 1, 2), (2, 1, 0)):
+        got = solve_compatible(ch, vector, order=order)
+        want = solve_compatible(ch, scalars, order=order)
+        assert got["u"].shape == ch.shape + (2,)
+        stacked = np.stack([want["u0"], want["u1"]], axis=-1)
+        assert got["u"].tobytes() == stacked.tobytes()
+        assert got["w"].tobytes() == want["w"].tobytes()
+
+
+def test_check_shift_raises_pole_error():
+    ok = [np.full((5, 5), 2 * POLE_GUARD), np.ones((5, 5))]
+    check_shift(0.0, ok)
+    bad = ok + [np.full((5, 5), POLE_GUARD)]
+    with pytest.raises(PoleError, match="touches a pole"):
+        check_shift(0.0, bad)
+    assert issubclass(PoleError, MarchError)
+
+
+def test_solve_frame_rotation_and_position_vector():
+    # A_0 = A_1 = J (commuting): X = exp((R1 + R2) J) is a rotation
+    ch = Chart(2, ((0.0, 1.0), (0.0, 0.5)), (33, 17))
+    J = np.broadcast_to(np.array([[0.0, 1.0], [-1.0, 0.0]]), ch.shape + (2, 2))
+    X = solve_frame(ch, (J, J))
+    t = ch.mesh()[0] + ch.mesh()[1]
+    want = np.stack([np.stack([np.cos(t), np.sin(t)], -1),
+                     np.stack([-np.sin(t), np.cos(t)], -1)], -2)
+    assert X.shape == ch.shape + (2, 2)
+    assert np.max(np.abs(X - want)) < 1e-7
+    # d_0 r = row 0, d_1 r = 2 row 1 of the identity: r = (R1, 2 R2)
+    ones = np.ones(ch.shape)
+    eye = np.broadcast_to(np.eye(2), ch.shape + (2, 2))
+    r = position_vector(ch, [ones, 2.0 * ones], eye)
+    assert np.max(np.abs(r - np.stack(ch.mesh(), -1) * [1.0, 2.0])) < 1e-14
+
+
+@pytest.mark.parametrize("scale", [np.nan, 1e7])
+def test_position_vector_keeps_blowup_guard(scale):
+    ch = Chart.cube(2, 0.0, 1.0, 9)
+    ones = np.ones(ch.shape)
+    eye = np.broadcast_to(np.eye(3), ch.shape + (3, 3))
+    with pytest.raises(MarchError, match="blow-up guard or is not finite"):
+        position_vector(ch, [scale * ones, ones], eye)

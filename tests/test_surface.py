@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pencil_lab.grids import Chart
-from pencil_lab.march import MarchError
+from pencil_lab import surface
+from pencil_lab.grids import Chart, eval_grid
+from pencil_lab.march import MarchError, PoleError, Unknown, solve_compatible
 from pencil_lab.surface import (
     CurvatureData, SurfaceModel, constant_curvature_check,
     lax_residuals_3x3_2x2, mesh_nontriviality, pc_residual,
@@ -214,3 +215,85 @@ def test_broken_eta_fails_weingarten_control():
 def test_compare_needs_two_meshes(seed, family):
     with pytest.raises(ValueError):
         weingarten_family_compare(family[:1], seed.chart)
+
+
+def test_every_pole_guard_raises_pole_error(seed, radii):
+    bad = SurfaceModel(seed.g11, seed.g22, seed.eta1, seed.eta2,
+                       seed.chart, (-6.0,))
+    with pytest.raises(PoleError):
+        constant_curvature_check(bad)
+    with pytest.raises(PoleError):
+        reconstruct_family(bad, radii)
+    with pytest.raises(PoleError):
+        lax_residuals_3x3_2x2(1.0, 1.0, 1.0, 0.0, seed.eta1, seed.eta2,
+                              seed.chart, (-10.0,))
+
+
+def _family_by_scalar_unknowns(model, curv, lam):
+    """Reference: one scalar unknown per frame entry, then one scalar
+    unknown per vertex coordinate solved to its fixed point."""
+    ch = model.chart
+    H1, H2, b12, b21 = (eval_grid(e, ch) for e in model.lame_beta())
+    s1 = lam + eval_grid(model.eta1, ch)
+    s2 = lam + eval_grid(model.eta2, ch)
+    mats = surface._lax_mats(H1, H2, b12, b21, s1, s2, ch)[:2]
+
+    def entry(a, b, d):
+        return lambda st, i: (mats[d][..., a, 0][i] * st[f"F0{b}"][i]
+                              + mats[d][..., a, 1][i] * st[f"F1{b}"][i]
+                              + mats[d][..., a, 2][i] * st[f"F2{b}"][i])
+
+    sol = solve_compatible(ch, [
+        Unknown(f"F{a}{b}", {d: entry(a, b, d) for d in range(2)},
+                boundary=1.0 if a == b else 0.0)
+        for a in range(3) for b in range(3)])
+    frame = np.zeros(ch.shape + (3, 3))
+    for a in range(3):
+        for b in range(3):
+            frame[..., a, b] = sol[f"F{a}{b}"]
+    coeff = [curv.k1 * H1 / np.sqrt(s1), curv.k2 * H2 / np.sqrt(s2)]
+
+    def leg(d, c):
+        return lambda st, i: coeff[d][i] * frame[..., d, c][i]
+
+    rsol = solve_compatible(ch, [
+        Unknown(f"r{c}", {d: leg(d, c) for d in range(2)}, boundary=0.0)
+        for c in range(3)])
+    return frame, np.stack([rsol[f"r{c}"] for c in range(3)], axis=-1)
+
+
+def test_family_matches_scalar_unknowns_bytes(seed, radii, family):
+    for mesh in family:
+        frame, verts = _family_by_scalar_unknowns(seed, radii, mesh.lam)
+        assert mesh.normals.tobytes() == frame[..., 2, :].tobytes()
+        assert mesh.vertices.tobytes() == verts.tobytes()
+        drift = np.max(np.abs(np.einsum("...ki,...kj->...ij", frame, frame)
+                              - np.eye(3)))
+        assert mesh.notes[0] == f"frame_drift={drift:.3e}"
+
+
+def test_nan_transport_residual_is_not_a_pass():
+    # only the second equation sees the NaN metric entry
+    ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
+    G22 = np.ones(ch.shape)
+    G22[4, 4] = np.nan
+    assert np.isnan(pc_residual("1", G22, 2.0, 3.0, ch))
+
+
+def test_overflowing_shape_operator_is_not_a_pass(seed, family, monkeypatch):
+    # eigenvalues that overflow to inf differ by NaN, which must survive
+    big = np.full(seed.chart.shape + (2, 2), 1e308)
+    monkeypatch.setattr(surface, "_mesh_shape_operator", lambda m, c: big)
+    with np.errstate(all="ignore"):
+        rep = weingarten_family_compare(family, seed.chart)
+    assert np.isnan(rep["eigenvalue_deviation"])
+
+
+def test_nan_vertices_have_no_deformation_size(family):
+    broken = surface.SurfaceMesh(family[0].lam, family[0].vertices.copy(),
+                                 family[0].normals, family[0].eigenvalues)
+    broken.vertices[3, 3, 0] = np.nan
+    with pytest.raises(ValueError):
+        mesh_nontriviality(broken, family[-1])
+    with pytest.raises(ValueError):
+        mesh_nontriviality(family[-1], broken)
