@@ -24,7 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import compat, diagonal, lax, surface
-from .expr import DomainError, ParseError, parse_expr
+from .expr import DomainError, ParseError, as_expr, parse_expr
 from .geometry import MetricField, expr_array, GeometryError
 from .grids import Chart, GridError
 from .io import canonical_digest, write_csv_grid, write_json_report, write_obj
@@ -77,8 +77,9 @@ def _chart(cfg: dict, grid_override=None) -> Chart:
         raise ConfigError(str(e))
 
 
-def _metric(section: dict, n: int) -> MetricField:
+def _metric(cfg: dict, key: str, n: int) -> MetricField:
     try:
+        section = cfg[key]
         if "diag" in section:
             entries = [parse_expr(t, n) for t in section["diag"]]
             if len(entries) != n:
@@ -93,7 +94,7 @@ def _metric(section: dict, n: int) -> MetricField:
     except ParseError as e:
         raise ConfigError(f"metric entry: {e}")
     except (KeyError, IndexError, TypeError) as e:
-        raise ConfigError(f"bad metric section: {e}")
+        raise ConfigError(f"bad {key} section: {e}")
     except GeometryError as e:
         raise ConfigError(str(e))
 
@@ -101,12 +102,23 @@ def _metric(section: dict, n: int) -> MetricField:
 def _lambdas(cfg: dict, override) -> list:
     raw = (cfg.get("lambdas", [0.0]) if override is None
            else [tok for tok in override.split(",") if tok])
-    if not isinstance(raw, list):
-        raise ConfigError(f"shift list must be a list: {raw!r}")
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"shift list must be a non-empty list: {raw!r}")
     try:
-        return [float(v) for v in raw]
+        values = [float(v) for v in raw]
     except (TypeError, ValueError):
         raise ConfigError(f"bad shift list: {raw!r}")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"shifts must be finite: {raw!r}")
+    return values
+
+
+def _entries(raw, count: int, what: str) -> list:
+    """``raw`` as a list of ``count`` expression texts or numbers."""
+    if not (isinstance(raw, list) and len(raw) == count
+            and all(isinstance(v, (str, int, float)) for v in raw)):
+        raise ConfigError(f"{what} needs a list of {count} expressions")
+    return raw
 
 
 def _verdict(value: float, lo: float, hi: float) -> str:
@@ -145,13 +157,16 @@ def _emit(out_dir: str, name: str, report: dict) -> str:
 
 def cmd_check_hamiltonian(cfg, args):
     chart = _chart(cfg, args.grid)
-    g = _metric(cfg["metric"], chart.n)
+    g = _metric(cfg, "metric", chart.n)
     if "b" in cfg:
         b = expr_array((chart.n,) * 3)
-        for i in range(chart.n):
-            for j in range(chart.n):
-                for k in range(chart.n):
-                    b[i, j, k] = parse_expr(cfg["b"][i][j][k], chart.n)
+        try:
+            for i in range(chart.n):
+                for j in range(chart.n):
+                    for k in range(chart.n):
+                        b[i, j, k] = parse_expr(cfg["b"][i][j][k], chart.n)
+        except (KeyError, IndexError, TypeError) as e:
+            raise ConfigError(f"bad b section: {e}")
         A = compat.HamiltonianOperator(g, b)
     else:
         A = compat.levi_civita_operator(g)
@@ -162,15 +177,16 @@ def cmd_check_hamiltonian(cfg, args):
 
 def cmd_check_compat(cfg, args):
     chart = _chart(cfg, args.grid)
-    g = _metric(cfg["metric"], chart.n)
-    gt = _metric(cfg["metric_tilde"], chart.n)
+    lambdas = _lambdas(cfg, args.lam)
+    g = _metric(cfg, "metric", chart.n)
+    gt = _metric(cfg, "metric_tilde", chart.n)
     p = compat.pencil_operator(g, gt)
     t1 = compat.check_theorem1(p, chart)
     bt = compat.btilde_from_r(p)
     app = compat.verify_appendix(p, chart, bt)
     A = compat.levi_civita_operator(g)
     At = compat.HamiltonianOperator(gt, bt)
-    pc = compat.check_pencil(A, At, chart, _lambdas(cfg, args.lam))
+    pc = compat.check_pencil(A, At, chart, lambdas)
     table = {}
     for rep in (t1, pc, app):
         table.update(_table_from_report(rep))
@@ -191,9 +207,7 @@ def _diag_inputs(cfg, chart):
             i, j = (int(t) - 1 for t in key.split(","))
             lines[(i, j)] = parse_expr(text, chart.n)
         bd = diagonal.BoundaryData(chart.n, lines)
-    except ParseError as e:
-        raise ConfigError(str(e))
-    except (KeyError, ValueError) as e:
+    except (KeyError, ValueError, TypeError, AttributeError) as e:
         raise ConfigError(f"bad diagonal section: {e}")
     return model, bd
 
@@ -201,6 +215,13 @@ def _diag_inputs(cfg, chart):
 def cmd_solve_diagonal(cfg, args):
     chart = _chart(cfg, args.grid)
     model, bd = _diag_inputs(cfg, chart)
+    seed = None
+    if "s2" in cfg:
+        if chart.n != 3 or not model.is_constant():
+            raise ConfigError("the angle system needs n=3 and constant etas")
+        s2 = cfg["s2"]
+        seed = _entries(s2.get("seed") if isinstance(s2, dict) else None,
+                        3, "the s2 seed")
     beta, egorov = diagonal.solve_S(model, bd, chart)
     f1, f2 = diagonal.flatness_residuals(beta, chart)
     f3 = diagonal.pencil_residual_F3(model, beta, chart)
@@ -219,12 +240,7 @@ def cmd_solve_diagonal(cfg, args):
         P, drift = diagonal.conserved_P(model, beta, chart)
         residuals["P_drift"] = drift
         extra["P_corner"] = [float(p[(0,) * chart.n]) for p in P]
-    if "s2" in cfg:
-        if chart.n != 3 or not model.is_constant():
-            raise ConfigError("the angle system needs n=3 and constant etas")
-        seed = cfg["s2"].get("seed")
-        if seed is None or len(seed) != 3:
-            raise ConfigError("s2 section needs a three-component seed")
+    if seed is not None:
         sol, cons = diagonal.integrate_S2(chart, *seed)
         residuals["S2_consistency"] = cons
         m12, m13, m23 = diagonal.monge_ampere_residual(sol, chart)
@@ -238,10 +254,13 @@ def cmd_solve_diagonal(cfg, args):
 
 def cmd_frame(cfg, args):
     chart = _chart(cfg, args.grid)
+    if chart.n != 3:
+        raise ConfigError("frame runs use a three-dimensional chart")
     model, bd = _diag_inputs(cfg, chart)
     lambdas = _lambdas(cfg, args.lam)
+    h_lines = _entries(cfg.get("lame_boundary", ["1"] * chart.n), chart.n,
+                       "lame_boundary")
     beta, _ = diagonal.solve_S(model, bd, chart)
-    h_lines = cfg.get("lame_boundary", ["1"] * chart.n)
     H = diagonal.solve_lame(beta, chart, dict(enumerate(h_lines)))
     digest = canonical_digest(cfg)
     out = args.out or cfg.get("out", "pencil_lab_out")
@@ -264,21 +283,11 @@ def cmd_frame(cfg, args):
             residuals[f"induced_metric_{lam:g}"] = im
             residuals[f"frame_orthogonality_{lam:g}"] = fs.ortho_drift
             frames[lam] = fs
-    for lam in lambdas:
-        fs = frames[lam]
-        sl = (slice(None),) * (chart.n - 1) + (0,)
-        verts = fs.rvec[sl][..., :3]
-        if chart.n == 2:
-            pad = np.zeros(verts.shape[:-1] + (3 - verts.shape[-1],))
-            verts = np.concatenate([verts, pad], axis=-1)
-        norms = fs.phi[sl][..., chart.n - 1, :]
-        if norms.shape[-1] < 3:
-            pad = np.zeros(norms.shape[:-1] + (3 - norms.shape[-1],))
-            norms = np.concatenate([norms, pad], axis=-1)
-        path = os.path.join(out, f"slice_lambda_{lam:g}.obj")
-        write_obj(path, verts, norms, digest)
-        artifacts.append(path)
-    if len(lambdas) >= 2 and chart.n >= 3:
+            # the slice R3 = min and its normal, the last frame row
+            path = os.path.join(out, f"slice_lambda_{lam:g}.obj")
+            write_obj(path, fs.rvec[:, :, 0], fs.phi[:, :, 0, 2], digest)
+            artifacts.append(path)
+    if len(lambdas) >= 2:
         rep = lax.weingarten_scaling_report(
             model, beta, H, chart, lambdas[0], lambdas[1],
             frames=(frames[lambdas[0]], frames[lambdas[1]]))
@@ -304,12 +313,9 @@ def cmd_deform_surface(cfg, args):
         lambdas = _lambdas(cfg, args.lam)
         model = surface.SurfaceModel.from_text(
             s["g11"], s["g22"], s["eta1"], s["eta2"], chart, lambdas)
-        k1_line = s["k1_line"]
-        k2_line = s["k2_line"]
-    except KeyError as e:
-        raise ConfigError(f"missing surface entry: {e}")
-    except ParseError as e:
-        raise ConfigError(str(e))
+        k1_line, k2_line = (as_expr(s[k], 2) for k in ("k1_line", "k2_line"))
+    except (KeyError, TypeError) as e:
+        raise ConfigError(f"missing or malformed surface entry: {e}")
     notes = model.validate()
     cc = surface.constant_curvature_check(model)
     table = {}
@@ -317,23 +323,14 @@ def cmd_deform_surface(cfg, args):
         table[f"curvature_one_{lam:g}"] = {
             "value": v, "verdict": _verdict(v, 1e-8, 1e-4)}
     G11, G22 = model.shifted_form(lambdas[0])
-    try:
-        curv = surface.solve_codazzi(G11, G22, k1_line, k2_line, chart)
-    except ParseError as e:
-        raise ConfigError(str(e))
-    table["pc_residual"] = {"value": curv.pc,
-                            "verdict": _verdict(curv.pc, SOLVER_PASS,
-                                                SOLVER_FAIL)}
+    curv = surface.solve_codazzi(G11, G22, k1_line, k2_line, chart)
+    table.update(_solver_table({"pc_residual": curv.pc}))
     H1, H2, b12, b21 = model.lame_beta()
     laxres = surface.lax_residuals_3x3_2x2(
         H1, H2, b12, b21, model.eta1, model.eta2, chart, lambdas)
     for lam, (r3, r2) in laxres.items():
-        table[f"lax3_{lam:g}"] = {"value": r3,
-                                  "verdict": _verdict(r3, SOLVER_PASS,
-                                                      SOLVER_FAIL)}
-        table[f"lax2_{lam:g}"] = {"value": r2,
-                                  "verdict": _verdict(r2, SOLVER_PASS,
-                                                      SOLVER_FAIL)}
+        table.update(_solver_table({f"lax3_{lam:g}": r3,
+                                    f"lax2_{lam:g}": r2}))
     digest = canonical_digest(cfg)
     out = args.out or cfg.get("out", "pencil_lab_out")
     os.makedirs(out, exist_ok=True)

@@ -350,13 +350,16 @@ def integrate_S2(chart: Chart, p0, q0, r0, order=None, tol: float = 1e-13,
 def monge_ampere_residual(sol: dict, chart: Chart, clamp: float = 1e-8):
     """Residuals of the three second-order equations for the potential q.
 
-    With u = q, s1 = d_1 u and s3 = d_3 u the angle system implies
-      d_1 d_2 u = cosh(u) sqrt(1 - s1^2),
-      d_1 d_3 u = -sqrt(1 - s1^2) sqrt(1 - s3^2),
-      d_2 d_3 u = sinh(u) sqrt(1 - s3^2).
-    The square roots assume the branch where cos p and cos r stay positive;
-    rounding can push 1 - s^2 slightly negative, which is clamped to zero
-    when within `clamp`, otherwise a ValueError is raised.
+    With u = q, s1 = d_1 u = cos p and s3 = d_3 u = sin r the angle system
+    implies
+      d_1 d_2 u = cosh(u) sin p,
+      d_1 d_3 u = -sin p cos r,
+      d_2 d_3 u = sinh(u) cos r,
+    and the residuals take sin p = sqrt(1 - s1^2) = |sin p| and
+    cos r = sqrt(1 - s3^2) = |cos r|, i.e. they assume the branch
+    sin p >= 0, cos r >= 0.  Rounding can push 1 - s^2 slightly negative,
+    which is clamped to zero when within `clamp`; beyond that |s| > 1 is no
+    cosine or sine and a MarchError is raised.
     """
     q = sol["q"]
     h = chart.spacing()
@@ -367,9 +370,9 @@ def monge_ampere_residual(sol: dict, chart: Chart, clamp: float = 1e-8):
         w = 1.0 - s ** 2
         low = float(np.min(w))
         if low < -clamp:
-            raise ValueError(
-                f"1 - ({tag})^2 reaches {low:.3e}; the potential left the "
-                "principal branch")
+            raise MarchError(
+                f"1 - ({tag})^2 reaches {low:.3e}; the differenced potential "
+                "is no cosine or sine of an angle")
         return np.sqrt(np.clip(w, 0.0, None))
 
     r1 = root(s1, "d1 q")

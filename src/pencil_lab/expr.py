@@ -12,11 +12,13 @@ arrays) and exact differentiation.  The grammar is deliberately tiny:
 
 Only constant folding and 0/1 elimination are performed; correctness is by
 evaluation, not by canonical form.  Evaluation outside a function's real
-domain raises DomainError instead of producing NaN.
+domain raises DomainError instead of producing NaN, and so does a constant
+(literal or folded) outside the float range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,7 +157,10 @@ def _wrap(x) -> Expr:
 
 
 def const(v: float) -> Expr:
-    return Const(float(v))
+    v = float(v)
+    if not math.isfinite(v):
+        raise DomainError(f"constant {v!r} is outside the float range")
+    return Const(v)
 
 
 def _is_const(e: Expr, v: float | None = None) -> bool:
@@ -215,7 +220,10 @@ def powi(base: Expr, n: int) -> Expr:
     if _is_const(base):
         if base.value == 0.0 and n < 0:
             return Pow(base, n)  # defer the error to evaluation
-        return const(base.value ** n)
+        try:
+            return const(base.value ** n)
+        except OverflowError:
+            return const(math.inf)
     return Pow(base, n)
 
 
@@ -232,9 +240,11 @@ def call(func: str, arg: Expr) -> Expr:
         raise ExprError(f"unknown function {func!r}")
     if _is_const(arg):
         try:
-            return const(float(_evaluate(Call(func, arg), ())))
+            with np.errstate(over="ignore"):
+                value = _evaluate(Call(func, arg), ())
         except DomainError:
-            pass  # keep the node; the error belongs to evaluation
+            return Call(func, arg)  # the error belongs to evaluation
+        return const(value)
     return Call(func, arg)
 
 
@@ -390,7 +400,8 @@ def to_text(e: Expr) -> str:
         return f"{base}^{e.exponent}"
     if isinstance(e, Neg):
         inner = to_text(e.a)
-        if _prec(e.a) < _PREC_NEG:
+        # "-R1^2" would parse as (-R1)^2: unary minus binds to the base.
+        if _prec(e.a) < _PREC_NEG or isinstance(e.a, Pow):
             inner = f"({inner})"
         return f"-{inner}"
     if isinstance(e, (Add, Sub)):

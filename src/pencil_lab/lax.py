@@ -24,7 +24,7 @@ __all__ = [
     "gauge_L1_to_L2", "gauge_residual", "zero_curvature_residual",
     "integrate_frame",
     "induced_metric_residual", "hypersurface_curvatures",
-    "weingarten_scaling_report",
+    "mesh_weingarten", "weingarten_scaling_report",
 ]
 
 @dataclass(frozen=True)
@@ -139,8 +139,10 @@ def zero_curvature_residual(conn: LaxConnection, chart: Chart) -> float:
     """Max-abs of F_dj = d_d A_j - d_j A_d - [A_d, A_j] over the grid.
 
     The matrix products are sums over the inner index in order, which for
-    real float64 give the values of einsum, on component-leading copies
-    A[d][i, j] (grid axes follow the two component axes).
+    real float64 give the values of einsum (complex ones may differ from it
+    at round-off), on component-leading copies A[d][i, j] (grid axes follow
+    the two component axes).  Serves the frame connections and both surface
+    connections (real 3x3 and complex 2x2).
     """
     n = chart.n
     h = chart.spacing()
@@ -228,32 +230,23 @@ def hypersurface_curvatures(model: DiagonalModel, beta: dict, H: list,
     return [beta[(n - 1, i)][idx] / H[i][idx] * root for i in range(n - 1)]
 
 
-def _slice_shape_operator(fs: FrameSolution, chart: Chart,
-                          slice_index: int = 0):
-    """Shape-operator eigenvalues of the last-coordinate slice, from the mesh.
+def mesh_weingarten(r: np.ndarray, normal: np.ndarray, spacing) -> np.ndarray:
+    """Shape operator S = I^-1 II of a mesh in its parameter basis.
 
-    The unit normal is the last frame row; first and second fundamental forms
-    come from finite differences of the position vector and the normal.
-    Returns eigenvalues sorted per point, shape slice + (n-1,).
+    r and normal have shape grid + (c,) over len(spacing) parameter axes; the
+    fundamental forms I_ab = (d_a r, d_b r) and II_ab = -(d_a n, d_b r) come
+    from finite differences.  Returns S, shape grid + (m, m).
     """
-    n = chart.n
-    h = chart.spacing()
-    idx = (slice(None),) * (n - 1) + (slice_index,)
-    r = fs.rvec[idx]
-    normal = fs.phi[idx + (n - 1, slice(None))]
-    m = n - 1
-    dr = [deriv(r, a, h[a]) for a in range(m)]
-    dn = [deriv(normal, a, h[a]) for a in range(m)]
+    m = len(spacing)
+    dr = [deriv(r, a, spacing[a]) for a in range(m)]
+    dn = [deriv(normal, a, spacing[a]) for a in range(m)]
     I = np.empty(r.shape[:-1] + (m, m))
     II = np.empty_like(I)
     for a in range(m):
         for b in range(m):
             I[..., a, b] = np.einsum("...c,...c->...", dr[a], dr[b])
-            # Sign matches the convention d_a n = k^a d_a r used for the
-            # closed-form curvatures.
-            II[..., a, b] = np.einsum("...c,...c->...", dn[a], dr[b])
-    S = np.einsum("...ab,...bc->...ac", np.linalg.inv(I), II)
-    return np.sort(np.linalg.eigvals(S).real, axis=-1)
+            II[..., a, b] = -np.einsum("...c,...c->...", dn[a], dr[b])
+    return np.einsum("...ab,...bc->...ac", np.linalg.inv(I), II)
 
 
 def weingarten_scaling_report(model: DiagonalModel, beta: dict, H: list,
@@ -292,14 +285,16 @@ def weingarten_scaling_report(model: DiagonalModel, beta: dict, H: list,
         report["note"] = "slice is totally geodesic; scaling law is vacuous"
 
     if frames is not None:
-        fa, fb = frames
-        ea = _slice_shape_operator(fa, chart, slice_index)
-        eb = _slice_shape_operator(fb, chart, slice_index)
-        ka_s = np.sort(np.stack(ka, axis=-1), axis=-1)
-        kb_s = np.sort(np.stack(kb, axis=-1), axis=-1)
-        # Finite differencing the mesh is least accurate near edges; compare
-        # on the interior.
+        # The slice normal is the last frame row.  The closed-form
+        # curvatures use the convention d_a n = k^a d_a r, which flips the
+        # sign of II, so their spectrum is that of -S.  Finite differencing
+        # the mesh is least accurate near edges; compare on the interior.
         core = (slice(2, -2),) * (n - 1)
-        report["mesh_eigen_residual_a"] = max_abs(ea[core] - ka_s[core])
-        report["mesh_eigen_residual_b"] = max_abs(eb[core] - kb_s[core])
+        for fs, k, tag in zip(frames, (ka, kb), "ab"):
+            S = mesh_weingarten(fs.rvec[idx],
+                                fs.phi[idx + (n - 1, slice(None))],
+                                chart.spacing()[:n - 1])
+            eig = np.sort(np.linalg.eigvals(-S).real, axis=-1)
+            k = np.sort(np.stack(k, axis=-1), axis=-1)
+            report[f"mesh_eigen_residual_{tag}"] = max_abs(eig[core] - k[core])
     return report

@@ -20,7 +20,8 @@ import numpy as np
 
 from .expr import Expr, as_expr, call, coords_used, diff, evaluate
 from .grids import Chart, deriv, eval_grid, max_abs
-from .march import (POLE_GUARD, MarchError, Unknown, check_shift,
+from .lax import LaxConnection, mesh_weingarten, zero_curvature_residual
+from .march import (MarchError, PoleError, Unknown, check_shift,
                     position_vector, solve_compatible, solve_frame)
 
 __all__ = [
@@ -71,12 +72,11 @@ class SurfaceModel:
         if coords_used(self.eta2) - {2}:
             problems.append("eta2 depends on the first coordinate")
         for lam in self.lambdas:
-            for name, eta in (("eta1", self.eta1), ("eta2", self.eta2)):
-                low = float(np.min(lam + eval_grid(eta, self.chart)))
-                if low <= POLE_GUARD:
-                    problems.append(
-                        f"shift {lam} touches a pole of {name} "
-                        f"(min {low:.3e})")
+            try:
+                check_shift(lam, [lam + eval_grid(eta, self.chart)
+                                  for eta in (self.eta1, self.eta2)])
+            except PoleError as e:
+                problems.append(str(e))
         flat = _metric_flatness(self.g11, self.g22, self.chart)
         if flat > 1e-8 * (1.0 + max_abs(eval_grid(self.g11, self.chart),
                                         eval_grid(self.g22, self.chart))):
@@ -304,14 +304,6 @@ def _lax_mats(H1g, H2g, b12g, b21g, s1, s2, chart: Chart):
     return B1, B2, M1, M2
 
 
-def _zero_curvature(A1, A2, chart: Chart) -> float:
-    h = chart.spacing()
-    F = (deriv(A2, 0, h[0]) - deriv(A1, 1, h[1])
-         - (np.einsum("...ik,...kj->...ij", A1, A2)
-            - np.einsum("...ik,...kj->...ij", A2, A1)))
-    return max_abs(F)
-
-
 def lax_residuals_3x3_2x2(H1, H2, b12, b21, eta1, eta2, chart: Chart,
                           lambdas) -> dict:
     """Zero-curvature residuals of the 3x3 and 2x2 connections per shift."""
@@ -323,8 +315,9 @@ def lax_residuals_3x3_2x2(H1, H2, b12, b21, eta1, eta2, chart: Chart,
         s1, s2 = lam + e1, lam + e2
         check_shift(lam, (s1, s2))
         B1, B2, M1, M2 = _lax_mats(H1g, H2g, b12g, b21g, s1, s2, chart)
-        out[lam] = (_zero_curvature(B1, B2, chart),
-                    _zero_curvature(M1, M2, chart))
+        out[lam] = tuple(zero_curvature_residual(LaxConnection(lam, mats),
+                                                 chart)
+                         for mats in ((B1, B2), (M1, M2)))
     return out
 
 
@@ -342,20 +335,6 @@ class SurfaceMesh:
     def normal_unit_drift(self) -> float:
         return max_abs(np.einsum("...c,...c->...", self.normals,
                                  self.normals) - 1.0)
-
-
-def _mesh_shape_operator(mesh: SurfaceMesh, chart: Chart):
-    """Per-vertex shape operator in the parameter basis from differences."""
-    h = chart.spacing()
-    dr = [deriv(mesh.vertices, a, h[a]) for a in range(2)]
-    dn = [deriv(mesh.normals, a, h[a]) for a in range(2)]
-    I = np.empty(chart.shape + (2, 2))
-    II = np.empty_like(I)
-    for a in range(2):
-        for b in range(2):
-            I[..., a, b] = np.einsum("...c,...c->...", dr[a], dr[b])
-            II[..., a, b] = -np.einsum("...c,...c->...", dn[a], dr[b])
-    return np.einsum("...ab,...bc->...ac", np.linalg.inv(I), II)
 
 
 def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
@@ -395,13 +374,11 @@ def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
         coeff = [curv.k1 * H1g / np.sqrt(s1), curv.k2 * H2g / np.sqrt(s2)]
         verts = position_vector(chart, coeff, frame)
 
-        mesh = SurfaceMesh(float(lam), verts, normal,
-                           np.zeros(chart.shape + (2,)))
-        S = _mesh_shape_operator(mesh, chart)
+        S = mesh_weingarten(verts, normal, h)
         eig = np.sort(np.linalg.eigvals(S).real, axis=-1)
         gap = np.abs(eig[..., 1] - eig[..., 0])
-        mesh.eigenvalues = eig
-        mesh.excluded = int(np.count_nonzero(gap < 1e-6))
+        mesh = SurfaceMesh(float(lam), verts, normal, eig,
+                           int(np.count_nonzero(gap < 1e-6)))
         mesh.notes.append(f"frame_drift={drift:.3e}")
         core = (slice(2, -2),) * 2
         mixed = max_abs(
@@ -416,8 +393,9 @@ def weingarten_family_compare(meshes: list, chart: Chart,
                               trim: int = 2) -> dict:
     """Vertex-by-vertex shape-operator agreement across the family.
 
-    Eigenvalues are compared after sorting; misalignment is the angle of the
-    principal directions away from the parameter axes.  Near-umbilic vertices
+    The sorted spectra stored on the meshes are compared; misalignment is the
+    angle of the principal directions away from the parameter axes, read off
+    the shape operator rebuilt from each mesh.  Near-umbilic vertices
     (spectral gap below 1e-6) are excluded from the angle statistic and
     counted.  Differencing near the boundary is noisier, so a trim margin of
     grid cells is dropped from the comparison.
@@ -425,18 +403,16 @@ def weingarten_family_compare(meshes: list, chart: Chart,
     if len(meshes) < 2:
         raise ValueError("need at least two meshes to compare")
     core = (slice(trim, -trim if trim else None),) * 2
-    ops = []
-    for m in meshes:
-        S = _mesh_shape_operator(m, chart)[core]
-        ops.append(S)
+    h = chart.spacing()
     eig_dev = 0.0
     angle_dev = 0.0
     excluded = 0
-    eigs = [np.sort(np.linalg.eigvals(S).real, axis=-1) for S in ops]
-    for a in range(len(ops)):
-        for b in range(a + 1, len(ops)):
+    eigs = [m.eigenvalues[core] for m in meshes]
+    for a in range(len(eigs)):
+        for b in range(a + 1, len(eigs)):
             eig_dev = max_abs(eig_dev, eigs[a] - eigs[b])
-    for S, ev in zip(ops, eigs):
+    for m, ev in zip(meshes, eigs):
+        S = mesh_weingarten(m.vertices, m.normals, h)[core]
         gap = np.abs(ev[..., 1] - ev[..., 0])
         ok = gap >= 1e-6
         excluded += int(np.count_nonzero(~ok))

@@ -188,9 +188,10 @@ def test_criterion_05_conserved_quantities(diag_solution):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "from the zero seed the potential leaves the principal branch inside "
-    "the unit box (d_2 p = -cosh q <= -1 flips the sign of cos p), so two "
-    "reduced-equation residuals are order one at every resolution"))
+    "from the zero seed d_2 p = -cosh q <= -1 drives p below 0, so sin p < 0 "
+    "on over half of the unit box, while the reduced equations take "
+    "sin p = sqrt(1 - (d_1 q)^2) >= 0; two of their residuals are order one "
+    "at every resolution"))
 def test_criterion_06_angle_system_reduction():
     t0 = time.monotonic()
     ch = Chart(3, ((0.0, 1.0),) * 3, (33,) * 3)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -243,7 +244,8 @@ def test_usage_errors_are_config_errors(tmp_path, capsys, argv):
     ("check-compat", _cfg_compat(["1+R1^2", "3+R2^2"])),
     ("deform-surface", _cfg_surface()),
 ])
-@pytest.mark.parametrize("lambdas", [["abc"], 5, [None], "15"])
+@pytest.mark.parametrize("lambdas", [["abc"], 5, [None], "15", [],
+                                     [0.0, "inf"]])
 def test_bad_lambdas_are_config_errors(tmp_path, capsys, command, cfg_dict,
                                        lambdas):
     cfg = _write(tmp_path, "c.json", dict(cfg_dict, lambdas=lambdas))
@@ -259,3 +261,93 @@ def test_deform_surface_pole_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: shift -3.0 touches a pole" in err
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+def _without(cfg, key):
+    return {k: v for k, v in cfg.items() if k != key}
+
+
+def _cfg_diag_2d():
+    return {"chart": {"n": 2, "box": [[0.0, 1.0]] * 2, "shape": [9, 9]},
+            "etas": ["1", "2"], "beta_boundary": {"1,2": "0.2", "2,1": "0"},
+            "lambdas": [0.5, 2.0]}
+
+
+@pytest.mark.parametrize("command,cfg_dict,argv", [
+    pytest.param("frame", _cfg_diag_2d(), [], id="frame-2d-chart"),
+    pytest.param("frame", _cfg_diag(), ["--lambda=,"], id="frame-no-shift"),
+    pytest.param("frame", _cfg_diag({"lambdas": []}), [],
+                 id="frame-empty-shifts"),
+    pytest.param("deform-surface", _cfg_surface(), ["--lambda=,"],
+                 id="surface-no-shift"),
+    pytest.param("check-hamiltonian", _without(_cfg_ham(), "metric"), [],
+                 id="no-metric"),
+    pytest.param("check-compat",
+                 _without(_cfg_compat(["1+R1^2", "3+R2^2"]), "metric_tilde"),
+                 [], id="no-metric-tilde"),
+    pytest.param("solve-diagonal", _cfg_diag({"s2": {"seed": 5}}), [],
+                 id="s2-seed-number"),
+    pytest.param("solve-diagonal", _cfg_diag({"s2": 5}), [],
+                 id="s2-number"),
+    pytest.param("solve-diagonal",
+                 _cfg_diag({"s2": {"seed": [None, "0", "0"]}}), [],
+                 id="s2-seed-null"),
+    pytest.param("check-hamiltonian",
+                 dict(_cfg_ham(), metric={"diag": ["1e400+R1", "1"]}), [],
+                 id="overflowing-literal"),
+    pytest.param("check-hamiltonian",
+                 dict(_cfg_ham(), metric={"diag": ["2^2000+R1", "1"]}), [],
+                 id="overflowing-power"),
+    pytest.param("check-hamiltonian", dict(_cfg_ham(), b=[[1]]), [],
+                 id="short-b"),
+    pytest.param("solve-diagonal", dict(_cfg_diag(), etas=5), [],
+                 id="etas-number"),
+    pytest.param("solve-diagonal", dict(_cfg_diag(), beta_boundary=[]), [],
+                 id="beta-boundary-list"),
+    pytest.param("frame", _cfg_diag({"lame_boundary": ["1"]}), [],
+                 id="short-lame-boundary"),
+    pytest.param("deform-surface", dict(_cfg_surface(), surface=5), [],
+                 id="surface-number"),
+    pytest.param("deform-surface",
+                 dict(_cfg_surface(), surface=dict(_cfg_surface()["surface"],
+                                                   k1_line=None)), [],
+                 id="surface-null-line"),
+])
+def test_config_faults_are_config_errors(tmp_path, capsys, command, cfg_dict,
+                                         argv):
+    cfg = _write(tmp_path, "c.json", cfg_dict)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)] + argv) == 3
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_angle_system_off_its_branch_is_a_run_failure(tmp_path, capsys):
+    # from the zero seed the differenced d_1 q exceeds 1 at 17^3, which
+    # monge_ampere_residual reports as a MarchError
+    cfg = _write(tmp_path, "d.json", _cfg_diag({"s2": {"seed": ["0", "0",
+                                                                "0"]}}))
+    out = tmp_path / "o"
+    assert main(["solve-diagonal", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "run failed: 1 - (d1 q)^2 reaches" in err
+    assert "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+def _readme_configs():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path) as fh:
+        blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+    return [json.loads(b) for b in blocks]
+
+
+@pytest.mark.parametrize("index,command", [(0, "check-compat"),
+                                           (1, "deform-surface")])
+def test_readme_example_configs_pass(tmp_path, index, command):
+    configs = _readme_configs()
+    assert len(configs) == 2
+    cfg = _write(tmp_path, "c.json", configs[index])
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0

@@ -80,8 +80,9 @@ def test_diff_quotient_and_power():
     assert evaluate(diff(e, 2), pt) == pytest.approx(-8.0 / 16.0)
 
 
-def _exprs(depth=3):
-    """Random expression trees over two coordinates, kept in safe domains."""
+def _exprs(powers=False):
+    """Random expression trees over two coordinates, kept in safe domains;
+    ``powers`` adds Pow nodes with exponent 2 or 3."""
     atoms = st.one_of(
         st.floats(min_value=-3, max_value=3, allow_nan=False,
                   allow_infinity=False).map(lambda v: Const(round(v, 3))),
@@ -89,18 +90,22 @@ def _exprs(depth=3):
     )
 
     def extend(children):
-        return st.one_of(
+        nodes = [
             st.tuples(children, children).map(lambda ab: ab[0] + ab[1]),
             st.tuples(children, children).map(lambda ab: ab[0] - ab[1]),
             st.tuples(children, children).map(lambda ab: ab[0] * ab[1]),
             children.map(lambda a: -a),
             children.map(lambda a: parse_expr("sin(0)", 2) + a),
-        )
+        ]
+        if powers:
+            nodes.append(st.tuples(children, st.sampled_from([2, 3]))
+                         .map(lambda ak: ak[0] ** ak[1]))
+        return st.one_of(*nodes)
 
     return st.recursive(atoms, extend, max_leaves=8)
 
 
-@given(e=_exprs())
+@given(e=_exprs(powers=True))
 @settings(max_examples=120, deadline=None)
 def test_print_parse_roundtrip(e):
     text = to_text(e)
@@ -137,3 +142,18 @@ def test_as_expr_accepts_expr_text_and_numbers():
     assert to_text(as_expr(0.1, 1)) == "0.1"
     with pytest.raises(ParseError):
         as_expr("R3", 2)
+
+
+def test_negated_power_prints_in_parentheses():
+    e = parse_expr("0-R1^2", 1)
+    text = to_text(e)
+    assert text == "-(R1^2)"
+    assert evaluate(parse_expr(text, 1), (3.0,)) == -9.0
+
+
+@pytest.mark.parametrize("text", ["1e400", "1e400*R1", "1e400+R1",
+                                  "1e200*1e200", "exp(1000)", "2^2000",
+                                  "R1+(0-1e200)*1e200"])
+def test_overflowing_constants_are_input_errors(text):
+    with pytest.raises((ParseError, DomainError)):
+        parse_expr(text, 1)

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from pencil_lab import surface
 from pencil_lab.diagonal import BoundaryData, DiagonalModel, solve_S, solve_lame
-from pencil_lab.grids import Chart, deriv
+from pencil_lab.grids import Chart, deriv, eval_grid, max_abs
 from pencil_lab.lax import (
     FrameSolution, LaxConnection, build_lax, build_lax_L1, gauge_L1_to_L2,
     gauge_residual, hypersurface_curvatures, induced_metric_residual,
-    integrate_frame, weingarten_scaling_report, zero_curvature_residual,
+    integrate_frame, mesh_weingarten, weingarten_scaling_report,
+    zero_curvature_residual,
 )
 from pencil_lab.march import MarchError, PoleError, Unknown, solve_compatible
 
@@ -289,6 +291,93 @@ def test_zero_curvature_matches_einsum_on_solved_connection(model, chart, solved
                  build_lax_L1(model, beta, chart, 0.5)):
         assert zero_curvature_residual(conn, chart) == \
             _zero_curvature_einsum(conn, chart)
+
+
+def _surface_fields(rng=None):
+    """Seed-surface fields, or smooth positive random ones on its chart."""
+    model = surface.seed_surface_model()
+    ch = model.chart
+    if rng is None:
+        return ch, model, [eval_grid(e, ch) for e in model.lame_beta()]
+    R1, R2 = ch.mesh()
+    fields = []
+    for _ in range(4):
+        c = rng.uniform(0.2, 1.0, 4)
+        fields.append(c[0] + c[1] * np.sin(c[2] * R1 + c[3] * R2))
+    return ch, model, fields
+
+
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_surface_residuals_match_einsum(seed):
+    # the surface 3x3 (real) and 2x2 (complex) checks run through
+    # zero_curvature_residual; einsum is the oracle
+    rng = None if seed is None else np.random.default_rng(seed)
+    ch, model, (H1, H2, b12, b21) = _surface_fields(rng)
+    lambdas = (0.0, 0.5, 1.0)
+    rep = surface.lax_residuals_3x3_2x2(H1, H2, b12, b21, model.eta1,
+                                        model.eta2, ch, lambdas)
+    for lam in lambdas:
+        s1 = lam + eval_grid(model.eta1, ch)
+        s2 = lam + eval_grid(model.eta2, ch)
+        B1, B2, M1, M2 = surface._lax_mats(H1, H2, b12, b21, s1, s2, ch)
+        r3, r2 = rep[lam]
+        assert r3 == _zero_curvature_einsum(LaxConnection(lam, (B1, B2)), ch)
+        oracle = _zero_curvature_einsum(LaxConnection(lam, (M1, M2)), ch)
+        assert abs(r2 - oracle) <= 1e-14 * (1.0 + max_abs(M1, M2))
+
+
+def _slice_spectrum_by_old_kernel(fs, chart):
+    """Reference: the slice shape-operator eigenvalues as lax.py built them
+    before the mesh kernel was shared (II with the sign of d_a n = k^a d_a r)."""
+    n = chart.n
+    h = chart.spacing()
+    idx = (slice(None),) * (n - 1) + (0,)
+    r = fs.rvec[idx]
+    normal = fs.phi[idx + (n - 1, slice(None))]
+    m = n - 1
+    dr = [deriv(r, a, h[a]) for a in range(m)]
+    dn = [deriv(normal, a, h[a]) for a in range(m)]
+    I = np.empty(r.shape[:-1] + (m, m))
+    II = np.empty_like(I)
+    for a in range(m):
+        for b in range(m):
+            I[..., a, b] = np.einsum("...c,...c->...", dr[a], dr[b])
+            II[..., a, b] = np.einsum("...c,...c->...", dn[a], dr[b])
+    S = np.einsum("...ab,...bc->...ac", np.linalg.inv(I), II)
+    return np.sort(np.linalg.eigvals(S).real, axis=-1)
+
+
+def test_slice_spectrum_matches_old_kernel_bytes(model, chart, solved):
+    beta, H = solved
+    lams = (1.0, 0.0)
+    frames = [integrate_frame(build_lax(model, beta, chart, lam), model, H,
+                              chart) for lam in lams]
+    rep = weingarten_scaling_report(model, beta, H, chart, *lams,
+                                    frames=tuple(frames))
+    core = (slice(2, -2),) * 2
+    for fs, lam, key in zip(frames, lams, ("a", "b")):
+        old = _slice_spectrum_by_old_kernel(fs, chart)
+        S = mesh_weingarten(fs.rvec[:, :, 0], fs.phi[:, :, 0, 2],
+                            chart.spacing()[:2])
+        new = np.sort(np.linalg.eigvals(-S).real, axis=-1)
+        assert new.tobytes() == old.tobytes()
+        k = np.sort(np.stack(hypersurface_curvatures(
+            model, beta, H, chart, lam), axis=-1), axis=-1)
+        want = max_abs(old[core] - k[core])
+        assert np.float64(rep[f"mesh_eigen_residual_{key}"]).tobytes() == \
+            np.float64(want).tobytes()
+
+
+def test_mesh_weingarten_of_a_sphere():
+    # on the unit sphere with outward normal n = r, d_a n = d_a r, so
+    # II = -I and S = -identity
+    ch = Chart(2, ((0.5, 1.5), (0.0, 1.0)), (33, 33))
+    th, ph = ch.mesh()
+    r = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                  np.cos(th)], axis=-1)
+    S = mesh_weingarten(r, r, ch.spacing())
+    assert S.shape == ch.shape + (2, 2)
+    assert max_abs(S + np.eye(2)) < 1e-5
 
 
 def _nan_grids(chart, shape=()):

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pencil_lab import surface
-from pencil_lab.grids import Chart, eval_grid
+from pencil_lab.grids import Chart, deriv, eval_grid, max_abs
 from pencil_lab.march import MarchError, PoleError, Unknown, solve_compatible
 from pencil_lab.surface import (
     CurvatureData, SurfaceModel, constant_curvature_check,
@@ -280,12 +282,13 @@ def test_nan_transport_residual_is_not_a_pass():
     assert np.isnan(pc_residual("1", G22, 2.0, 3.0, ch))
 
 
-def test_overflowing_shape_operator_is_not_a_pass(seed, family, monkeypatch):
-    # eigenvalues that overflow to inf differ by NaN, which must survive
-    big = np.full(seed.chart.shape + (2, 2), 1e308)
-    monkeypatch.setattr(surface, "_mesh_shape_operator", lambda m, c: big)
+def test_overflowing_shape_operator_is_not_a_pass(seed, family):
+    # stored spectra that overflow to inf differ by NaN, which must survive
+    with np.errstate(over="ignore"):
+        inf = np.full(seed.chart.shape + (2,), 1e308) * 10.0
+    meshes = [dataclasses.replace(m, eigenvalues=inf) for m in family]
     with np.errstate(all="ignore"):
-        rep = weingarten_family_compare(family, seed.chart)
+        rep = weingarten_family_compare(meshes, seed.chart)
     assert np.isnan(rep["eigenvalue_deviation"])
 
 
@@ -297,3 +300,71 @@ def test_nan_vertices_have_no_deformation_size(family):
         mesh_nontriviality(broken, family[-1])
     with pytest.raises(ValueError):
         mesh_nontriviality(family[-1], broken)
+
+
+def _shape_operator_by_old_kernel(mesh, chart):
+    """Reference: the per-vertex shape operator as surface.py built it
+    before the mesh kernel moved to lax.mesh_weingarten."""
+    h = chart.spacing()
+    dr = [deriv(mesh.vertices, a, h[a]) for a in range(2)]
+    dn = [deriv(mesh.normals, a, h[a]) for a in range(2)]
+    I = np.empty(chart.shape + (2, 2))
+    II = np.empty_like(I)
+    for a in range(2):
+        for b in range(2):
+            I[..., a, b] = np.einsum("...c,...c->...", dr[a], dr[b])
+            II[..., a, b] = -np.einsum("...c,...c->...", dn[a], dr[b])
+    return np.einsum("...ab,...bc->...ac", np.linalg.inv(I), II)
+
+
+def _compare_by_old_kernel(meshes, chart, trim=2):
+    """Reference: weingarten_family_compare as it was, with a second
+    eigen-decomposition of every mesh's shape operator."""
+    core = (slice(trim, -trim if trim else None),) * 2
+    ops = [_shape_operator_by_old_kernel(m, chart)[core] for m in meshes]
+    eigs = [np.sort(np.linalg.eigvals(S).real, axis=-1) for S in ops]
+    eig_dev = 0.0
+    angle_dev = 0.0
+    excluded = 0
+    for a in range(len(ops)):
+        for b in range(a + 1, len(ops)):
+            eig_dev = max_abs(eig_dev, eigs[a] - eigs[b])
+    for S, ev in zip(ops, eigs):
+        gap = np.abs(ev[..., 1] - ev[..., 0])
+        ok = gap >= 1e-6
+        excluded += int(np.count_nonzero(~ok))
+        off = np.maximum(np.abs(S[..., 0, 1]), np.abs(S[..., 1, 0]))
+        angle_dev = max_abs(angle_dev, np.arctan2(off[ok], gap[ok]))
+    return [eig_dev, angle_dev, excluded]
+
+
+@pytest.fixture(scope="module")
+def broken_family():
+    # eta1 depends on R2, so the spectra and directions really differ
+    ch = Chart(2, ((0.5, 1.5), (0.0, 1.0)), (33, 33))
+    bad = SurfaceModel.from_text("1", "R1^2", "5-R1^2+3*R2^2", "1+R2^2",
+                                 ch, (0.0, 0.5, 1.0))
+    curv = solve_codazzi(*bad.shifted_form(0.0), "2+2*R1", "2.5", ch)
+    return ch, reconstruct_family(bad, curv)
+
+
+def test_mesh_spectra_match_old_kernel_bytes(seed, family, broken_family):
+    for chart, meshes in ((seed.chart, family), broken_family):
+        for mesh in meshes:
+            S = _shape_operator_by_old_kernel(mesh, chart)
+            eig = np.sort(np.linalg.eigvals(S).real, axis=-1)
+            gap = np.abs(eig[..., 1] - eig[..., 0])
+            assert mesh.eigenvalues.tobytes() == eig.tobytes()
+            assert mesh.excluded == int(np.count_nonzero(gap < 1e-6))
+
+
+@pytest.mark.parametrize("trim", [0, 2, 5])
+def test_family_compare_matches_old_kernel_bytes(seed, family, broken_family,
+                                                 trim):
+    for chart, meshes in ((seed.chart, family), broken_family):
+        rep = weingarten_family_compare(meshes, chart, trim)
+        got = [rep["eigenvalue_deviation"], rep["misalignment_angle"],
+               rep["excluded_vertices"]]
+        want = _compare_by_old_kernel(meshes, chart, trim)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert want[0] > 1e-3 and want[1] > 1e-2
