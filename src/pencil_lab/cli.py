@@ -148,11 +148,12 @@ def _overall(table: dict) -> str:
     return "pass"
 
 
-def _emit(out_dir: str, name: str, report: dict) -> str:
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    write_json_report(path, report)
-    return path
+def _out_dir(cfg, args) -> str:
+    """The output directory, created on first use: commands call this only
+    once their computation has succeeded, so a failed run writes nothing."""
+    out = args.out or cfg.get("out", "pencil_lab_out")
+    os.makedirs(out, exist_ok=True)
+    return out
 
 
 def cmd_check_hamiltonian(cfg, args):
@@ -226,15 +227,6 @@ def cmd_solve_diagonal(cfg, args):
     f1, f2 = diagonal.flatness_residuals(beta, chart)
     f3 = diagonal.pencil_residual_F3(model, beta, chart)
     residuals = {"F1": f1, "F2": f2, "F3": f3}
-    digest = canonical_digest(cfg)
-    out = args.out or cfg.get("out", "pencil_lab_out")
-    os.makedirs(out, exist_ok=True)
-    artifacts = []
-    cols = {f"beta_{i + 1}{j + 1}": beta[(i, j)]
-            for i in range(chart.n) for j in range(chart.n) if i != j}
-    path = os.path.join(out, "beta.csv")
-    write_csv_grid(path, chart, cols, digest)
-    artifacts.append(path)
     extra = {"egorov": egorov}
     if model.is_constant():
         P, drift = diagonal.conserved_P(model, beta, chart)
@@ -245,6 +237,14 @@ def cmd_solve_diagonal(cfg, args):
         residuals["S2_consistency"] = cons
         m12, m13, m23 = diagonal.monge_ampere_residual(sol, chart)
         residuals.update({"MA_12": m12, "MA_13": m13, "MA_23": m23})
+    digest = canonical_digest(cfg)
+    out = _out_dir(cfg, args)
+    cols = {f"beta_{i + 1}{j + 1}": beta[(i, j)]
+            for i in range(chart.n) for j in range(chart.n) if i != j}
+    path = os.path.join(out, "beta.csv")
+    write_csv_grid(path, chart, cols, digest)
+    artifacts = [path]
+    if seed is not None:
         path = os.path.join(out, "angles.csv")
         write_csv_grid(path, chart, {k: sol[k] for k in ("p", "q", "r")},
                        digest)
@@ -262,11 +262,7 @@ def cmd_frame(cfg, args):
                        "lame_boundary")
     beta, _ = diagonal.solve_S(model, bd, chart)
     H = diagonal.solve_lame(beta, chart, dict(enumerate(h_lines)))
-    digest = canonical_digest(cfg)
-    out = args.out or cfg.get("out", "pencil_lab_out")
-    os.makedirs(out, exist_ok=True)
     residuals = {}
-    artifacts = []
     notes = []
 
     def run_one(lam):
@@ -283,10 +279,6 @@ def cmd_frame(cfg, args):
             residuals[f"induced_metric_{lam:g}"] = im
             residuals[f"frame_orthogonality_{lam:g}"] = fs.ortho_drift
             frames[lam] = fs
-            # the slice R3 = min and its normal, the last frame row
-            path = os.path.join(out, f"slice_lambda_{lam:g}.obj")
-            write_obj(path, fs.rvec[:, :, 0], fs.phi[:, :, 0, 2], digest)
-            artifacts.append(path)
     if len(lambdas) >= 2:
         rep = lax.weingarten_scaling_report(
             model, beta, H, chart, lambdas[0], lambdas[1],
@@ -297,6 +289,15 @@ def cmd_frame(cfg, args):
             residuals["scaling_mesh_b"] = rep["mesh_eigen_residual_b"]
         if rep.get("umbilic_flat_slice"):
             notes.append(rep.get("note", "scaling vacuous"))
+    digest = canonical_digest(cfg)
+    out = _out_dir(cfg, args)
+    artifacts = []
+    for lam in lambdas:
+        # the slice R3 = min and its normal, the last frame row
+        fs = frames[lam]
+        path = os.path.join(out, f"slice_lambda_{lam:g}.obj")
+        write_obj(path, fs.rvec[:, :, 0], fs.phi[:, :, 0, 2], digest)
+        artifacts.append(path)
     cols = {f"H{j + 1}": H[j] for j in range(chart.n)}
     path = os.path.join(out, "lame.csv")
     write_csv_grid(path, chart, cols, digest)
@@ -331,16 +332,15 @@ def cmd_deform_surface(cfg, args):
     for lam, (r3, r2) in laxres.items():
         table.update(_solver_table({f"lax3_{lam:g}": r3,
                                     f"lax2_{lam:g}": r2}))
-    digest = canonical_digest(cfg)
-    out = args.out or cfg.get("out", "pencil_lab_out")
-    os.makedirs(out, exist_ok=True)
-    artifacts = []
 
     def build(lam):
         return surface.reconstruct_family(model, curv, (lam,))[0]
 
     with ThreadPoolExecutor(max_workers=_threads()) as pool:
         meshes = list(pool.map(build, lambdas))
+    digest = canonical_digest(cfg)
+    out = _out_dir(cfg, args)
+    artifacts = []
     for mesh in meshes:
         path = os.path.join(out, f"surface_lambda_{mesh.lam:g}.obj")
         write_obj(path, mesh.vertices, mesh.normals, digest)
@@ -406,8 +406,8 @@ def main(argv=None) -> int:
         "artifacts": [os.path.basename(a) for a in artifacts],
     }
     report.update(extra)
-    out = args.out or cfg.get("out", "pencil_lab_out")
-    path = _emit(out, "report.json", report)
+    path = os.path.join(_out_dir(cfg, args), "report.json")
+    write_json_report(path, report)
     elapsed = time.monotonic() - t0
     print(f"wall time {elapsed:.2f}s, report at {path}", file=sys.stderr)
     print(f"{args.command}: {verdict}")

@@ -8,9 +8,13 @@ a vanishing Nijenhuis tensor plus a second-covariant-derivative identity.
 J1/J2 are bilinear in the fields (g, ∂g, b, ∂b), so J(ỹ + λx) is the
 quadratic J(ỹ) + λC + λ²J(x) in the shift; its middle coefficient C holds the
 compatibility conditions C1/C2, and check_pencil sweeps λ through it without
-rebuilding any expression.  Every check returns a ComplianceReport of named
-max-abs grid residuals with a three-valued verdict (pass / fail /
-inconclusive) at scale-aware thresholds; a non-finite residual fails.
+rebuilding any expression.  J2^{ij}_{kn} is antisymmetric in (i, j) and is
+grouped so that the antisymmetry is exact in floating point, so every J2
+array here has axes (pair, k, n) over the pairs i < j only: the pairs hold
+its max-abs residual, and the diagonal and i > j add nothing.  Every check
+returns a ComplianceReport of named max-abs grid residuals with a
+three-valued verdict (pass / fail / inconclusive) at scale-aware
+thresholds; a non-finite residual fails.
 """
 
 from __future__ import annotations
@@ -133,10 +137,20 @@ def _fields(gU: np.ndarray, b: np.ndarray, chart: Chart) -> list:
 
 
 def _j_arrays(fields) -> tuple:
-    """J1 (axes k, i, j) and J2 (axes i, j, k, n) of the fields (g, ∂g, b, ∂b).
+    """J1 (axes k, i, j) and J2 (axes p, k, n) of the fields (g, ∂g, b, ∂b).
 
-    Both are bilinear in the fields, so J(x + y) − J(x) − J(y) is the
-    polarization that check_pencil uses for C1/C2 and the λ-sweep.
+    J2^{ij}_{kn} is antisymmetric in (i, j), so J2 is computed on the pairs
+    i < j only, pair p being the p-th entry of ``np.triu_indices(n, 1)``.
+    Each pair is grouped as ((A − B) + S) + (D − E), with
+    A = g^{js}∂_s b^{ik}_n, B = g^{is}∂_s b^{jk}_n,
+    S = (b^{ij}_s − b^{ji}_s) b^{sk}_n, D = b^{ik}_s b^{js}_n and
+    E = b^{jk}_s b^{is}_n.  Swapping i and j negates every bracket exactly in
+    IEEE arithmetic, so the full array would have J2[j, i] = −J2[i, j] bit
+    for bit and a zero diagonal (for finite diagonal terms): the max-abs over
+    the pairs is the max-abs over all (i, j).  Both arrays are bilinear in
+    the fields, so J(x + y) − J(x) − J(y) is the polarization that
+    check_pencil uses for C1/C2 and the λ-sweep, and negation commutes with
+    it.
     """
     gn, dg, bn, db = fields
     # J1: 2 b^{ki}_s g^{sj} − g^{js}∂_s g^{ik} − g^{ks}∂_s g^{ij} + g^{is}∂_s g^{kj}
@@ -144,19 +158,29 @@ def _j_arrays(fields) -> tuple:
           - np.einsum("js...,sik...->kij...", gn, dg)
           - np.einsum("ks...,sij...->kij...", gn, dg)
           + np.einsum("is...,skj...->kij...", gn, dg))
-    # J2: g^{js}∂_s b^{ik}_n − g^{is}∂_s b^{jk}_n + (b^{ij}_s − b^{ji}_s) b^{sk}_n
-    #     + b^{ik}_s b^{js}_n − b^{jk}_s b^{is}_n
-    skew = bn - np.swapaxes(bn, 0, 1)
-    j2 = (np.einsum("js...,sikn...->ijkn...", gn, db)
-          - np.einsum("is...,sjkn...->ijkn...", gn, db)
-          + np.einsum("ijs...,skn...->ijkn...", skew, bn)
-          + np.einsum("iks...,jsn...->ijkn...", bn, bn)
-          - np.einsum("jks...,isn...->ijkn...", bn, bn))
+    n = gn.shape[0]
+    pairs = np.triu_indices(n, 1)
+    j2 = np.empty((len(pairs[0]), n, n) + gn.shape[2:])
+    t = np.empty((n, n) + gn.shape[2:])
+    u = np.empty_like(t)
+    # views and out= buffers: indexing db[:, pairs] would copy it
+    for o, i, j in zip(j2, *pairs):
+        np.einsum("s...,skn...->kn...", gn[j], db[:, i], out=o)
+        o -= np.einsum("s...,skn...->kn...", gn[i], db[:, j], out=t)
+        o += np.einsum("s...,skn...->kn...", bn[i, j] - bn[j, i], bn, out=t)
+        np.einsum("ks...,sn...->kn...", bn[i], bn[j], out=t)
+        t -= np.einsum("ks...,sn...->kn...", bn[j], bn[i], out=u)
+        o += t
     return j1, j2
 
 
 def hamiltonian_residuals(gU: np.ndarray, b: np.ndarray, chart: Chart):
-    """Max-abs grid residuals of the two Hamiltonian identities (J1, J2)."""
+    """Max-abs grid residuals of the two Hamiltonian identities (J1, J2).
+
+    J2 comes from _j_arrays on the pairs i < j (axes pair, k, n), which by
+    its exact antisymmetry gives the max over all (i, j); for n = 1 there is
+    no pair and the J2 residual is 0.0.
+    """
     fields = _fields(gU, b, chart)
     j1, j2 = _j_arrays(fields)
     return max_abs(j1), max_abs(j2), 1.0 + max_abs(fields[0], fields[2])
@@ -253,7 +277,9 @@ def check_pencil(A: HamiltonianOperator, At: HamiltonianOperator, chart: Chart,
     J(y) + λC + λ²J(x), where C = J(x + y) − J(x) − J(y) holds the bilinear
     conditions C1/C2.  The fields are evaluated once and every shift is
     formed from the three J arrays; a λ where g̃ + λg degenerates somewhere
-    on the box is skipped.
+    on the box is skipped.  The J2 parts hold the pairs i < j only: C and
+    every shift keep J2's exact antisymmetry, so their max-abs is the
+    max over all (i, j).
     """
     x = _fields(A.g.gU, A.b, chart)
     y = _fields(At.g.gU, At.b, chart)

@@ -11,7 +11,7 @@ sqrt(lam + eta_n) as the shift moves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,7 +170,6 @@ class FrameSolution:
     phi: np.ndarray              # grid + (n, n)
     rvec: np.ndarray             # grid + (n,)
     ortho_drift: float
-    notes: list = field(default_factory=list)
 
 
 def integrate_frame(conn: LaxConnection, model: DiagonalModel, H: list,

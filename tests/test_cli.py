@@ -139,6 +139,14 @@ def test_frame_pole_is_config_error(tmp_path):
                  "--lambda=-10"]) == 3
 
 
+def test_frame_pole_after_a_good_shift_leaves_no_artifacts(tmp_path):
+    # the shift 0.5 is solved before the pole at -1.5 is met
+    cfg = _write(tmp_path, "f.json", _cfg_diag({"lambdas": [0.5, -1.5]}))
+    out = tmp_path / "o"
+    assert main(["frame", "--config", cfg, "--out", str(out)]) == 3
+    assert not out.exists()
+
+
 def test_deform_surface_full_chain(tmp_path):
     cfg = _write(tmp_path, "s.json", _cfg_surface())
     out = str(tmp_path / "out")
@@ -334,7 +342,7 @@ def test_angle_system_off_its_branch_is_a_run_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "run failed: 1 - (d1 q)^2 reaches" in err
     assert "Traceback" not in err
-    assert not (out / "report.json").exists()
+    assert not out.exists()    # no beta.csv either
 
 
 def _readme_configs():

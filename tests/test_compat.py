@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
+from pencil_lab.cli import main
 from pencil_lab.compat import (
-    ComplianceReport, HamiltonianOperator, _dg_eval, check_hamiltonian,
-    check_pencil, check_theorem1, btilde_from_r, hamiltonian_residuals,
-    levi_civita_operator, pencil_operator, verify_appendix,
+    ComplianceReport, HamiltonianOperator, _dg_eval, _j_arrays,
+    check_hamiltonian, check_pencil, check_theorem1, btilde_from_r,
+    hamiltonian_residuals, levi_civita_operator, pencil_operator,
+    verify_appendix,
 )
 from pencil_lab.expr import Const, evaluate, parse_expr
 from pencil_lab.geometry import MetricField, eval_array, expr_array
@@ -218,3 +222,75 @@ def test_polarized_pencil_matches_direct_evaluation(box2, case):
     assert max(c1, c2) > 1e-3
     assert abs(rep.residuals["C1"] - c1) <= tol
     assert abs(rep.residuals["C2"] - c2) <= tol
+
+
+def _full_j2(gn, bn, db):
+    """Reference: J2 on every (i, j), grouped as ((A − B) + S) + (D − E)."""
+    skew = bn - np.swapaxes(bn, 0, 1)
+    A = np.einsum("js...,sikn...->ijkn...", gn, db)
+    B = np.einsum("is...,sjkn...->ijkn...", gn, db)
+    S = np.einsum("ijs...,skn...->ijkn...", skew, bn)
+    D = np.einsum("iks...,jsn...->ijkn...", bn, bn)
+    E = np.einsum("jks...,isn...->ijkn...", bn, bn)
+    return ((A - B) + S) + (D - E)
+
+
+def _random_fields(rng, n, grid):
+    return [rng.standard_normal((n,) * k + grid) for k in (2, 3, 3, 4)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pair_j2_equals_full_j2_on_the_upper_pairs(n):
+    rng = np.random.default_rng(100 + n)
+    for grid in [(6, 5), (4, 3, 5)]:
+        fields = _random_fields(rng, n, grid)
+        gn, dg, bn, db = fields
+        full = _full_j2(gn, bn, db)
+        assert np.array_equal(full, -np.swapaxes(full, 0, 1))
+        assert not np.any(full[np.arange(n), np.arange(n)])
+        _, j2 = _j_arrays(fields)
+        upper = np.triu_indices(n, 1)
+        assert j2.shape == (len(upper[0]), n, n) + grid
+        assert j2.tobytes() == full[upper].tobytes()
+
+
+def test_one_dimensional_chart_has_no_pairs(tmp_path):
+    rng = np.random.default_rng(5)
+    j1, j2 = _j_arrays(_random_fields(rng, 1, (7,)))
+    assert j1.shape == (1, 1, 1, 7)
+    assert j2.shape == (0, 1, 1, 7)
+    chart = Chart(1, ((1.0, 2.0),), (9,))
+    g = MetricField.diagonal_contravariant([_p("1+R1^2", 1)])
+    assert hamiltonian_residuals(g.gU, levi_civita_operator(g).b,
+                                 chart)[1] == 0.0
+    cfg = {"chart": {"n": 1, "box": [[1.0, 2.0]], "shape": [9]},
+           "metric": {"diag": ["1+R1^2"]}, "metric_tilde": {"diag": ["3+R1"]},
+           "lambdas": [0.0, 1.0]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    for command in ("check-hamiltonian", "check-compat"):
+        out = tmp_path / command
+        assert main([command, "--config", str(path), "--out", str(out)]) == 0
+        rep = json.loads((out / "report.json").read_text())
+        key = "J2" if command == "check-hamiltonian" else "C2"
+        assert rep["residuals"][key]["value"] == 0.0
+
+
+@pytest.mark.parametrize("n,i,s", [(2, 0, 1), (2, 1, 0), (3, 1, 2), (3, 2, 2)])
+def test_nan_in_a_diagonal_coefficient_fails_j2_and_c2(n, i, s):
+    # the diagonal i == j is not computed; the NaN must still reach the pairs
+    chart = Chart(n, ((1.0, 2.0),) * n, (5,) * n)
+    e = MetricField.euclidean(n)
+    gt = MetricField.diagonal_contravariant(
+        [_p(f"{k + 2}+R{k + 1}^2", n) for k in range(n)])
+    bt = levi_civita_operator(gt).b
+    bt[i, i, s] = Const(float("nan"))
+    At = HamiltonianOperator(gt, bt)
+    ham = check_hamiltonian(At, chart)
+    assert np.isnan(ham.residuals["J2"])
+    assert ham.verdict == "fail"
+    pc = check_pencil(levi_civita_operator(e), At, chart, lambdas=(0.0, 1.0))
+    assert np.isnan(pc.residuals["C2"])
+    assert np.isnan(pc.residuals["lambda_sweep"])
+    assert pc.verdict_for("C2") == "fail"
+    assert pc.verdict == "fail"
