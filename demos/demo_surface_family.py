@@ -44,4 +44,5 @@ print(f"eigenvalue deviation across the family: "
 print(f"principal-direction misalignment: "
       f"{wg['misalignment_angle']:.3e} rad")
 move = mesh_nontriviality(meshes[0], meshes[-1])
-print(f"Hausdorff distance after rigid alignment: {move:.3f}")
+print(f"largest vertex displacement after the best rigid motion: "
+      f"{move:.3f}")

@@ -429,21 +429,26 @@ def weingarten_family_compare(meshes: list, chart: Chart,
 
 
 def mesh_nontriviality(mesh_a: SurfaceMesh, mesh_b: SurfaceMesh) -> float:
-    """Hausdorff distance between vertex sets after best rigid alignment."""
-    from scipy.linalg import orthogonal_procrustes
-    from scipy.spatial import cKDTree
+    """Largest vertex displacement left after the best proper rigid motion.
 
+    The meshes share the chart parametrization, so vertices correspond one to
+    one.  Both vertex sets are centered and mesh_b is turned by the rotation R
+    (det R = +1) that best fits it to mesh_a in least squares (Kabsch, Acta
+    Cryst. A32, 1976); the result is the largest |B R - A| over the vertices.
+    It is zero exactly when a rigid motion carries one mesh onto the other,
+    and a mirror image is not a rigid motion.  Non-finite vertices raise
+    ValueError.
+    """
     A = mesh_a.vertices.reshape(-1, 3)
     B = mesh_b.vertices.reshape(-1, 3)
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("mesh vertices must be finite")
     A = A - A.mean(axis=0)
     B = B - B.mean(axis=0)
-    R, _ = orthogonal_procrustes(B, A)
-    B = B @ R
-    ta = cKDTree(A)
-    tb = cKDTree(B)
-    d1 = float(np.max(tb.query(A)[0]))
-    d2 = float(np.max(ta.query(B)[0]))
-    return max_abs(d1, d2)
+    U, _, Vt = np.linalg.svd(B.T @ A)
+    if np.linalg.det(U @ Vt) < 0:
+        U[:, -1] = -U[:, -1]
+    return max_abs(np.linalg.norm(B @ (U @ Vt) - A, axis=1))
 
 
 def seed_surface_model(chart: Chart | None = None,

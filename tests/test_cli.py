@@ -1,6 +1,8 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -359,3 +361,36 @@ def test_readme_example_configs_pass(tmp_path, index, command):
     assert len(configs) == 2
     cfg = _write(tmp_path, "c.json", configs[index])
     assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_no_command_imports_scipy(tmp_path):
+    # scipy is a test-only dependency: a fresh interpreter that imports the
+    # CLI and runs these commands must never load it
+    runs = [("deform-surface", _cfg_surface()),
+            ("frame", _cfg_diag({"lambdas": [0.5, 2.0]})),
+            ("check-compat", _cfg_compat(["1+R1^2", "3+R2^2"]))]
+    argvs = [[cmd, "--config", _write(tmp_path, f"{cmd}.json", cfg),
+              "--out", str(tmp_path / cmd)] for cmd, cfg in runs]
+    script = (
+        "import json, sys\n"
+        "import pencil_lab.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "seen = [['import', 0, scipy_modules()]]\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code = pencil_lab.cli.main(argv)\n"
+        "    seen.append([argv[0], code, scipy_modules()])\n"
+        "print(json.dumps(seen))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == [["import", 0, []], ["deform-surface", 0, []],
+                    ["frame", 0, []], ["check-compat", 0, []]]
+    assert "deformation_size" in _report(str(tmp_path / "deform-surface"))[
+        "residuals"]

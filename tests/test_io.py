@@ -70,6 +70,18 @@ def test_obj_matches_per_value_reference(tmp_path, shape):
     assert path.read_bytes() == _obj_reference(verts, norms, DIGEST).encode()
 
 
+def test_obj_face_text_is_reused_per_shape(tmp_path):
+    # the face rows are formatted once per grid shape; a shape met again
+    # after another one must still get its own faces
+    for k, shape in enumerate([(5, 4, 3), (71, 67, 3), (5, 4, 3)]):
+        verts = _values(shape, 10 + k)
+        norms = _values(shape, 20 + k)
+        path = tmp_path / f"m{k}.obj"
+        write_obj(path, verts, norms, DIGEST)
+        assert path.read_bytes() == _obj_reference(verts, norms,
+                                                   DIGEST).encode()
+
+
 def test_block_size_is_exercised():
     assert 71 * 67 > _BLOCK_ROWS and 70 * 66 > _BLOCK_ROWS
 

@@ -292,6 +292,62 @@ def test_overflowing_shape_operator_is_not_a_pass(seed, family):
     assert np.isnan(rep["eigenvalue_deviation"])
 
 
+def _with_vertices(mesh, vertices):
+    return dataclasses.replace(mesh, vertices=vertices)
+
+
+def _hausdorff_after_procrustes(mesh_a, mesh_b):
+    """Oracle: the Hausdorff distance between the vertex sets after an
+    orthogonal Procrustes fit, which also admits reflections."""
+    linalg = pytest.importorskip("scipy.linalg")
+    spatial = pytest.importorskip("scipy.spatial")
+    A = mesh_a.vertices.reshape(-1, 3)
+    B = mesh_b.vertices.reshape(-1, 3)
+    A = A - A.mean(axis=0)
+    B = B - B.mean(axis=0)
+    B = B @ linalg.orthogonal_procrustes(B, A)[0]
+    return max(float(np.max(spatial.cKDTree(B).query(A)[0])),
+               float(np.max(spatial.cKDTree(A).query(B)[0])))
+
+
+def _rotation():
+    """A proper rotation about a generic axis."""
+    q = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+    return q * np.sign(np.linalg.det(q))    # -q flips det q in 3D
+
+
+def test_rigid_motion_has_no_deformation_size(family):
+    moved = _with_vertices(
+        family[-1], family[-1].vertices @ _rotation().T + (3.0, -1.0, 0.5))
+    assert mesh_nontriviality(family[-1], moved) < 1e-12
+    assert mesh_nontriviality(moved, family[-1]) < 1e-12
+
+
+def test_mirror_image_is_a_deformation(family):
+    # z -> -z is no rigid motion, though an orthogonal fit undoes it
+    mirrored = _with_vertices(family[-1], family[-1].vertices * (1, 1, -1))
+    assert mesh_nontriviality(family[-1], mirrored) > 1e-3
+    assert mesh_nontriviality(mirrored, family[-1]) > 1e-3
+
+
+def test_hausdorff_distance_bounds_the_deformation_size(family):
+    mirrored = _with_vertices(family[-1], family[-1].vertices * (1, 1, -1))
+    pairs = [(family[a], family[b])
+             for a, b in [(0, 1), (0, 2), (1, 2), (2, 0)]]
+    for mesh_a, mesh_b in pairs + [(family[-1], mirrored)]:
+        assert (_hausdorff_after_procrustes(mesh_a, mesh_b)
+                <= mesh_nontriviality(mesh_a, mesh_b))
+    # the reflection-admitting fit undoes the mirror image
+    assert _hausdorff_after_procrustes(family[-1], mirrored) < 1e-12
+
+
+def test_infinite_vertices_have_no_deformation_size(family):
+    vertices = family[0].vertices.copy()
+    vertices[0, 5, 2] = -np.inf
+    with pytest.raises(ValueError):
+        mesh_nontriviality(_with_vertices(family[0], vertices), family[-1])
+
+
 def test_nan_vertices_have_no_deformation_size(family):
     broken = surface.SurfaceMesh(family[0].lam, family[0].vertices.copy(),
                                  family[0].normals, family[0].eigenvalues)
