@@ -25,17 +25,21 @@ import numpy as np
 
 from . import compat, diagonal, lax, surface
 from .expr import DomainError, ParseError, as_expr, parse_expr
-from .geometry import MetricField, expr_array, GeometryError
+from .geometry import MetricField, expr_array, grid_max, GeometryError
 from .grids import Chart, GridError
 from .io import canonical_digest, write_csv_grid, write_json_report, write_obj
 from .march import MarchError, PoleError
 
 __all__ = ["main"]
 
-# Solver-facing verdict bands: integration residuals are measured by fourth
-# order differences, so machine-epsilon bands would mislabel honest runs.
-SOLVER_PASS = 1e-5
-SOLVER_FAIL = 1e-2
+# Verdict bands (pass_at, fail_at) of compat.verdict; each compat report
+# carries its own, ComplianceReport.band.  Solver residuals are measured by
+# fourth order differences, so machine-epsilon bands would mislabel them.
+SOLVER_BAND = (1e-5, 1e-2)
+CURVATURE_BAND = (compat.PASS_FACTOR, compat.FAIL_FACTOR)  # scale 1
+EIGENVALUE_BAND = (1e-3, 1e-1)     # Weingarten operators across the family
+DIRECTION_BAND = (1e-2, 1e-1)
+DEFORMATION_BAND = (-1e-3, -1e-3)  # on −value: a deformation is >= 1e-3
 
 EXIT_BY_VERDICT = {"pass": 0, "fail": 1, "inconclusive": 2}
 
@@ -77,26 +81,32 @@ def _chart(cfg: dict, grid_override=None) -> Chart:
         raise ConfigError(str(e))
 
 
-def _metric(cfg: dict, key: str, n: int) -> MetricField:
+def _metric(cfg: dict, key: str, chart: Chart) -> MetricField:
+    n = chart.n
     try:
         section = cfg[key]
         if "diag" in section:
             entries = [parse_expr(t, n) for t in section["diag"]]
             if len(entries) != n:
                 raise ConfigError("metric diagonal length mismatch")
-            return MetricField.diagonal_contravariant(entries)
-        rows = section["rows"]
-        A = expr_array((n, n))
-        for i in range(n):
-            for j in range(n):
-                A[i, j] = parse_expr(rows[i][j], n)
-        return MetricField.from_contravariant(A)
+            g = MetricField.diagonal_contravariant(entries)
+        else:
+            rows = section["rows"]
+            A = expr_array((n, n))
+            for i in range(n):
+                for j in range(n):
+                    A[i, j] = parse_expr(rows[i][j], n)
+            g = MetricField.from_contravariant(A)
     except ParseError as e:
         raise ConfigError(f"metric entry: {e}")
     except (KeyError, IndexError, TypeError) as e:
         raise ConfigError(f"bad {key} section: {e}")
     except GeometryError as e:
         raise ConfigError(str(e))
+    # an entry that overflows on a huge box would reach the solvers as inf
+    if not np.isfinite(grid_max(g.gU, chart)):
+        raise ConfigError(f"{key} is not finite on the box")
+    return g
 
 
 def _lambdas(cfg: dict, override) -> list:
@@ -110,6 +120,12 @@ def _lambdas(cfg: dict, override) -> list:
         raise ConfigError(f"bad shift list: {raw!r}")
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"shifts must be finite: {raw!r}")
+    # residual rows and OBJ files are named by the %g label of a shift, and
+    # per-shift results are keyed by its value (0.0 == -0.0)
+    if (len({f"{v:g}" for v in values}) < len(values)
+            or len(set(values)) < len(values)):
+        raise ConfigError(
+            f"shifts and their %g labels must be distinct: {raw!r}")
     return values
 
 
@@ -121,31 +137,10 @@ def _entries(raw, count: int, what: str) -> list:
     return raw
 
 
-def _verdict(value: float, lo: float, hi: float) -> str:
-    if not np.isfinite(value) or value >= hi:
-        return "fail"
-    if value <= lo:
-        return "pass"
-    return "inconclusive"
-
-
-def _table_from_report(rep) -> dict:
-    return {k: {"value": rep.residuals[k], "verdict": rep.verdict_for(k)}
-            for k in rep.residuals}
-
-
-def _solver_table(residuals: dict) -> dict:
-    return {k: {"value": v, "verdict": _verdict(v, SOLVER_PASS, SOLVER_FAIL)}
+def _table(residuals: dict, band: tuple) -> dict:
+    """Rows of ``residuals`` judged on ``band``."""
+    return {k: {"value": v, "verdict": compat.verdict(v, *band)}
             for k, v in residuals.items()}
-
-
-def _overall(table: dict) -> str:
-    vs = {row["verdict"] for row in table.values()}
-    if "fail" in vs:
-        return "fail"
-    if "inconclusive" in vs:
-        return "inconclusive"
-    return "pass"
 
 
 def _out_dir(cfg, args) -> str:
@@ -158,7 +153,7 @@ def _out_dir(cfg, args) -> str:
 
 def cmd_check_hamiltonian(cfg, args):
     chart = _chart(cfg, args.grid)
-    g = _metric(cfg, "metric", chart.n)
+    g = _metric(cfg, "metric", chart)
     if "b" in cfg:
         b = expr_array((chart.n,) * 3)
         try:
@@ -172,15 +167,14 @@ def cmd_check_hamiltonian(cfg, args):
     else:
         A = compat.levi_civita_operator(g)
     rep = compat.check_hamiltonian(A, chart)
-    table = _table_from_report(rep)
-    return table, {"scale": rep.scale}, []
+    return _table(rep.residuals, rep.band), {"scale": rep.scale}, []
 
 
 def cmd_check_compat(cfg, args):
     chart = _chart(cfg, args.grid)
     lambdas = _lambdas(cfg, args.lam)
-    g = _metric(cfg, "metric", chart.n)
-    gt = _metric(cfg, "metric_tilde", chart.n)
+    g = _metric(cfg, "metric", chart)
+    gt = _metric(cfg, "metric_tilde", chart)
     p = compat.pencil_operator(g, gt)
     t1 = compat.check_theorem1(p, chart)
     bt = compat.btilde_from_r(p)
@@ -190,7 +184,7 @@ def cmd_check_compat(cfg, args):
     pc = compat.check_pencil(A, At, chart, lambdas)
     table = {}
     for rep in (t1, pc, app):
-        table.update(_table_from_report(rep))
+        table.update(_table(rep.residuals, rep.band))
     extra = {
         "lambdas_used": pc.lambdas_used,
         "lambdas_skipped": pc.lambdas_skipped,
@@ -249,7 +243,7 @@ def cmd_solve_diagonal(cfg, args):
         write_csv_grid(path, chart, {k: sol[k] for k in ("p", "q", "r")},
                        digest)
         artifacts.append(path)
-    return _solver_table(residuals), extra, artifacts
+    return _table(residuals, SOLVER_BAND), extra, artifacts
 
 
 def cmd_frame(cfg, args):
@@ -302,7 +296,7 @@ def cmd_frame(cfg, args):
     path = os.path.join(out, "lame.csv")
     write_csv_grid(path, chart, cols, digest)
     artifacts.append(path)
-    return _solver_table(residuals), {"notes": notes}, artifacts
+    return _table(residuals, SOLVER_BAND), {"notes": notes}, artifacts
 
 
 def cmd_deform_surface(cfg, args):
@@ -319,19 +313,17 @@ def cmd_deform_surface(cfg, args):
         raise ConfigError(f"missing or malformed surface entry: {e}")
     notes = model.validate()
     cc = surface.constant_curvature_check(model)
-    table = {}
-    for lam, v in cc.items():
-        table[f"curvature_one_{lam:g}"] = {
-            "value": v, "verdict": _verdict(v, 1e-8, 1e-4)}
+    table = _table({f"curvature_one_{lam:g}": v for lam, v in cc.items()},
+                   CURVATURE_BAND)
     G11, G22 = model.shifted_form(lambdas[0])
     curv = surface.solve_codazzi(G11, G22, k1_line, k2_line, chart)
-    table.update(_solver_table({"pc_residual": curv.pc}))
+    solver = {"pc_residual": curv.pc}
     H1, H2, b12, b21 = model.lame_beta()
     laxres = surface.lax_residuals_3x3_2x2(
         H1, H2, b12, b21, model.eta1, model.eta2, chart, lambdas)
     for lam, (r3, r2) in laxres.items():
-        table.update(_solver_table({f"lax3_{lam:g}": r3,
-                                    f"lax2_{lam:g}": r2}))
+        solver.update({f"lax3_{lam:g}": r3, f"lax2_{lam:g}": r2})
+    table.update(_table(solver, SOLVER_BAND))
 
     def build(lam):
         return surface.reconstruct_family(model, curv, (lam,))[0]
@@ -347,16 +339,12 @@ def cmd_deform_surface(cfg, args):
         artifacts.append(path)
     if len(meshes) >= 2:
         wg = surface.weingarten_family_compare(meshes, chart)
-        table["weingarten_eigenvalues"] = {
-            "value": wg["eigenvalue_deviation"],
-            "verdict": _verdict(wg["eigenvalue_deviation"], 1e-3, 1e-1)}
-        table["weingarten_directions"] = {
-            "value": wg["misalignment_angle"],
-            "verdict": _verdict(wg["misalignment_angle"], 1e-2, 1e-1)}
+        eig, ang = wg["eigenvalue_deviation"], wg["misalignment_angle"]
+        table.update(_table({"weingarten_eigenvalues": eig}, EIGENVALUE_BAND))
+        table.update(_table({"weingarten_directions": ang}, DIRECTION_BAND))
         hd = surface.mesh_nontriviality(meshes[0], meshes[-1])
         table["deformation_size"] = {
-            "value": hd,
-            "verdict": "pass" if hd >= 1e-3 else "fail"}
+            "value": hd, "verdict": compat.verdict(-hd, *DEFORMATION_BAND)}
     return table, {"notes": notes, "excluded_vertices":
                    [m.excluded for m in meshes]}, artifacts
 
@@ -397,7 +385,7 @@ def main(argv=None) -> int:
         print(f"run failed: {e}", file=sys.stderr)
         return 1
 
-    verdict = _overall(table)
+    verdict = compat.overall(row["verdict"] for row in table.values())
     report = {
         "command": args.command,
         "config_digest": canonical_digest(cfg),

@@ -12,9 +12,8 @@ rebuilding any expression.  J2^{ij}_{kn} is antisymmetric in (i, j) and is
 grouped so that the antisymmetry is exact in floating point, so every J2
 array here has axes (pair, k, n) over the pairs i < j only: the pairs hold
 its max-abs residual, and the diagonal and i > j add nothing.  Every check
-returns a ComplianceReport of named max-abs grid residuals with a
-three-valued verdict (pass / fail / inconclusive) at scale-aware
-thresholds; a non-finite residual fails.
+returns a ComplianceReport of named max-abs grid residuals, judged by verdict
+on a scale-aware band (a non-finite residual fails) and folded by overall.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from .geometry import (
 from .grids import Chart, max_abs
 
 __all__ = [
-    "HamiltonianOperator", "PencilOperator", "ComplianceReport",
-    "levi_civita_operator", "check_hamiltonian", "pencil_operator",
+    "HamiltonianOperator", "PencilOperator", "ComplianceReport", "verdict",
+    "overall", "levi_civita_operator", "check_hamiltonian", "pencil_operator",
     "btilde_from_r", "check_theorem1", "check_pencil", "verify_appendix",
     "DEFAULT_LAMBDAS",
 ]
@@ -42,49 +41,45 @@ FAIL_FACTOR = 1e-4
 DEFAULT_LAMBDAS = (0.0, 0.75, 1.5, 2.25, 3.0)
 
 
+def verdict(value: float, pass_at: float, fail_at: float) -> str:
+    """Fail if NaN or +inf, even on an infinite band; else pass at or below
+    pass_at, fail at or above fail_at, inconclusive between.  So the band
+    (−t, −t) on −value passes exactly the values >= t, +inf included."""
+    if np.isnan(value) or value == np.inf:
+        return "fail"
+    if value <= pass_at:
+        return "pass"
+    if value >= fail_at:
+        return "fail"
+    return "inconclusive"
+
+
+def overall(verdicts) -> str:
+    """The worst of ``verdicts``: fail beats inconclusive beats pass."""
+    return max(verdicts, key=("pass", "inconclusive", "fail").index,
+               default="pass")
+
+
 @dataclass
 class ComplianceReport:
-    """Named residuals with three-valued verdicts at scale-aware thresholds."""
+    """Named max-abs residuals on the band (PASS_FACTOR, FAIL_FACTOR)·scale."""
 
-    name: str
     residuals: dict = field(default_factory=dict)
     scale: float = 1.0
     lambdas_used: list = field(default_factory=list)
     lambdas_skipped: list = field(default_factory=list)
     notes: list = field(default_factory=list)
 
-    def verdict_for(self, key: str) -> str:
-        v = self.residuals[key]
-        if not np.isfinite(v) or v >= FAIL_FACTOR * self.scale:
-            return "fail"
-        if v <= PASS_FACTOR * self.scale:
-            return "pass"
-        return "inconclusive"
-
     @property
-    def verdicts(self) -> dict:
-        return {k: self.verdict_for(k) for k in self.residuals}
+    def band(self) -> tuple:
+        return PASS_FACTOR * self.scale, FAIL_FACTOR * self.scale
+
+    def verdict_for(self, key: str) -> str:
+        return verdict(self.residuals[key], *self.band)
 
     @property
     def verdict(self) -> str:
-        vs = set(self.verdicts.values())
-        if "fail" in vs:
-            return "fail"
-        if "inconclusive" in vs:
-            return "inconclusive"
-        return "pass"
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "residuals": dict(sorted(self.residuals.items())),
-            "scale": self.scale,
-            "verdicts": dict(sorted(self.verdicts.items())),
-            "verdict": self.verdict,
-            "lambdas_used": list(self.lambdas_used),
-            "lambdas_skipped": list(self.lambdas_skipped),
-            "notes": list(self.notes),
-        }
+        return overall(self.verdict_for(k) for k in self.residuals)
 
 
 @dataclass(frozen=True)
@@ -189,7 +184,7 @@ def hamiltonian_residuals(gU: np.ndarray, b: np.ndarray, chart: Chart):
 def check_hamiltonian(A: HamiltonianOperator, chart: Chart) -> ComplianceReport:
     """Residuals of the two conditions for (g, b) to define a Poisson bracket."""
     r1, r2, scale = hamiltonian_residuals(A.g.gU, A.b, chart)
-    return ComplianceReport("hamiltonian", {"J1": r1, "J2": r2}, scale)
+    return ComplianceReport({"J1": r1, "J2": r2}, scale)
 
 
 def pencil_operator(g: MetricField, gt: MetricField) -> PencilOperator:
@@ -257,8 +252,7 @@ def check_theorem1(p: PencilOperator, chart: Chart) -> ComplianceReport:
                 - np.einsum("jlik...->ijkl...", T))
     res2 = max_abs(res2_arr)
     scale = 1.0 + max_abs(eval_array(p.r, chart), gn, eval_array(p.gt.gU, chart))
-    rep = ComplianceReport("theorem1", {"nijenhuis": res1, "second_covariant": res2},
-                           scale)
+    rep = ComplianceReport({"nijenhuis": res1, "second_covariant": res2}, scale)
     flat_g = riemann_max(g, chart)
     flat_gt = riemann_max(p.gt, chart)
     rep.residuals["flat_g"] = flat_g
@@ -301,9 +295,8 @@ def check_pencil(A: HamiltonianOperator, At: HamiltonianOperator, chart: Chart,
     for c, a, b in zip(cross, jx, jy):
         c -= a
         c -= b
-    rep = ComplianceReport("pencil", {"C1": max_abs(cross[0]),
-                                      "C2": max_abs(cross[1])}, scale,
-                           lambdas_used=used, lambdas_skipped=skipped)
+    rep = ComplianceReport({"C1": max_abs(cross[0]), "C2": max_abs(cross[1])},
+                           scale, lambdas_used=used, lambdas_skipped=skipped)
     buf = [np.empty_like(a) for a in jx]
     sweep = []
     for lam in used:
@@ -335,4 +328,4 @@ def verify_appendix(p: PencilOperator, chart: Chart,
     i2 = (np.einsum("iks...,sj...->ijk...", btn, rUUn)
           - np.einsum("jks...,si...->ijk...", btn, rUUn))
     scale = 1.0 + max_abs(rUUn, btn)
-    return ComplianceReport("appendix", {"I1": max_abs(i1), "I2": max_abs(i2)}, scale)
+    return ComplianceReport({"I1": max_abs(i1), "I2": max_abs(i2)}, scale)

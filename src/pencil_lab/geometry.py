@@ -21,8 +21,8 @@ from .grids import Chart, eval_grid, max_abs
 __all__ = [
     "MetricField", "ConnectionField", "GeometryError",
     "expr_array", "eval_array", "grid_max",
-    "christoffel", "riemann_expr", "riemann_max", "is_flat",
-    "covariant_derivative", "raise_index", "nijenhuis", "nijenhuis_max",
+    "christoffel", "riemann_expr", "riemann_max",
+    "covariant_derivative", "raise_index", "nijenhuis",
 ]
 
 
@@ -197,12 +197,6 @@ def riemann_max(g: MetricField, chart: Chart) -> float:
     return grid_max(riemann_expr(g), chart)
 
 
-def is_flat(g: MetricField, chart: Chart) -> bool:
-    """Scale-aware flatness verdict: riemann_max <= 1e-8 (1 + max |g| on grid)."""
-    scale = 1.0 + grid_max(g.gU, chart)
-    return riemann_max(g, chart) <= 1e-8 * scale
-
-
 def covariant_derivative(T: np.ndarray, valence: str, g: MetricField,
                          conn: ConnectionField | None = None) -> np.ndarray:
     """∇T with a new leading lower index: out[k, ...] = ∇_k T[...].
@@ -283,8 +277,3 @@ def nijenhuis(r: np.ndarray, conn: ConnectionField | None = None) -> np.ndarray:
                 N[i, j, k] = term
                 N[i, k, j] = -term
     return N
-
-
-def nijenhuis_max(r: np.ndarray, chart: Chart) -> float:
-    """Max over grid and indices of |N^i_{jk}|."""
-    return grid_max(nijenhuis(r), chart)

@@ -41,6 +41,8 @@ class Chart:
         for lo, hi in box:
             if not hi > lo:
                 raise GridError(f"degenerate interval [{lo}, {hi}]")
+            if not np.isfinite(hi - lo):
+                raise GridError(f"interval [{lo}, {hi}] is not finite")
         for m in shape:
             if m < 5:
                 raise GridError(

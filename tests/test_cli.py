@@ -4,9 +4,12 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from pencil_lab.cli import SOLVER_FAIL, SOLVER_PASS, _verdict, main
+from pencil_lab.cli import (CURVATURE_BAND, DEFORMATION_BAND, DIRECTION_BAND,
+                            EIGENVALUE_BAND, SOLVER_BAND, _table, main)
+from pencil_lab.compat import ComplianceReport, verdict
 
 BD_KEYS = {"1,2": "0.2", "2,1": "0.1*R1", "3,1": "0.15",
            "1,3": "0.1+0.05*R3", "2,3": "0.2", "3,2": "0.25"}
@@ -63,6 +66,18 @@ def test_check_hamiltonian_passes(tmp_path, capsys):
     rep = _report(out)
     assert rep["verdict"] == "pass"
     assert set(rep["residuals"]) == {"J1", "J2"}
+
+
+def test_infinite_residual_fails_on_an_infinite_band(tmp_path, capsys):
+    # b = 1e308·R1 gives J1 = inf and so scale = inf: the band is (inf, inf)
+    cfg = _write(tmp_path, "c.json",
+                 {"chart": {"n": 1, "box": [[0.0, 10.0]], "shape": [9]},
+                  "metric": {"diag": ["1"]}, "b": [[["1e308*R1"]]]})
+    out = str(tmp_path / "out")
+    assert main(["check-hamiltonian", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().out.strip() == "check-hamiltonian: fail"
+    rep = _report(out)
+    assert rep["residuals"]["J1"] == {"value": float("inf"), "verdict": "fail"}
 
 
 def test_check_compat_pass_and_fail(tmp_path):
@@ -209,7 +224,7 @@ def test_domain_error_is_config_error(tmp_path, capsys, diag):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_solver_residual_fails(value):
-    assert _verdict(value, SOLVER_PASS, SOLVER_FAIL) == "fail"
+    assert verdict(value, *SOLVER_BAND) == "fail"
 
 
 def test_small_grid_is_config_error(tmp_path):
@@ -255,7 +270,8 @@ def test_usage_errors_are_config_errors(tmp_path, capsys, argv):
     ("deform-surface", _cfg_surface()),
 ])
 @pytest.mark.parametrize("lambdas", [["abc"], 5, [None], "15", [],
-                                     [0.0, "inf"]])
+                                     [0.0, "inf"], [0.5, 0.5],
+                                     [0.5, 0.5000001], [0.0, -0.0]])
 def test_bad_lambdas_are_config_errors(tmp_path, capsys, command, cfg_dict,
                                        lambdas):
     cfg = _write(tmp_path, "c.json", dict(cfg_dict, lambdas=lambdas))
@@ -275,6 +291,10 @@ def test_deform_surface_pole_is_config_error(tmp_path, capsys):
 
 def _without(cfg, key):
     return {k: v for k, v in cfg.items() if k != key}
+
+
+def _with_box(cfg, box):
+    return dict(cfg, chart=dict(cfg["chart"], box=box))
 
 
 def _cfg_diag_2d():
@@ -322,6 +342,16 @@ def _cfg_diag_2d():
                  dict(_cfg_surface(), surface=dict(_cfg_surface()["surface"],
                                                    k1_line=None)), [],
                  id="surface-null-line"),
+    # 1 + R1^2 overflows on these boxes
+    pytest.param("check-compat",
+                 _with_box(_cfg_compat(["1+R1^2", "3+R2^2"]),
+                           [[0, 1e308], [0, 1]]), [], id="metric-inf-1e308"),
+    pytest.param("check-compat",
+                 _with_box(_cfg_compat(["1+R1^2", "3+R2^2"]),
+                           [[0, 1e200], [0, 1]]), [], id="metric-inf-1e200"),
+    pytest.param("deform-surface",
+                 _with_box(_cfg_surface(), [[-1e308, 1e308], [0, 1]]), [],
+                 id="box-width-overflows"),
 ])
 def test_config_faults_are_config_errors(tmp_path, capsys, command, cfg_dict,
                                          argv):
@@ -352,6 +382,67 @@ def _readme_configs():
     with open(path) as fh:
         blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
     return [json.loads(b) for b in blocks]
+
+
+def test_close_shifts_are_a_trivial_deformation(tmp_path, capsys):
+    cfg = _write(tmp_path, "s.json",
+                 dict(_readme_configs()[1], lambdas=[0.5, 0.5001]))
+    out = str(tmp_path / "o")
+    assert main(["deform-surface", "--config", cfg, "--out", out]) == 1
+    assert capsys.readouterr().out.strip() == "deform-surface: fail"
+    rep = _report(out)
+    row = rep["residuals"]["deformation_size"]
+    assert row["value"] == pytest.approx(4.9e-5, rel=0.01)
+    assert row["verdict"] == "fail"
+    assert rep["verdict"] == "fail"
+
+
+def _reference_band(value, pass_at, fail_at):
+    """A band rule written out apart from compat.verdict, fail tested first."""
+    if not np.isfinite(value) or value >= fail_at:
+        return "fail"
+    if value <= pass_at:
+        return "pass"
+    return "inconclusive"
+
+
+def _reference_floor(value, pass_at, fail_at):
+    """deformation_size passes iff it is at least 1e-3 (pass_at = fail_at)."""
+    return "pass" if value >= pass_at else "fail"
+
+
+def _report_row(scale):
+    return lambda v: ComplianceReport({"r": v}, scale).verdict_for("r")
+
+
+def _table_row(band):
+    return lambda v: _table({"r": v}, band)["r"]["verdict"]
+
+
+@pytest.mark.parametrize("judge,pass_at,fail_at,reference", [
+    pytest.param(_report_row(1.0), 1e-8, 1e-4, _reference_band,
+                 id="compat-scale-1"),
+    pytest.param(_report_row(3.5), 1e-8 * 3.5, 1e-4 * 3.5, _reference_band,
+                 id="compat-scale-3.5"),
+    pytest.param(_report_row(np.inf), np.inf, np.inf, _reference_band,
+                 id="compat-scale-inf"),
+    pytest.param(_table_row(SOLVER_BAND), 1e-5, 1e-2, _reference_band,
+                 id="solver"),
+    pytest.param(_table_row(CURVATURE_BAND), 1e-8, 1e-4, _reference_band,
+                 id="curvature-one"),
+    pytest.param(_table_row(EIGENVALUE_BAND), 1e-3, 1e-1, _reference_band,
+                 id="weingarten-eigenvalues"),
+    pytest.param(_table_row(DIRECTION_BAND), 1e-2, 1e-1, _reference_band,
+                 id="weingarten-directions"),
+    pytest.param(lambda v: verdict(-v, *DEFORMATION_BAND), 1e-3, 1e-3,
+                 _reference_floor, id="deformation-size"),
+])
+def test_verdict_matches_reference_rules(judge, pass_at, fail_at, reference):
+    values = [0.0, pass_at, np.nextafter(pass_at, np.inf),
+              (pass_at + fail_at) / 2, np.nextafter(fail_at, 0.0), fail_at,
+              10 * fail_at, np.nan, np.inf]
+    for v in values:
+        assert judge(v) == reference(v, pass_at, fail_at), v
 
 
 @pytest.mark.parametrize("index,command", [(0, "check-compat"),
