@@ -19,19 +19,17 @@ from .compat import (HamiltonianOperator, PencilOperator, ComplianceReport,
                      levi_civita_operator, check_hamiltonian, pencil_operator,
                      btilde_from_r, check_theorem1, check_pencil,
                      verify_appendix)
-from .diagonal import (DiagonalModel, BoundaryData, lame_from_metric,
-                       flatness_residuals, pencil_residual_F3, solve_S,
-                       solve_lame, conserved_P, mu_constants, integrate_S2,
-                       monge_ampere_residual, beta_from_pqr)
-from .lax import (LaxConnection, FrameSolution, build_lax, build_lax_L1,
-                  gauge_L1_to_L2, gauge_residual, zero_curvature_residual,
-                  integrate_frame,
+from .diagonal import (DiagonalModel, BoundaryData, flatness_residuals,
+                       pencil_residual_F3, solve_S, solve_lame, conserved_P,
+                       mu_constants, integrate_S2, monge_ampere_residual,
+                       beta_from_pqr)
+from .lax import (LaxConnection, FrameSolution, build_lax,
+                  zero_curvature_residual, integrate_frame,
                   induced_metric_residual, hypersurface_curvatures,
                   weingarten_scaling_report)
 from .surface import (SurfaceModel, CurvatureData, SurfaceMesh,
                       seed_surface_model, gaussian_curvature_expr,
                       constant_curvature_check, pc_residual, solve_codazzi,
-                      surface_system_residual, solve_surface_system,
                       lax_residuals_3x3_2x2, reconstruct_family,
                       weingarten_family_compare, mesh_nontriviality)
 

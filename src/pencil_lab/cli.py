@@ -26,7 +26,7 @@ import numpy as np
 from . import compat, diagonal, lax, surface
 from .expr import DomainError, ParseError, as_expr, parse_expr
 from .geometry import MetricField, expr_array, grid_max, GeometryError
-from .grids import Chart, GridError
+from .grids import Chart, GridError, eval_grid, max_abs
 from .io import canonical_digest, write_csv_grid, write_json_report, write_obj
 from .march import MarchError, PoleError
 
@@ -73,12 +73,17 @@ def _chart(cfg: dict, grid_override=None) -> Chart:
         raise ConfigError(f"bad chart section: {e}")
     if grid_override is not None:
         shape = (int(grid_override),) * n
-    if any(m < 5 for m in shape):
-        raise ConfigError("grids need at least 5 points per axis")
     try:
         return Chart(n, box, shape)
     except GridError as e:
         raise ConfigError(str(e))
+
+
+def _require_finite(what: str, peak: float) -> None:
+    """An entry that overflows on a huge box would reach the solvers as inf;
+    ``peak`` is its largest absolute value on the box."""
+    if not np.isfinite(peak):
+        raise ConfigError(f"{what} is not finite on the box")
 
 
 def _metric(cfg: dict, key: str, chart: Chart) -> MetricField:
@@ -103,9 +108,7 @@ def _metric(cfg: dict, key: str, chart: Chart) -> MetricField:
         raise ConfigError(f"bad {key} section: {e}")
     except GeometryError as e:
         raise ConfigError(str(e))
-    # an entry that overflows on a huge box would reach the solvers as inf
-    if not np.isfinite(grid_max(g.gU, chart)):
-        raise ConfigError(f"{key} is not finite on the box")
+    _require_finite(key, grid_max(g.gU, chart))
     return g
 
 
@@ -278,11 +281,10 @@ def cmd_frame(cfg, args):
             model, beta, H, chart, lambdas[0], lambdas[1],
             frames=(frames[lambdas[0]], frames[lambdas[1]]))
         residuals["scaling_closed_form"] = rep["closed_form_residual"]
-        if "mesh_eigen_residual_a" in rep:
-            residuals["scaling_mesh_a"] = rep["mesh_eigen_residual_a"]
-            residuals["scaling_mesh_b"] = rep["mesh_eigen_residual_b"]
-        if rep.get("umbilic_flat_slice"):
-            notes.append(rep.get("note", "scaling vacuous"))
+        residuals["scaling_mesh_a"] = rep["mesh_eigen_residual_a"]
+        residuals["scaling_mesh_b"] = rep["mesh_eigen_residual_b"]
+        if rep["umbilic_flat_slice"]:
+            notes.append(rep["note"])
     digest = canonical_digest(cfg)
     out = _out_dir(cfg, args)
     artifacts = []
@@ -311,6 +313,9 @@ def cmd_deform_surface(cfg, args):
         k1_line, k2_line = (as_expr(s[k], 2) for k in ("k1_line", "k2_line"))
     except (KeyError, TypeError) as e:
         raise ConfigError(f"missing or malformed surface entry: {e}")
+    for key in ("g11", "g22", "eta1", "eta2"):
+        _require_finite(f"surface {key}",
+                        max_abs(eval_grid(getattr(model, key), chart)))
     notes = model.validate()
     cc = surface.constant_curvature_check(model)
     table = _table({f"curvature_one_{lam:g}": v for lam, v in cc.items()},

@@ -23,7 +23,7 @@ from .grids import Chart, cumint, deriv, eval_grid, max_abs
 from .march import MarchError, Unknown, solve_compatible
 
 __all__ = [
-    "DiagonalModel", "BoundaryData", "lame_from_metric", "flatness_residuals",
+    "DiagonalModel", "BoundaryData", "flatness_residuals",
     "pencil_residual_F3", "solve_S", "solve_lame", "conserved_P",
     "mu_constants", "integrate_S2", "monge_ampere_residual", "beta_from_pqr",
 ]
@@ -101,26 +101,6 @@ class BoundaryData:
         return self.lines.get((i, j), parse_expr("0", self.n))
 
 
-def lame_from_metric(g_diag, chart: Chart):
-    """H_i = sqrt(g_ii) and beta_ij = (d_i H_j)/H_i, exact expressions.
-
-    g_diag lists the covariant diagonal entries as expressions; entries must
-    be positive on the chart.
-    """
-    from .expr import call
-    n = chart.n
-    for e in g_diag:
-        if float(np.min(eval_grid(e, chart))) <= 0.0:
-            raise ValueError("metric entries must stay positive on the box")
-    H = [call("sqrt", e) for e in g_diag]
-    beta = {}
-    for j in range(n):
-        for i in range(n):
-            if i != j:
-                beta[(i, j)] = diff(H[j], i + 1) / H[i]
-    return H, beta
-
-
 def flatness_residuals(beta: dict, chart: Chart):
     """Max-abs residuals of the flatness identities.
 
@@ -186,7 +166,7 @@ def _check_separation(model: DiagonalModel, chart: Chart, guard: float = 1e-8):
 
 
 def solve_S(model: DiagonalModel, bd: BoundaryData, chart: Chart,
-            order=None, tol: float = 1e-13, max_iter: int = 600):
+            order=None):
     """Integrate the resolved system (S) for the rotation coefficients.
 
     d_i beta_ij = [ (1/2) eta_i' beta_ij + (1/2) eta_j' beta_ji
@@ -230,8 +210,7 @@ def solve_S(model: DiagonalModel, bd: BoundaryData, chart: Chart,
                     rhs[k] = rhs_cross(i, j, k)
             unknowns.append(Unknown(f"b{i}{j}", rhs, free_axis=j,
                                     boundary=bd.expr(i, j)))
-    sol = solve_compatible(chart, unknowns, order=order, tol=tol,
-                           max_iter=max_iter)
+    sol = solve_compatible(chart, unknowns, order=order)
     beta = {(i, j): sol[f"b{i}{j}"]
             for i in range(n) for j in range(n) if i != j}
     egorov = all(max_abs(beta[(i, j)] - beta[(j, i)]) <= 1e-10
@@ -239,8 +218,7 @@ def solve_S(model: DiagonalModel, bd: BoundaryData, chart: Chart,
     return beta, egorov
 
 
-def solve_lame(beta: dict, chart: Chart, h_boundary: dict,
-               order=None, tol: float = 1e-13):
+def solve_lame(beta: dict, chart: Chart, h_boundary: dict):
     """Integrate d_i H_j = beta_ij H_i given the rotation coefficients.
 
     h_boundary[j] is H_j along the j-th coordinate line (expression in
@@ -258,7 +236,7 @@ def solve_lame(beta: dict, chart: Chart, h_boundary: dict,
         unknowns.append(Unknown(
             f"H{j}", {i: rhs(i, j) for i in range(n) if i != j},
             free_axis=j, boundary=as_expr(h_boundary[j], n)))
-    sol = solve_compatible(chart, unknowns, order=order, tol=tol)
+    sol = solve_compatible(chart, unknowns)
     return [sol[f"H{j}"] for j in range(n)]
 
 
@@ -298,8 +276,7 @@ def mu_constants(c1: float, c2: float, c3: float):
     return mu1, mu2, mu3
 
 
-def integrate_S2(chart: Chart, p0, q0, r0, order=None, tol: float = 1e-13,
-                 max_iter: int = 600, mus=(1.0, 1.0, 1.0)):
+def integrate_S2(chart: Chart, p0, q0, r0, order=None, mus=(1.0, 1.0, 1.0)):
     """Solve the rescaled angle system for the three-component constant case.
 
     d_1 q = cos p,  d_1 r = -sin p,
@@ -331,8 +308,7 @@ def integrate_S2(chart: Chart, p0, q0, r0, order=None, tol: float = 1e-13,
                       1: lambda s, i: m2 * np.sinh(s["q"][i])},
                 free_axis=2, boundary=as_expr(r0, 3)),
     ]
-    sol = solve_compatible(chart, unknowns, order=order, tol=tol,
-                           max_iter=max_iter, blowup=1e6)
+    sol = solve_compatible(chart, unknowns, order=order)
     if max_abs(sol["q"]) > 20.0:
         raise MarchError("angle q left the trustworthy range (|q| > 20)")
     h = chart.spacing()

@@ -3,9 +3,9 @@
 Shifting all the eta_i by the same parameter keeps the diagonal metric
 g_ii = H_i^2 / (lam + eta_i) flat, and the associated orthonormal-frame
 equations form a linear connection depending on the shift.  This module
-builds that connection in two gauges, checks its zero-curvature condition,
-integrates the frame and the position vector, and extracts the principal
-curvatures of the coordinate hypersurfaces, which rescale by
+builds that connection in its one (skew) gauge, checks its zero-curvature
+condition, integrates the frame and the position vector, and extracts the
+principal curvatures of the coordinate hypersurfaces, which rescale by
 sqrt(lam + eta_n) as the shift moves.
 """
 
@@ -20,10 +20,8 @@ from .grids import Chart, deriv, max_abs
 from .march import MarchError, check_shift, position_vector, solve_frame
 
 __all__ = [
-    "LaxConnection", "FrameSolution", "build_lax", "build_lax_L1",
-    "gauge_L1_to_L2", "gauge_residual", "zero_curvature_residual",
-    "integrate_frame",
-    "induced_metric_residual", "hypersurface_curvatures",
+    "LaxConnection", "FrameSolution", "build_lax", "zero_curvature_residual",
+    "integrate_frame", "induced_metric_residual", "hypersurface_curvatures",
     "mesh_weingarten", "weingarten_scaling_report",
 ]
 
@@ -37,7 +35,6 @@ class LaxConnection:
 
     lam: float
     mats: tuple
-    gauge: str = "skew"
 
     @property
     def n(self) -> int:
@@ -70,69 +67,7 @@ def build_lax(model: DiagonalModel, beta: dict, chart: Chart,
             A[..., i, d] = w
             A[..., d, i] = -w
         mats.append(A)
-    return LaxConnection(float(lam), tuple(mats), "skew")
-
-
-def build_lax_L1(model: DiagonalModel, beta: dict, chart: Chart,
-                 lam: float) -> LaxConnection:
-    """Ungauged connection with the diagonal 1/(lam+eta) terms.
-
-    d_d psi_i = beta_id psi_d                                       (i != d),
-    d_d psi_d = -eta_d'/(2(lam+eta_d)) psi_d
-                - sum_{k != d} ((lam+eta_k)/(lam+eta_d)) beta_kd psi_k.
-    """
-    n = chart.n
-    sh = _shifted(model, chart, lam)
-    etap = model.eta_prime_grids(chart)
-    mats = []
-    for d in range(n):
-        A = np.zeros(chart.shape + (n, n))
-        A[..., d, d] = -etap[d] / (2.0 * sh[d])
-        for i in range(n):
-            if i == d:
-                continue
-            A[..., i, d] = beta[(i, d)]
-            A[..., d, i] = -(sh[i] / sh[d]) * beta[(i, d)]
-        mats.append(A)
-    return LaxConnection(float(lam), tuple(mats), "plain")
-
-
-def gauge_L1_to_L2(psi, model: DiagonalModel, chart: Chart, lam: float):
-    """Componentwise gauge map phi_i = psi_i sqrt(lam + eta_i).
-
-    psi is a list of n grids (or a grid + (n,) array); a solution of the
-    plain connection maps to a solution of the skew one.
-    """
-    sh = _shifted(model, chart, lam)
-    if isinstance(psi, np.ndarray) and psi.shape[-1] == len(sh):
-        return psi * np.stack([np.sqrt(s) for s in sh], axis=-1)
-    return [p * np.sqrt(s) for p, s in zip(psi, sh)]
-
-
-def gauge_residual(L1: LaxConnection, L2: LaxConnection,
-                   model: DiagonalModel, chart: Chart) -> float:
-    """Check that the diagonal gauge S = diag(sqrt(lam+eta_i)) maps L1 to L2.
-
-    phi = S psi turns d X = A X into the transformed connection
-    S A S^{-1} + (d S) S^{-1}; the residual compares that with L2.
-    """
-    if L1.lam != L2.lam:
-        raise ValueError("gauge comparison needs matching shifts")
-    n = chart.n
-    h = chart.spacing()
-    sh = _shifted(model, chart, L1.lam)
-    s = [np.sqrt(v) for v in sh]
-    worst = 0.0
-    for d in range(n):
-        A = L1.mats[d]
-        T = np.zeros_like(A)
-        for i in range(n):
-            for j in range(n):
-                T[..., i, j] = s[i] * A[..., i, j] / s[j]
-        # S varies along direction d only through its d-th entry.
-        T[..., d, d] += deriv(s[d], d, h[d]) / s[d]
-        worst = max_abs(worst, T - L2.mats[d])
-    return worst
+    return LaxConnection(float(lam), tuple(mats))
 
 
 def zero_curvature_residual(conn: LaxConnection, chart: Chart) -> float:
@@ -173,18 +108,15 @@ class FrameSolution:
 
 
 def integrate_frame(conn: LaxConnection, model: DiagonalModel, H: list,
-                    chart: Chart, tol: float = 1e-13,
-                    max_iter: int = 600) -> FrameSolution:
+                    chart: Chart) -> FrameSolution:
     """Integrate d_d Phi = A_d Phi from Phi = identity at the chart corner,
     then the position vector d_d r = (H_d / sqrt(lam+eta_d)) row_d(Phi).
 
     Orthogonality of Phi is measured, not enforced; a drift above 1e-4 aborts
     since the connection then fails to be integrable on this box.
     """
-    if conn.gauge != "skew":
-        raise ValueError("frame integration expects the skew gauge")
     n = chart.n
-    phi = solve_frame(chart, conn.mats, tol=tol, max_iter=max_iter)
+    phi = solve_frame(chart, conn.mats)
     gram = np.einsum("...ki,...kj->...ij", phi, phi)
     drift = max_abs(gram - np.eye(n))
     if drift > 1e-4:
@@ -215,16 +147,16 @@ def induced_metric_residual(fs: FrameSolution, model: DiagonalModel,
 
 
 def hypersurface_curvatures(model: DiagonalModel, beta: dict, H: list,
-                            chart: Chart, lam: float, slice_index: int = 0):
+                            chart: Chart, lam: float):
     """Principal curvatures of the level hypersurface of the last coordinate.
 
-    On a slice R^n = const the n-1 curvature lines have
+    On the slice R^n = min the n-1 curvature lines have
     k^i = (beta_{n i} / H_i) sqrt(lam + eta_n); returns a list of n-1 arrays
     over the slice.
     """
     n = chart.n
     sh = _shifted(model, chart, lam)
-    idx = (slice(None),) * (n - 1) + (slice_index,)
+    idx = (slice(None),) * (n - 1) + (0,)
     root = np.sqrt(sh[n - 1][idx])
     return [beta[(n - 1, i)][idx] / H[i][idx] * root for i in range(n - 1)]
 
@@ -250,20 +182,19 @@ def mesh_weingarten(r: np.ndarray, normal: np.ndarray, spacing) -> np.ndarray:
 
 def weingarten_scaling_report(model: DiagonalModel, beta: dict, H: list,
                               chart: Chart, lam_a: float, lam_b: float,
-                              slice_index: int = 0,
                               frames: tuple | None = None) -> dict:
     """How the hypersurface shape operator responds to moving the shift.
 
     The closed-form curvatures at two shifts differ by the constant factor
-    sqrt((lam_a + eta_n)/(lam_b + eta_n)) on a fixed slice.  The report
+    sqrt((lam_a + eta_n)/(lam_b + eta_n)) on the slice R^n = min.  The report
     carries the closed-form ratio residual and, when integrated frames are
     supplied, a mesh oracle comparing shape-operator eigenvalues from the
     reconstructed hypersurfaces against the formula.
     """
     n = chart.n
-    ka = hypersurface_curvatures(model, beta, H, chart, lam_a, slice_index)
-    kb = hypersurface_curvatures(model, beta, H, chart, lam_b, slice_index)
-    idx = (slice(None),) * (n - 1) + (slice_index,)
+    ka = hypersurface_curvatures(model, beta, H, chart, lam_a)
+    kb = hypersurface_curvatures(model, beta, H, chart, lam_b)
+    idx = (slice(None),) * (n - 1) + (0,)
     sh_a = _shifted(model, chart, lam_a)[n - 1][idx]
     sh_b = _shifted(model, chart, lam_b)[n - 1][idx]
     factor = np.sqrt(sh_a / sh_b)

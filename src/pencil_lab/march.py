@@ -10,6 +10,11 @@ each rhs only for the slab of the grid its leg sweeps; ``solve_compatible``
 repeats the passes until the fixed point is reached.  Compatibility
 (Frobenius) of the system is certified afterwards by residuals, not assumed
 silently: path-independence can be probed by permuting the leg order.
+
+The convergence contract is fixed: a solve has converged when the largest
+change of a sweep is at most TOL * scale = 1e-13 * (1 + max |unknown|), it
+gets at most MAX_SWEEPS = 600 sweeps, and it raises MarchError when scale
+exceeds BLOWUP = 1e6 or a value is not finite.
 """
 
 from __future__ import annotations
@@ -22,12 +27,16 @@ import numpy as np
 from .expr import Expr, evaluate
 from .grids import Chart, cumint, max_abs
 
-__all__ = ["Unknown", "MarchError", "PoleError", "POLE_GUARD", "check_shift",
-           "path_integral", "solve_compatible", "solve_frame",
-           "position_vector"]
+__all__ = ["Unknown", "MarchError", "PoleError", "POLE_GUARD", "TOL",
+           "MAX_SWEEPS", "BLOWUP", "check_shift", "path_integral",
+           "solve_compatible", "solve_frame", "position_vector"]
 
 # Smallest admissible value of lam + eta_i on the box for a spectral shift.
 POLE_GUARD = 1e-8
+
+TOL = 1e-13
+MAX_SWEEPS = 600
+BLOWUP = 1e6
 
 
 class MarchError(RuntimeError):
@@ -126,16 +135,14 @@ def path_integral(chart: Chart, u: Unknown, order: tuple | None = None,
     return _full(part, chart)
 
 
-def _guard(scale: float, blowup: float) -> None:
+def _guard(scale: float) -> None:
     # A NaN or inf makes scale non-finite, which this comparison rejects.
-    if not scale <= blowup:
+    if not scale <= BLOWUP:
         raise MarchError("solution exceeded the blow-up guard or is not finite")
 
 
 def solve_compatible(chart: Chart, unknowns: list[Unknown],
-                     order: tuple | None = None,
-                     tol: float = 1e-13, max_iter: int = 600,
-                     blowup: float = 1e6) -> dict[str, np.ndarray]:
+                     order: tuple | None = None) -> dict[str, np.ndarray]:
     """Solve the system to its fixed point; returns name -> full grid.
 
     ``order`` is the axis permutation defining the staircase legs (defaults to
@@ -143,21 +150,20 @@ def solve_compatible(chart: Chart, unknowns: list[Unknown],
     """
     order = _order(chart, order)
     state = {u.name: _full(_boundary_array(u, chart), chart) for u in unknowns}
-    for _ in range(max_iter):
+    for _ in range(MAX_SWEEPS):
         delta = 0.0
         for u in unknowns:
             new = path_integral(chart, u, order, state)
             delta = max_abs(delta, new - state[u.name])
             state[u.name] = new
         scale = 1.0 + max_abs(*(state[u.name] for u in unknowns))
-        _guard(scale, blowup)  # a NaN or inf in delta also shows in scale
-        if delta <= tol * scale:
+        _guard(scale)  # a NaN or inf in delta also shows in scale
+        if delta <= TOL * scale:
             return state
-    raise MarchError(f"no fixed point after {max_iter} sweeps (last delta {delta:.3e})")
+    raise MarchError(f"no fixed point after {MAX_SWEEPS} sweeps (last delta {delta:.3e})")
 
 
-def solve_frame(chart: Chart, mats, tol: float = 1e-13,
-                max_iter: int = 600) -> np.ndarray:
+def solve_frame(chart: Chart, mats) -> np.ndarray:
     """Solve d_d X = A_d X from X = identity at the corner.
 
     mats[d] has shape grid + (k, k); returns X with that shape.  Each row of
@@ -178,7 +184,7 @@ def solve_frame(chart: Chart, mats, tol: float = 1e-13,
 
     unknowns = [Unknown(f"F{a}", {d: row(a, d) for d in range(len(mats))},
                         boundary=np.eye(k)[a]) for a in range(k)]
-    sol = solve_compatible(chart, unknowns, tol=tol, max_iter=max_iter)
+    sol = solve_compatible(chart, unknowns)
     return np.stack([sol[f"F{a}"] for a in range(k)], axis=-2)
 
 
@@ -186,13 +192,12 @@ def position_vector(chart: Chart, coeffs, frame: np.ndarray) -> np.ndarray:
     """Integrate d_d r = coeffs[d] * (row d of frame) from r = 0 at the corner.
 
     The rhs does not depend on r, so one pass is exact; the result has shape
-    grid + (frame.shape[-1],).  Raises MarchError under solve_compatible's
-    default blow-up guard.
+    grid + (frame.shape[-1],).  Raises MarchError above BLOWUP.
     """
     def leg(d):
         return lambda state, idx: coeffs[d][idx][..., None] * frame[idx][..., d, :]
 
     r = path_integral(chart, Unknown("r", {d: leg(d) for d in range(chart.n)},
                                      boundary=np.zeros(frame.shape[-1])))
-    _guard(1.0 + max_abs(r), 1e6)
+    _guard(1.0 + max_abs(r))
     return r

@@ -27,9 +27,8 @@ from .march import (MarchError, PoleError, Unknown, check_shift,
 __all__ = [
     "SurfaceModel", "CurvatureData", "SurfaceMesh", "seed_surface_model",
     "gaussian_curvature_expr", "constant_curvature_check", "pc_residual",
-    "solve_codazzi", "surface_system_residual", "solve_surface_system",
-    "lax_residuals_3x3_2x2", "reconstruct_family", "weingarten_family_compare",
-    "mesh_nontriviality",
+    "solve_codazzi", "lax_residuals_3x3_2x2", "reconstruct_family",
+    "weingarten_family_compare", "mesh_nontriviality",
 ]
 
 UMBILIC_GUARD = 1e-8
@@ -158,8 +157,7 @@ def pc_residual(G11, G22, k1, k2, chart: Chart) -> float:
     return max_abs(r1, r2)
 
 
-def solve_codazzi(G11, G22, k1_line, k2_line, chart: Chart,
-                  tol: float = 1e-13) -> CurvatureData:
+def solve_codazzi(G11, G22, k1_line, k2_line, chart: Chart) -> CurvatureData:
     """Integrate the radii transport equations.
 
     k1 is prescribed on the first-coordinate line through the corner and
@@ -198,79 +196,13 @@ def solve_codazzi(G11, G22, k1_line, k2_line, chart: Chart,
         Unknown("k2", {0: lambda s, i: (s["k1"][i] - s["k2"][i]) * L2[i]},
                 free_axis=1, boundary=k2_line),
     ]
-    sol = solve_compatible(chart, unknowns, tol=tol)
+    sol = solve_compatible(chart, unknowns)
     gap = float(np.min(np.abs(sol["k2"] - sol["k1"])))
     if gap < UMBILIC_GUARD:
         raise MarchError("umbilic collision during the march")
     data = CurvatureData(sol["k1"], sol["k2"])
     data.pc = pc_residual(G11, G22, data.k1, data.k2, chart)
     return data
-
-
-def surface_system_residual(H1, H2, b12, b21, eta1, eta2,
-                            chart: Chart) -> tuple:
-    """Max-abs of the four structure equations.
-
-    d_1 H2 = b12 H1,  d_2 H1 = b21 H2,  d_1 b12 + d_2 b21 = 0,
-    eta1 d_1 b12 + eta2 d_2 b21 + (1/2) eta1' b12 + (1/2) eta2' b21
-      + H1 H2 = 0.
-    """
-    h = chart.spacing()
-    H1g, H2g = _grid(H1, chart), _grid(H2, chart)
-    b12g, b21g = _grid(b12, chart), _grid(b21, chart)
-    e1, e2 = _grid(eta1, chart), _grid(eta2, chart)
-    e1p = (eval_grid(diff(as_expr(eta1, 2), 1), chart)
-           if isinstance(eta1, (Expr, str)) else np.zeros(chart.shape))
-    e2p = (eval_grid(diff(as_expr(eta2, 2), 2), chart)
-           if isinstance(eta2, (Expr, str)) else np.zeros(chart.shape))
-    d1b12 = deriv(b12g, 0, h[0])
-    d2b21 = deriv(b21g, 1, h[1])
-    r1 = max_abs(deriv(H2g, 0, h[0]) - b12g * H1g)
-    r2 = max_abs(deriv(H1g, 1, h[1]) - b21g * H2g)
-    r3 = max_abs(d1b12 + d2b21)
-    r4 = max_abs(e1 * d1b12 + e2 * d2b21 + 0.5 * e1p * b12g
-                 + 0.5 * e2p * b21g + H1g * H2g)
-    return r1, r2, r3, r4
-
-
-def solve_surface_system(eta1, eta2, chart: Chart, b12_line, b21_line,
-                         h1_line, h2_line, tol: float = 1e-13,
-                         max_iter: int = 600) -> dict:
-    """Integrate the structure equations for H and the rotation coefficients.
-
-    The third and fourth equations resolve into
-      d_1 b12 = c / (eta2 - eta1),  d_2 b21 = -c / (eta2 - eta1),
-      c = (1/2) eta1' b12 + (1/2) eta2' b21 + H1 H2,
-    so b12 and H2 are free along the second coordinate line while b21 and H1
-    are free along the first.  Returns the four grids plus the residuals.
-    """
-    eta1, eta2 = as_expr(eta1, 2), as_expr(eta2, 2)
-    e1 = eval_grid(eta1, chart)
-    gap = eval_grid(eta2, chart) - e1
-    if float(np.min(np.abs(gap))) < 1e-8:
-        raise MarchError("eta1 and eta2 collide on the box")
-    e1p = eval_grid(diff(eta1, 1), chart)
-    e2p = eval_grid(diff(eta2, 2), chart)
-
-    def c_of(s, i):
-        return (0.5 * e1p[i] * s["b12"][i] + 0.5 * e2p[i] * s["b21"][i]
-                + s["H1"][i] * s["H2"][i])
-
-    unknowns = [
-        Unknown("b12", {0: lambda s, i: c_of(s, i) / gap[i]},
-                free_axis=1, boundary=as_expr(b12_line, 2)),
-        Unknown("b21", {1: lambda s, i: -c_of(s, i) / gap[i]},
-                free_axis=0, boundary=as_expr(b21_line, 2)),
-        Unknown("H1", {1: lambda s, i: s["b21"][i] * s["H2"][i]},
-                free_axis=0, boundary=as_expr(h1_line, 2)),
-        Unknown("H2", {0: lambda s, i: s["b12"][i] * s["H1"][i]},
-                free_axis=1, boundary=as_expr(h2_line, 2)),
-    ]
-    sol = solve_compatible(chart, unknowns, tol=tol, max_iter=max_iter)
-    res = surface_system_residual(sol["H1"], sol["H2"], sol["b12"],
-                                  sol["b21"], eta1, eta2, chart)
-    return {"H1": sol["H1"], "H2": sol["H2"], "b12": sol["b12"],
-            "b21": sol["b21"], "residuals": res}
 
 
 def _lax_mats(H1g, H2g, b12g, b21g, s1, s2, chart: Chart):
@@ -338,7 +270,7 @@ class SurfaceMesh:
 
 
 def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
-                       lambdas=None, tol: float = 1e-13) -> list:
+                       lambdas=None) -> list:
     """Build the surface for each shift from the sphere frame and the radii.
 
     The 3x3 connection integrates to a frame (e1, e2, n) whose last row is
@@ -362,7 +294,7 @@ def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
         s1, s2 = lam + e1, lam + e2
         check_shift(lam, (s1, s2))
         B1, B2, _, _ = _lax_mats(H1g, H2g, b12g, b21g, s1, s2, chart)
-        frame = solve_frame(chart, (B1, B2), tol=tol)
+        frame = solve_frame(chart, (B1, B2))
         gram = np.einsum("...ki,...kj->...ij", frame, frame)
         drift = max_abs(gram - np.eye(3))
         normal = frame[..., 2, :]

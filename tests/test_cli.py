@@ -303,6 +303,11 @@ def _cfg_diag_2d():
             "lambdas": [0.5, 2.0]}
 
 
+# The cases below whose fault is an entry that overflows on the box.
+OVERFLOWING_ENTRY = {"metric-inf-1e308", "metric-inf-1e200",
+                     "surface-inf-1e200"}
+
+
 @pytest.mark.parametrize("command,cfg_dict,argv", [
     pytest.param("frame", _cfg_diag_2d(), [], id="frame-2d-chart"),
     pytest.param("frame", _cfg_diag(), ["--lambda=,"], id="frame-no-shift"),
@@ -352,9 +357,13 @@ def _cfg_diag_2d():
     pytest.param("deform-surface",
                  _with_box(_cfg_surface(), [[-1e308, 1e308], [0, 1]]), [],
                  id="box-width-overflows"),
+    # g22 = R1^2 and eta1 = 5 - R1^2 overflow, which is no pole of a shift
+    pytest.param("deform-surface",
+                 _with_box(_cfg_surface(), [[0.5, 1e200], [0, 1]]), [],
+                 id="surface-inf-1e200"),
 ])
-def test_config_faults_are_config_errors(tmp_path, capsys, command, cfg_dict,
-                                         argv):
+def test_config_faults_are_config_errors(tmp_path, capsys, request, command,
+                                         cfg_dict, argv):
     cfg = _write(tmp_path, "c.json", cfg_dict)
     out = tmp_path / "o"
     assert main([command, "--config", cfg, "--out", str(out)] + argv) == 3
@@ -362,6 +371,9 @@ def test_config_faults_are_config_errors(tmp_path, capsys, command, cfg_dict,
     assert "config error" in err
     assert "Traceback" not in err
     assert not out.exists()
+    if request.node.callspec.id in OVERFLOWING_ENTRY:
+        assert "is not finite on the box" in err
+        assert "pole" not in err
 
 
 def test_angle_system_off_its_branch_is_a_run_failure(tmp_path, capsys):

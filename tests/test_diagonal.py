@@ -3,12 +3,13 @@ import pytest
 
 from pencil_lab.diagonal import (
     BoundaryData, DiagonalModel, beta_from_pqr, conserved_P,
-    flatness_residuals, integrate_S2, lame_from_metric, monge_ampere_residual,
-    mu_constants, pencil_residual_F3, solve_S, solve_lame,
+    flatness_residuals, integrate_S2, monge_ampere_residual, mu_constants,
+    pencil_residual_F3, solve_S, solve_lame,
 )
-from pencil_lab.expr import evaluate, parse_expr
+from pencil_lab.expr import evaluate
 from pencil_lab.grids import Chart, eval_grid
 from pencil_lab.march import MarchError
+from pencil_lab.surface import seed_surface_model
 
 ETAS3 = [0.0, 1.0, 3.0]
 BD3 = {(0, 1): "0.2", (1, 0): "0.1*R1", (2, 0): "0.15",
@@ -40,18 +41,13 @@ def test_boundary_data_validates_coordinates():
 
 
 def test_lame_from_metric_values():
-    ch = Chart(2, ((0.5, 1.5), (0.0, 1.0)), (9, 9))
-    H, beta = lame_from_metric([parse_expr("1", 2), parse_expr("R1^2", 2)], ch)
+    # g11 = 1, g22 = R1^2: H = (1, R1), beta_12 = d_1 H2 / H1 = 1, beta_21 = 0
+    H1, H2, b12, b21 = seed_surface_model().lame_beta()
     pt = (1.2, 0.3)
-    assert evaluate(H[1], pt) == pytest.approx(1.2)
-    assert evaluate(beta[(0, 1)], pt) == pytest.approx(1.0)
-    assert evaluate(beta[(1, 0)], pt) == 0.0
-
-
-def test_lame_rejects_nonpositive_metric():
-    ch = Chart(2, ((0.5, 1.5), (0.0, 1.0)), (9, 9))
-    with pytest.raises(ValueError):
-        lame_from_metric([parse_expr("R1-1", 2), parse_expr("1", 2)], ch)
+    assert evaluate(H1, pt) == pytest.approx(1.0)
+    assert evaluate(H2, pt) == pytest.approx(1.2)
+    assert evaluate(b12, pt) == pytest.approx(1.0)
+    assert evaluate(b21, pt) == 0.0
 
 
 def test_flatness_zero_beta():

@@ -5,10 +5,9 @@ from pencil_lab import surface
 from pencil_lab.diagonal import BoundaryData, DiagonalModel, solve_S, solve_lame
 from pencil_lab.grids import Chart, deriv, eval_grid, max_abs
 from pencil_lab.lax import (
-    FrameSolution, LaxConnection, build_lax, build_lax_L1, gauge_L1_to_L2,
-    gauge_residual, hypersurface_curvatures, induced_metric_residual,
-    integrate_frame, mesh_weingarten, weingarten_scaling_report,
-    zero_curvature_residual,
+    FrameSolution, LaxConnection, build_lax, hypersurface_curvatures,
+    induced_metric_residual, integrate_frame, mesh_weingarten,
+    weingarten_scaling_report, zero_curvature_residual,
 )
 from pencil_lab.march import MarchError, PoleError, Unknown, solve_compatible
 
@@ -63,40 +62,9 @@ def test_zero_beta_gives_zero_connection(model, chart):
 
 def test_pole_rejected(model, chart, solved):
     beta, _ = solved
-    with pytest.raises(MarchError):
-        build_lax(model, beta, chart, -1.0)
-    with pytest.raises(MarchError):
-        build_lax_L1(model, beta, chart, -2.5)
-
-
-def test_gauges_coincide_for_unit_shifts(chart, solved):
-    # when lam + eta_i = 1 for every i the two gauges are the same matrices
-    beta, _ = solved
-    model0 = DiagonalModel.constant([1.0, 1.0, 1.0])
-    A = build_lax(model0, beta, chart, 0.0)
-    B = build_lax_L1(model0, beta, chart, 0.0)
-    worst = max(np.max(np.abs(a - b)) for a, b in zip(A.mats, B.mats))
-    assert worst < 1e-14
-
-
-def test_gauge_map_values():
-    ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (5, 5))
-    model = DiagonalModel.constant([0.0, 3.0])
-    psi = [np.ones(ch.shape), np.ones(ch.shape)]
-    phi = gauge_L1_to_L2(psi, model, ch, 1.0)
-    assert np.max(np.abs(phi[0] - 1.0)) < 1e-15
-    assert np.max(np.abs(phi[1] - 2.0)) < 1e-15
-    stacked = gauge_L1_to_L2(np.stack(psi, axis=-1), model, ch, 1.0)
-    assert np.max(np.abs(stacked[..., 1] - 2.0)) < 1e-15
-
-
-def test_gauge_transformation_residual(model, chart, solved):
-    beta, _ = solved
-    L1 = build_lax_L1(model, beta, chart, 1.0)
-    L2 = build_lax(model, beta, chart, 1.0)
-    assert gauge_residual(L1, L2, model, chart) < 1e-12
-    with pytest.raises(ValueError):
-        gauge_residual(L1, build_lax(model, beta, chart, 2.0), model, chart)
+    for lam in (-1.0, -2.5):
+        with pytest.raises(MarchError):
+            build_lax(model, beta, chart, lam)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 5.0])
@@ -142,20 +110,13 @@ def test_frame_orthogonality_and_metric(model, chart, solved):
     assert induced_metric_residual(fs, model, H, chart) < 1e-5
 
 
-def test_frame_rejects_wrong_gauge(model, chart, solved):
-    beta, H = solved
-    L1 = build_lax_L1(model, beta, chart, 1.0)
-    with pytest.raises(ValueError):
-        integrate_frame(L1, model, H, chart)
-
-
 def test_non_orthogonal_frame_aborts(model, chart):
     # a connection with a symmetric part stretches the frame, so the
     # orthogonality guard fires
     from pencil_lab.lax import LaxConnection
     mats = [np.zeros(chart.shape + (3, 3)) for _ in range(3)]
     mats[0][..., 0, 0] = 0.5
-    conn = LaxConnection(1.0, tuple(mats), "skew")
+    conn = LaxConnection(1.0, tuple(mats))
     H = [np.ones(chart.shape)] * 3
     with pytest.raises(MarchError):
         integrate_frame(conn, model, H, chart)
@@ -287,10 +248,9 @@ def test_zero_curvature_matches_einsum(n):
 
 def test_zero_curvature_matches_einsum_on_solved_connection(model, chart, solved):
     beta, _ = solved
-    for conn in (build_lax(model, beta, chart, 0.5),
-                 build_lax_L1(model, beta, chart, 0.5)):
-        assert zero_curvature_residual(conn, chart) == \
-            _zero_curvature_einsum(conn, chart)
+    conn = build_lax(model, beta, chart, 0.5)
+    assert zero_curvature_residual(conn, chart) == \
+        _zero_curvature_einsum(conn, chart)
 
 
 def _surface_fields(rng=None):
@@ -388,14 +348,6 @@ def test_nan_connection_is_not_flat(chart):
     conn = LaxConnection(0.0, tuple(_nan_grids(chart, (3, 3))
                                     for _ in range(3)))
     assert np.isnan(zero_curvature_residual(conn, chart))
-
-
-def test_nan_gauge_residual(model, chart, solved):
-    beta, _ = solved
-    L1 = build_lax_L1(model, beta, chart, 1.0)
-    L2 = LaxConnection(1.0, tuple(_nan_grids(chart, (3, 3))
-                                  for _ in range(3)))
-    assert np.isnan(gauge_residual(L1, L2, model, chart))
 
 
 def test_nan_position_vector_fails_metric_check(model, chart, solved):

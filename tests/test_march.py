@@ -130,7 +130,7 @@ def test_blowup_guard():
     u = Unknown("u", {0: lambda s, i: s["u"][i] ** 2, 1: lambda s, i: 0.0 * s["u"][i]},
                 free_axis=None, boundary=1.0)
     with pytest.raises(MarchError):
-        solve_compatible(ch, [u], blowup=1e3)
+        solve_compatible(ch, [u])
 
 
 def test_nan_state_is_not_a_fixed_point():

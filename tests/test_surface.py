@@ -10,7 +10,7 @@ from pencil_lab.surface import (
     CurvatureData, SurfaceModel, constant_curvature_check,
     lax_residuals_3x3_2x2, mesh_nontriviality, pc_residual,
     reconstruct_family, seed_surface_model, solve_codazzi,
-    solve_surface_system, surface_system_residual, weingarten_family_compare,
+    weingarten_family_compare,
 )
 
 
@@ -93,49 +93,6 @@ def test_codazzi_rejects_inconsistent_boundary(seed):
     G11, G22 = seed.shifted_form(0.0)
     with pytest.raises(MarchError):
         solve_codazzi(G11, G22, "2+2*R1+R2", "2.5", seed.chart)
-
-
-def test_structure_residual_examples():
-    ch = Chart(2, ((0.5, 1.5), (0.0, 1.0)), (17, 17))
-    zeros = np.zeros(ch.shape)
-    assert surface_system_residual(zeros, zeros, zeros, zeros,
-                                   "1", "2", ch) == (0.0, 0.0, 0.0, 0.0)
-    r = surface_system_residual("1", "1", 0.0, 0.0, "1", "2", ch)
-    assert max(r[:3]) < 1e-12
-    assert r[3] == pytest.approx(1.0)
-    r = surface_system_residual("1", "R1", "1", "0",
-                                "5-R1^2", "1+R2^2", ch)
-    assert max(r) < 1e-12
-
-
-def test_solve_surface_system_recovers_seed():
-    ch = Chart(2, ((0.5, 1.5), (0.0, 1.0)), (17, 17))
-    sol = solve_surface_system("5-R1^2", "1+R2^2", ch,
-                               b12_line="1", b21_line="0",
-                               h1_line="1", h2_line="0.5")
-    R1 = ch.mesh()[0]
-    assert np.max(np.abs(sol["H2"] - R1)) < 1e-10
-    assert np.max(np.abs(sol["b12"] - 1.0)) < 1e-10
-    assert np.max(np.abs(sol["b21"])) < 1e-10
-    assert max(sol["residuals"]) < 1e-8
-
-
-def test_solve_surface_system_generic_data():
-    res = []
-    for m in (17, 33):
-        ch = Chart(2, ((0.5, 1.2), (0.0, 1.0)), (m, m))
-        sol = solve_surface_system("3-R1^2", "0.2+0.5*R2^2", ch,
-                                   b12_line="0.4", b21_line="0.1*R1",
-                                   h1_line="1", h2_line="1")
-        res.append(max(sol["residuals"]))
-    assert res[1] < 1e-3
-    assert res[0] / res[1] > 6.0
-
-
-def test_solve_surface_system_eta_collision():
-    ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
-    with pytest.raises(MarchError):
-        solve_surface_system("R1", "R2", ch, "0", "0", "1", "1")
 
 
 def test_lax_residuals_small_and_consistent(seed):
