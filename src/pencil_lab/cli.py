@@ -63,6 +63,17 @@ def _threads() -> int:
     return max(1, min(v, 64))
 
 
+def _pool_map(fn, items) -> list:
+    """``fn`` over ``items`` on the shift pool.  np.errstate is per thread, so
+    each task ignores floating-point errors as ``main`` does."""
+    def quiet(item):
+        with np.errstate(all="ignore"):
+            return fn(item)
+
+    with ThreadPoolExecutor(max_workers=_threads()) as pool:
+        return list(pool.map(quiet, items))
+
+
 def _chart(cfg: dict, grid_override=None) -> Chart:
     try:
         section = cfg["chart"]
@@ -270,12 +281,11 @@ def cmd_frame(cfg, args):
         return lam, zc, fs, im
 
     frames = {}
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        for lam, zc, fs, im in pool.map(run_one, lambdas):
-            residuals[f"zero_curvature_{lam:g}"] = zc
-            residuals[f"induced_metric_{lam:g}"] = im
-            residuals[f"frame_orthogonality_{lam:g}"] = fs.ortho_drift
-            frames[lam] = fs
+    for lam, zc, fs, im in _pool_map(run_one, lambdas):
+        residuals[f"zero_curvature_{lam:g}"] = zc
+        residuals[f"induced_metric_{lam:g}"] = im
+        residuals[f"frame_orthogonality_{lam:g}"] = fs.ortho_drift
+        frames[lam] = fs
     if len(lambdas) >= 2:
         rep = lax.weingarten_scaling_report(
             model, beta, H, chart, lambdas[0], lambdas[1],
@@ -333,8 +343,7 @@ def cmd_deform_surface(cfg, args):
     def build(lam):
         return surface.reconstruct_family(model, curv, (lam,))[0]
 
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        meshes = list(pool.map(build, lambdas))
+    meshes = _pool_map(build, lambdas)
     digest = canonical_digest(cfg)
     out = _out_dir(cfg, args)
     artifacts = []
@@ -382,7 +391,9 @@ def main(argv=None) -> int:
         return 3
 
     try:
-        table, extra, artifacts = COMMANDS[args.command](cfg, args)
+        # overflow and NaN are judged by the guards and verdicts, not printed
+        with np.errstate(all="ignore"):
+            table, extra, artifacts = COMMANDS[args.command](cfg, args)
     except (ConfigError, ParseError, DomainError, PoleError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3

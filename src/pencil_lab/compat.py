@@ -8,17 +8,21 @@ a vanishing Nijenhuis tensor plus a second-covariant-derivative identity.
 J1/J2 are bilinear in the fields (g, ∂g, b, ∂b), so J(ỹ + λx) is the
 quadratic J(ỹ) + λC + λ²J(x) in the shift; its middle coefficient C holds the
 compatibility conditions C1/C2, and check_pencil sweeps λ through it without
-rebuilding any expression.  J2^{ij}_{kn} is antisymmetric in (i, j) and is
-grouped so that the antisymmetry is exact in floating point, so every J2
-array here has axes (pair, k, n) over the pairs i < j only: the pairs hold
-its max-abs residual, and the diagonal and i > j add nothing.  Every check
-returns a ComplianceReport of named max-abs grid residuals, judged by verdict
-on a scale-aware band (a non-finite residual fails) and folded by overall.
+rebuilding any expression.  Each field and each J is a dict from entry
+index to grid that holds only the entries not symbolically zero (in diagonal
+coordinates most are), and every contraction sums the products present.
+J2^{ij}_{kn} is antisymmetric in (i, j) and is grouped so that the
+antisymmetry is exact in floating point, so every J2 here holds the pairs
+i < j only: the pairs hold its max-abs residual, and the diagonal and i > j
+add nothing.  Every check returns a ComplianceReport of named max-abs grid
+residuals, judged by verdict on a scale-aware band (a non-finite residual
+fails) and folded by overall.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations, product
 
 import numpy as np
 
@@ -27,7 +31,7 @@ from .geometry import (
     MetricField, ConnectionField, christoffel, covariant_derivative,
     eval_array, expr_array, grid_max, nijenhuis, raise_index, riemann_max,
 )
-from .grids import Chart, max_abs
+from .grids import Chart, eval_grid, max_abs
 
 __all__ = [
     "HamiltonianOperator", "PencilOperator", "ComplianceReport", "verdict",
@@ -115,70 +119,119 @@ def levi_civita_operator(g: MetricField,
     return HamiltonianOperator(g, b)
 
 
-def _dg_eval(T: np.ndarray, chart: Chart) -> np.ndarray:
-    """Exact ∂_s T evaluated on the grid; axes (s, *T.shape, *grid)."""
+def _d(T: np.ndarray) -> np.ndarray:
+    """Exact ∂_s T as an Expr array with axes (s, *T.shape)."""
     n = T.shape[0]
     out = expr_array((n,) + T.shape)
     for s in range(n):
         for idx in np.ndindex(T.shape):
             out[(s,) + idx] = diff(T[idx], s + 1)
-    return eval_array(out, chart)
+    return out
 
 
 def _fields(gU: np.ndarray, b: np.ndarray, chart: Chart) -> list:
-    """Grid values [g, ∂g, b, ∂b] of an operator, the input of _j_arrays."""
-    return [eval_array(gU, chart), _dg_eval(gU, chart),
-            eval_array(b, chart), _dg_eval(b, chart)]
+    """The fields [g, ∂g, b, ∂b] of an operator, the input of _j.
 
-
-def _j_arrays(fields) -> tuple:
-    """J1 (axes k, i, j) and J2 (axes p, k, n) of the fields (g, ∂g, b, ∂b).
-
-    J2^{ij}_{kn} is antisymmetric in (i, j), so J2 is computed on the pairs
-    i < j only, pair p being the p-th entry of ``np.triu_indices(n, 1)``.
-    Each pair is grouped as ((A − B) + S) + (D − E), with
-    A = g^{js}∂_s b^{ik}_n, B = g^{is}∂_s b^{jk}_n,
-    S = (b^{ij}_s − b^{ji}_s) b^{sk}_n, D = b^{ik}_s b^{js}_n and
-    E = b^{jk}_s b^{is}_n.  Swapping i and j negates every bracket exactly in
-    IEEE arithmetic, so the full array would have J2[j, i] = −J2[i, j] bit
-    for bit and a zero diagonal (for finite diagonal terms): the max-abs over
-    the pairs is the max-abs over all (i, j).  Both arrays are bilinear in
-    the fields, so J(x + y) − J(x) − J(y) is the polarization that
-    check_pencil uses for C1/C2 and the λ-sweep, and negation commutes with
-    it.
+    Each field is a dict from entry index to its grid that holds only the
+    entries whose Expr is not ZERO, ∂g and ∂b included: a diagonal metric
+    keeps n of its n² entries, and a constant one has no ∂g, b or ∂b at all.
     """
-    gn, dg, bn, db = fields
+    return [{idx: eval_grid(T[idx], chart) for idx in np.ndindex(T.shape)
+             if T[idx] != ZERO} for T in (gU, _d(gU), b, _d(b))]
+
+
+def _dot(pairs):
+    """Σ_s x_s·y_s over the pairs whose two grids are present, in order of s;
+    None when no product is present."""
+    total = None
+    for x, y in pairs:
+        if x is not None and y is not None:
+            if total is None:
+                total = x * y
+            else:
+                total += x * y
+    return total
+
+
+def _times(t, factor: float):
+    """t·factor, or None when t is not present."""
+    return None if t is None else t * factor
+
+
+def _lin(*terms):
+    """Σ ±t left to right over the (sign, t) whose grid t is present."""
+    out = None
+    for sign, t in terms:
+        if t is not None:
+            if out is None:
+                out = t if sign > 0 else -t
+            else:
+                out = out + t if sign > 0 else out - t
+    return out
+
+
+def _j(fields, n: int) -> tuple:
+    """J1 (keys k, i, j) and J2 (keys i, j, k, l) of the fields (g, ∂g, b, ∂b).
+
+    Both are dicts of the entries that some present product reaches; every
+    other entry is exactly zero.  Each sum over s runs in order of s over
+    the present products, so it is einsum's dense sum less terms that are
+    exact zeros, and every |value| is the dense one.  A dense 0·inf is NaN,
+    so fields that are not finite are contracted with their zero entries.
+    J2^{ij}_{kl} is antisymmetric in (i, j), so it is computed on the pairs
+    i < j only.  Each pair is grouped as ((A − B) + S) + (D − E), with
+    A = g^{js}∂_s b^{ik}_l, B = g^{is}∂_s b^{jk}_l,
+    S = (b^{ij}_s − b^{ji}_s) b^{sk}_l, D = b^{ik}_s b^{js}_l and
+    E = b^{jk}_s b^{is}_l.  Swapping i and j negates every bracket exactly in
+    IEEE arithmetic, so J2[j, i] = −J2[i, j] bit for bit and the diagonal is
+    zero (for finite diagonal terms): the max-abs over the pairs is the
+    max-abs over all (i, j).  Both are bilinear in the fields, so
+    J(x + y) − J(x) − J(y) is the polarization that check_pencil uses for
+    C1/C2 and the λ-sweep, and negation commutes with it.
+    """
+    if not all(np.isfinite(v).all() for f in fields for v in f.values()):
+        # a dense sum has 0·inf = NaN: the zero entries come back to keep it
+        zero = np.zeros_like(next(v for f in fields for v in f.values()))
+        fields = [{idx: f.get(idx, zero) for idx in np.ndindex((n,) * rank)}
+                  for f, rank in zip(fields, (2, 3, 3, 4))]
+    g, dg, b, db = (f.get for f in fields)
+    r = range(n)
+    j1 = {}
     # J1: 2 b^{ki}_s g^{sj} − g^{js}∂_s g^{ik} − g^{ks}∂_s g^{ij} + g^{is}∂_s g^{kj}
-    j1 = (2.0 * np.einsum("kis...,sj...->kij...", bn, gn)
-          - np.einsum("js...,sik...->kij...", gn, dg)
-          - np.einsum("ks...,sij...->kij...", gn, dg)
-          + np.einsum("is...,skj...->kij...", gn, dg))
-    n = gn.shape[0]
-    pairs = np.triu_indices(n, 1)
-    j2 = np.empty((len(pairs[0]), n, n) + gn.shape[2:])
-    t = np.empty((n, n) + gn.shape[2:])
-    u = np.empty_like(t)
-    # views and out= buffers: indexing db[:, pairs] would copy it
-    for o, i, j in zip(j2, *pairs):
-        np.einsum("s...,skn...->kn...", gn[j], db[:, i], out=o)
-        o -= np.einsum("s...,skn...->kn...", gn[i], db[:, j], out=t)
-        o += np.einsum("s...,skn...->kn...", bn[i, j] - bn[j, i], bn, out=t)
-        np.einsum("ks...,sn...->kn...", bn[i], bn[j], out=t)
-        t -= np.einsum("ks...,sn...->kn...", bn[j], bn[i], out=u)
-        o += t
+    for k, i, j in product(r, r, r):
+        bg = _dot((b((k, i, s)), g((s, j))) for s in r)
+        t = _lin((1, _times(bg, 2.0)),
+                 (-1, _dot((g((j, s)), dg((s, i, k))) for s in r)),
+                 (-1, _dot((g((k, s)), dg((s, i, j))) for s in r)),
+                 (1, _dot((g((i, s)), dg((s, k, j))) for s in r)))
+        if t is not None:
+            j1[k, i, j] = t
+    j2 = {}
+    for i, j in combinations(r, 2):
+        skew = [_lin((1, b((i, j, s))), (-1, b((j, i, s)))) for s in r]
+        for k, l in product(r, r):
+            t = _lin(
+                (1, _lin((1, _dot((g((j, s)), db((s, i, k, l))) for s in r)),
+                         (-1, _dot((g((i, s)), db((s, j, k, l))) for s in r)),
+                         (1, _dot((skew[s], b((s, k, l))) for s in r)))),
+                (1, _lin((1, _dot((b((i, k, s)), b((j, s, l))) for s in r)),
+                         (-1, _dot((b((j, k, s)), b((i, s, l))) for s in r)))))
+            if t is not None:
+                j2[i, j, k, l] = t
     return j1, j2
 
 
 def hamiltonian_residuals(gU: np.ndarray, b: np.ndarray, chart: Chart):
     """Max-abs grid residuals of the two Hamiltonian identities (J1, J2).
 
-    J2 comes from _j_arrays on the pairs i < j (axes pair, k, n), which by
-    its exact antisymmetry gives the max over all (i, j); for n = 1 there is
-    no pair and the J2 residual is 0.0.
+    J2 comes from _j on the pairs i < j, which by its exact antisymmetry
+    gives the max over all (i, j); for n = 1 there is no pair and the J2
+    residual is 0.0.
     """
     fields = _fields(gU, b, chart)
-    j1, j2 = _j_arrays(fields)
-    return max_abs(j1), max_abs(j2), 1.0 + max_abs(fields[0], fields[2])
+    j1, j2 = _j(fields, len(gU))
+    return (max_abs(*j1.values()), max_abs(*j2.values()),
+            1.0 + max_abs(*fields[0].values(), *fields[2].values()))
 
 
 def check_hamiltonian(A: HamiltonianOperator, chart: Chart) -> ComplianceReport:
@@ -270,42 +323,41 @@ def check_pencil(A: HamiltonianOperator, At: HamiltonianOperator, chart: Chart,
     With x the fields of A and y those of Ã, J(y + λx) is the quadratic
     J(y) + λC + λ²J(x), where C = J(x + y) − J(x) − J(y) holds the bilinear
     conditions C1/C2.  The fields are evaluated once and every shift is
-    formed from the three J arrays; a λ where g̃ + λg degenerates somewhere
-    on the box is skipped.  The J2 parts hold the pairs i < j only: C and
-    every shift keep J2's exact antisymmetry, so their max-abs is the
-    max over all (i, j).
+    formed, entry by entry, from the three Js; an entry absent from all
+    three is zero.  A λ where g̃ + λg degenerates somewhere on the box is
+    skipped.  The J2 parts hold the pairs i < j only: C and every shift keep
+    J2's exact antisymmetry, so their max-abs is the max over all (i, j).
     """
     x = _fields(A.g.gU, A.b, chart)
     y = _fields(At.g.gU, At.b, chart)
-    scale = 1.0 + max_abs(x[0], y[0], x[2], y[2])
+    scale = 1.0 + max_abs(*x[0].values(), *y[0].values(), *x[2].values(),
+                          *y[2].values())
     n = A.g.n
+    gx, gy = (np.zeros((n, n) + chart.shape) for _ in range(2))
+    for dense, f in ((gx, x[0]), (gy, y[0])):
+        for idx, grid in f.items():
+            dense[idx] = grid
     used, skipped = [], []
     for lam in lambdas:
-        comb = y[0] + lam * x[0]
+        comb = gy + lam * gx
         det = np.linalg.det(np.moveaxis(comb.reshape(n, n, -1), 2, 0))
         (skipped if float(np.min(np.abs(det))) < 1e-8 else used).append(lam)
 
-    jx = _j_arrays(x)
-    jy = _j_arrays(y)
-    for i in range(len(y)):         # y's buffers become x + y
-        y[i] += x[i]
-    del x                           # free each field set once it is spent
-    cross = _j_arrays(y)
-    del y
-    for c, a, b in zip(cross, jx, jy):
-        c -= a
-        c -= b
-    rep = ComplianceReport({"C1": max_abs(cross[0]), "C2": max_abs(cross[1])},
+    jx = _j(x, n)
+    jy = _j(y, n)
+    xy = [{k: _lin((1, fy.get(k)), (1, fx.get(k))) for k in {*fx, *fy}}
+          for fx, fy in zip(x, y)]
+    cross = [{k: _lin((1, c.get(k)), (-1, a.get(k)), (-1, b.get(k)))
+              for k in {*c, *a, *b}} for c, a, b in zip(_j(xy, n), jx, jy)]
+    rep = ComplianceReport({"C1": max_abs(*cross[0].values()),
+                            "C2": max_abs(*cross[1].values())},
                            scale, lambdas_used=used, lambdas_skipped=skipped)
-    buf = [np.empty_like(a) for a in jx]
     sweep = []
-    for lam in used:
-        for out, a, c, b in zip(buf, jx, cross, jy):
-            np.multiply(a, lam, out=out)    # J(y) + λ(C + λJ(x))
-            out += c
-            out *= lam
-            out += b
-        sweep.append(max_abs(*buf))
+    for lam in used:                # J(y) + λ(C + λJ(x)), entry by entry
+        sweep.append(max_abs(*(
+            _lin((1, _times(_lin((1, _times(a.get(k), lam)), (1, c.get(k))),
+                            lam)), (1, b.get(k)))
+            for a, c, b in zip(jx, cross, jy) for k in {*a, *c, *b})))
     if used:
         rep.residuals["lambda_sweep"] = max_abs(sweep)
     else:
@@ -323,7 +375,7 @@ def verify_appendix(p: PencilOperator, chart: Chart,
     rUU = raise_index(p.r, 1, g)
     btn = eval_array(bt, chart)
     rUUn = eval_array(rUU, chart)
-    drUU = _dg_eval(rUU, chart)                             # (k, i, j, *grid)
+    drUU = eval_array(_d(rUU), chart)                       # (k, i, j, *grid)
     i1 = btn + np.swapaxes(btn, 0, 1) - np.einsum("kij...->ijk...", drUU)
     i2 = (np.einsum("iks...,sj...->ijk...", btn, rUUn)
           - np.einsum("jks...,si...->ijk...", btn, rUUn))

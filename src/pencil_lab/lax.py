@@ -36,10 +36,6 @@ class LaxConnection:
     lam: float
     mats: tuple
 
-    @property
-    def n(self) -> int:
-        return len(self.mats)
-
 
 def _shifted(model: DiagonalModel, chart: Chart, lam: float):
     eta = model.eta_grids(chart)

@@ -6,7 +6,7 @@ import pencil_lab
 from pencil_lab.lax import LaxConnection
 
 # Names removed because no command reached them; they must not come back as
-# stale exports.
+# stale exports.  LaxConnection has lost its `gauge` field and `n` property.
 REMOVED = {
     "lax": ["build_lax_L1", "gauge_L1_to_L2", "gauge_residual"],
     "surface": ["solve_surface_system", "surface_system_residual"],
@@ -26,3 +26,4 @@ def test_exports_exist_and_removed_names_stay_gone():
             assert not hasattr(module, attr), attr
             assert not hasattr(pencil_lab, attr), attr
     assert "gauge" not in {f.name for f in dataclasses.fields(LaxConnection)}
+    assert not hasattr(LaxConnection, "n")

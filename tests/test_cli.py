@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from pencil_lab.cli import (CURVATURE_BAND, DEFORMATION_BAND, DIRECTION_BAND,
-                            EIGENVALUE_BAND, SOLVER_BAND, _table, main)
+                            EIGENVALUE_BAND, SOLVER_BAND, _pool_map, _table,
+                            main)
 from pencil_lab.compat import ComplianceReport, verdict
 
 BD_KEYS = {"1,2": "0.2", "2,1": "0.1*R1", "3,1": "0.15",
@@ -93,6 +94,52 @@ def test_check_compat_pass_and_fail(tmp_path):
     assert main(["check-compat", "--config", bad, "--out", out2]) == 1
     rep2 = _report(out2)
     assert rep2["residuals"]["nijenhuis"]["verdict"] == "fail"
+
+
+@pytest.mark.parametrize("tilde,row", [
+    # g̃ stays finite on the box, b̃ ~ 709·exp(709·R1)/2 overflows
+    pytest.param(["exp(709*R1)", "3+R2^2"], "C1", id="b-overflows"),
+    # g̃ and b̃ stay finite, ∂_1 b̃^{11}_1 overflows; no nonzero g^{t1} with
+    # t != 1 multiplies it, so only the zero entries of g carry it into C2
+    pytest.param(["2+sin(1e300*R1)", "3+R2^2"], "C2", id="db-overflows"),
+])
+def test_overflowing_coefficients_fail_check_compat(tmp_path, tilde, row):
+    cfg = _write(tmp_path, "c.json",
+                 _with_box(_cfg_compat(tilde), [[0.0, 1.0], [0.0, 1.0]]))
+    out = str(tmp_path / "out")
+    assert main(["check-compat", "--config", cfg, "--out", out]) == 1
+    rep = _report(out)["residuals"]
+    for key in (row, "lambda_sweep"):
+        assert np.isnan(rep[key]["value"])
+        assert rep[key]["verdict"] == "fail"
+
+
+def test_overflow_prints_only_the_message(tmp_path):
+    # numpy's floating-point warnings stay off stderr, pool threads included
+    runs = [("check-compat", _with_box(_cfg_compat(["1+R1^2", "3+R2^2"]),
+                                       [[0, 1e308], [0, 1]]), 3,
+             "config error: metric_tilde is not finite on the box"),
+            ("frame", _with_box(_cfg_diag({"lambdas": [0.5, 2.0]}),
+                                [[0, 1e200], [0, 1], [0, 1]]), 1,
+             "run failed: solution exceeded the blow-up guard or is not "
+             "finite")]
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PENCIL_LAB_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [os.path.abspath(src), env.get("PYTHONPATH")]))
+    for command, cfg, code, message in runs:
+        argv = [command, "--config", _write(tmp_path, f"{command}.json", cfg),
+                "--out", str(tmp_path / command)]
+        proc = subprocess.run([sys.executable, "-m", "pencil_lab.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert (proc.returncode, proc.stderr) == (code, message + "\n")
+
+
+def test_shift_pool_tasks_ignore_floating_point_errors(monkeypatch):
+    monkeypatch.setenv("PENCIL_LAB_THREADS", "2")
+    quiet = dict.fromkeys(("divide", "over", "under", "invalid"), "ignore")
+    assert _pool_map(lambda _: np.geterr(), range(4)) == [quiet] * 4
 
 
 def test_lambda_override(tmp_path):

@@ -5,14 +5,14 @@ import pytest
 
 from pencil_lab.cli import main
 from pencil_lab.compat import (
-    ComplianceReport, HamiltonianOperator, _dg_eval, _j_arrays,
+    ComplianceReport, HamiltonianOperator, _d, _fields, _j,
     check_hamiltonian, check_pencil, check_theorem1, btilde_from_r,
     hamiltonian_residuals, levi_civita_operator, pencil_operator,
     verify_appendix,
 )
 from pencil_lab.expr import Const, evaluate, parse_expr
 from pencil_lab.geometry import MetricField, eval_array, expr_array
-from pencil_lab.grids import Chart
+from pencil_lab.grids import Chart, max_abs
 
 
 def _p(t, n=2):
@@ -222,8 +222,42 @@ def test_polarized_pencil_matches_direct_evaluation(box2, case):
     assert abs(rep.residuals["C2"] - c2) <= tol
 
 
+def _dg_eval(T, chart):
+    """Dense ∂_s T on the grid; axes (s, *T.shape, *grid)."""
+    return eval_array(_d(T), chart)
+
+
+def _dense_fields(gU, b, chart):
+    return [eval_array(gU, chart), _dg_eval(gU, chart),
+            eval_array(b, chart), _dg_eval(b, chart)]
+
+
+def _j_arrays(fields):
+    """Oracle: J1 (axes k, i, j) and J2 on the pairs i < j (axes p, k, l) of
+    dense fields, by einsum over every entry, zero or not, with the grouping
+    ((A − B) + S) + (D − E) of compat._j."""
+    gn, dg, bn, db = fields
+    j1 = (2.0 * np.einsum("kis...,sj...->kij...", bn, gn)
+          - np.einsum("js...,sik...->kij...", gn, dg)
+          - np.einsum("ks...,sij...->kij...", gn, dg)
+          + np.einsum("is...,skj...->kij...", gn, dg))
+    n = gn.shape[0]
+    pairs = np.triu_indices(n, 1)
+    j2 = np.empty((len(pairs[0]), n, n) + gn.shape[2:])
+    t = np.empty((n, n) + gn.shape[2:])
+    u = np.empty_like(t)
+    for o, i, j in zip(j2, *pairs):
+        np.einsum("s...,skn...->kn...", gn[j], db[:, i], out=o)
+        o -= np.einsum("s...,skn...->kn...", gn[i], db[:, j], out=t)
+        o += np.einsum("s...,skn...->kn...", bn[i, j] - bn[j, i], bn, out=t)
+        np.einsum("ks...,sn...->kn...", bn[i], bn[j], out=t)
+        t -= np.einsum("ks...,sn...->kn...", bn[j], bn[i], out=u)
+        o += t
+    return j1, j2
+
+
 def _full_j2(gn, bn, db):
-    """Reference: J2 on every (i, j), grouped as ((A − B) + S) + (D − E)."""
+    """Oracle: J2 on every (i, j), grouped as ((A − B) + S) + (D − E)."""
     skew = bn - np.swapaxes(bn, 0, 1)
     A = np.einsum("js...,sikn...->ijkn...", gn, db)
     B = np.einsum("is...,sjkn...->ijkn...", gn, db)
@@ -233,8 +267,84 @@ def _full_j2(gn, bn, db):
     return ((A - B) + S) + (D - E)
 
 
+def _dense_pencil(A, At, chart, lambdas):
+    """Oracle: C1, C2 and the λ-sweep of check_pencil from dense fields."""
+    x = _dense_fields(A.g.gU, A.b, chart)
+    y = _dense_fields(At.g.gU, At.b, chart)
+    jx, jy = _j_arrays(x), _j_arrays(y)
+    cross = [c - a - b for c, a, b in
+             zip(_j_arrays([fy + fx for fx, fy in zip(x, y)]), jx, jy)]
+    sweep = [max_abs(*((a * lam + c) * lam + b
+                       for a, c, b in zip(jx, cross, jy)))
+             for lam in lambdas]
+    return {"C1": max_abs(cross[0]), "C2": max_abs(cross[1]),
+            "lambda_sweep": max_abs(sweep)}
+
+
 def _random_fields(rng, n, grid):
     return [rng.standard_normal((n,) * k + grid) for k in (2, 3, 3, 4)]
+
+
+def _sparse(fields, rng, keep):
+    """The dict fields of compat._j, each entry kept with probability
+    ``keep``, and the dense fields with the dropped entries set to zero."""
+    dense, dicts = [], []
+    for f, rank in zip(fields, (2, 3, 3, 4)):
+        f = f.copy()
+        d = {}
+        for idx in np.ndindex(f.shape[:rank]):
+            if rng.random() < keep:
+                d[idx] = f[idx]
+            else:
+                f[idx] = 0.0
+        dense.append(f)
+        dicts.append(d)
+    return dense, dicts
+
+
+def _densify(entries, shape):
+    out = np.zeros(shape)
+    for idx, grid in entries.items():
+        out[idx] = grid
+    return out
+
+
+@pytest.mark.parametrize("keep", [1.0, 0.6, 0.3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sparse_j_equals_the_dense_oracle_bit_for_bit(n, keep):
+    rng = np.random.default_rng(10 * n + int(10 * keep))
+    for grid in [(6, 5), (4, 3, 5)]:
+        dense, dicts = _sparse(_random_fields(rng, n, grid), rng, keep)
+        if keep == 1.0:
+            assert [len(d) for d in dicts] == [n ** k for k in (2, 3, 3, 4)]
+        o1, o2 = _j_arrays(dense)
+        j1, j2 = _j(dicts, n)
+        s1 = _densify(j1, o1.shape)
+        s2 = _densify(j2, (n, n, n, n) + grid)[np.triu_indices(n, 1)]
+        assert np.abs(s1).tobytes() == np.abs(o1).tobytes()
+        assert np.abs(s2).tobytes() == np.abs(o2).tobytes()
+        assert max_abs(*j1.values()) == max_abs(o1)
+        assert max_abs(*j2.values()) == max_abs(o2)
+
+
+@pytest.mark.parametrize("field", range(4))
+@pytest.mark.parametrize("n", [2, 3])
+def test_sparse_j_keeps_the_dense_nan_of_zero_times_inf(n, field):
+    # an inf in one entry meets the zero entries of the other factor; the
+    # dense sum makes 0·inf = NaN there, and so must the sparse one
+    rng = np.random.default_rng(40 + n)
+    grid = (6, 5)
+    dense, dicts = _sparse(_random_fields(rng, n, grid), rng, 0.4)
+    key = sorted(dicts[field])[0]
+    dense[field][key][2, 3] = np.inf   # a view shared with dicts[field][key]
+    with np.errstate(all="ignore"):
+        o1, o2 = _j_arrays(dense)
+        j1, j2 = _j(dicts, n)
+    s1 = _densify(j1, o1.shape)
+    s2 = _densify(j2, (n, n, n, n) + grid)[np.triu_indices(n, 1)]
+    assert np.isnan(o1).any() or np.isnan(o2).any()
+    for s, o in ((s1, o1), (s2, o2)):
+        assert np.array_equal(np.abs(s), np.abs(o), equal_nan=True)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -252,11 +362,36 @@ def test_pair_j2_equals_full_j2_on_the_upper_pairs(n):
         assert j2.tobytes() == full[upper].tobytes()
 
 
+def test_fields_hold_only_the_entries_that_are_not_zero(box2, flat_pencil):
+    g, gt = flat_pencil
+    x = _fields(g.gU, levi_civita_operator(g).b, box2)
+    assert [sorted(f) for f in x] == [[(0, 0), (1, 1)], [], [], []]
+    y = _fields(gt.gU, levi_civita_operator(gt).b, box2)
+    assert [sorted(f) for f in y] == [
+        [(0, 0), (1, 1)], [(0, 0, 0), (1, 1, 1)], [(0, 0, 0), (1, 1, 1)],
+        [(0, 0, 0, 0), (1, 1, 1, 1)]]
+    assert y[1][0, 0, 0].tobytes() == _dg_eval(gt.gU, box2)[0, 0, 0].tobytes()
+
+
+def test_check_pencil_equals_the_dense_oracle_on_a_non_diagonal_pair():
+    chart = Chart(2, ((1.0, 2.0), (1.0, 2.0)), (9, 9))
+    g = MetricField.from_contravariant(np.array(
+        [[_p("2+R2"), _p("0.3*R1")], [_p("0.3*R1"), _p("3+R1*R2")]]))
+    gt = MetricField.from_contravariant(np.array(
+        [[_p("1+R1^2"), _p("0.2*R2")], [_p("0.2*R2"), _p("4+R2^2")]]))
+    A, At = levi_civita_operator(g), levi_civita_operator(gt)
+    lambdas = (0.0, 0.75, 1.5)
+    rep = check_pencil(A, At, chart, lambdas)
+    assert rep.lambdas_used == list(lambdas)
+    assert rep.residuals == _dense_pencil(A, At, chart, lambdas)
+    assert rep.residuals["C2"] > 1e-6     # a generic pair: not compatible
+
+
 def test_one_dimensional_chart_has_no_pairs(tmp_path):
     rng = np.random.default_rng(5)
-    j1, j2 = _j_arrays(_random_fields(rng, 1, (7,)))
-    assert j1.shape == (1, 1, 1, 7)
-    assert j2.shape == (0, 1, 1, 7)
+    j1, j2 = _j(_sparse(_random_fields(rng, 1, (7,)), rng, 1.0)[1], 1)
+    assert list(j1) == [(0, 0, 0)]
+    assert j2 == {}
     chart = Chart(1, ((1.0, 2.0),), (9,))
     g = MetricField.diagonal_contravariant([_p("1+R1^2", 1)])
     assert hamiltonian_residuals(g.gU, levi_civita_operator(g).b,
