@@ -10,7 +10,12 @@ quadratic J(ỹ) + λC + λ²J(x) in the shift; its middle coefficient C holds t
 compatibility conditions C1/C2, and check_pencil sweeps λ through it without
 rebuilding any expression.  Each field and each J is a dict from entry
 index to grid that holds only the entries not symbolically zero (in diagonal
-coordinates most are), and every contraction sums the products present.
+coordinates most are), and every contraction sums the products present in
+the dense einsum's order, so every |value| is the dense one.  So do
+check_theorem1's ∇∇r and second-covariant sum and verify_appendix's I1/I2;
+the Nijenhuis and Riemann tensors go through geometry.grid_max, which skips
+ZERO entries.  A check-compat run evaluates no ZERO entry (42 eval_grid calls
+on the benchmark's pencil-check config).
 J2^{ij}_{kn} is antisymmetric in (i, j) and is grouped so that the
 antisymmetry is exact in floating point, so every J2 here holds the pairs
 i < j only: the pairs hold its max-abs residual, and the diagonal and i > j
@@ -21,6 +26,7 @@ fails) and folded by overall.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
@@ -29,7 +35,7 @@ import numpy as np
 from .expr import ZERO, Const, diff
 from .geometry import (
     MetricField, ConnectionField, christoffel, covariant_derivative,
-    eval_array, expr_array, grid_max, nijenhuis, raise_index, riemann_max,
+    expr_array, grid_max, nijenhuis, raise_index, riemann_max,
 )
 from .grids import Chart, eval_grid, max_abs
 
@@ -129,15 +135,42 @@ def _d(T: np.ndarray) -> np.ndarray:
     return out
 
 
+def _entries(T: np.ndarray, chart: Chart) -> dict:
+    """The field of T: a dict from entry index to grid that holds only the
+    entries whose Expr is not ZERO."""
+    return {idx: eval_grid(T[idx], chart) for idx in np.ndindex(T.shape)
+            if T[idx] != ZERO}
+
+
 def _fields(gU: np.ndarray, b: np.ndarray, chart: Chart) -> list:
     """The fields [g, ∂g, b, ∂b] of an operator, the input of _j.
 
-    Each field is a dict from entry index to its grid that holds only the
-    entries whose Expr is not ZERO, ∂g and ∂b included: a diagonal metric
-    keeps n of its n² entries, and a constant one has no ∂g, b or ∂b at all.
+    A diagonal metric keeps n of its n² entries, and a constant one has no
+    ∂g, b or ∂b at all.  An entry of ∂b that no present product reads is
+    still evaluated, because the non-finite rule of _j reads it: an overflow
+    there must fail as the dense sum's 0·inf = NaN does.
     """
-    return [{idx: eval_grid(T[idx], chart) for idx in np.ndindex(T.shape)
-             if T[idx] != ZERO} for T in (gU, _d(gU), b, _d(b))]
+    return [_entries(T, chart) for T in (gU, _d(gU), b, _d(b))]
+
+
+def _dense(f: dict, shape) -> np.ndarray:
+    """The array of a field; its absent entries are zero."""
+    out = np.zeros(shape)
+    for idx, grid in f.items():
+        out[idx] = grid
+    return out
+
+
+def _with_zeros(fields, n: int, ranks, finite: bool = True) -> list:
+    """The fields as they are if ``finite`` and every grid is finite, else
+    with their zero entries too: a dense sum has 0·inf = NaN, and
+    contracting the zeros keeps it."""
+    if finite and all(np.isfinite(v).all()
+                      for f in fields for v in f.values()):
+        return fields
+    zero = np.zeros_like(next(v for f in fields for v in f.values()))
+    return [{idx: f.get(idx, zero) for idx in np.ndindex((n,) * rank)}
+            for f, rank in zip(fields, ranks)]
 
 
 def _dot(pairs):
@@ -189,11 +222,7 @@ def _j(fields, n: int) -> tuple:
     J(x + y) − J(x) − J(y) is the polarization that check_pencil uses for
     C1/C2 and the λ-sweep, and negation commutes with it.
     """
-    if not all(np.isfinite(v).all() for f in fields for v in f.values()):
-        # a dense sum has 0·inf = NaN: the zero entries come back to keep it
-        zero = np.zeros_like(next(v for f in fields for v in f.values()))
-        fields = [{idx: f.get(idx, zero) for idx in np.ndindex((n,) * rank)}
-                  for f, rank in zip(fields, (2, 3, 3, 4))]
+    fields = _with_zeros(fields, n, (2, 3, 3, 4))
     g, dg, b, db = (f.get for f in fields)
     r = range(n)
     j1 = {}
@@ -276,11 +305,11 @@ def btilde_from_r(p: PencilOperator,
     return bt
 
 
-def eigenvalue_gap(r: np.ndarray, chart: Chart) -> float:
-    """Smallest pairwise eigenvalue gap of r over the grid (simple-spectrum test)."""
-    rn = eval_array(r, chart)                              # (n, n, *grid)
-    n = rn.shape[0]
-    pts = rn.reshape(n, n, -1)
+def eigenvalue_gap(r: dict, chart: Chart) -> float:
+    """Smallest pairwise eigenvalue gap of the field r over the grid
+    (simple-spectrum test)."""
+    n = chart.n
+    pts = _dense(r, (n, n) + chart.shape).reshape(n, n, -1)
     vals = np.linalg.eigvals(np.moveaxis(pts, 2, 0))       # (npts, n)
     gap = np.inf
     for a in range(n):
@@ -289,28 +318,51 @@ def eigenvalue_gap(r: np.ndarray, chart: Chart) -> float:
     return gap
 
 
+def _second_covariant(g: dict, d2: dict, n: int) -> dict:
+    """T^{ijkl} + T^{klij} − T^{ikjl} − T^{jlik} (keys i, j, k, l) with
+    T^{ijkl} = g^{is} g^{jt} ∇_s∇_t r^{kl}, of the fields g and d2 = ∇∇r
+    (keys s, t, k, l), on the entries that some present product reaches.
+
+    As in _j, T sums (g^{is} g^{jt})·d2 over s, then t, over the present
+    products only, in einsum's order and grouping.  A dense (g·g)·0 is NaN
+    where g·g overflows, so then the zero entries are contracted too.
+    """
+    m = max_abs(*g.values())
+    g, d2 = _with_zeros((g, d2), n, (2, 4), math.isfinite(m * m))
+    r = range(n)
+    st = list(product(r, r))
+    t = {}
+    for i, j in st:
+        gg = [g[i, s] * g[j, u] if (i, s) in g and (j, u) in g else None
+              for s, u in st]
+        for k, l in st:
+            v = _dot(zip(gg, (d2.get((s, u, k, l)) for s, u in st)))
+            if v is not None:
+                t[i, j, k, l] = v
+    out = {}
+    for i, j, k, l in product(r, r, r, r):
+        v = _lin((1, t.get((i, j, k, l))), (1, t.get((k, l, i, j))),
+                 (-1, t.get((i, k, j, l))), (-1, t.get((j, l, i, k))))
+        if v is not None:
+            out[i, j, k, l] = v
+    return out
+
+
 def check_theorem1(p: PencilOperator, chart: Chart) -> ComplianceReport:
     """Nijenhuis vanishing plus the symmetric second-covariant condition."""
     g = p.g
     conn = christoffel(g)
-    res1 = grid_max(nijenhuis(p.r), chart)
-    rUU = raise_index(p.r, 1, g)
-    D1 = covariant_derivative(rUU, "uu", g, conn)          # (s, k, l)
-    D2 = covariant_derivative(D1, "duu", g, conn)          # (t, s, k, l) = ∇_t∇_s r^{kl}
-    D2n = eval_array(D2, chart)
-    gn = eval_array(g.gU, chart)
-    T = np.einsum("is...,jt...,stkl...->ijkl...", gn, gn, D2n)
-    res2_arr = (T + np.einsum("klij...->ijkl...", T)
-                - np.einsum("ikjl...->ijkl...", T)
-                - np.einsum("jlik...->ijkl...", T))
-    res2 = max_abs(res2_arr)
-    scale = 1.0 + max_abs(eval_array(p.r, chart), gn, eval_array(p.gt.gU, chart))
-    rep = ComplianceReport({"nijenhuis": res1, "second_covariant": res2}, scale)
-    flat_g = riemann_max(g, chart)
-    flat_gt = riemann_max(p.gt, chart)
-    rep.residuals["flat_g"] = flat_g
-    rep.residuals["flat_g_tilde"] = flat_gt
-    gap = eigenvalue_gap(p.r, chart)
+    D1 = covariant_derivative(raise_index(p.r, 1, g), "uu", g, conn)
+    D2 = covariant_derivative(D1, "duu", g, conn)   # (s, t, k, l): ∇_s∇_t r^{kl}
+    gn, rn = _entries(g.gU, chart), _entries(p.r, chart)
+    res2 = _second_covariant(gn, _entries(D2, chart), g.n)
+    scale = 1.0 + max_abs(*rn.values(), *gn.values(),
+                          grid_max(p.gt.gU, chart))
+    rep = ComplianceReport({"nijenhuis": grid_max(nijenhuis(p.r), chart),
+                            "second_covariant": max_abs(*res2.values()),
+                            "flat_g": riemann_max(g, chart),
+                            "flat_g_tilde": riemann_max(p.gt, chart)}, scale)
+    gap = eigenvalue_gap(rn, chart)
     rep.notes.append(f"eigenvalue_gap={gap:.3e}")
     rep.notes.append("simple_spectrum" if gap > 1e-6 else "non_simple_spectrum")
     return rep
@@ -333,10 +385,7 @@ def check_pencil(A: HamiltonianOperator, At: HamiltonianOperator, chart: Chart,
     scale = 1.0 + max_abs(*x[0].values(), *y[0].values(), *x[2].values(),
                           *y[2].values())
     n = A.g.n
-    gx, gy = (np.zeros((n, n) + chart.shape) for _ in range(2))
-    for dense, f in ((gx, x[0]), (gy, y[0])):
-        for idx, grid in f.items():
-            dense[idx] = grid
+    gx, gy = (_dense(f[0], (n, n) + chart.shape) for f in (x, y))
     used, skipped = [], []
     for lam in lambdas:
         comb = gy + lam * gx
@@ -365,19 +414,36 @@ def check_pencil(A: HamiltonianOperator, At: HamiltonianOperator, chart: Chart,
     return rep
 
 
+def _identities(bt: dict, rUU: dict, drUU: dict, n: int) -> tuple:
+    """I1 = b̃^{ij}_k + b̃^{ji}_k − ∂_k r^{ij} and
+    I2 = b̃^{ik}_s r^{sj} − b̃^{jk}_s r^{si} (keys i, j, k) of the fields b̃,
+    r^{ij} and drUU = ∂r^{ij} (keys k, i, j), on the entries that some
+    present term reaches; each sum runs as the dense einsum's does, over
+    the present products only.
+    """
+    bt, rUU = _with_zeros((bt, rUU), n, (3, 2))
+    r = range(n)
+    i1, i2 = {}, {}
+    for i, j, k in product(r, r, r):
+        v1 = _lin((1, bt.get((i, j, k))), (1, bt.get((j, i, k))),
+                  (-1, drUU.get((k, i, j))))
+        v2 = _lin((1, _dot((bt.get((i, k, s)), rUU.get((s, j))) for s in r)),
+                  (-1, _dot((bt.get((j, k, s)), rUU.get((s, i))) for s in r)))
+        for out, v in ((i1, v1), (i2, v2)):
+            if v is not None:
+                out[i, j, k] = v
+    return i1, i2
+
+
 def verify_appendix(p: PencilOperator, chart: Chart,
                     bt: np.ndarray | None = None) -> ComplianceReport:
     """Symmetry identities I1, I2 for the coefficients derived from r."""
     g = p.g
-    n = g.n
     if bt is None:
         bt = btilde_from_r(p)
     rUU = raise_index(p.r, 1, g)
-    btn = eval_array(bt, chart)
-    rUUn = eval_array(rUU, chart)
-    drUU = eval_array(_d(rUU), chart)                       # (k, i, j, *grid)
-    i1 = btn + np.swapaxes(btn, 0, 1) - np.einsum("kij...->ijk...", drUU)
-    i2 = (np.einsum("iks...,sj...->ijk...", btn, rUUn)
-          - np.einsum("jks...,si...->ijk...", btn, rUUn))
-    scale = 1.0 + max_abs(rUUn, btn)
-    return ComplianceReport({"I1": max_abs(i1), "I2": max_abs(i2)}, scale)
+    btn, rUUn = _entries(bt, chart), _entries(rUU, chart)
+    i1, i2 = _identities(btn, rUUn, _entries(_d(rUU), chart), g.n)
+    scale = 1.0 + max_abs(*rUUn.values(), *btn.values())
+    return ComplianceReport({"I1": max_abs(*i1.values()),
+                             "I2": max_abs(*i2.values())}, scale)

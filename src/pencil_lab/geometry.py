@@ -43,8 +43,17 @@ def eval_array(A: np.ndarray, chart: Chart) -> np.ndarray:
 
 
 def grid_max(A: np.ndarray, chart: Chart) -> float:
-    """Max over grid points and entries of |A|."""
-    return max_abs(eval_array(A, chart))
+    """Max over grid points and entries of |A| (0.0 when every entry is ZERO).
+
+    Entries are evaluated one at a time and the ZERO ones not at all; a max
+    does not depend on order and max_abs keeps a NaN, so the value is that
+    of max_abs(eval_array(A, chart)).
+    """
+    best = 0.0
+    for e in A.flat:
+        if e != ZERO:
+            best = max_abs(best, eval_grid(e, chart))
+    return best
 
 
 def _det_expr(g: np.ndarray) -> Expr:
@@ -106,12 +115,6 @@ class MetricField:
         return cls(n, gU, _inverse_expr(gU))
 
     @classmethod
-    def from_covariant(cls, rows) -> "MetricField":
-        gL = np.array(rows, dtype=object)
-        n = gL.shape[0]
-        return cls(n, _inverse_expr(gL), gL)
-
-    @classmethod
     def euclidean(cls, n: int) -> "MetricField":
         gU = expr_array((n, n))
         for i in range(n):
@@ -128,19 +131,6 @@ class MetricField:
             gL[i, i] = div(ONE, e)
         return cls(n, gU, gL)
 
-    @classmethod
-    def diagonal_covariant(cls, entries) -> "MetricField":
-        n = len(entries)
-        gU = expr_array((n, n))
-        gL = expr_array((n, n))
-        for i, e in enumerate(entries):
-            gL[i, i] = e
-            gU[i, i] = div(ONE, e)
-        return cls(n, gU, gL)
-
-    def is_diagonal(self) -> bool:
-        return all(self.gU[i, j] == ZERO
-                   for i in range(self.n) for j in range(self.n) if i != j)
 
 
 @dataclass(frozen=True)

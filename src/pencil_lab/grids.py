@@ -52,10 +52,6 @@ class Chart:
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "shape", shape)
 
-    @classmethod
-    def cube(cls, n: int, lo: float, hi: float, m: int) -> "Chart":
-        return cls(n, tuple((lo, hi) for _ in range(n)), (m,) * n)
-
     def axes(self) -> list[np.ndarray]:
         """Samples per axis: read-only arrays built once per chart."""
         return list(self._grids[0])

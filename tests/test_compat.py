@@ -1,18 +1,26 @@
+import importlib
 import json
+import pkgutil
+import tracemalloc
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+import pencil_lab
 from pencil_lab.cli import main
 from pencil_lab.compat import (
-    ComplianceReport, HamiltonianOperator, _d, _fields, _j,
-    check_hamiltonian, check_pencil, check_theorem1, btilde_from_r,
-    hamiltonian_residuals, levi_civita_operator, pencil_operator,
-    verify_appendix,
+    ComplianceReport, HamiltonianOperator, _d, _entries, _fields,
+    _identities, _j, _second_covariant, check_hamiltonian, check_pencil,
+    check_theorem1, btilde_from_r, eigenvalue_gap, hamiltonian_residuals,
+    levi_civita_operator, pencil_operator, verify_appendix,
 )
-from pencil_lab.expr import Const, evaluate, parse_expr
-from pencil_lab.geometry import MetricField, eval_array, expr_array
-from pencil_lab.grids import Chart, max_abs
+from pencil_lab.expr import ZERO, Const, evaluate, parse_expr
+from pencil_lab.geometry import (
+    MetricField, christoffel, covariant_derivative, eval_array, expr_array,
+    nijenhuis, raise_index, riemann_expr,
+)
+from pencil_lab.grids import Chart, eval_grid, max_abs
 
 
 def _p(t, n=2):
@@ -281,15 +289,20 @@ def _dense_pencil(A, At, chart, lambdas):
             "lambda_sweep": max_abs(sweep)}
 
 
-def _random_fields(rng, n, grid):
-    return [rng.standard_normal((n,) * k + grid) for k in (2, 3, 3, 4)]
+J_RANKS = (2, 3, 3, 4)           # g, ∂g, b, ∂b
+THEOREM1_RANKS = (2, 4)          # g, ∇∇r
+APPENDIX_RANKS = (3, 2, 3)       # b̃, r^{ij}, ∂r^{ij}
 
 
-def _sparse(fields, rng, keep):
-    """The dict fields of compat._j, each entry kept with probability
-    ``keep``, and the dense fields with the dropped entries set to zero."""
+def _random_fields(rng, n, grid, ranks=J_RANKS):
+    return [rng.standard_normal((n,) * k + grid) for k in ranks]
+
+
+def _sparse(fields, rng, keep, ranks=J_RANKS):
+    """The dict fields of compat, each entry kept with probability ``keep``,
+    and the dense fields with the dropped entries set to zero."""
     dense, dicts = [], []
-    for f, rank in zip(fields, (2, 3, 3, 4)):
+    for f, rank in zip(fields, ranks):
         f = f.copy()
         d = {}
         for idx in np.ndindex(f.shape[:rank]):
@@ -427,3 +440,195 @@ def test_nan_in_a_diagonal_coefficient_fails_j2_and_c2(n, i, s):
     assert np.isnan(pc.residuals["lambda_sweep"])
     assert pc.verdict_for("C2") == "fail"
     assert pc.verdict == "fail"
+
+
+def _dense_second_covariant(gn, d2n):
+    """Oracle: T + T^{klij} − T^{ikjl} − T^{jlik} of check_theorem1, with
+    T = g^{is} g^{jt} ∇_s∇_t r^{kl} by einsum over every entry."""
+    T = np.einsum("is...,jt...,stkl...->ijkl...", gn, gn, d2n)
+    return (T + np.einsum("klij...->ijkl...", T)
+            - np.einsum("ikjl...->ijkl...", T)
+            - np.einsum("jlik...->ijkl...", T))
+
+
+def _dense_identities(btn, rUUn, drUU):
+    """Oracle: I1 and I2 of verify_appendix by einsum over every entry."""
+    i1 = btn + np.swapaxes(btn, 0, 1) - np.einsum("kij...->ijk...", drUU)
+    i2 = (np.einsum("iks...,sj...->ijk...", btn, rUUn)
+          - np.einsum("jks...,si...->ijk...", btn, rUUn))
+    return i1, i2
+
+
+def _dense_theorem1(p, chart):
+    """Oracle: the residuals and scale of check_theorem1, every tensor
+    evaluated on every entry, and the eigenvalue gap of the dense r."""
+    g = p.g
+    conn = christoffel(g)
+    D1 = covariant_derivative(raise_index(p.r, 1, g), "uu", g, conn)
+    d2n = eval_array(covariant_derivative(D1, "duu", g, conn), chart)
+    gn, rn = eval_array(g.gU, chart), eval_array(p.r, chart)
+    residuals = {
+        "nijenhuis": max_abs(eval_array(nijenhuis(p.r), chart)),
+        "second_covariant": max_abs(_dense_second_covariant(gn, d2n)),
+        "flat_g": max_abs(eval_array(riemann_expr(g), chart)),
+        "flat_g_tilde": max_abs(eval_array(riemann_expr(p.gt), chart))}
+    scale = 1.0 + max_abs(rn, gn, eval_array(p.gt.gU, chart))
+    n = g.n
+    vals = np.linalg.eigvals(np.moveaxis(rn.reshape(n, n, -1), 2, 0))
+    gap = min((float(np.min(np.abs(vals[:, a] - vals[:, c])))
+               for a, c in combinations(range(n), 2)), default=np.inf)
+    return residuals, scale, gap
+
+
+def _dense_appendix(p, chart, bt):
+    """Oracle: the residuals and scale of verify_appendix from dense arrays."""
+    rUU = raise_index(p.r, 1, p.g)
+    btn, rUUn = eval_array(bt, chart), eval_array(rUU, chart)
+    i1, i2 = _dense_identities(btn, rUUn, eval_array(_d(rUU), chart))
+    return {"I1": max_abs(i1), "I2": max_abs(i2)}, 1.0 + max_abs(rUUn, btn)
+
+
+def _assert_bit_equal(entries, dense):
+    s = _densify(entries, dense.shape)
+    assert np.abs(s).tobytes() == np.abs(dense).tobytes()
+    assert max_abs(*entries.values()) == max_abs(dense)
+
+
+@pytest.mark.parametrize("keep", [1.0, 0.6, 0.3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sparse_theorem1_and_appendix_equal_the_dense_oracle_bit_for_bit(
+        n, keep):
+    rng = np.random.default_rng(200 + 10 * n + int(10 * keep))
+    for grid in [(6, 5), (4, 3, 5)]:
+        (gn, d2n), (g, d2) = _sparse(
+            _random_fields(rng, n, grid, THEOREM1_RANKS), rng, keep,
+            THEOREM1_RANKS)
+        _assert_bit_equal(_second_covariant(g, d2, n),
+                          _dense_second_covariant(gn, d2n))
+        dense, dicts = _sparse(_random_fields(rng, n, grid, APPENDIX_RANKS),
+                               rng, keep, APPENDIX_RANKS)
+        for s, o in zip(_identities(*dicts, n), _dense_identities(*dense)):
+            _assert_bit_equal(s, o)
+
+
+def _pairs_with_inf(n, field, scale_g=1.0):
+    """Sparse and dense results of the two checks with an inf in one entry
+    of field ``field`` (0, 1: g, ∇∇r; 2, 3, 4: b̃, r^{ij}, ∂r^{ij})."""
+    rng = np.random.default_rng(60 + 10 * n + (field or 0))
+    grid = (6, 5)
+    ranks = THEOREM1_RANKS + APPENDIX_RANKS
+    dense, dicts = _sparse(_random_fields(rng, n, grid, ranks), rng, 0.4,
+                           ranks)
+    dense[0] *= scale_g                  # the dict grids are views of these
+    if field is not None:
+        key = (0,) * ranks[field]
+        dicts[field][key] = dense[field][key]
+        dense[field][key][2, 3] = np.inf
+    with np.errstate(all="ignore"):
+        return [(_second_covariant(*dicts[:2], n),
+                 _dense_second_covariant(*dense[:2])),
+                *zip(_identities(*dicts[2:], n),
+                     _dense_identities(*dense[2:]))]
+
+
+@pytest.mark.parametrize("field", range(5))
+@pytest.mark.parametrize("n", [2, 3])
+def test_sparse_theorem1_and_appendix_keep_the_dense_nan(n, field):
+    # an inf meets the zero entries of another factor; the dense sum makes
+    # 0·inf = NaN there, and so must the sparse one.  ∂r^{ij} enters I1
+    # only, and linearly, so its inf stays an inf.
+    pairs = _pairs_with_inf(n, field)
+    if field == 4:
+        assert np.isinf(pairs[1][1]).any()
+    else:
+        assert any(np.isnan(o).any() for _, o in pairs)
+    for s, o in pairs:
+        assert np.array_equal(np.abs(_densify(s, o.shape)), np.abs(o),
+                              equal_nan=True)
+
+
+def test_sparse_second_covariant_keeps_the_nan_of_an_overflowing_g_product():
+    # finite fields, but g^{is}·g^{jt} overflows, and inf·0 is NaN
+    (s, o), *_ = _pairs_with_inf(2, None, scale_g=1e200)
+    assert np.isnan(o).any()
+    assert np.array_equal(np.abs(_densify(s, o.shape)), np.abs(o),
+                          equal_nan=True)
+
+
+def _curved_pencil(n):
+    """A pencil of two curved metrics in which g̃ has no zero entry; for
+    n = 3, g is diagonal, which keeps the expressions small."""
+    rows = {1: ([["2+R1^2"]], [["1+R1"]]),
+            2: ([["2+R2", "0.3*R1"], ["0.3*R1", "3+R1*R2"]],
+                [["1+R1^2", "0.2*R2"], ["0.2*R2", "4+R2^2"]]),
+            3: ([["2+R2", "0", "0"], ["0", "3+R1*R3", "0"],
+                 ["0", "0", "4+R2^2"]],
+                [["1+R1^2", "0.2", "0.1"], ["0.2", "4+R3", "0.1"],
+                 ["0.1", "0.1", "5+R2"]])}[n]
+    g, gt = (MetricField.from_contravariant(np.array(
+        [[_p(t, n) for t in row] for row in m])) for m in rows)
+    return pencil_operator(g, gt)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_theorem1_and_appendix_equal_the_dense_oracle_on_curved_pencils(n):
+    chart = Chart(n, ((1.0, 2.0),) * n, (9,) * n)
+    p = _curved_pencil(n)
+    t1 = check_theorem1(p, chart)
+    residuals, scale, gap = _dense_theorem1(p, chart)
+    assert t1.residuals == residuals
+    assert t1.scale == scale
+    assert eigenvalue_gap(_entries(p.r, chart), chart) == gap
+    assert t1.notes[0] == f"eigenvalue_gap={gap:.3e}"
+    bt = btilde_from_r(p)
+    app = verify_appendix(p, chart, bt)
+    assert (app.residuals, app.scale) == _dense_appendix(p, chart, bt)
+    if n > 1:    # nonzero residuals, so the order of summation is tested
+        assert residuals["second_covariant"] > 1e-6
+        assert app.residuals["I2"] > 1e-6
+
+
+PENCIL_CHECK = {"chart": {"n": 3, "box": [[0.0, 1.0]] * 3, "shape": [9] * 3},
+                "metric": {"diag": ["1", "1", "1"]},
+                "metric_tilde": {"diag": ["1+R1^2", "3+R2^2", "6+R3^2"]},
+                "lambdas": [0.0, 0.75, 1.5, 2.25, 3.0]}
+
+
+def test_check_compat_never_evaluates_a_zero_entry(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(e, chart):
+        seen.append(e)
+        return eval_grid(e, chart)
+
+    for info in pkgutil.iter_modules(pencil_lab.__path__):
+        module = importlib.import_module(f"pencil_lab.{info.name}")
+        if getattr(module, "eval_grid", None) is eval_grid:
+            monkeypatch.setattr(module, "eval_grid", spy)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(PENCIL_CHECK))
+    out = tmp_path / "out"
+    assert main(["check-compat", "--config", str(path), "--out",
+                 str(out)]) == 0
+    assert seen
+    assert not [e for e in seen if e == ZERO]
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_check_theorem1_peak_is_below_a_quarter_of_the_dense_one():
+    chart = Chart(3, ((0.0, 1.0),) * 3, (33,) * 3)
+    chart.mesh()                 # built once per chart, outside both peaks
+    p = pencil_operator(
+        MetricField.diagonal_contravariant([_p("1", 3)] * 3),
+        MetricField.diagonal_contravariant(
+            [_p(t, 3) for t in PENCIL_CHECK["metric_tilde"]["diag"]]))
+    dense = _peak_bytes(_dense_theorem1, p, chart)
+    assert _peak_bytes(check_theorem1, p, chart) < dense / 4

@@ -239,7 +239,7 @@ def _zero_curvature_einsum(conn, chart):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_zero_curvature_matches_einsum(n):
-    ch = Chart.cube(n, 0.0, 1.0, 5 if n > 3 else 9)
+    ch = Chart(n, ((0.0, 1.0),) * n, (5 if n > 3 else 9,) * n)
     rng = np.random.default_rng(n)
     mats = tuple(rng.standard_normal(ch.shape + (n, n)) for _ in range(n))
     conn = LaxConnection(0.0, mats)

@@ -169,7 +169,7 @@ def test_boundary_expr_reproduced_exactly():
     ((1, 2, 0), 0, [(9, 9, 1), (9, 9, 9)]),
 ])
 def test_legs_receive_slabs(order, free, want):
-    ch = Chart.cube(3, 0.0, 1.0, 9)
+    ch = Chart(3, ((0.0, 1.0),) * 3, (9,) * 3)
     log = []
 
     def record(state, idx):
@@ -199,7 +199,7 @@ def test_path_integral_is_one_exact_pass():
 def test_vector_unknown_matches_stacked_scalars():
     # u' = w u componentwise and w' = 0.3 cos(u_0 u_1): the vector unknown
     # must sweep exactly like its stacked scalar components.
-    ch = Chart.cube(3, 0.0, 0.5, 9)
+    ch = Chart(3, ((0.0, 0.5),) * 3, (9,) * 3)
     corner = np.array([1.0, -0.5])
 
     def w_rhs(u0, u1):
@@ -254,7 +254,7 @@ def test_solve_frame_rotation_and_position_vector():
 
 @pytest.mark.parametrize("scale", [np.nan, 1e7])
 def test_position_vector_keeps_blowup_guard(scale):
-    ch = Chart.cube(2, 0.0, 1.0, 9)
+    ch = Chart(2, ((0.0, 1.0),) * 2, (9,) * 2)
     ones = np.ones(ch.shape)
     eye = np.broadcast_to(np.eye(3), ch.shape + (3, 3))
     with pytest.raises(MarchError, match="blow-up guard or is not finite"):
