@@ -29,8 +29,10 @@ __all__ = [
 class LaxConnection:
     """Connection matrices A_d of a linear system d_d X = A_d X.
 
-    mats[d] has shape grid + (n, n) and acts on column vectors of frame
-    components; lam is the spectral shift.
+    mats[d][i][j] is the grid of entry (i, j) of A_d, or None where that
+    entry is a structural zero; the size k of each matrix is len(mats[d]).
+    A_d acts on column vectors of frame components; lam is the spectral
+    shift.
     """
 
     lam: float
@@ -50,46 +52,74 @@ def build_lax(model: DiagonalModel, beta: dict, chart: Chart,
 
     d_d phi_i = sqrt((lam+eta_i)/(lam+eta_d)) beta_id phi_d        (i != d),
     d_d phi_d = -sum_{k != d} sqrt((lam+eta_k)/(lam+eta_d)) beta_kd phi_k.
+
+    Only row d and column d of A_d are present, 2(n - 1) of its n^2 entries.
     """
     n = chart.n
     sh = _shifted(model, chart, lam)
     mats = []
     for d in range(n):
-        A = np.zeros(chart.shape + (n, n))
+        A = [[None] * n for _ in range(n)]
         for i in range(n):
             if i == d:
                 continue
             w = np.sqrt(sh[i] / sh[d]) * beta[(i, d)]
-            A[..., i, d] = w
-            A[..., d, i] = -w
-        mats.append(A)
+            A[i][d] = w
+            A[d][i] = -w
+        mats.append(tuple(map(tuple, A)))
     return LaxConnection(float(lam), tuple(mats))
+
+
+def _minus(a, b):
+    """a - b where None is a structural zero."""
+    if b is None:
+        return a
+    return -b if a is None else a - b
+
+
+def _product(X, Y) -> list:
+    """Entries of XY: each sums, in c order, the X[i][c] Y[c][j] present."""
+    k = len(X)
+    P = [[None] * k for _ in range(k)]
+    for i in range(k):
+        for j in range(k):
+            for c in range(k):
+                if X[i][c] is not None and Y[c][j] is not None:
+                    t = X[i][c] * Y[c][j]
+                    P[i][j] = t if P[i][j] is None else P[i][j] + t
+    return P
 
 
 def zero_curvature_residual(conn: LaxConnection, chart: Chart) -> float:
     """Max-abs of F_dj = d_d A_j - d_j A_d - [A_d, A_j] over the grid.
 
-    The matrix products are sums over the inner index in order, which for
-    real float64 give the values of einsum (complex ones may differ from it
-    at round-off), on component-leading copies A[d][i, j] (grid axes follow
-    the two component axes).  Serves the frame connections and both surface
-    connections (real 3x3 and complex 2x2).
+    Works on the present entries only: it differentiates those, and each
+    matrix product sums, in the order of the inner index, the products whose
+    two factors are present, grouped as (d_d A_j - d_j A_d) - (A_d A_j -
+    A_j A_d).  For real float64 that gives the values of the dense einsum
+    (complex ones may differ from it at round-off).  Serves the frame
+    connections and both surface connections (real 3x3 and complex 2x2).
     """
     n = chart.n
     h = chart.spacing()
-    A = [np.ascontiguousarray(np.moveaxis(M, (-2, -1), (0, 1)))
-         for M in conn.mats]
+    A = conn.mats
 
-    def product(X, Y):
-        return sum(X[:, c, None] * Y[None, c] for c in range(len(X)))
+    def derived(M, axis):
+        return [[None if e is None else deriv(e, axis, h[axis]) for e in row]
+                for row in M]
 
     worst = 0.0
     for d in range(n):
         for j in range(d + 1, n):
-            Ad, Aj = A[d], A[j]
-            F = (deriv(Aj, d + 2, h[d]) - deriv(Ad, j + 2, h[j])
-                 - (product(Ad, Aj) - product(Aj, Ad)))
-            worst = max_abs(worst, F)
+            dAj, dAd = derived(A[j], d), derived(A[d], j)
+            P, Q = _product(A[d], A[j]), _product(A[j], A[d])
+            k = len(P)
+            for a in range(k):
+                for b in range(k):
+                    F = _minus(_minus(dAj[a][b], dAd[a][b]),
+                               _minus(P[a][b], Q[a][b]))
+                    if F is not None:
+                        worst = max_abs(worst, F)
     return worst
 
 
@@ -128,14 +158,17 @@ def integrate_frame(conn: LaxConnection, model: DiagonalModel, H: list,
 
 def induced_metric_residual(fs: FrameSolution, model: DiagonalModel,
                             H: list, chart: Chart) -> float:
-    """Check (d_i r, d_j r) = delta_ij H_i^2 / (lam + eta_i) by differences."""
+    """Check (d_i r, d_j r) = delta_ij H_i^2 / (lam + eta_i) by differences.
+
+    The dot products are symmetric in (i, j), so only i <= j are formed.
+    """
     n = chart.n
     h = chart.spacing()
     sh = _shifted(model, chart, fs.lam)
     dr = [deriv(fs.rvec, d, h[d]) for d in range(n)]
     worst = 0.0
     for i in range(n):
-        for j in range(n):
+        for j in range(i, n):
             dot = np.einsum("...c,...c->...", dr[i], dr[j])
             target = H[i] ** 2 / sh[i] if i == j else 0.0
             worst = max_abs(worst, dot - target)
@@ -162,7 +195,9 @@ def mesh_weingarten(r: np.ndarray, normal: np.ndarray, spacing) -> np.ndarray:
 
     r and normal have shape grid + (c,) over len(spacing) parameter axes; the
     fundamental forms I_ab = (d_a r, d_b r) and II_ab = -(d_a n, d_b r) come
-    from finite differences.  Returns S, shape grid + (m, m).
+    from finite differences.  I is symmetric, so I_ba is copied from I_ab;
+    II is not symmetric on a mesh and is formed in full.  Returns S, shape
+    grid + (m, m).
     """
     m = len(spacing)
     dr = [deriv(r, a, spacing[a]) for a in range(m)]
@@ -171,7 +206,10 @@ def mesh_weingarten(r: np.ndarray, normal: np.ndarray, spacing) -> np.ndarray:
     II = np.empty_like(I)
     for a in range(m):
         for b in range(m):
-            I[..., a, b] = np.einsum("...c,...c->...", dr[a], dr[b])
+            if b >= a:
+                I[..., a, b] = np.einsum("...c,...c->...", dr[a], dr[b])
+            else:
+                I[..., a, b] = I[..., b, a]
             II[..., a, b] = -np.einsum("...c,...c->...", dn[a], dr[b])
     return np.einsum("...ab,...bc->...ac", np.linalg.inv(I), II)
 

@@ -166,19 +166,25 @@ def solve_compatible(chart: Chart, unknowns: list[Unknown],
 def solve_frame(chart: Chart, mats) -> np.ndarray:
     """Solve d_d X = A_d X from X = identity at the corner.
 
-    mats[d] has shape grid + (k, k); returns X with that shape.  Each row of
-    X is one unknown with k components; entry (a, b) of the sweep reads only
+    mats[d][a][c] is the grid of entry (a, c) of A_d, or None where it is a
+    structural zero; returns X with shape grid + (k, k), k = len(mats[0]).
+    Each row of X is one unknown with k components, and the rhs of row a
+    along axis d sums, in c order, the present A_d[a][c] times row c (zero
+    when the row of A_d is empty).  Entry (a, b) of the sweep reads only
     column b, so the Gauss-Seidel order is that of one scalar unknown per
     entry taken row by row.
     """
-    k = mats[0].shape[-1]
+    k = len(mats[0])
 
     def row(a, d):
+        terms = [(f"F{c}", A) for c, A in enumerate(mats[d][a])
+                 if A is not None]
+
         def f(state, idx):
-            A = mats[d][idx]
-            acc = A[..., a, 0, None] * state["F0"][idx]
-            for c in range(1, k):
-                acc = acc + A[..., a, c, None] * state[f"F{c}"][idx]
+            prods = (A[idx][..., None] * state[name][idx] for name, A in terms)
+            acc = next(prods, 0.0)
+            for t in prods:
+                acc += t
             return acc
         return f
 

@@ -205,34 +205,26 @@ def solve_codazzi(G11, G22, k1_line, k2_line, chart: Chart) -> CurvatureData:
     return data
 
 
-def _lax_mats(H1g, H2g, b12g, b21g, s1, s2, chart: Chart):
+def _lax_mats(H1g, H2g, b12g, b21g, s1, s2):
     """3x3 real and 2x2 complex connection matrices for one shift.
 
-    s1, s2 are the grids of lam + eta_i.
+    s1, s2 are the grids of lam + eta_i.  Each matrix is given by its
+    entries, mats[i][j] a grid or None (see LaxConnection): B1 and B2 have 4
+    present entries each, M1 and M2 all 4 of theirs.
     """
     r1, r2 = np.sqrt(s1), np.sqrt(s2)
-    B1 = np.zeros(chart.shape + (3, 3))
-    B1[..., 0, 1] = -(r2 / r1) * b21g
-    B1[..., 1, 0] = (r2 / r1) * b21g
-    B1[..., 0, 2] = H1g / r1
-    B1[..., 2, 0] = -H1g / r1
-    B2 = np.zeros(chart.shape + (3, 3))
-    B2[..., 0, 1] = (r1 / r2) * b12g
-    B2[..., 1, 0] = -(r1 / r2) * b12g
-    B2[..., 1, 2] = H2g / r2
-    B2[..., 2, 1] = -H2g / r2
-    M1 = np.zeros(chart.shape + (2, 2), dtype=complex)
-    M1[..., 0, 0] = 1j * r2 * b21g
-    M1[..., 0, 1] = H1g
-    M1[..., 1, 0] = -H1g
-    M1[..., 1, 1] = -1j * r2 * b21g
-    M1 /= (2.0 * r1)[..., None, None]
-    M2 = np.zeros(chart.shape + (2, 2), dtype=complex)
-    M2[..., 0, 0] = -r1 * b12g
-    M2[..., 0, 1] = H2g
-    M2[..., 1, 0] = H2g
-    M2[..., 1, 1] = r1 * b12g
-    M2 *= (1j / (2.0 * r2))[..., None, None]
+    w1, w2 = (r2 / r1) * b21g, (r1 / r2) * b12g
+    B1 = ((None, -w1, H1g / r1),
+          (w1, None, None),
+          (-H1g / r1, None, None))
+    B2 = ((None, w2, None),
+          (-w2, None, H2g / r2),
+          (None, -H2g / r2, None))
+    c1, c2 = 2.0 * r1, 1j / (2.0 * r2)
+    M1 = tuple(tuple(np.asarray(e, dtype=complex) / c1 for e in row)
+               for row in ((1j * r2 * b21g, H1g), (-H1g, -1j * r2 * b21g)))
+    M2 = tuple(tuple(np.asarray(e, dtype=complex) * c2 for e in row)
+               for row in ((-r1 * b12g, H2g), (H2g, r1 * b12g)))
     return B1, B2, M1, M2
 
 
@@ -246,7 +238,7 @@ def lax_residuals_3x3_2x2(H1, H2, b12, b21, eta1, eta2, chart: Chart,
     for lam in lambdas:
         s1, s2 = lam + e1, lam + e2
         check_shift(lam, (s1, s2))
-        B1, B2, M1, M2 = _lax_mats(H1g, H2g, b12g, b21g, s1, s2, chart)
+        B1, B2, M1, M2 = _lax_mats(H1g, H2g, b12g, b21g, s1, s2)
         out[lam] = tuple(zero_curvature_residual(LaxConnection(lam, mats),
                                                  chart)
                          for mats in ((B1, B2), (M1, M2)))
@@ -293,7 +285,7 @@ def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
     for lam in lambdas:
         s1, s2 = lam + e1, lam + e2
         check_shift(lam, (s1, s2))
-        B1, B2, _, _ = _lax_mats(H1g, H2g, b12g, b21g, s1, s2, chart)
+        B1, B2, _, _ = _lax_mats(H1g, H2g, b12g, b21g, s1, s2)
         frame = solve_frame(chart, (B1, B2))
         gram = np.einsum("...ki,...kj->...ij", frame, frame)
         drift = max_abs(gram - np.eye(3))

@@ -2,14 +2,19 @@ import numpy as np
 import pytest
 
 from pencil_lab import surface
+from pencil_lab.cli import SOLVER_BAND
+from pencil_lab.compat import verdict
 from pencil_lab.diagonal import BoundaryData, DiagonalModel, solve_S, solve_lame
 from pencil_lab.grids import Chart, deriv, eval_grid, max_abs
 from pencil_lab.lax import (
-    FrameSolution, LaxConnection, build_lax, hypersurface_curvatures,
-    induced_metric_residual, integrate_frame, mesh_weingarten,
-    weingarten_scaling_report, zero_curvature_residual,
+    FrameSolution, LaxConnection, _product, build_lax,
+    hypersurface_curvatures, induced_metric_residual, integrate_frame,
+    mesh_weingarten, weingarten_scaling_report, zero_curvature_residual,
 )
-from pencil_lab.march import MarchError, PoleError, Unknown, solve_compatible
+from pencil_lab.march import (MarchError, PoleError, Unknown,
+                              solve_compatible, solve_frame)
+
+from lax_entries import dense_form, entry_form, with_zeros
 
 BD3 = {(0, 1): "0.2", (1, 0): "0.1*R1", (2, 0): "0.15",
        (0, 2): "0.1+0.05*R3", (1, 2): "0.2", (2, 1): "0.25"}
@@ -44,20 +49,35 @@ def test_connection_entry_value():
     beta = {(0, 1): np.ones(ch.shape), (1, 0): np.zeros(ch.shape)}
     conn = build_lax(model, beta, ch, 1.0)
     # weight sqrt((lam+eta_1)/(lam+eta_2)) = sqrt(2/4)
-    assert conn.mats[1][2, 2, 0, 1] == pytest.approx(1 / np.sqrt(2))
-    assert conn.mats[1][2, 2, 1, 0] == pytest.approx(-1 / np.sqrt(2))
+    assert conn.mats[1][0][1][2, 2] == pytest.approx(1 / np.sqrt(2))
+    assert conn.mats[1][1][0][2, 2] == pytest.approx(-1 / np.sqrt(2))
 
 
 def test_connection_is_skew(model, chart, solved):
     beta, _ = solved
     conn = build_lax(model, beta, chart, 0.5)
     for A in conn.mats:
+        A = dense_form(A, chart.shape)
         assert np.max(np.abs(A + np.swapaxes(A, -1, -2))) < 1e-12
 
 
 def test_zero_beta_gives_zero_connection(model, chart):
+    # only row d and column d of A_d are present, and zero β makes them zero
     conn = build_lax(model, _zero_beta(chart), chart, 1.0)
-    assert all(np.max(np.abs(A)) == 0.0 for A in conn.mats)
+    for d, A in enumerate(conn.mats):
+        for i, row in enumerate(A):
+            for j, e in enumerate(row):
+                assert (e is None) == (d not in (i, j) or i == j)
+                assert e is None or np.max(np.abs(e)) == 0.0
+    # a connection with no present entry at all is flat and integrates to
+    # the identity frame
+    empty = LaxConnection(1.0, (((None,) * 3,) * 3,) * 3)
+    assert zero_curvature_residual(empty, chart) == 0.0
+    H = [np.ones(chart.shape)] * 3
+    fs = integrate_frame(empty, model, H, chart)
+    assert fs.phi.tobytes() == np.broadcast_to(
+        np.eye(3), chart.shape + (3, 3)).tobytes()
+    assert fs.ortho_drift == 0.0
 
 
 def test_pole_rejected(model, chart, solved):
@@ -116,7 +136,7 @@ def test_non_orthogonal_frame_aborts(model, chart):
     from pencil_lab.lax import LaxConnection
     mats = [np.zeros(chart.shape + (3, 3)) for _ in range(3)]
     mats[0][..., 0, 0] = 0.5
-    conn = LaxConnection(1.0, tuple(mats))
+    conn = LaxConnection(1.0, tuple(entry_form(A) for A in mats))
     H = [np.ones(chart.shape)] * 3
     with pytest.raises(MarchError):
         integrate_frame(conn, model, H, chart)
@@ -171,7 +191,7 @@ def _frame_by_scalar_unknowns(conn, model, H, chart):
     """Reference: one scalar unknown per frame entry, then one scalar
     unknown per position-vector component solved to its fixed point."""
     n = chart.n
-    mats = conn.mats
+    mats = [dense_form(A, chart.shape) for A in conn.mats]
 
     def entry(a, b, d):
         def f(state, idx):
@@ -211,12 +231,17 @@ def test_frame_matches_scalar_unknowns_bytes(model, chart, solved, lam):
     assert fs.rvec.tobytes() == rvec.tobytes()
 
 
-def test_frame_2d_matches_scalar_unknowns_bytes():
+def _solved_2d():
     ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (17, 13))
     model = DiagonalModel.from_text(["1+0.5*R1", "3"], 2)
     beta, _ = solve_S(model, BoundaryData.from_text(
         {(0, 1): "0.2", (1, 0): "0.1*R1"}, 2), ch)
     H = solve_lame(beta, ch, {0: "1", 1: "1+0.1*R2"})
+    return ch, model, beta, H
+
+
+def test_frame_2d_matches_scalar_unknowns_bytes():
+    ch, model, beta, H = _solved_2d()
     conn = build_lax(model, beta, ch, 0.3)
     fs = integrate_frame(conn, model, H, ch)
     phi, rvec = _frame_by_scalar_unknowns(conn, model, H, ch)
@@ -224,12 +249,52 @@ def test_frame_2d_matches_scalar_unknowns_bytes():
     assert fs.rvec.tobytes() == rvec.tobytes()
 
 
+def test_skipped_zero_entries_change_no_bit(model, chart, solved):
+    # the connection with its structural zeros filled by np.zeros gives the
+    # same residual and the same frame bytes (sign of zero included)
+    beta, H = solved
+    ch2, model2, beta2, H2 = _solved_2d()
+    for mdl, b, h, ch, lam in ((model, beta, H, chart, 0.5),
+                               (model2, beta2, H2, ch2, 0.3)):
+        conn = build_lax(mdl, b, ch, lam)
+        full = LaxConnection(lam, tuple(with_zeros(A, ch.shape)
+                                        for A in conn.mats))
+        assert zero_curvature_residual(conn, ch) == \
+            zero_curvature_residual(full, ch)
+        fs = integrate_frame(conn, mdl, h, ch)
+        fs_full = integrate_frame(full, mdl, h, ch)
+        assert fs.phi.tobytes() == fs_full.phi.tobytes()
+        assert fs.rvec.tobytes() == fs_full.rvec.tobytes()
+    ch, sm, fields = _surface_fields()
+    s1, s2 = (0.5 + eval_grid(e, ch) for e in (sm.eta1, sm.eta2))
+    B = surface._lax_mats(*fields, s1, s2)[:2]
+    full = tuple(with_zeros(M, ch.shape) for M in B)
+    assert zero_curvature_residual(LaxConnection(0.5, B), ch) == \
+        zero_curvature_residual(LaxConnection(0.5, full), ch)
+
+
+def test_nan_in_one_present_entry_fails(model, chart, solved):
+    beta, _ = solved
+    conn = build_lax(model, beta, chart, 0.5)
+    mats = [[list(row) for row in A] for A in conn.mats]
+    mats[1][0][1] = mats[1][0][1].copy()
+    # the staircase reads A_1 on the plane R3 = min only, so the NaN sits
+    # there; the residual sees it anywhere
+    mats[1][0][1][3, 4, 0] = np.nan
+    broken = LaxConnection(0.5, tuple(tuple(map(tuple, A)) for A in mats))
+    res = zero_curvature_residual(broken, chart)
+    assert np.isnan(res) and verdict(res, *SOLVER_BAND) == "fail"
+    with pytest.raises(MarchError):
+        solve_frame(chart, broken.mats)
+
+
 def _zero_curvature_einsum(conn, chart):
     h = chart.spacing()
+    mats = [dense_form(A, chart.shape) for A in conn.mats]
     worst = 0.0
     for d in range(chart.n):
         for j in range(d + 1, chart.n):
-            Ad, Aj = conn.mats[d], conn.mats[j]
+            Ad, Aj = mats[d], mats[j]
             F = (deriv(Aj, d, h[d]) - deriv(Ad, j, h[j])
                  - (np.einsum("...ik,...kj->...ij", Ad, Aj)
                     - np.einsum("...ik,...kj->...ij", Aj, Ad)))
@@ -237,11 +302,24 @@ def _zero_curvature_einsum(conn, chart):
     return worst
 
 
+@pytest.mark.parametrize("k", [3, 4, 6])
+def test_product_of_entries_sums_in_einsum_order(k):
+    # on every entry present the sum runs over the inner index in order,
+    # as einsum does; scattered magnitudes make another order show
+    rng = np.random.default_rng(k)
+    X, Y = (rng.standard_normal((9, 9, k, k))
+            * 10.0 ** rng.integers(-3, 4, (9, 9, k, k)) for _ in range(2))
+    P = _product(entry_form(X), entry_form(Y))
+    assert dense_form(P, (9, 9)).tobytes() == \
+        np.einsum("...ik,...kj->...ij", X, Y).tobytes()
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_zero_curvature_matches_einsum(n):
     ch = Chart(n, ((0.0, 1.0),) * n, (5 if n > 3 else 9,) * n)
     rng = np.random.default_rng(n)
-    mats = tuple(rng.standard_normal(ch.shape + (n, n)) for _ in range(n))
+    mats = tuple(entry_form(rng.standard_normal(ch.shape + (n, n)))
+                 for _ in range(n))
     conn = LaxConnection(0.0, mats)
     assert zero_curvature_residual(conn, ch) == _zero_curvature_einsum(conn, ch)
 
@@ -279,7 +357,7 @@ def test_surface_residuals_match_einsum(seed):
     for lam in lambdas:
         s1 = lam + eval_grid(model.eta1, ch)
         s2 = lam + eval_grid(model.eta2, ch)
-        B1, B2, M1, M2 = surface._lax_mats(H1, H2, b12, b21, s1, s2, ch)
+        B1, B2, M1, M2 = surface._lax_mats(H1, H2, b12, b21, s1, s2)
         r3, r2 = rep[lam]
         assert r3 == _zero_curvature_einsum(LaxConnection(lam, (B1, B2)), ch)
         oracle = _zero_curvature_einsum(LaxConnection(lam, (M1, M2)), ch)
@@ -328,6 +406,57 @@ def test_slice_spectrum_matches_old_kernel_bytes(model, chart, solved):
             np.float64(want).tobytes()
 
 
+def _mesh_weingarten_full_loop(r, normal, spacing):
+    """Reference: mesh_weingarten with I formed in full, (a, b) and (b, a)."""
+    m = len(spacing)
+    dr = [deriv(r, a, spacing[a]) for a in range(m)]
+    dn = [deriv(normal, a, spacing[a]) for a in range(m)]
+    I = np.empty(r.shape[:-1] + (m, m))
+    II = np.empty_like(I)
+    for a in range(m):
+        for b in range(m):
+            I[..., a, b] = np.einsum("...c,...c->...", dr[a], dr[b])
+            II[..., a, b] = -np.einsum("...c,...c->...", dn[a], dr[b])
+    return np.einsum("...ab,...bc->...ac", np.linalg.inv(I), II)
+
+
+def _induced_metric_full_loop(fs, model, H, chart):
+    """Reference: induced_metric_residual over every (i, j)."""
+    h = chart.spacing()
+    sh = [fs.lam + e for e in model.eta_grids(chart)]
+    dr = [deriv(fs.rvec, d, h[d]) for d in range(chart.n)]
+    worst = 0.0
+    for i in range(chart.n):
+        for j in range(chart.n):
+            dot = np.einsum("...c,...c->...", dr[i], dr[j])
+            target = H[i] ** 2 / sh[i] if i == j else 0.0
+            worst = max_abs(worst, dot - target)
+    return worst
+
+
+def test_symmetric_dot_products_match_the_full_loop_bytes(model, chart,
+                                                          solved):
+    # the dot product of two grid vectors has the same bytes with its
+    # operands swapped, so the mirror-image half of I is copied
+    rng = np.random.default_rng(5)
+    for shape in ((33, 33, 33, 3), (129, 129, 3)):
+        x, y = rng.standard_normal((2,) + shape)
+        assert np.einsum("...c,...c->...", x, y).tobytes() == \
+            np.einsum("...c,...c->...", y, x).tobytes()
+    r, normal = rng.standard_normal((2, 129, 129, 3))
+    spacing = (0.01, 0.02)
+    assert mesh_weingarten(r, normal, spacing).tobytes() == \
+        _mesh_weingarten_full_loop(r, normal, spacing).tobytes()
+    beta, H = solved
+    fs = integrate_frame(build_lax(model, beta, chart, 1.0), model, H, chart)
+    idx = (slice(None), slice(None), 0)
+    args = (fs.rvec[idx], fs.phi[idx + (2, slice(None))], chart.spacing()[:2])
+    assert mesh_weingarten(*args).tobytes() == \
+        _mesh_weingarten_full_loop(*args).tobytes()
+    assert np.float64(induced_metric_residual(fs, model, H, chart)).tobytes() \
+        == np.float64(_induced_metric_full_loop(fs, model, H, chart)).tobytes()
+
+
 def test_mesh_weingarten_of_a_sphere():
     # on the unit sphere with outward normal n = r, d_a n = d_a r, so
     # II = -I and S = -identity
@@ -345,7 +474,7 @@ def _nan_grids(chart, shape=()):
 
 
 def test_nan_connection_is_not_flat(chart):
-    conn = LaxConnection(0.0, tuple(_nan_grids(chart, (3, 3))
+    conn = LaxConnection(0.0, tuple(entry_form(_nan_grids(chart, (3, 3)))
                                     for _ in range(3)))
     assert np.isnan(zero_curvature_residual(conn, chart))
 

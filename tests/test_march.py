@@ -8,6 +8,8 @@ from pencil_lab.march import (POLE_GUARD, MarchError, PoleError, Unknown,
                               check_shift, path_integral, position_vector,
                               solve_compatible, solve_frame)
 
+from lax_entries import entry_form
+
 
 def test_deriv_fourth_order():
     errs = []
@@ -239,7 +241,7 @@ def test_solve_frame_rotation_and_position_vector():
     # A_0 = A_1 = J (commuting): X = exp((R1 + R2) J) is a rotation
     ch = Chart(2, ((0.0, 1.0), (0.0, 0.5)), (33, 17))
     J = np.broadcast_to(np.array([[0.0, 1.0], [-1.0, 0.0]]), ch.shape + (2, 2))
-    X = solve_frame(ch, (J, J))
+    X = solve_frame(ch, (entry_form(J), entry_form(J)))
     t = ch.mesh()[0] + ch.mesh()[1]
     want = np.stack([np.stack([np.cos(t), np.sin(t)], -1),
                      np.stack([-np.sin(t), np.cos(t)], -1)], -2)

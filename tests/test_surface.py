@@ -13,6 +13,8 @@ from pencil_lab.surface import (
     weingarten_family_compare,
 )
 
+from lax_entries import dense_form, with_zeros
+
 
 @pytest.fixture(scope="module")
 def seed():
@@ -195,7 +197,8 @@ def _family_by_scalar_unknowns(model, curv, lam):
     H1, H2, b12, b21 = (eval_grid(e, ch) for e in model.lame_beta())
     s1 = lam + eval_grid(model.eta1, ch)
     s2 = lam + eval_grid(model.eta2, ch)
-    mats = surface._lax_mats(H1, H2, b12, b21, s1, s2, ch)[:2]
+    mats = [dense_form(M, ch.shape)
+            for M in surface._lax_mats(H1, H2, b12, b21, s1, s2)[:2]]
 
     def entry(a, b, d):
         return lambda st, i: (mats[d][..., a, 0][i] * st[f"F0{b}"][i]
@@ -229,6 +232,23 @@ def test_family_matches_scalar_unknowns_bytes(seed, radii, family):
         drift = np.max(np.abs(np.einsum("...ki,...kj->...ij", frame, frame)
                               - np.eye(3)))
         assert mesh.notes[0] == f"frame_drift={drift:.3e}"
+
+
+def test_skipped_zero_entries_change_no_mesh_bit(seed, radii, family,
+                                                monkeypatch):
+    # B1 and B2 with their structural zeros filled by np.zeros give the
+    # same meshes, byte for byte
+    lax_mats = surface._lax_mats
+
+    def filled(*args):
+        return tuple(with_zeros(M, args[0].shape) for M in lax_mats(*args))
+
+    monkeypatch.setattr(surface, "_lax_mats", filled)
+    for mesh, full in zip(family, reconstruct_family(seed, radii)):
+        assert mesh.vertices.tobytes() == full.vertices.tobytes()
+        assert mesh.normals.tobytes() == full.normals.tobytes()
+        assert mesh.eigenvalues.tobytes() == full.eigenvalues.tobytes()
+        assert mesh.notes == full.notes
 
 
 def test_nan_transport_residual_is_not_a_pass():
