@@ -15,7 +15,9 @@ the dense einsum's order, so every |value| is the dense one.  So do
 check_theorem1's ∇∇r and second-covariant sum and verify_appendix's I1/I2;
 the Nijenhuis and Riemann tensors go through geometry.grid_max, which skips
 ZERO entries.  A check-compat run evaluates no ZERO entry (42 eval_grid calls
-on the benchmark's pencil-check config).
+on the benchmark's pencil-check config), and it makes no batched LAPACK call:
+the degeneracy test expands det(g̃ + λg) over the present entries, and a
+triangular r gives its eigenvalues as its diagonal.
 J2^{ij}_{kn} is antisymmetric in (i, j) and is grouped so that the
 antisymmetry is exact in floating point, so every J2 here holds the pairs
 i < j only: the pairs hold its max-abs residual, and the diagonal and i > j
@@ -306,16 +308,62 @@ def btilde_from_r(p: PencilOperator,
 
 
 def eigenvalue_gap(r: dict, chart: Chart) -> float:
-    """Smallest pairwise eigenvalue gap of the field r over the grid
-    (simple-spectrum test)."""
+    """Smallest pairwise eigenvalue gap of the field r over the grid;
+    check_theorem1 calls the spectrum simple where it exceeds 1e-6.
+
+    When the present entries of r form a triangle (a diagonal r included),
+    its eigenvalues are its diagonal grids.  LAPACK returns exactly those
+    for a triangular matrix whose largest entry lies in its unscaled range
+    (about 1e-138 to 1e138), and the min over the pairs does not depend on
+    their order, so there the gap is LAPACK's bit for bit.  Any other r goes
+    through ``eigvals`` point by point.  An r that is not finite somewhere
+    has gap NaN (``eigvals`` would raise LinAlgError), which is not simple.
+    """
     n = chart.n
-    pts = _dense(r, (n, n) + chart.shape).reshape(n, n, -1)
-    vals = np.linalg.eigvals(np.moveaxis(pts, 2, 0))       # (npts, n)
+    if not all(np.isfinite(v).all() for v in r.values()):
+        return math.nan
+    if all(i <= j for i, j in r) or all(i >= j for i, j in r):
+        zero = np.zeros(chart.shape)
+        vals = [r.get((a, a), zero).ravel() for a in range(n)]
+    else:
+        pts = _dense(r, (n, n) + chart.shape).reshape(n, n, -1)
+        vals = np.linalg.eigvals(np.moveaxis(pts, 2, 0)).T   # (n, npts)
     gap = np.inf
-    for a in range(n):
-        for c in range(a + 1, n):
-            gap = min(gap, float(np.min(np.abs(vals[:, a] - vals[:, c]))))
+    for a, c in combinations(range(n), 2):
+        gap = min(gap, float(np.min(np.abs(vals[a] - vals[c]))))
     return gap
+
+
+def _laplace(f: dict, n: int):
+    """det of the n×n field f (keys i, j), expanded over its present entries;
+    None when no product of n entries is present.
+
+    The minor of rows i..n−1 on the column set c (a bitmask) is
+    Σ_{j∈c} ±f_ij·minor(i+1, c − j) over the present f_ij and minors, in
+    order of j; rows are taken from the bottom, so a field costs at most
+    n·2ⁿ⁻¹ grid products and a diagonal one n − 1.
+    """
+    minors = {0: None}               # rows i+1..n−1 by column set, i = n−1 first
+    for i in reversed(range(n)):
+        row = [j for j in range(n) if (i, j) in f]
+        sets = sorted({c | 1 << j for c in minors for j in row
+                       if not c >> j & 1})
+        minors = {c: _lin(*(
+            (-1 if bin(c & ((1 << j) - 1)).count("1") & 1 else 1,
+             f[i, j] if i == n - 1 else f[i, j] * minors[c ^ 1 << j])
+            for j in row if c >> j & 1 and c ^ 1 << j in minors))
+            for c in sets}
+    return minors.get((1 << n) - 1)
+
+
+def _det(f: dict, n: int):
+    """det of the field f by _laplace; None for a structurally singular one,
+    where LAPACK finds a zero pivot whatever the values.  A dense 0·inf is
+    NaN, so a field that is not finite is expanded with its zero entries
+    too, and its det is not finite either."""
+    det = _laplace(f, n)
+    full, = _with_zeros((f,), n, (2,))
+    return det if det is None or full is f else _laplace(full, n)
 
 
 def _second_covariant(g: dict, d2: dict, n: int) -> dict:
@@ -377,20 +425,23 @@ def check_pencil(A: HamiltonianOperator, At: HamiltonianOperator, chart: Chart,
     conditions C1/C2.  The fields are evaluated once and every shift is
     formed, entry by entry, from the three Js; an entry absent from all
     three is zero.  A λ where g̃ + λg degenerates somewhere on the box is
-    skipped.  The J2 parts hold the pairs i < j only: C and every shift keep
-    J2's exact antisymmetry, so their max-abs is the max over all (i, j).
+    skipped: min over the box of |det(g̃ + λg)| < 1e-8, the determinant
+    expanded over the present entries of the field (_det), or no product of
+    n present entries at all.  A NaN or inf det keeps the λ.  The J2 parts
+    hold the pairs i < j only: C and every shift keep J2's exact
+    antisymmetry, so their max-abs is the max over all (i, j).
     """
     x = _fields(A.g.gU, A.b, chart)
     y = _fields(At.g.gU, At.b, chart)
     scale = 1.0 + max_abs(*x[0].values(), *y[0].values(), *x[2].values(),
                           *y[2].values())
     n = A.g.n
-    gx, gy = (_dense(f[0], (n, n) + chart.shape) for f in (x, y))
     used, skipped = [], []
     for lam in lambdas:
-        comb = gy + lam * gx
-        det = np.linalg.det(np.moveaxis(comb.reshape(n, n, -1), 2, 0))
-        (skipped if float(np.min(np.abs(det))) < 1e-8 else used).append(lam)
+        det = _det({k: _lin((1, y[0].get(k)), (1, _times(x[0].get(k), lam)))
+                    for k in {*x[0], *y[0]}}, n)
+        degenerate = det is None or float(np.min(np.abs(det))) < 1e-8
+        (skipped if degenerate else used).append(lam)
 
     jx = _j(x, n)
     jy = _j(y, n)

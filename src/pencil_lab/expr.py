@@ -241,7 +241,7 @@ def call(func: str, arg: Expr) -> Expr:
     if _is_const(arg):
         try:
             with np.errstate(over="ignore"):
-                value = _evaluate(Call(func, arg), ())
+                value = evaluate(Call(func, arg), ())
         except DomainError:
             return Call(func, arg)  # the error belongs to evaluation
         return const(value)
@@ -255,11 +255,49 @@ def evaluate(e: Expr, point):
 
     Raises DomainError on division by zero or arguments outside a function's
     real domain.  Deterministic: same tree and point give the same bits.
+    A node that several parents share by reference is evaluated once per
+    call: its value is kept until its last parent has read it, so a tree
+    without shared nodes holds no more values than a plain walk does.
     """
-    return _evaluate(e, point)
+    uses = {}
+    _count_uses(e, uses)
+    return _evaluate(e, point, {k: n for k, n in uses.items() if n > 1}, {})
 
 
-def _evaluate(e: Expr, point):
+def _children(e: Expr) -> tuple:
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return e.a, e.b
+    if isinstance(e, Neg):
+        return (e.a,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Call):
+        return (e.arg,)
+    return ()
+
+
+def _count_uses(e: Expr, uses: dict) -> None:
+    """uses[id(node)] = how many parent slots hold each inner node below e."""
+    for c in _children(e):
+        if isinstance(c, (Const, Coord)):
+            continue
+        k = id(c)
+        uses[k] = uses.get(k, 0) + 1
+        if uses[k] == 1:
+            _count_uses(c, uses)
+
+
+def _evaluate(e: Expr, point, shared: dict, memo: dict):
+    """The value of e; ``shared`` maps id(node) to its number of uses, and
+    ``memo`` holds (value, uses left) of the shared nodes in flight."""
+    k = id(e)
+    if k in memo:
+        value, left = memo[k]
+        if left == 1:
+            del memo[k]
+        else:
+            memo[k] = value, left - 1
+        return value
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Coord):
@@ -268,34 +306,41 @@ def _evaluate(e: Expr, point):
                 f"point has {len(point)} coordinates, expression uses R{e.index}")
         return point[e.index - 1]
     if isinstance(e, Add):
-        return _evaluate(e.a, point) + _evaluate(e.b, point)
-    if isinstance(e, Sub):
-        return _evaluate(e.a, point) - _evaluate(e.b, point)
-    if isinstance(e, Mul):
-        return _evaluate(e.a, point) * _evaluate(e.b, point)
-    if isinstance(e, Div):
-        num = _evaluate(e.a, point)
-        den = _evaluate(e.b, point)
+        value = (_evaluate(e.a, point, shared, memo)
+                 + _evaluate(e.b, point, shared, memo))
+    elif isinstance(e, Sub):
+        value = (_evaluate(e.a, point, shared, memo)
+                 - _evaluate(e.b, point, shared, memo))
+    elif isinstance(e, Mul):
+        value = (_evaluate(e.a, point, shared, memo)
+                 * _evaluate(e.b, point, shared, memo))
+    elif isinstance(e, Div):
+        num = _evaluate(e.a, point, shared, memo)
+        den = _evaluate(e.b, point, shared, memo)
         if np.any(den == 0):
             raise DomainError("division by zero")
-        return num / den
-    if isinstance(e, Pow):
-        base = _evaluate(e.base, point)
+        value = num / den
+    elif isinstance(e, Pow):
+        base = _evaluate(e.base, point, shared, memo)
         if e.exponent < 0 and np.any(base == 0):
             raise DomainError("zero raised to a negative power")
-        return base ** e.exponent
-    if isinstance(e, Neg):
-        return -_evaluate(e.a, point)
-    if isinstance(e, Call):
-        arg = _evaluate(e.arg, point)
+        value = base ** e.exponent
+    elif isinstance(e, Neg):
+        value = -_evaluate(e.a, point, shared, memo)
+    elif isinstance(e, Call):
+        arg = _evaluate(e.arg, point, shared, memo)
         if e.func == "sqrt" and np.any(arg < 0):
             raise DomainError("sqrt of a negative value")
         if e.func == "log" and np.any(arg <= 0):
             raise DomainError("log of a non-positive value")
         if e.func in ("arccos", "arcsin") and np.any(np.abs(arg) > 1):
             raise DomainError(f"{e.func} argument outside [-1, 1]")
-        return _FUNCS[e.func](arg)
-    raise TypeError(f"not an Expr node: {e!r}")
+        value = _FUNCS[e.func](arg)
+    else:
+        raise TypeError(f"not an Expr node: {e!r}")
+    if k in shared:
+        memo[k] = value, shared[k] - 1
+    return value
 
 
 # Differentiation -----------------------------------------------------------
@@ -351,15 +396,7 @@ def coords_used(e: Expr) -> set[int]:
     """Set of coordinate indices appearing in the tree (1-based)."""
     if isinstance(e, Coord):
         return {e.index}
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return coords_used(e.a) | coords_used(e.b)
-    if isinstance(e, Pow):
-        return coords_used(e.base)
-    if isinstance(e, (Neg,)):
-        return coords_used(e.a)
-    if isinstance(e, Call):
-        return coords_used(e.arg)
-    return set()
+    return set().union(*(coords_used(c) for c in _children(e)))
 
 
 # Printing ------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 import pencil_lab
 from pencil_lab.cli import main
 from pencil_lab.compat import (
-    ComplianceReport, HamiltonianOperator, _d, _entries, _fields,
+    ComplianceReport, HamiltonianOperator, _d, _det, _entries, _fields,
     _identities, _j, _second_covariant, check_hamiltonian, check_pencil,
     check_theorem1, btilde_from_r, eigenvalue_gap, hamiltonian_residuals,
     levi_civita_operator, pencil_operator, verify_appendix,
@@ -400,6 +400,129 @@ def test_check_pencil_equals_the_dense_oracle_on_a_non_diagonal_pair():
     assert rep.residuals["C2"] > 1e-6     # a generic pair: not compatible
 
 
+def _lapack_split(A, At, chart, lambdas):
+    """Oracle: (used, skipped) by the batched LAPACK det of g̃ + λg."""
+    n = A.g.n
+    gx, gy = (eval_array(op.g.gU, chart) for op in (A, At))
+    used, skipped = [], []
+    for lam in lambdas:
+        det = np.linalg.det(np.moveaxis((gy + lam * gx).reshape(n, n, -1),
+                                        2, 0))
+        (skipped if float(np.min(np.abs(det))) < 1e-8 else used).append(lam)
+    return used, skipped
+
+
+def _random_pattern(rng, n, keep, grid=(4, 5)):
+    dense = rng.standard_normal((n, n) + grid)
+    mask = rng.random((n, n)) < keep
+    dense[~mask] = 0.0
+    return dense, {idx: dense[idx] for idx in zip(*np.nonzero(mask))}
+
+
+def _lapack_det(dense):
+    n = dense.shape[0]
+    return np.linalg.det(np.moveaxis(dense.reshape(n, n, -1), 2, 0)).reshape(
+        dense.shape[2:])
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_det_over_present_entries_equals_lapack(n):
+    rng = np.random.default_rng(300 + n)
+    singular = 0
+    for keep in (1.0, 0.8, 0.6, 0.4):
+        for _ in range(6):
+            dense, f = _random_pattern(rng, n, keep)
+            det, oracle = _det(f, n), _lapack_det(dense)
+            if det is None:         # no product present: LAPACK finds 0 too
+                singular += 1
+                assert np.max(np.abs(oracle)) < 1e-14
+            else:
+                assert np.allclose(det, oracle, rtol=1e-12, atol=1e-13)
+    assert n == 1 or singular          # the sparse patterns hit both cases
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_det_of_a_diagonal_field_is_its_exact_product(n):
+    rng = np.random.default_rng(400 + n)
+    d = [rng.standard_normal((4, 5)) for _ in range(n)]
+    product = d[-1]
+    for a in reversed(d[:-1]):
+        product = a * product
+    det = _det({(a, a): v for a, v in enumerate(d)}, n)
+    assert det.tobytes() == product.tobytes()
+
+
+def test_det_of_a_structurally_singular_field_is_absent():
+    rng = np.random.default_rng(7)
+    grid = (4, 5)
+    a, b, c = (rng.standard_normal(grid) for _ in range(3))
+    # rows 1 and 2 use column 0 only, so no product of 3 entries exists
+    f = {(0, 0): a, (0, 1): b, (0, 2): c, (1, 0): b, (2, 0): c}
+    assert _det(f, 3) is None
+    assert _det({}, 2) is None
+    assert _det({(0, 0): a}, 2) is None
+
+
+@pytest.mark.parametrize("rows", [
+    [[1e-9, np.inf], [0.0, 1.0]], [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, 0.0], [0.0, np.nan]], [[np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, 2.0], [3.0, np.inf]], [[np.nan, 1.0], [0.0, 0.0]],
+    [[np.inf, 1.0], [0.0, 0.0]]])
+def test_det_of_a_non_finite_field_decides_the_shift_as_lapack(rows):
+    # a finite det that is tiny would skip the shift; a non-finite one must
+    # keep it, and a structurally singular pattern is skipped, as LAPACK's
+    # zero pivot does whatever the values
+    dense = np.array(rows)[:, :, None, None] * np.ones((4, 5))
+    f = {idx: dense[idx] for idx in zip(*np.nonzero(np.array(rows)))}
+    with np.errstate(all="ignore"):
+        det, oracle = _det(f, 2), _lapack_det(dense)
+    if det is None:
+        assert not oracle.any()
+    else:
+        assert not np.isfinite(det).any()
+        assert np.array_equal(det, oracle, equal_nan=True)
+
+
+def _singular_operator(value):
+    """A Hamiltonian operator whose metric holds one entry of n = 2."""
+    gU = expr_array((2, 2))
+    gU[0, 0] = Const(value)
+    return HamiltonianOperator(MetricField(2, gU, gU), expr_array((2, 2, 2)))
+
+
+def test_lambda_split_equals_the_lapack_oracle(box2, flat_pencil):
+    e = MetricField.euclidean(2)
+    g, gt = flat_pencil
+    two = MetricField.from_contravariant(
+        np.array([[_p("2"), _p("0")], [_p("0"), _p("2")]], dtype=object))
+    big = MetricField.diagonal_contravariant([_p("1e308")] * 2)
+    gn = MetricField.from_contravariant(np.array(
+        [[_p("2+R2"), _p("0.3*R1")], [_p("0.3*R1"), _p("3+R1*R2")]]))
+    gtn = MetricField.from_contravariant(np.array(
+        [[_p("1+R1^2"), _p("0.2*R2")], [_p("0.2*R2"), _p("4+R2^2")]]))
+    lambdas = (-2.0, -1.0, 0.0, 0.75, 1.5, 3.0)
+    cases = [
+        (levi_civita_operator(g),
+         HamiltonianOperator(gt, btilde_from_r(pencil_operator(g, gt)))),
+        (levi_civita_operator(e), levi_civita_operator(two)),
+        _violating_pencil("swapped"), _violating_pencil("perturbed"),
+        (levi_civita_operator(gn), levi_civita_operator(gtn)),
+        # g̃ + 3g overflows to inf: a non-finite det keeps the shift
+        (levi_civita_operator(big), levi_civita_operator(big)),
+        # no product of two entries is present: every shift degenerates
+        (_singular_operator(1.0), _singular_operator(2.0)),
+    ]
+    splits = []
+    for A, At in cases:
+        with np.errstate(all="ignore"):
+            rep = check_pencil(A, At, box2, lambdas)
+            oracle = _lapack_split(A, At, box2, lambdas)
+        assert (rep.lambdas_used, rep.lambdas_skipped) == oracle
+        splits.append(oracle[1])
+    assert splits == [[-2.0], [-2.0], [-2.0, -1.0], [-2.0], [], [-1.0],
+                      list(lambdas)]
+
+
 def test_one_dimensional_chart_has_no_pairs(tmp_path):
     rng = np.random.default_rng(5)
     j1, j2 = _j(_sparse(_random_fields(rng, 1, (7,)), rng, 1.0)[1], 1)
@@ -612,6 +735,75 @@ def test_check_compat_never_evaluates_a_zero_entry(tmp_path, monkeypatch):
                  str(out)]) == 0
     assert seen
     assert not [e for e in seen if e == ZERO]
+
+
+def _lapack_gap(r, n):
+    """Oracle: the pairwise eigenvalue gap of the dense r by LAPACK eigvals."""
+    vals = np.linalg.eigvals(np.moveaxis(r.reshape(n, n, -1), 2, 0))
+    return min((float(np.min(np.abs(vals[:, a] - vals[:, c])))
+                for a, c in combinations(range(n), 2)), default=np.inf)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("shape", ["diagonal", "upper", "lower"])
+def test_triangular_gap_equals_lapack_bit_for_bit(n, shape):
+    rng = np.random.default_rng(500 + n)
+    chart = Chart(n, ((0.0, 1.0),) * n, (5,) * n)
+    r = rng.standard_normal((n, n) + chart.shape)
+    keep = {"diagonal": np.eye(n, dtype=bool),
+            "upper": np.triu(np.ones((n, n), dtype=bool)),
+            "lower": np.tril(np.ones((n, n), dtype=bool))}[shape]
+    r[~keep] = 0.0
+    if n > 1:        # a repeated diagonal value at one point: the gap is 0
+        r[n - 1, n - 1].flat[4] = r[0, 0].flat[4]
+    f = {idx: r[idx] for idx in zip(*np.nonzero(keep))}
+    gap = eigenvalue_gap(f, chart)
+    assert gap == _lapack_gap(r, n)
+    if n > 1:
+        assert gap == 0.0
+
+
+def test_gap_of_a_non_finite_r_is_nan(box2):
+    r = {(0, 0): np.ones(box2.shape), (1, 1): np.full(box2.shape, np.inf),
+         (0, 1): np.ones(box2.shape)}
+    assert np.isnan(eigenvalue_gap(r, box2))
+    r[1, 0] = np.ones(box2.shape)           # not triangular
+    assert np.isnan(eigenvalue_gap(r, box2))
+    with pytest.raises(np.linalg.LinAlgError):   # what eigvals would do
+        _lapack_gap(_densify(r, (2, 2) + box2.shape), 2)
+
+
+def test_check_compat_runs_without_batched_lapack(tmp_path, monkeypatch):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(PENCIL_CHECK))
+    reports = []
+    for patched in (False, True):
+        if patched:
+            def forbidden(*args, **kwargs):
+                raise AssertionError("batched LAPACK call in check-compat")
+            monkeypatch.setattr(np.linalg, "det", forbidden)
+            monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+        out = tmp_path / f"out{patched}"
+        assert main(["check-compat", "--config", str(path), "--out",
+                     str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def test_check_compat_reports_an_overflowing_r_as_a_failure(tmp_path):
+    # finite metrics whose r = g̃·g⁻¹ overflows: eigvals used to raise
+    cfg = {"chart": {"n": 2, "box": [[0.5, 1.5]] * 2, "shape": [9, 9]},
+           "metric": {"diag": ["1e-80*(1+R1)", "1"]},
+           "metric_tilde": {"diag": ["1e300*(1+R2)", "1+R1"]},
+           "lambdas": [0.0, 1.0]}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["check-compat", "--config", str(path), "--out",
+                 str(out)]) == 1
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["notes"][:2] == ["eigenvalue_gap=nan", "non_simple_spectrum"]
+    assert rep["verdict"] == "fail"
 
 
 def _peak_bytes(fn, *args):

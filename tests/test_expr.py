@@ -157,3 +157,52 @@ def test_negated_power_prints_in_parentheses():
 def test_overflowing_constants_are_input_errors(text):
     with pytest.raises((ParseError, DomainError)):
         parse_expr(text, 1)
+
+
+def _shared_dag(depth):
+    """e = e*e + e, ``depth`` times, with every e one shared node."""
+    e = parse_expr("-R1*R2", 2)
+    for _ in range(depth):
+        e = e * e + e
+    return e
+
+
+def _unshared(depth):
+    """The same expression with every subexpression built afresh."""
+    if depth == 0:
+        return parse_expr("-R1*R2", 2)
+    return _unshared(depth - 1) * _unshared(depth - 1) + _unshared(depth - 1)
+
+
+def test_shared_nodes_are_evaluated_once_per_call(monkeypatch):
+    import pencil_lab.expr as expr
+    calls = []
+    plain = expr._evaluate
+
+    def counting(*args):
+        calls.append(1)
+        if len(calls) > 10_000:          # a tree walk would take 3^40 calls
+            raise AssertionError("shared nodes evaluated once per path")
+        return plain(*args)
+
+    monkeypatch.setattr(expr, "_evaluate", counting)
+    mesh = np.meshgrid(np.linspace(0, 1, 7), np.linspace(0, 1, 5),
+                       indexing="ij")
+    value = evaluate(_shared_dag(40), mesh)
+    assert len(calls) < 500
+    assert np.all((-0.25 <= value) & (value <= 0.0))
+    monkeypatch.undo()
+    for depth in range(6):
+        assert (evaluate(_shared_dag(depth), mesh).tobytes()
+                == evaluate(_unshared(depth), mesh).tobytes())
+
+
+def test_a_tree_without_shared_nodes_memoises_nothing():
+    import pencil_lab.expr as expr
+    uses = {}
+    expr._count_uses(_unshared(3), uses)
+    assert uses and set(uses.values()) == {1}
+    uses = {}
+    expr._count_uses(_shared_dag(3), uses)
+    # e0, e1 and e2 fill three slots each; the three products and -R1 one
+    assert sorted(uses.values()) == [1, 1, 1, 1, 3, 3, 3]
