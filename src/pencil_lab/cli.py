@@ -10,6 +10,10 @@ Commands
 Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 configuration error.
 Reports are JSON with sorted keys; wall time goes to stderr only so that
 identical configurations produce byte-identical artifacts.
+
+PENCIL_LAB_THREADS (read by ``_threads`` only) bounds both the thread pool
+of the per-shift work and, once that pool has joined, the processes among
+which ``io.write_all`` splits a command's CSV and OBJ files.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from . import compat, diagonal, lax, surface
 from .expr import DomainError, ParseError, as_expr, parse_expr
 from .geometry import MetricField, expr_array, grid_max, GeometryError
 from .grids import Chart, GridError, eval_grid, max_abs
-from .io import canonical_digest, write_csv_grid, write_json_report, write_obj
+from .io import (canonical_digest, write_all, write_csv_grid, write_json_report,
+                 write_obj)
 from .march import MarchError, PoleError
 
 __all__ = ["main"]
@@ -249,15 +254,13 @@ def cmd_solve_diagonal(cfg, args):
     out = _out_dir(cfg, args)
     cols = {f"beta_{i + 1}{j + 1}": beta[(i, j)]
             for i in range(chart.n) for j in range(chart.n) if i != j}
-    path = os.path.join(out, "beta.csv")
-    write_csv_grid(path, chart, cols, digest)
-    artifacts = [path]
+    jobs = [(write_csv_grid, (os.path.join(out, "beta.csv"), chart, cols,
+                              digest))]
     if seed is not None:
-        path = os.path.join(out, "angles.csv")
-        write_csv_grid(path, chart, {k: sol[k] for k in ("p", "q", "r")},
-                       digest)
-        artifacts.append(path)
-    return _table(residuals, SOLVER_BAND), extra, artifacts
+        jobs.append((write_csv_grid, (os.path.join(out, "angles.csv"), chart,
+                                      {k: sol[k] for k in ("p", "q", "r")},
+                                      digest)))
+    return _table(residuals, SOLVER_BAND), extra, write_all(jobs, _threads())
 
 
 def cmd_frame(cfg, args):
@@ -297,18 +300,18 @@ def cmd_frame(cfg, args):
             notes.append(rep["note"])
     digest = canonical_digest(cfg)
     out = _out_dir(cfg, args)
-    artifacts = []
-    for lam in lambdas:
-        # the slice R3 = min and its normal, the last frame row
-        fs = frames[lam]
-        path = os.path.join(out, f"slice_lambda_{lam:g}.obj")
-        write_obj(path, fs.rvec[:, :, 0], fs.phi[:, :, 0, 2], digest)
-        artifacts.append(path)
-    cols = {f"H{j + 1}": H[j] for j in range(chart.n)}
-    path = os.path.join(out, "lame.csv")
-    write_csv_grid(path, chart, cols, digest)
-    artifacts.append(path)
-    return _table(residuals, SOLVER_BAND), {"notes": notes}, artifacts
+    # the slice R3 = min and its normal, the last frame row, copied so that
+    # the writers, and a forked one, hold no whole frame
+    jobs = [(write_obj, (os.path.join(out, f"slice_lambda_{lam:g}.obj"),
+                         frames[lam].rvec[:, :, 0].copy(),
+                         frames[lam].phi[:, :, 0, 2].copy(), digest))
+            for lam in lambdas]
+    del frames, fs
+    jobs.append((write_csv_grid, (os.path.join(out, "lame.csv"), chart,
+                                  {f"H{j + 1}": H[j] for j in range(chart.n)},
+                                  digest)))
+    return (_table(residuals, SOLVER_BAND), {"notes": notes},
+            write_all(jobs, _threads()))
 
 
 def cmd_deform_surface(cfg, args):
@@ -346,11 +349,10 @@ def cmd_deform_surface(cfg, args):
     meshes = _pool_map(build, lambdas)
     digest = canonical_digest(cfg)
     out = _out_dir(cfg, args)
-    artifacts = []
-    for mesh in meshes:
-        path = os.path.join(out, f"surface_lambda_{mesh.lam:g}.obj")
-        write_obj(path, mesh.vertices, mesh.normals, digest)
-        artifacts.append(path)
+    artifacts = write_all(
+        [(write_obj, (os.path.join(out, f"surface_lambda_{mesh.lam:g}.obj"),
+                      mesh.vertices, mesh.normals, digest))
+         for mesh in meshes], _threads())
     if len(meshes) >= 2:
         wg = surface.weingarten_family_compare(meshes, chart)
         eig, ang = wg["eigenvalue_deviation"], wg["misalignment_angle"]

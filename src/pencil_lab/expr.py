@@ -346,27 +346,46 @@ def _evaluate(e: Expr, point, shared: dict, memo: dict):
 # Differentiation -----------------------------------------------------------
 
 def diff(e: Expr, k: int) -> Expr:
-    """Exact derivative of ``e`` with respect to coordinate R{k} (1-based)."""
+    """Exact derivative of ``e`` with respect to coordinate R{k} (1-based).
+
+    A node that several parents share by reference is differentiated once
+    per call, and its derivative is shared by the results of those parents.
+    """
+    return _diff(e, k, {})
+
+
+def _diff(e: Expr, k: int, memo: dict) -> Expr:
+    """The derivative of e; ``memo`` maps id(node) to the derivatives taken
+    so far in this call."""
+    key = id(e)
+    if key not in memo:
+        memo[key] = _diff_root(e, k, memo)
+    return memo[key]
+
+
+def _diff_root(e: Expr, k: int, memo: dict) -> Expr:
+    """The derivative rule at the root of e, applied to its children's."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Coord):
         return ONE if e.index == k else ZERO
     if isinstance(e, Add):
-        return add(diff(e.a, k), diff(e.b, k))
+        return add(_diff(e.a, k, memo), _diff(e.b, k, memo))
     if isinstance(e, Sub):
-        return sub(diff(e.a, k), diff(e.b, k))
+        return sub(_diff(e.a, k, memo), _diff(e.b, k, memo))
     if isinstance(e, Mul):
-        return add(mul(diff(e.a, k), e.b), mul(e.a, diff(e.b, k)))
+        return add(mul(_diff(e.a, k, memo), e.b),
+                   mul(e.a, _diff(e.b, k, memo)))
     if isinstance(e, Div):
-        return sub(div(diff(e.a, k), e.b),
-                   div(mul(e.a, diff(e.b, k)), mul(e.b, e.b)))
+        return sub(div(_diff(e.a, k, memo), e.b),
+                   div(mul(e.a, _diff(e.b, k, memo)), mul(e.b, e.b)))
     if isinstance(e, Pow):
         return mul(mul(const(e.exponent), powi(e.base, e.exponent - 1)),
-                   diff(e.base, k))
+                   _diff(e.base, k, memo))
     if isinstance(e, Neg):
-        return neg(diff(e.a, k))
+        return neg(_diff(e.a, k, memo))
     if isinstance(e, Call):
-        da = diff(e.arg, k)
+        da = _diff(e.arg, k, memo)
         a = e.arg
         if e.func == "sin":
             outer = call("cos", a)

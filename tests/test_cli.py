@@ -197,6 +197,59 @@ def test_frame_respects_thread_env(tmp_path, monkeypatch):
     assert main(["frame", "--config", cfg, "--out", out]) == 0
 
 
+SPLIT_RUNS = [
+    ("frame", _cfg_diag({"lambdas": [0.5, 2.0, 3.0]}), 0),
+    ("deform-surface", dict(_cfg_surface(), lambdas=[0.0, 0.5, 1.0]), 0),
+    ("solve-diagonal",
+     _cfg_diag({"s2": {"seed": ["1.5707963267948966", "0", "0"]}}), 2),
+]
+
+
+@pytest.mark.parametrize("command,cfg,code", SPLIT_RUNS,
+                         ids=[r[0] for r in SPLIT_RUNS])
+def test_artifacts_do_not_depend_on_the_writer_processes(
+        tmp_path, monkeypatch, command, cfg, code):
+    # PENCIL_LAB_THREADS also bounds the processes that write the
+    # artifacts; each file is still written whole by one of them
+    fork = os.fork
+    forks = []
+
+    def counting():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    path = _write(tmp_path, "c.json", cfg)
+    outputs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("PENCIL_LAB_THREADS", threads)
+        out = tmp_path / f"out{threads}"
+        assert main([command, "--config", path, "--out", str(out)]) == code
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    files = len(outputs[0]) - 1                   # all but report.json
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert sorted(_report(str(out))["artifacts"]) == sorted(
+        set(outputs[0]) - {"report.json"})
+    # no child with one thread, then one, then two (one per file at most)
+    assert len(forks) == 0 + 1 + (min(3, files) - 1)
+
+
+def test_one_thread_writes_the_artifacts_without_forking(tmp_path,
+                                                         monkeypatch):
+    def refuse():
+        raise AssertionError("forked with PENCIL_LAB_THREADS=1")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setenv("PENCIL_LAB_THREADS", "1")
+    for command, cfg, code in SPLIT_RUNS:
+        out = str(tmp_path / command)
+        assert main([command, "--config", _write(tmp_path, "c.json", cfg),
+                     "--out", out]) == code
+        assert len(_report(out)["artifacts"]) >= 2
+
+
 def test_frame_pole_is_config_error(tmp_path):
     cfg = _write(tmp_path, "f.json", _cfg_diag({"lambdas": [0.5]}))
     assert main(["frame", "--config", cfg, "--out", str(tmp_path / "o"),

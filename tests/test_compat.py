@@ -824,3 +824,35 @@ def test_check_theorem1_peak_is_below_a_quarter_of_the_dense_one():
             [_p(t, 3) for t in PENCIL_CHECK["metric_tilde"]["diag"]]))
     dense = _peak_bytes(_dense_theorem1, p, chart)
     assert _peak_bytes(check_theorem1, p, chart) < dense / 4
+
+
+def test_dense_pencil_theorem1_keeps_its_bits_with_shared_derivatives(
+        monkeypatch):
+    # neither metric has a zero entry, so the symbolic inverse, Christoffel
+    # symbols and covariant derivatives share many subexpressions; the
+    # residuals are those of the tree-walking diff, bit for bit
+    import pencil_lab.expr as expr
+    g, gt = ([["2+R2", "0.3*R1", "0.1*R3"], ["0.3*R1", "3+R1*R3", "0.2"],
+              ["0.1*R3", "0.2", "4+R2^2"]],
+             [["1+R1^2", "0.2*R2", "0.1"], ["0.2*R2", "4+R3", "0.1*R1"],
+              ["0.1", "0.1*R1", "5+R2*R3"]])
+    calls = []
+    plain = expr._diff
+
+    def counting(*args):
+        calls.append(1)
+        return plain(*args)
+
+    monkeypatch.setattr(expr, "_diff", counting)
+    p = pencil_operator(*(MetricField.from_contravariant(np.array(
+        [[_p(t, 3) for t in row] for row in m])) for m in (g, gt)))
+    t1 = check_theorem1(p, Chart(3, ((1.0, 2.0),) * 3, (5,) * 3))
+    assert {k: v.hex() for k, v in t1.residuals.items()} == {
+        "nijenhuis": "0x1.7db1105a1920ep-2",
+        "second_covariant": "0x1.36590525b77f1p+7",
+        "flat_g": "0x1.18c6085c44bd7p-2",
+        "flat_g_tilde": "0x1.40bb62b7a13c3p-4"}
+    assert t1.scale == 10.0
+    assert t1.notes == ["eigenvalue_gap=1.296e-02", "simple_spectrum"]
+    # the tree walk made 2.34 M calls into diff
+    assert len(calls) < 250_000

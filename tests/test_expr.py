@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pencil_lab.expr import (
-    Const, DomainError, ParseError, as_expr, coords_used, diff, evaluate,
+    Call, Const, DomainError, ParseError, as_expr, coords_used, diff, evaluate,
     parse_expr, to_text,
 )
 
@@ -206,3 +206,37 @@ def test_a_tree_without_shared_nodes_memoises_nothing():
     expr._count_uses(_shared_dag(3), uses)
     # e0, e1 and e2 fill three slots each; the three products and -R1 one
     assert sorted(uses.values()) == [1, 1, 1, 1, 3, 3, 3]
+
+
+def test_a_shared_node_has_one_derivative_object():
+    s = parse_expr("R1*R2^2 + sin(R1)", 2)
+    d = diff(Call("exp", s) + Call("sin", s), 1)
+    # d = exp(s)*ds + cos(s)*ds, with one ds shared by both products
+    assert d.a.b is d.b.b
+    assert to_text(d.a.b) == to_text(diff(s, 1))
+
+
+def test_shared_nodes_are_differentiated_once_per_call(monkeypatch):
+    import pencil_lab.expr as expr
+    calls = []
+    plain = expr._diff
+
+    def counting(*args):
+        calls.append(1)
+        if len(calls) > 10_000:          # a tree walk would take 3^40 calls
+            raise AssertionError("shared nodes differentiated once per path")
+        return plain(*args)
+
+    monkeypatch.setattr(expr, "_diff", counting)
+    diff(_shared_dag(40), 2)
+    assert len(calls) < 500
+    monkeypatch.undo()
+    mesh = np.meshgrid(np.linspace(0, 1, 7), np.linspace(0, 1, 5),
+                       indexing="ij")
+    for depth in range(6):
+        for k in (1, 2):
+            shared, unshared = diff(_shared_dag(depth), k), diff(
+                _unshared(depth), k)
+            assert to_text(shared) == to_text(unshared)
+            assert (evaluate(shared, mesh).tobytes()
+                    == evaluate(unshared, mesh).tobytes())

@@ -1,8 +1,13 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from pencil_lab.grids import Chart
-from pencil_lab.io import _BLOCK_ROWS, write_csv_grid, write_obj
+from pencil_lab.io import (_BLOCK_ROWS, _shares, write_all, write_csv_grid,
+                           write_obj)
 
 DIGEST = "d" * 64
 SPECIAL = [-0.0, 1e-300, 1.0 / 3.0, -2.5e300, 5e-324, np.nan, np.inf, 0.1]
@@ -50,6 +55,8 @@ def _values(shape, seed):
     Chart(2, ((0.0, 1.0), (-1.0, 3.0)), (9, 7)),
     Chart(3, ((0.0, 1.0), (0.5, 1.5), (0.0, 2.0)), (5, 6, 7)),
     Chart(2, ((0.0, 1.0), (0.0, 1.0)), (71, 67)),  # more rows than a block
+    Chart(1, ((-1.0, 1.0),), (9000,)),       # one line longer than a block
+    Chart(2, ((0.0, 1.0), (0.0, 3.0)), (5, 4500)),
 ])
 def test_csv_matches_per_value_reference(tmp_path, chart):
     big = _values(tuple(2 * m for m in chart.shape), 1)
@@ -97,3 +104,117 @@ def test_writers_reject_non_real_values(tmp_path):
     verts = np.zeros((5, 5, 3), dtype=complex)
     with pytest.raises(TypeError):
         write_obj(tmp_path / "m.obj", verts, verts.real, DIGEST)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _jobs(tmp_path):
+    chart = Chart(3, ((0.0, 1.0), (0.5, 1.5), (0.0, 2.0)), (9, 6, 7))
+    jobs = [(write_csv_grid, (tmp_path / "g.csv", chart,
+                              {"a": _values(chart.shape, 5)}, DIGEST))]
+    for k, shape in enumerate([(9, 8, 3), (71, 67, 3), (5, 4, 3)]):
+        jobs.append((write_obj, (tmp_path / f"m{k}.obj", _values(shape, k),
+                                 _values(shape, 10 + k), DIGEST)))
+    return jobs
+
+
+def _forks(monkeypatch):
+    """Count the calls of os.fork, which still forks."""
+    calls = []
+    fork = os.fork
+
+    def counting():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_write_all_bytes_do_not_depend_on_the_split(tmp_path, monkeypatch,
+                                                     workers):
+    serial = tmp_path / "serial"
+    serial.mkdir()
+    jobs = _jobs(serial)
+    for writer, args in jobs:
+        writer(*args)
+    split = tmp_path / "split"
+    split.mkdir()
+    forks = _forks(monkeypatch)
+    jobs = _jobs(split)
+    assert write_all(jobs, workers) == [args[0] for _, args in jobs]
+    assert len(forks) == min(workers, len(jobs)) - 1
+    _no_child_left()
+    for name in ("g.csv", "m0.obj", "m1.obj", "m2.obj"):
+        assert (split / name).read_bytes() == (serial / name).read_bytes()
+
+
+def test_write_all_shares_are_whole_files_dealt_by_size():
+    sizes = [3, 50, 7, 20, 20]
+    jobs = [(None, (f"f{k}", np.zeros(s))) for k, s in enumerate(sizes)]
+    shares = _shares(jobs, 2)
+    assert [[args[0] for _, args in share] for share in shares] == [
+        ["f1"], ["f3", "f4", "f2", "f0"]]
+    assert len(_shares(jobs[:1], 3)) == 1
+
+
+def test_one_worker_never_forks(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    jobs = _jobs(tmp_path)
+    assert write_all(jobs, 1) == [args[0] for _, args in jobs]
+    assert all(args[0].exists() for _, args in jobs)
+
+
+def test_a_live_thread_keeps_the_writers_here(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("forked with another thread alive")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        write_all(_jobs(tmp_path), 2)
+    finally:
+        release.set()
+        thread.join()
+
+
+def _broken(path, values):
+    raise RuntimeError(f"cannot write {path}")
+
+
+def test_a_writer_failing_in_the_child_raises(tmp_path, monkeypatch):
+    forks = _forks(monkeypatch)
+    jobs = [(write_obj, (tmp_path / "big.obj", _values((71, 67, 3), 1),
+                         _values((71, 67, 3), 2), DIGEST)),
+            (_broken, (tmp_path / "small.csv", np.zeros(4)))]
+    with pytest.raises(OSError, match="small.csv failed in a child"):
+        write_all(jobs, 2)
+    assert forks == [1]
+    _no_child_left()
+    # the share written here is complete
+    assert (tmp_path / "big.obj").read_bytes().endswith(b"\n")
+
+
+def _stall(path, values):
+    time.sleep(60)
+
+
+def test_a_failure_here_kills_and_reaps_the_child(tmp_path, monkeypatch):
+    forks = _forks(monkeypatch)
+    jobs = [(_broken, (tmp_path / "big.csv", np.zeros(100))),
+            (_stall, (tmp_path / "small.csv", np.zeros(4)))]
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="big.csv"):
+        write_all(jobs, 2)
+    assert time.monotonic() - start < 30
+    assert forks == [1]
+    _no_child_left()
