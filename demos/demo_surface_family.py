@@ -38,7 +38,7 @@ for mesh in meshes:
           f"{mesh.normal_unit_drift():.3e}, near-umbilic vertices "
           f"{mesh.excluded}")
 
-wg = weingarten_family_compare(meshes, model.chart)
+wg = weingarten_family_compare(meshes)
 print(f"eigenvalue deviation across the family: "
       f"{wg['eigenvalue_deviation']:.3e}")
 print(f"principal-direction misalignment: "

@@ -336,17 +336,17 @@ def cmd_deform_surface(cfg, args):
     G11, G22 = model.shifted_form(lambdas[0])
     curv = surface.solve_codazzi(G11, G22, k1_line, k2_line, chart)
     solver = {"pc_residual": curv.pc}
-    H1, H2, b12, b21 = model.lame_beta()
-    laxres = surface.lax_residuals_3x3_2x2(
-        H1, H2, b12, b21, model.eta1, model.eta2, chart, lambdas)
-    for lam, (r3, r2) in laxres.items():
-        solver.update({f"lax3_{lam:g}": r3, f"lax2_{lam:g}": r2})
-    table.update(_table(solver, SOLVER_BAND))
+    coeffs = model.coefficient_grids    # evaluated here; pool tasks read them
 
     def build(lam):
-        return surface.reconstruct_family(model, curv, (lam,))[0]
+        laxres = surface.lax_residuals_3x3_2x2(*coeffs, chart, (lam,))[lam]
+        return laxres, surface.reconstruct_family(model, curv, (lam,))[0]
 
-    meshes = _pool_map(build, lambdas)
+    meshes = []
+    for (r3, r2), mesh in _pool_map(build, lambdas):
+        solver.update({f"lax3_{mesh.lam:g}": r3, f"lax2_{mesh.lam:g}": r2})
+        meshes.append(mesh)
+    table.update(_table(solver, SOLVER_BAND))
     digest = canonical_digest(cfg)
     out = _out_dir(cfg, args)
     artifacts = write_all(
@@ -354,7 +354,7 @@ def cmd_deform_surface(cfg, args):
                       mesh.vertices, mesh.normals, digest))
          for mesh in meshes], _threads())
     if len(meshes) >= 2:
-        wg = surface.weingarten_family_compare(meshes, chart)
+        wg = surface.weingarten_family_compare(meshes)
         eig, ang = wg["eigenvalue_deviation"], wg["misalignment_angle"]
         table.update(_table({"weingarten_eigenvalues": eig}, EIGENVALUE_BAND))
         table.update(_table({"weingarten_directions": ang}, DIRECTION_BAND))

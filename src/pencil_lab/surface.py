@@ -15,6 +15,7 @@ operators vertex by vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -94,6 +95,13 @@ class SurfaceModel:
         b12 = diff(H2, 1) / H1
         b21 = diff(H1, 2) / H2
         return H1, H2, b12, b21
+
+    @cached_property
+    def coefficient_grids(self) -> tuple:
+        """Grids of H_1, H_2, b12, b21, eta1 and eta2, evaluated once per
+        model and shared by every shift."""
+        return tuple(eval_grid(e, self.chart)
+                     for e in (*self.lame_beta(), self.eta1, self.eta2))
 
 
 def gaussian_curvature_expr(E: Expr, G: Expr) -> Expr:
@@ -247,12 +255,17 @@ def lax_residuals_3x3_2x2(H1, H2, b12, b21, eta1, eta2, chart: Chart,
 
 @dataclass
 class SurfaceMesh:
-    """Reconstructed member of the deformation family."""
+    """Reconstructed member of the deformation family.
+
+    Of the shape operator S only what weingarten_family_compare reads is
+    kept: its sorted spectrum and the larger off-diagonal entry per vertex.
+    """
 
     lam: float
     vertices: np.ndarray          # grid + (3,)
     normals: np.ndarray           # grid + (3,)
     eigenvalues: np.ndarray       # grid + (2,), shape-operator spectrum
+    off_diagonal: np.ndarray      # grid, max(|S_12|, |S_21|) per vertex
     excluded: int = 0
     notes: list = field(default_factory=list)
 
@@ -273,10 +286,7 @@ def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
     lambdas = model.lambdas if lambdas is None else lambdas
     chart = model.chart
     h = chart.spacing()
-    H1, H2, b12, b21 = model.lame_beta()
-    H1g, H2g = eval_grid(H1, chart), eval_grid(H2, chart)
-    b12g, b21g = eval_grid(b12, chart), eval_grid(b21, chart)
-    e1, e2 = eval_grid(model.eta1, chart), eval_grid(model.eta2, chart)
+    H1g, H2g, b12g, b21g, e1, e2 = model.coefficient_grids
     for k, tag in ((curv.k1, "k1"), (curv.k2, "k2")):
         if float(np.min(np.abs(k))) < 1e-8:
             raise MarchError(f"{tag} vanishes on the grid; the position "
@@ -301,7 +311,8 @@ def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
         S = mesh_weingarten(verts, normal, h)
         eig = np.sort(np.linalg.eigvals(S).real, axis=-1)
         gap = np.abs(eig[..., 1] - eig[..., 0])
-        mesh = SurfaceMesh(float(lam), verts, normal, eig,
+        off = np.maximum(np.abs(S[..., 0, 1]), np.abs(S[..., 1, 0]))
+        mesh = SurfaceMesh(float(lam), verts, normal, eig, off,
                            int(np.count_nonzero(gap < 1e-6)))
         mesh.notes.append(f"frame_drift={drift:.3e}")
         core = (slice(2, -2),) * 2
@@ -313,21 +324,19 @@ def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
     return meshes
 
 
-def weingarten_family_compare(meshes: list, chart: Chart,
-                              trim: int = 2) -> dict:
+def weingarten_family_compare(meshes: list, trim: int = 2) -> dict:
     """Vertex-by-vertex shape-operator agreement across the family.
 
     The sorted spectra stored on the meshes are compared; misalignment is the
     angle of the principal directions away from the parameter axes, read off
-    the shape operator rebuilt from each mesh.  Near-umbilic vertices
-    (spectral gap below 1e-6) are excluded from the angle statistic and
-    counted.  Differencing near the boundary is noisier, so a trim margin of
-    grid cells is dropped from the comparison.
+    the off-diagonal grid each mesh stores with its spectrum.  Near-umbilic
+    vertices (spectral gap below 1e-6) are excluded from the angle statistic
+    and counted.  Differencing near the boundary is noisier, so a trim margin
+    of grid cells is dropped from the comparison.
     """
     if len(meshes) < 2:
         raise ValueError("need at least two meshes to compare")
     core = (slice(trim, -trim if trim else None),) * 2
-    h = chart.spacing()
     eig_dev = 0.0
     angle_dev = 0.0
     excluded = 0
@@ -336,14 +345,13 @@ def weingarten_family_compare(meshes: list, chart: Chart,
         for b in range(a + 1, len(eigs)):
             eig_dev = max_abs(eig_dev, eigs[a] - eigs[b])
     for m, ev in zip(meshes, eigs):
-        S = mesh_weingarten(m.vertices, m.normals, h)[core]
         gap = np.abs(ev[..., 1] - ev[..., 0])
         ok = gap >= 1e-6
         excluded += int(np.count_nonzero(~ok))
         # In curvature-line parameters the operator should be diagonal; the
         # off-diagonal terms measure the rotation of its eigenframe.
-        off = np.maximum(np.abs(S[..., 0, 1]), np.abs(S[..., 1, 0]))
-        angle_dev = max_abs(angle_dev, np.arctan2(off[ok], gap[ok]))
+        angle_dev = max_abs(angle_dev,
+                            np.arctan2(m.off_diagonal[core][ok], gap[ok]))
     return {
         "eigenvalue_deviation": eig_dev,
         "misalignment_angle": angle_dev,

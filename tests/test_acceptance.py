@@ -264,15 +264,14 @@ def test_criterion_10_surface_family():
     laxres = lax_residuals_3x3_2x2(H1, H2, b12, b21, seed.eta1, seed.eta2,
                                    seed.chart, seed.lambdas)
     meshes = reconstruct_family(seed, curv)
-    wg = weingarten_family_compare(meshes, seed.chart)
+    wg = weingarten_family_compare(meshes)
     hd = mesh_nontriviality(meshes[0], meshes[-1])
 
     control = SurfaceModel.from_text("1", "R1^2", "5-R1^2+3*R2^2", "1+R2^2",
                                      seed.chart, (0.0, 1.0))
     ctrl_curv = solve_codazzi(*control.shifted_form(0.0), "2+2*R1", "2.5",
                               seed.chart)
-    ctrl = weingarten_family_compare(
-        reconstruct_family(control, ctrl_curv), seed.chart)
+    ctrl = weingarten_family_compare(reconstruct_family(control, ctrl_curv))
     ctrl_dev = max(max(constant_curvature_check(control).values()),
                    ctrl["misalignment_angle"])
     elapsed = time.monotonic() - t0

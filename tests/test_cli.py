@@ -7,10 +7,12 @@ import sys
 import numpy as np
 import pytest
 
+from pencil_lab import surface
 from pencil_lab.cli import (CURVATURE_BAND, DEFORMATION_BAND, DIRECTION_BAND,
                             EIGENVALUE_BAND, SOLVER_BAND, _pool_map, _table,
                             main)
 from pencil_lab.compat import ComplianceReport, verdict
+from pencil_lab.grids import Chart
 
 BD_KEYS = {"1,2": "0.2", "2,1": "0.1*R1", "3,1": "0.15",
            "1,3": "0.1+0.05*R3", "2,3": "0.2", "3,2": "0.25"}
@@ -158,7 +160,8 @@ def test_solve_diagonal_outputs(tmp_path):
     assert {"F1", "F2", "F3", "P_drift"} <= set(rep["residuals"])
     assert rep["egorov"] is False
     assert "beta.csv" in rep["artifacts"]
-    header = open(os.path.join(out, "beta.csv")).readline()
+    with open(os.path.join(out, "beta.csv")) as fh:
+        header = fh.readline()
     assert rep["config_digest"] in header
 
 
@@ -186,7 +189,8 @@ def test_frame_command(tmp_path):
         assert f"slice_lambda_{lam}.obj" in rep["artifacts"]
     assert "scaling_closed_form" in rep["residuals"]
     assert "lame.csv" in rep["artifacts"]
-    obj = open(os.path.join(out, "slice_lambda_0.5.obj")).read()
+    with open(os.path.join(out, "slice_lambda_0.5.obj")) as fh:
+        obj = fh.read()
     assert "v " in obj and "vn " in obj and "f " in obj
 
 
@@ -278,6 +282,47 @@ def test_deform_surface_full_chain(tmp_path):
     assert "surface_lambda_0.obj" in rep["artifacts"]
     assert "surface_lambda_1.obj" in rep["artifacts"]
     assert rep["excluded_vertices"] == [0, 0]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_deform_surface_lax_rows_match_one_serial_call(tmp_path, monkeypatch,
+                                                       threads):
+    # each shift's residuals come from its own pool task
+    monkeypatch.setenv("PENCIL_LAB_THREADS", threads)
+    cfg_dict = dict(_cfg_surface(), lambdas=[0.0, 0.5, 1.0, 1.5])
+    out = str(tmp_path / "out")
+    assert main(["deform-surface", "--config",
+                 _write(tmp_path, "s.json", cfg_dict), "--out", out]) == 0
+    res = _report(out)["residuals"]
+    model = surface.SurfaceModel.from_text(
+        *(cfg_dict["surface"][k] for k in ("g11", "g22", "eta1", "eta2")),
+        Chart(2, cfg_dict["chart"]["box"], cfg_dict["chart"]["shape"]),
+        cfg_dict["lambdas"])
+    want = surface.lax_residuals_3x3_2x2(*model.lame_beta(), model.eta1,
+                                         model.eta2, model.chart,
+                                         model.lambdas)
+    assert len(want) == 4
+    for lam, (r3, r2) in want.items():
+        assert np.array([res[f"lax3_{lam:g}"]["value"],
+                         res[f"lax2_{lam:g}"]["value"]]).tobytes() == \
+            np.array([r3, r2]).tobytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_deform_surface_failing_shift_task_writes_nothing(tmp_path, capsys,
+                                                          monkeypatch,
+                                                          threads):
+    # k1 = 0 passes the radii transport but fails every mesh build
+    monkeypatch.setenv("PENCIL_LAB_THREADS", threads)
+    cfg_dict = _cfg_surface()
+    cfg_dict["surface"]["k1_line"] = "0"
+    out = tmp_path / "out"
+    assert main(["deform-surface", "--config",
+                 _write(tmp_path, "s.json", cfg_dict), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "run failed: k1 vanishes on the grid; the position vector equation "
+        "degenerates\n")
+    assert not out.exists()
 
 
 def test_deform_surface_negative_control(tmp_path):

@@ -144,8 +144,23 @@ def test_family_mesh_invariants(seed, radii, family):
         assert drift < 1e-4
 
 
+def test_shifts_share_one_evaluation_of_the_coefficients(radii,
+                                                         monkeypatch):
+    model = seed_surface_model()
+    calls = []
+
+    def counting(e, chart):
+        calls.append(e)
+        return eval_grid(e, chart)
+
+    monkeypatch.setattr(surface, "eval_grid", counting)
+    for lam in model.lambdas:
+        reconstruct_family(model, radii, (lam,))
+    assert len(calls) == 6
+
+
 def test_family_preserves_weingarten(seed, family):
-    rep = weingarten_family_compare(family, seed.chart)
+    rep = weingarten_family_compare(family)
     assert rep["pairs"] == 3
     assert rep["eigenvalue_deviation"] < 1e-3
     assert rep["misalignment_angle"] < 1e-2
@@ -169,13 +184,13 @@ def test_broken_eta_fails_weingarten_control():
     G11, G22 = bad.shifted_form(0.0)
     curv = solve_codazzi(G11, G22, "2+2*R1", "2.5", ch)
     meshes = reconstruct_family(bad, curv)
-    comp = weingarten_family_compare(meshes, ch)
+    comp = weingarten_family_compare(meshes)
     assert comp["misalignment_angle"] > 1e-1
 
 
 def test_compare_needs_two_meshes(seed, family):
     with pytest.raises(ValueError):
-        weingarten_family_compare(family[:1], seed.chart)
+        weingarten_family_compare(family[:1])
 
 
 def test_every_pole_guard_raises_pole_error(seed, radii):
@@ -265,7 +280,7 @@ def test_overflowing_shape_operator_is_not_a_pass(seed, family):
         inf = np.full(seed.chart.shape + (2,), 1e308) * 10.0
     meshes = [dataclasses.replace(m, eigenvalues=inf) for m in family]
     with np.errstate(all="ignore"):
-        rep = weingarten_family_compare(meshes, seed.chart)
+        rep = weingarten_family_compare(meshes)
     assert np.isnan(rep["eigenvalue_deviation"])
 
 
@@ -327,7 +342,8 @@ def test_infinite_vertices_have_no_deformation_size(family):
 
 def test_nan_vertices_have_no_deformation_size(family):
     broken = surface.SurfaceMesh(family[0].lam, family[0].vertices.copy(),
-                                 family[0].normals, family[0].eigenvalues)
+                                 family[0].normals, family[0].eigenvalues,
+                                 family[0].off_diagonal)
     broken.vertices[3, 3, 0] = np.nan
     with pytest.raises(ValueError):
         mesh_nontriviality(broken, family[-1])
@@ -387,7 +403,9 @@ def test_mesh_spectra_match_old_kernel_bytes(seed, family, broken_family):
             S = _shape_operator_by_old_kernel(mesh, chart)
             eig = np.sort(np.linalg.eigvals(S).real, axis=-1)
             gap = np.abs(eig[..., 1] - eig[..., 0])
+            off = np.maximum(np.abs(S[..., 0, 1]), np.abs(S[..., 1, 0]))
             assert mesh.eigenvalues.tobytes() == eig.tobytes()
+            assert mesh.off_diagonal.tobytes() == off.tobytes()
             assert mesh.excluded == int(np.count_nonzero(gap < 1e-6))
 
 
@@ -395,7 +413,7 @@ def test_mesh_spectra_match_old_kernel_bytes(seed, family, broken_family):
 def test_family_compare_matches_old_kernel_bytes(seed, family, broken_family,
                                                  trim):
     for chart, meshes in ((seed.chart, family), broken_family):
-        rep = weingarten_family_compare(meshes, chart, trim)
+        rep = weingarten_family_compare(meshes, trim)
         got = [rep["eigenvalue_deviation"], rep["misalignment_angle"],
                rep["excluded_vertices"]]
         want = _compare_by_old_kernel(meshes, chart, trim)
