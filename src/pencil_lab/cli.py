@@ -30,7 +30,7 @@ import numpy as np
 from . import compat, diagonal, lax, surface
 from .expr import DomainError, ParseError, as_expr, parse_expr
 from .geometry import MetricField, expr_array, grid_max, GeometryError
-from .grids import Chart, GridError, eval_grid, max_abs
+from .grids import Chart, GridError, max_abs
 from .io import (canonical_digest, write_all, write_csv_grid, write_json_report,
                  write_obj)
 from .march import MarchError, PoleError
@@ -326,9 +326,9 @@ def cmd_deform_surface(cfg, args):
         k1_line, k2_line = (as_expr(s[k], 2) for k in ("k1_line", "k2_line"))
     except (KeyError, TypeError) as e:
         raise ConfigError(f"missing or malformed surface entry: {e}")
-    for key in ("g11", "g22", "eta1", "eta2"):
-        _require_finite(f"surface {key}",
-                        max_abs(eval_grid(getattr(model, key), chart)))
+    for key, grid in zip(("g11", "g22", "eta1", "eta2"),
+                         (*model.metric_grids, *model.eta_grids)):
+        _require_finite(f"surface {key}", max_abs(grid))
     notes = model.validate()
     cc = surface.constant_curvature_check(model)
     table = _table({f"curvature_one_{lam:g}": v for lam, v in cc.items()},

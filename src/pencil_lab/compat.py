@@ -8,16 +8,16 @@ a vanishing Nijenhuis tensor plus a second-covariant-derivative identity.
 J1/J2 are bilinear in the fields (g, ∂g, b, ∂b), so J(ỹ + λx) is the
 quadratic J(ỹ) + λC + λ²J(x) in the shift; its middle coefficient C holds the
 compatibility conditions C1/C2, and check_pencil sweeps λ through it without
-rebuilding any expression.  Each field and each J is a dict from entry
-index to grid that holds only the entries not symbolically zero (in diagonal
-coordinates most are), and every contraction sums the products present in
-the dense einsum's order, so every |value| is the dense one.  So do
-check_theorem1's ∇∇r and second-covariant sum and verify_appendix's I1/I2;
-the Nijenhuis and Riemann tensors go through geometry.grid_max, which skips
-ZERO entries.  A check-compat run evaluates no ZERO entry (42 eval_grid calls
-on the benchmark's pencil-check config), and it makes no batched LAPACK call:
-the degeneracy test expands det(g̃ + λg) over the present entries, and a
-triangular r gives its eigenvalues as its diagonal.
+rebuilding any expression.  Each field and each J is in the entry form of
+pencil_lab.entries: a dict from entry index to grid holding only the entries
+not symbolically zero (in diagonal coordinates most are), summed by its dot
+and lin in the dense einsum's order, so every |value| is the dense one.  So
+are check_theorem1's ∇∇r and second-covariant sum and verify_appendix's
+I1/I2; the Nijenhuis and Riemann tensors go through geometry.grid_max, which
+skips ZERO entries.  A check-compat run evaluates no ZERO entry (42
+eval_grid calls on the benchmark's pencil-check config), and it makes no
+batched LAPACK call: the degeneracy test expands det(g̃ + λg) over the
+present entries, and a triangular r gives its eigenvalues as its diagonal.
 J2^{ij}_{kn} is antisymmetric in (i, j) and is grouped so that the
 antisymmetry is exact in floating point, so every J2 here holds the pairs
 i < j only: the pairs hold its max-abs residual, and the diagonal and i > j
@@ -34,12 +34,13 @@ from itertools import combinations, product
 
 import numpy as np
 
+from .entries import dense, dot, entries, lin, with_zeros
 from .expr import ZERO, Const, diff
 from .geometry import (
     MetricField, ConnectionField, christoffel, covariant_derivative,
     expr_array, grid_max, nijenhuis, raise_index, riemann_max,
 )
-from .grids import Chart, eval_grid, max_abs
+from .grids import Chart, max_abs
 
 __all__ = [
     "HamiltonianOperator", "PencilOperator", "ComplianceReport", "verdict",
@@ -137,13 +138,6 @@ def _d(T: np.ndarray) -> np.ndarray:
     return out
 
 
-def _entries(T: np.ndarray, chart: Chart) -> dict:
-    """The field of T: a dict from entry index to grid that holds only the
-    entries whose Expr is not ZERO."""
-    return {idx: eval_grid(T[idx], chart) for idx in np.ndindex(T.shape)
-            if T[idx] != ZERO}
-
-
 def _fields(gU: np.ndarray, b: np.ndarray, chart: Chart) -> list:
     """The fields [g, ∂g, b, ∂b] of an operator, the input of _j.
 
@@ -152,69 +146,17 @@ def _fields(gU: np.ndarray, b: np.ndarray, chart: Chart) -> list:
     still evaluated, because the non-finite rule of _j reads it: an overflow
     there must fail as the dense sum's 0·inf = NaN does.
     """
-    return [_entries(T, chart) for T in (gU, _d(gU), b, _d(b))]
-
-
-def _dense(f: dict, shape) -> np.ndarray:
-    """The array of a field; its absent entries are zero."""
-    out = np.zeros(shape)
-    for idx, grid in f.items():
-        out[idx] = grid
-    return out
-
-
-def _with_zeros(fields, n: int, ranks, finite: bool = True) -> list:
-    """The fields as they are if ``finite`` and every grid is finite, else
-    with their zero entries too: a dense sum has 0·inf = NaN, and
-    contracting the zeros keeps it."""
-    if finite and all(np.isfinite(v).all()
-                      for f in fields for v in f.values()):
-        return fields
-    zero = np.zeros_like(next(v for f in fields for v in f.values()))
-    return [{idx: f.get(idx, zero) for idx in np.ndindex((n,) * rank)}
-            for f, rank in zip(fields, ranks)]
-
-
-def _dot(pairs):
-    """Σ_s x_s·y_s over the pairs whose two grids are present, in order of s;
-    None when no product is present."""
-    total = None
-    for x, y in pairs:
-        if x is not None and y is not None:
-            if total is None:
-                total = x * y
-            else:
-                total += x * y
-    return total
-
-
-def _times(t, factor: float):
-    """t·factor, or None when t is not present."""
-    return None if t is None else t * factor
-
-
-def _lin(*terms):
-    """Σ ±t left to right over the (sign, t) whose grid t is present."""
-    out = None
-    for sign, t in terms:
-        if t is not None:
-            if out is None:
-                out = t if sign > 0 else -t
-            else:
-                out = out + t if sign > 0 else out - t
-    return out
+    return [entries(T, chart) for T in (gU, _d(gU), b, _d(b))]
 
 
 def _j(fields, n: int) -> tuple:
     """J1 (keys k, i, j) and J2 (keys i, j, k, l) of the fields (g, ∂g, b, ∂b).
 
-    Both are dicts of the entries that some present product reaches; every
-    other entry is exactly zero.  Each sum over s runs in order of s over
-    the present products, so it is einsum's dense sum less terms that are
-    exact zeros, and every |value| is the dense one.  A dense 0·inf is NaN,
-    so fields that are not finite are contracted with their zero entries.
-    J2^{ij}_{kl} is antisymmetric in (i, j), so it is computed on the pairs
-    i < j only.  Each pair is grouped as ((A − B) + S) + (D − E), with
+    Both are fields of the entries that some present product reaches, and
+    each sum over s is the dense einsum's (pencil_lab.entries); fields that
+    are not finite are contracted with their zero entries.  J2^{ij}_{kl} is
+    antisymmetric in (i, j), so it is computed on the pairs i < j only.
+    Each pair is grouped as ((A − B) + S) + (D − E), with
     A = g^{js}∂_s b^{ik}_l, B = g^{is}∂_s b^{jk}_l,
     S = (b^{ij}_s − b^{ji}_s) b^{sk}_l, D = b^{ik}_s b^{js}_l and
     E = b^{jk}_s b^{is}_l.  Swapping i and j negates every bracket exactly in
@@ -224,29 +166,29 @@ def _j(fields, n: int) -> tuple:
     J(x + y) − J(x) − J(y) is the polarization that check_pencil uses for
     C1/C2 and the λ-sweep, and negation commutes with it.
     """
-    fields = _with_zeros(fields, n, (2, 3, 3, 4))
+    fields = with_zeros(fields, n, (2, 3, 3, 4))
     g, dg, b, db = (f.get for f in fields)
     r = range(n)
     j1 = {}
     # J1: 2 b^{ki}_s g^{sj} − g^{js}∂_s g^{ik} − g^{ks}∂_s g^{ij} + g^{is}∂_s g^{kj}
     for k, i, j in product(r, r, r):
-        bg = _dot((b((k, i, s)), g((s, j))) for s in r)
-        t = _lin((1, _times(bg, 2.0)),
-                 (-1, _dot((g((j, s)), dg((s, i, k))) for s in r)),
-                 (-1, _dot((g((k, s)), dg((s, i, j))) for s in r)),
-                 (1, _dot((g((i, s)), dg((s, k, j))) for s in r)))
+        bg = dot((b((k, i, s)), g((s, j))) for s in r)
+        t = lin((2.0, bg),
+                (-1, dot((g((j, s)), dg((s, i, k))) for s in r)),
+                (-1, dot((g((k, s)), dg((s, i, j))) for s in r)),
+                (1, dot((g((i, s)), dg((s, k, j))) for s in r)))
         if t is not None:
             j1[k, i, j] = t
     j2 = {}
     for i, j in combinations(r, 2):
-        skew = [_lin((1, b((i, j, s))), (-1, b((j, i, s)))) for s in r]
+        skew = [lin((1, b((i, j, s))), (-1, b((j, i, s)))) for s in r]
         for k, l in product(r, r):
-            t = _lin(
-                (1, _lin((1, _dot((g((j, s)), db((s, i, k, l))) for s in r)),
-                         (-1, _dot((g((i, s)), db((s, j, k, l))) for s in r)),
-                         (1, _dot((skew[s], b((s, k, l))) for s in r)))),
-                (1, _lin((1, _dot((b((i, k, s)), b((j, s, l))) for s in r)),
-                         (-1, _dot((b((j, k, s)), b((i, s, l))) for s in r)))))
+            t = lin(
+                (1, lin((1, dot((g((j, s)), db((s, i, k, l))) for s in r)),
+                        (-1, dot((g((i, s)), db((s, j, k, l))) for s in r)),
+                        (1, dot((skew[s], b((s, k, l))) for s in r)))),
+                (1, lin((1, dot((b((i, k, s)), b((j, s, l))) for s in r)),
+                        (-1, dot((b((j, k, s)), b((i, s, l))) for s in r)))))
             if t is not None:
                 j2[i, j, k, l] = t
     return j1, j2
@@ -326,7 +268,7 @@ def eigenvalue_gap(r: dict, chart: Chart) -> float:
         zero = np.zeros(chart.shape)
         vals = [r.get((a, a), zero).ravel() for a in range(n)]
     else:
-        pts = _dense(r, (n, n) + chart.shape).reshape(n, n, -1)
+        pts = dense(r, (n, n) + chart.shape).reshape(n, n, -1)
         vals = np.linalg.eigvals(np.moveaxis(pts, 2, 0)).T   # (n, npts)
     gap = np.inf
     for a, c in combinations(range(n), 2):
@@ -348,7 +290,7 @@ def _laplace(f: dict, n: int):
         row = [j for j in range(n) if (i, j) in f]
         sets = sorted({c | 1 << j for c in minors for j in row
                        if not c >> j & 1})
-        minors = {c: _lin(*(
+        minors = {c: lin(*(
             (-1 if bin(c & ((1 << j) - 1)).count("1") & 1 else 1,
              f[i, j] if i == n - 1 else f[i, j] * minors[c ^ 1 << j])
             for j in row if c >> j & 1 and c ^ 1 << j in minors))
@@ -362,7 +304,7 @@ def _det(f: dict, n: int):
     NaN, so a field that is not finite is expanded with its zero entries
     too, and its det is not finite either."""
     det = _laplace(f, n)
-    full, = _with_zeros((f,), n, (2,))
+    full, = with_zeros((f,), n, (2,))
     return det if det is None or full is f else _laplace(full, n)
 
 
@@ -371,12 +313,12 @@ def _second_covariant(g: dict, d2: dict, n: int) -> dict:
     T^{ijkl} = g^{is} g^{jt} ∇_s∇_t r^{kl}, of the fields g and d2 = ∇∇r
     (keys s, t, k, l), on the entries that some present product reaches.
 
-    As in _j, T sums (g^{is} g^{jt})·d2 over s, then t, over the present
-    products only, in einsum's order and grouping.  A dense (g·g)·0 is NaN
-    where g·g overflows, so then the zero entries are contracted too.
+    T sums (g^{is} g^{jt})·d2 over s, then t, in einsum's order and
+    grouping.  A dense (g·g)·0 is NaN where g·g overflows, so then the zero
+    entries are contracted too.
     """
     m = max_abs(*g.values())
-    g, d2 = _with_zeros((g, d2), n, (2, 4), math.isfinite(m * m))
+    g, d2 = with_zeros((g, d2), n, (2, 4), math.isfinite(m * m))
     r = range(n)
     st = list(product(r, r))
     t = {}
@@ -384,13 +326,13 @@ def _second_covariant(g: dict, d2: dict, n: int) -> dict:
         gg = [g[i, s] * g[j, u] if (i, s) in g and (j, u) in g else None
               for s, u in st]
         for k, l in st:
-            v = _dot(zip(gg, (d2.get((s, u, k, l)) for s, u in st)))
+            v = dot(zip(gg, (d2.get((s, u, k, l)) for s, u in st)))
             if v is not None:
                 t[i, j, k, l] = v
     out = {}
     for i, j, k, l in product(r, r, r, r):
-        v = _lin((1, t.get((i, j, k, l))), (1, t.get((k, l, i, j))),
-                 (-1, t.get((i, k, j, l))), (-1, t.get((j, l, i, k))))
+        v = lin((1, t.get((i, j, k, l))), (1, t.get((k, l, i, j))),
+                (-1, t.get((i, k, j, l))), (-1, t.get((j, l, i, k))))
         if v is not None:
             out[i, j, k, l] = v
     return out
@@ -402,8 +344,8 @@ def check_theorem1(p: PencilOperator, chart: Chart) -> ComplianceReport:
     conn = christoffel(g)
     D1 = covariant_derivative(raise_index(p.r, 1, g), "uu", g, conn)
     D2 = covariant_derivative(D1, "duu", g, conn)   # (s, t, k, l): ∇_s∇_t r^{kl}
-    gn, rn = _entries(g.gU, chart), _entries(p.r, chart)
-    res2 = _second_covariant(gn, _entries(D2, chart), g.n)
+    gn, rn = entries(g.gU, chart), entries(p.r, chart)
+    res2 = _second_covariant(gn, entries(D2, chart), g.n)
     scale = 1.0 + max_abs(*rn.values(), *gn.values(),
                           grid_max(p.gt.gU, chart))
     rep = ComplianceReport({"nijenhuis": grid_max(nijenhuis(p.r), chart),
@@ -438,16 +380,16 @@ def check_pencil(A: HamiltonianOperator, At: HamiltonianOperator, chart: Chart,
     n = A.g.n
     used, skipped = [], []
     for lam in lambdas:
-        det = _det({k: _lin((1, y[0].get(k)), (1, _times(x[0].get(k), lam)))
+        det = _det({k: lin((1, y[0].get(k)), (lam, x[0].get(k)))
                     for k in {*x[0], *y[0]}}, n)
         degenerate = det is None or float(np.min(np.abs(det))) < 1e-8
         (skipped if degenerate else used).append(lam)
 
     jx = _j(x, n)
     jy = _j(y, n)
-    xy = [{k: _lin((1, fy.get(k)), (1, fx.get(k))) for k in {*fx, *fy}}
+    xy = [{k: lin((1, fy.get(k)), (1, fx.get(k))) for k in {*fx, *fy}}
           for fx, fy in zip(x, y)]
-    cross = [{k: _lin((1, c.get(k)), (-1, a.get(k)), (-1, b.get(k)))
+    cross = [{k: lin((1, c.get(k)), (-1, a.get(k)), (-1, b.get(k)))
               for k in {*c, *a, *b}} for c, a, b in zip(_j(xy, n), jx, jy)]
     rep = ComplianceReport({"C1": max_abs(*cross[0].values()),
                             "C2": max_abs(*cross[1].values())},
@@ -455,8 +397,7 @@ def check_pencil(A: HamiltonianOperator, At: HamiltonianOperator, chart: Chart,
     sweep = []
     for lam in used:                # J(y) + λ(C + λJ(x)), entry by entry
         sweep.append(max_abs(*(
-            _lin((1, _times(_lin((1, _times(a.get(k), lam)), (1, c.get(k))),
-                            lam)), (1, b.get(k)))
+            lin((lam, lin((lam, a.get(k)), (1, c.get(k)))), (1, b.get(k)))
             for a, c, b in zip(jx, cross, jy) for k in {*a, *c, *b})))
     if used:
         rep.residuals["lambda_sweep"] = max_abs(sweep)
@@ -469,17 +410,16 @@ def _identities(bt: dict, rUU: dict, drUU: dict, n: int) -> tuple:
     """I1 = b̃^{ij}_k + b̃^{ji}_k − ∂_k r^{ij} and
     I2 = b̃^{ik}_s r^{sj} − b̃^{jk}_s r^{si} (keys i, j, k) of the fields b̃,
     r^{ij} and drUU = ∂r^{ij} (keys k, i, j), on the entries that some
-    present term reaches; each sum runs as the dense einsum's does, over
-    the present products only.
+    present term reaches; each sum runs as the dense einsum's does.
     """
-    bt, rUU = _with_zeros((bt, rUU), n, (3, 2))
+    bt, rUU = with_zeros((bt, rUU), n, (3, 2))
     r = range(n)
     i1, i2 = {}, {}
     for i, j, k in product(r, r, r):
-        v1 = _lin((1, bt.get((i, j, k))), (1, bt.get((j, i, k))),
-                  (-1, drUU.get((k, i, j))))
-        v2 = _lin((1, _dot((bt.get((i, k, s)), rUU.get((s, j))) for s in r)),
-                  (-1, _dot((bt.get((j, k, s)), rUU.get((s, i))) for s in r)))
+        v1 = lin((1, bt.get((i, j, k))), (1, bt.get((j, i, k))),
+                 (-1, drUU.get((k, i, j))))
+        v2 = lin((1, dot((bt.get((i, k, s)), rUU.get((s, j))) for s in r)),
+                 (-1, dot((bt.get((j, k, s)), rUU.get((s, i))) for s in r)))
         for out, v in ((i1, v1), (i2, v2)):
             if v is not None:
                 out[i, j, k] = v
@@ -493,8 +433,8 @@ def verify_appendix(p: PencilOperator, chart: Chart,
     if bt is None:
         bt = btilde_from_r(p)
     rUU = raise_index(p.r, 1, g)
-    btn, rUUn = _entries(bt, chart), _entries(rUU, chart)
-    i1, i2 = _identities(btn, rUUn, _entries(_d(rUU), chart), g.n)
+    btn, rUUn = entries(bt, chart), entries(rUU, chart)
+    i1, i2 = _identities(btn, rUUn, entries(_d(rUU), chart), g.n)
     scale = 1.0 + max_abs(*rUUn.values(), *btn.values())
     return ComplianceReport({"I1": max_abs(*i1.values()),
                              "I2": max_abs(*i2.values())}, scale)

@@ -15,6 +15,7 @@ from itertools import permutations
 
 import numpy as np
 
+from .entries import dense, entries
 from .expr import Expr, ZERO, ONE, Const, const, diff, div
 from .grids import Chart, eval_grid, max_abs
 
@@ -35,11 +36,9 @@ def expr_array(shape) -> np.ndarray:
 
 
 def eval_array(A: np.ndarray, chart: Chart) -> np.ndarray:
-    """Evaluate an Expr array entrywise; result shape = A.shape + chart.shape."""
-    out = np.empty(A.shape + chart.shape)
-    for idx in np.ndindex(A.shape):
-        out[idx] = eval_grid(A[idx], chart)
-    return out
+    """Evaluate an Expr array entrywise; result shape = A.shape + chart.shape.
+    Its ZERO entries are not evaluated."""
+    return dense(entries(A, chart), A.shape + chart.shape)
 
 
 def grid_max(A: np.ndarray, chart: Chart) -> float:

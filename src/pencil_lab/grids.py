@@ -74,16 +74,16 @@ class Chart:
     def corner(self) -> tuple:
         return tuple(lo for lo, _ in self.box)
 
-    def refine(self, factor: int = 2) -> "Chart":
-        """Same box with (m-1)*factor+1 samples per axis."""
-        return Chart(self.n, self.box,
-                     tuple((m - 1) * factor + 1 for m in self.shape))
-
 
 def eval_grid(e: Expr, chart: Chart) -> np.ndarray:
-    """Evaluate an Expr on the chart's full grid (always full-shape array)."""
-    out = evaluate(e, chart.mesh())
-    return np.broadcast_to(np.asarray(out, dtype=float), chart.shape).copy()
+    """Evaluate an Expr on the chart's full grid (always full-shape array).
+
+    An Expr without coordinates gives a read-only zero-stride view of its
+    one value; any other gives a fresh array.
+    """
+    out = np.asarray(evaluate(e, chart.mesh()), dtype=float)
+    full = np.broadcast_to(out, chart.shape)
+    return full if out.ndim == 0 else full.copy()
 
 
 # 4th-order first derivative, one-sided rows at the boundary.

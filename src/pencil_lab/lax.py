@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .diagonal import DiagonalModel
+from .entries import lin, matmul
 from .grids import Chart, deriv, max_abs
 from .march import MarchError, check_shift, position_vector, solve_frame
 
@@ -29,10 +30,10 @@ __all__ = [
 class LaxConnection:
     """Connection matrices A_d of a linear system d_d X = A_d X.
 
-    mats[d][i][j] is the grid of entry (i, j) of A_d, or None where that
-    entry is a structural zero; the size k of each matrix is len(mats[d]).
-    A_d acts on column vectors of frame components; lam is the spectral
-    shift.
+    mats[d] holds A_d in the entry form of pencil_lab.entries: a dict from
+    (i, j) to the grid of entry (i, j), with no key where that entry is a
+    structural zero.  A_d acts on column vectors of frame components; lam
+    is the spectral shift.
     """
 
     lam: float
@@ -59,67 +60,38 @@ def build_lax(model: DiagonalModel, beta: dict, chart: Chart,
     sh = _shifted(model, chart, lam)
     mats = []
     for d in range(n):
-        A = [[None] * n for _ in range(n)]
+        A = {}
         for i in range(n):
-            if i == d:
-                continue
-            w = np.sqrt(sh[i] / sh[d]) * beta[(i, d)]
-            A[i][d] = w
-            A[d][i] = -w
-        mats.append(tuple(map(tuple, A)))
+            if i != d:
+                w = np.sqrt(sh[i] / sh[d]) * beta[(i, d)]
+                A[i, d] = w
+                A[d, i] = -w
+        mats.append(A)
     return LaxConnection(float(lam), tuple(mats))
-
-
-def _minus(a, b):
-    """a - b where None is a structural zero."""
-    if b is None:
-        return a
-    return -b if a is None else a - b
-
-
-def _product(X, Y) -> list:
-    """Entries of XY: each sums, in c order, the X[i][c] Y[c][j] present."""
-    k = len(X)
-    P = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            for c in range(k):
-                if X[i][c] is not None and Y[c][j] is not None:
-                    t = X[i][c] * Y[c][j]
-                    P[i][j] = t if P[i][j] is None else P[i][j] + t
-    return P
 
 
 def zero_curvature_residual(conn: LaxConnection, chart: Chart) -> float:
     """Max-abs of F_dj = d_d A_j - d_j A_d - [A_d, A_j] over the grid.
 
-    Works on the present entries only: it differentiates those, and each
-    matrix product sums, in the order of the inner index, the products whose
-    two factors are present, grouped as (d_d A_j - d_j A_d) - (A_d A_j -
-    A_j A_d).  For real float64 that gives the values of the dense einsum
-    (complex ones may differ from it at round-off).  Serves the frame
-    connections and both surface connections (real 3x3 and complex 2x2).
+    Works on the present entries only: it differentiates those and forms
+    the products by entries.matmul, grouped as (d_d A_j - d_j A_d) -
+    (A_d A_j - A_j A_d).  For real float64 that gives the values of the
+    dense einsum (complex ones may differ from it at round-off).  Serves the
+    frame connections and both surface connections (real 3x3, complex 2x2).
     """
     n = chart.n
     h = chart.spacing()
     A = conn.mats
-
-    def derived(M, axis):
-        return [[None if e is None else deriv(e, axis, h[axis]) for e in row]
-                for row in M]
-
     worst = 0.0
     for d in range(n):
         for j in range(d + 1, n):
-            dAj, dAd = derived(A[j], d), derived(A[d], j)
-            P, Q = _product(A[d], A[j]), _product(A[j], A[d])
-            k = len(P)
-            for a in range(k):
-                for b in range(k):
-                    F = _minus(_minus(dAj[a][b], dAd[a][b]),
-                               _minus(P[a][b], Q[a][b]))
-                    if F is not None:
-                        worst = max_abs(worst, F)
+            dAj = {key: deriv(e, d, h[d]) for key, e in A[j].items()}
+            dAd = {key: deriv(e, j, h[j]) for key, e in A[d].items()}
+            P, Q = matmul(A[d], A[j]), matmul(A[j], A[d])
+            for key in {*dAj, *dAd, *P, *Q}:
+                F = lin((1, lin((1, dAj.get(key)), (-1, dAd.get(key)))),
+                        (-1, lin((1, P.get(key)), (-1, Q.get(key)))))
+                worst = max_abs(worst, F)
     return worst
 
 
@@ -142,7 +114,7 @@ def integrate_frame(conn: LaxConnection, model: DiagonalModel, H: list,
     since the connection then fails to be integrable on this box.
     """
     n = chart.n
-    phi = solve_frame(chart, conn.mats)
+    phi = solve_frame(chart, conn.mats, n)
     gram = np.einsum("...ki,...kj->...ij", phi, phi)
     drift = max_abs(gram - np.eye(n))
     if drift > 1e-4:

@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from .entries import dot
 from .expr import Expr, evaluate
 from .grids import Chart, cumint, max_abs
 
@@ -163,29 +164,25 @@ def solve_compatible(chart: Chart, unknowns: list[Unknown],
     raise MarchError(f"no fixed point after {MAX_SWEEPS} sweeps (last delta {delta:.3e})")
 
 
-def solve_frame(chart: Chart, mats) -> np.ndarray:
+def solve_frame(chart: Chart, mats, k: int) -> np.ndarray:
     """Solve d_d X = A_d X from X = identity at the corner.
 
-    mats[d][a][c] is the grid of entry (a, c) of A_d, or None where it is a
-    structural zero; returns X with shape grid + (k, k), k = len(mats[0]).
-    Each row of X is one unknown with k components, and the rhs of row a
-    along axis d sums, in c order, the present A_d[a][c] times row c (zero
-    when the row of A_d is empty).  Entry (a, b) of the sweep reads only
-    column b, so the Gauss-Seidel order is that of one scalar unknown per
-    entry taken row by row.
+    mats[d] is the k×k matrix A_d in the entry form of pencil_lab.entries,
+    a dict from (a, c) to grid without its structural zeros; returns X with
+    shape grid + (k, k).  Each row of X is one unknown with k components,
+    and the rhs of row a along axis d is the dot of row a of A_d with the
+    rows c of X, in c order (zero when the row of A_d is empty).  Entry
+    (a, b) of the sweep reads only column b, so the Gauss-Seidel order is
+    that of one scalar unknown per entry taken row by row.
     """
-    k = len(mats[0])
-
     def row(a, d):
-        terms = [(f"F{c}", A) for c, A in enumerate(mats[d][a])
-                 if A is not None]
+        terms = [(f"F{c}", mats[d][a, c]) for c in range(k)
+                 if (a, c) in mats[d]]
 
         def f(state, idx):
-            prods = (A[idx][..., None] * state[name][idx] for name, A in terms)
-            acc = next(prods, 0.0)
-            for t in prods:
-                acc += t
-            return acc
+            acc = dot((A[idx][..., None], state[name][idx])
+                      for name, A in terms)
+            return 0.0 if acc is None else acc
         return f
 
     unknowns = [Unknown(f"F{a}", {d: row(a, d) for d in range(len(mats))},

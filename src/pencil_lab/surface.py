@@ -73,13 +73,12 @@ class SurfaceModel:
             problems.append("eta2 depends on the first coordinate")
         for lam in self.lambdas:
             try:
-                check_shift(lam, [lam + eval_grid(eta, self.chart)
-                                  for eta in (self.eta1, self.eta2)])
+                check_shift(lam, [lam + eta for eta in self.eta_grids])
             except PoleError as e:
                 problems.append(str(e))
-        flat = _metric_flatness(self.g11, self.g22, self.chart)
-        if flat > 1e-8 * (1.0 + max_abs(eval_grid(self.g11, self.chart),
-                                        eval_grid(self.g22, self.chart))):
+        flat = max_abs(eval_grid(gaussian_curvature_expr(self.g11, self.g22),
+                                 self.chart))
+        if flat > 1e-8 * (1.0 + max_abs(*self.metric_grids)):
             problems.append(f"base metric is not flat (residual {flat:.3e})")
         return problems
 
@@ -97,11 +96,21 @@ class SurfaceModel:
         return H1, H2, b12, b21
 
     @cached_property
+    def metric_grids(self) -> tuple:
+        """Grids of g11 and g22, evaluated once per model."""
+        return tuple(eval_grid(e, self.chart) for e in (self.g11, self.g22))
+
+    @cached_property
+    def eta_grids(self) -> tuple:
+        """Grids of eta1 and eta2, evaluated once per model."""
+        return tuple(eval_grid(e, self.chart) for e in (self.eta1, self.eta2))
+
+    @cached_property
     def coefficient_grids(self) -> tuple:
         """Grids of H_1, H_2, b12, b21, eta1 and eta2, evaluated once per
         model and shared by every shift."""
-        return tuple(eval_grid(e, self.chart)
-                     for e in (*self.lame_beta(), self.eta1, self.eta2))
+        return (*(eval_grid(e, self.chart) for e in self.lame_beta()),
+                *self.eta_grids)
 
 
 def gaussian_curvature_expr(E: Expr, G: Expr) -> Expr:
@@ -112,16 +121,11 @@ def gaussian_curvature_expr(E: Expr, G: Expr) -> Expr:
     return as_expr(0.0, 2) - half * inner / root
 
 
-def _metric_flatness(g11: Expr, g22: Expr, chart: Chart) -> float:
-    return max_abs(eval_grid(gaussian_curvature_expr(g11, g22), chart))
-
-
 def constant_curvature_check(model: SurfaceModel) -> dict:
     """Per-shift max-abs of (Gaussian curvature of the shifted form) - 1."""
     out = {}
     for lam in model.lambdas:
-        check_shift(lam, [lam + eval_grid(eta, model.chart)
-                          for eta in (model.eta1, model.eta2)])
+        check_shift(lam, [lam + eta for eta in model.eta_grids])
         Gt11, Gt22 = model.shifted_form(lam)
         K = gaussian_curvature_expr(Gt11, Gt22)
         out[lam] = max_abs(eval_grid(K, model.chart) - 1.0)
@@ -216,23 +220,19 @@ def solve_codazzi(G11, G22, k1_line, k2_line, chart: Chart) -> CurvatureData:
 def _lax_mats(H1g, H2g, b12g, b21g, s1, s2):
     """3x3 real and 2x2 complex connection matrices for one shift.
 
-    s1, s2 are the grids of lam + eta_i.  Each matrix is given by its
-    entries, mats[i][j] a grid or None (see LaxConnection): B1 and B2 have 4
-    present entries each, M1 and M2 all 4 of theirs.
+    s1, s2 are the grids of lam + eta_i.  Each matrix is in the entry form
+    of LaxConnection: B1 and B2 have 4 present entries each, M1 and M2 all
+    4 of theirs.
     """
     r1, r2 = np.sqrt(s1), np.sqrt(s2)
     w1, w2 = (r2 / r1) * b21g, (r1 / r2) * b12g
-    B1 = ((None, -w1, H1g / r1),
-          (w1, None, None),
-          (-H1g / r1, None, None))
-    B2 = ((None, w2, None),
-          (-w2, None, H2g / r2),
-          (None, -H2g / r2, None))
+    B1 = {(0, 1): -w1, (0, 2): H1g / r1, (1, 0): w1, (2, 0): -H1g / r1}
+    B2 = {(0, 1): w2, (1, 0): -w2, (1, 2): H2g / r2, (2, 1): -H2g / r2}
     c1, c2 = 2.0 * r1, 1j / (2.0 * r2)
-    M1 = tuple(tuple(np.asarray(e, dtype=complex) / c1 for e in row)
-               for row in ((1j * r2 * b21g, H1g), (-H1g, -1j * r2 * b21g)))
-    M2 = tuple(tuple(np.asarray(e, dtype=complex) * c2 for e in row)
-               for row in ((-r1 * b12g, H2g), (H2g, r1 * b12g)))
+    M1 = {idx: np.asarray(e, dtype=complex) / c1 for idx, e in zip(
+        np.ndindex(2, 2), (1j * r2 * b21g, H1g, -H1g, -1j * r2 * b21g))}
+    M2 = {idx: np.asarray(e, dtype=complex) * c2 for idx, e in zip(
+        np.ndindex(2, 2), (-r1 * b12g, H2g, H2g, r1 * b12g))}
     return B1, B2, M1, M2
 
 
@@ -296,7 +296,7 @@ def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
         s1, s2 = lam + e1, lam + e2
         check_shift(lam, (s1, s2))
         B1, B2, _, _ = _lax_mats(H1g, H2g, b12g, b21g, s1, s2)
-        frame = solve_frame(chart, (B1, B2))
+        frame = solve_frame(chart, (B1, B2), 3)
         gram = np.einsum("...ki,...kj->...ij", frame, frame)
         drift = max_abs(gram - np.eye(3))
         normal = frame[..., 2, :]

@@ -18,7 +18,7 @@ REMOVED = {
 # Methods that only tests called, or nothing did.
 REMOVED_METHODS = {
     MetricField: ["from_covariant", "diagonal_covariant", "is_diagonal"],
-    Chart: ["cube"],
+    Chart: ["cube", "refine"],
 }
 
 

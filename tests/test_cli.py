@@ -12,7 +12,8 @@ from pencil_lab.cli import (CURVATURE_BAND, DEFORMATION_BAND, DIRECTION_BAND,
                             EIGENVALUE_BAND, SOLVER_BAND, _pool_map, _table,
                             main)
 from pencil_lab.compat import ComplianceReport, verdict
-from pencil_lab.grids import Chart
+from pencil_lab.expr import as_expr
+from pencil_lab.grids import Chart, eval_grid
 
 BD_KEYS = {"1,2": "0.2", "2,1": "0.1*R1", "3,1": "0.15",
            "1,3": "0.1+0.05*R3", "2,3": "0.2", "3,2": "0.25"}
@@ -308,6 +309,25 @@ def test_deform_surface_lax_rows_match_one_serial_call(tmp_path, monkeypatch,
             np.array([r3, r2]).tobytes()
 
 
+def test_deform_surface_evaluates_each_input_once(tmp_path, monkeypatch):
+    # the finiteness check, validate and the curvature check share one grid
+    # of each input, whatever the number of shifts
+    calls = []
+
+    def counting(e, chart):
+        calls.append(e)
+        return eval_grid(e, chart)
+
+    monkeypatch.setattr(surface, "eval_grid", counting)
+    cfg_dict = dict(_cfg_surface(), lambdas=[0.0, 0.5, 1.0, 1.5])
+    assert main(["deform-surface", "--config",
+                 _write(tmp_path, "s.json", cfg_dict), "--out",
+                 str(tmp_path / "out")]) == 0
+    for key in ("g22", "eta1", "eta2"):
+        assert calls.count(as_expr(cfg_dict["surface"][key], 2)) == 1, key
+    assert len(calls) == 17
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_deform_surface_failing_shift_task_writes_nothing(tmp_path, capsys,
                                                           monkeypatch,
@@ -432,6 +452,26 @@ def test_deform_surface_pole_is_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error: shift -3.0 touches a pole" in err
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+@pytest.mark.parametrize("key,text,message", [
+    ("g22", "log(R1-1)", "log of a non-positive value"),
+    ("eta2", "1+log(R2)", "log of a non-positive value"),
+    # finite, but the curvature of the base metric divides by it
+    ("g22", "R1^2*(R2-0.5)^2", "division by zero"),
+])
+def test_deform_surface_domain_error_wins_over_a_pole(tmp_path, capsys, key,
+                                                      text, message):
+    # the shift -3 also touches a pole of eta1; the domain error is reported
+    cfg_dict = _cfg_surface()
+    cfg_dict["surface"][key] = text
+    cfg = _write(tmp_path, "s.json", cfg_dict)
+    assert main(["deform-surface", "--config", cfg, "--out",
+                 str(tmp_path / "o"), "--lambda=0,-3"]) == 3
+    err = capsys.readouterr().err
+    assert f"config error: {message}\n" in err
+    assert "pole" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def _without(cfg, key):

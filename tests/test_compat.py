@@ -10,11 +10,12 @@ import pytest
 import pencil_lab
 from pencil_lab.cli import main
 from pencil_lab.compat import (
-    ComplianceReport, HamiltonianOperator, _d, _det, _entries, _fields,
+    ComplianceReport, HamiltonianOperator, _d, _det, _fields,
     _identities, _j, _second_covariant, check_hamiltonian, check_pencil,
     check_theorem1, btilde_from_r, eigenvalue_gap, hamiltonian_residuals,
     levi_civita_operator, pencil_operator, verify_appendix,
 )
+from pencil_lab.entries import dense as densify, entries
 from pencil_lab.expr import ZERO, Const, evaluate, parse_expr
 from pencil_lab.geometry import (
     MetricField, christoffel, covariant_derivative, eval_array, expr_array,
@@ -315,13 +316,6 @@ def _sparse(fields, rng, keep, ranks=J_RANKS):
     return dense, dicts
 
 
-def _densify(entries, shape):
-    out = np.zeros(shape)
-    for idx, grid in entries.items():
-        out[idx] = grid
-    return out
-
-
 @pytest.mark.parametrize("keep", [1.0, 0.6, 0.3])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_sparse_j_equals_the_dense_oracle_bit_for_bit(n, keep):
@@ -332,8 +326,8 @@ def test_sparse_j_equals_the_dense_oracle_bit_for_bit(n, keep):
             assert [len(d) for d in dicts] == [n ** k for k in (2, 3, 3, 4)]
         o1, o2 = _j_arrays(dense)
         j1, j2 = _j(dicts, n)
-        s1 = _densify(j1, o1.shape)
-        s2 = _densify(j2, (n, n, n, n) + grid)[np.triu_indices(n, 1)]
+        s1 = densify(j1, o1.shape)
+        s2 = densify(j2, (n, n, n, n) + grid)[np.triu_indices(n, 1)]
         assert np.abs(s1).tobytes() == np.abs(o1).tobytes()
         assert np.abs(s2).tobytes() == np.abs(o2).tobytes()
         assert max_abs(*j1.values()) == max_abs(o1)
@@ -353,8 +347,8 @@ def test_sparse_j_keeps_the_dense_nan_of_zero_times_inf(n, field):
     with np.errstate(all="ignore"):
         o1, o2 = _j_arrays(dense)
         j1, j2 = _j(dicts, n)
-    s1 = _densify(j1, o1.shape)
-    s2 = _densify(j2, (n, n, n, n) + grid)[np.triu_indices(n, 1)]
+    s1 = densify(j1, o1.shape)
+    s2 = densify(j2, (n, n, n, n) + grid)[np.triu_indices(n, 1)]
     assert np.isnan(o1).any() or np.isnan(o2).any()
     for s, o in ((s1, o1), (s2, o2)):
         assert np.array_equal(np.abs(s), np.abs(o), equal_nan=True)
@@ -384,6 +378,21 @@ def test_fields_hold_only_the_entries_that_are_not_zero(box2, flat_pencil):
         [(0, 0), (1, 1)], [(0, 0, 0), (1, 1, 1)], [(0, 0, 0), (1, 1, 1)],
         [(0, 0, 0, 0), (1, 1, 1, 1)]]
     assert y[1][0, 0, 0].tobytes() == _dg_eval(gt.gU, box2)[0, 0, 0].tobytes()
+
+
+def test_entries_call_the_eval_grid_of_the_grids_module(box2, flat_pencil,
+                                                         monkeypatch):
+    # a wrapper set on pencil_lab.grids alone, as a tracer sets one, sees
+    # every evaluation of a field
+    seen = []
+
+    def spy(e, chart):
+        seen.append(e)
+        return eval_grid(e, chart)
+
+    monkeypatch.setattr(pencil_lab.grids, "eval_grid", spy)
+    _, gt = flat_pencil
+    assert len(entries(gt.gU, box2)) == len(seen) == 2
 
 
 def test_check_pencil_equals_the_dense_oracle_on_a_non_diagonal_pair():
@@ -612,7 +621,7 @@ def _dense_appendix(p, chart, bt):
 
 
 def _assert_bit_equal(entries, dense):
-    s = _densify(entries, dense.shape)
+    s = densify(entries, dense.shape)
     assert np.abs(s).tobytes() == np.abs(dense).tobytes()
     assert max_abs(*entries.values()) == max_abs(dense)
 
@@ -666,7 +675,7 @@ def test_sparse_theorem1_and_appendix_keep_the_dense_nan(n, field):
     else:
         assert any(np.isnan(o).any() for _, o in pairs)
     for s, o in pairs:
-        assert np.array_equal(np.abs(_densify(s, o.shape)), np.abs(o),
+        assert np.array_equal(np.abs(densify(s, o.shape)), np.abs(o),
                               equal_nan=True)
 
 
@@ -674,7 +683,7 @@ def test_sparse_second_covariant_keeps_the_nan_of_an_overflowing_g_product():
     # finite fields, but g^{is}·g^{jt} overflows, and inf·0 is NaN
     (s, o), *_ = _pairs_with_inf(2, None, scale_g=1e200)
     assert np.isnan(o).any()
-    assert np.array_equal(np.abs(_densify(s, o.shape)), np.abs(o),
+    assert np.array_equal(np.abs(densify(s, o.shape)), np.abs(o),
                           equal_nan=True)
 
 
@@ -701,7 +710,7 @@ def test_theorem1_and_appendix_equal_the_dense_oracle_on_curved_pencils(n):
     residuals, scale, gap = _dense_theorem1(p, chart)
     assert t1.residuals == residuals
     assert t1.scale == scale
-    assert eigenvalue_gap(_entries(p.r, chart), chart) == gap
+    assert eigenvalue_gap(entries(p.r, chart), chart) == gap
     assert t1.notes[0] == f"eigenvalue_gap={gap:.3e}"
     bt = btilde_from_r(p)
     app = verify_appendix(p, chart, bt)
@@ -770,7 +779,7 @@ def test_gap_of_a_non_finite_r_is_nan(box2):
     r[1, 0] = np.ones(box2.shape)           # not triangular
     assert np.isnan(eigenvalue_gap(r, box2))
     with pytest.raises(np.linalg.LinAlgError):   # what eigvals would do
-        _lapack_gap(_densify(r, (2, 2) + box2.shape), 2)
+        _lapack_gap(densify(r, (2, 2) + box2.shape), 2)
 
 
 def test_check_compat_runs_without_batched_lapack(tmp_path, monkeypatch):

@@ -5,16 +5,15 @@ from pencil_lab import surface
 from pencil_lab.cli import SOLVER_BAND
 from pencil_lab.compat import verdict
 from pencil_lab.diagonal import BoundaryData, DiagonalModel, solve_S, solve_lame
+from pencil_lab.entries import dense, matmul, with_zeros
 from pencil_lab.grids import Chart, deriv, eval_grid, max_abs
 from pencil_lab.lax import (
-    FrameSolution, LaxConnection, _product, build_lax,
+    FrameSolution, LaxConnection, build_lax,
     hypersurface_curvatures, induced_metric_residual, integrate_frame,
     mesh_weingarten, weingarten_scaling_report, zero_curvature_residual,
 )
 from pencil_lab.march import (MarchError, PoleError, Unknown,
                               solve_compatible, solve_frame)
-
-from lax_entries import dense_form, entry_form, with_zeros
 
 BD3 = {(0, 1): "0.2", (1, 0): "0.1*R1", (2, 0): "0.15",
        (0, 2): "0.1+0.05*R3", (1, 2): "0.2", (2, 1): "0.25"}
@@ -38,6 +37,23 @@ def solved(model, chart):
     return beta, H
 
 
+def _entry_form(X):
+    """The dict matrix of a grid + (k, k) array, every entry present."""
+    return {idx: np.ascontiguousarray(X[(...,) + idx])
+            for idx in np.ndindex(X.shape[-2:])}
+
+
+def _stacked(M, k, grid):
+    """The grid + (k, k) array of the dict matrix M, absent entries zero."""
+    return np.ascontiguousarray(np.moveaxis(dense(M, (k, k) + grid), (0, 1),
+                                            (-2, -1)))
+
+
+def _filled(mats, k):
+    """The k×k dict matrices with every structural zero present."""
+    return tuple(with_zeros([A], k, (2,), finite=False)[0] for A in mats)
+
+
 def _zero_beta(chart):
     return {(i, j): np.zeros(chart.shape)
             for i in range(3) for j in range(3) if i != j}
@@ -49,29 +65,28 @@ def test_connection_entry_value():
     beta = {(0, 1): np.ones(ch.shape), (1, 0): np.zeros(ch.shape)}
     conn = build_lax(model, beta, ch, 1.0)
     # weight sqrt((lam+eta_1)/(lam+eta_2)) = sqrt(2/4)
-    assert conn.mats[1][0][1][2, 2] == pytest.approx(1 / np.sqrt(2))
-    assert conn.mats[1][1][0][2, 2] == pytest.approx(-1 / np.sqrt(2))
+    assert conn.mats[1][0, 1][2, 2] == pytest.approx(1 / np.sqrt(2))
+    assert conn.mats[1][1, 0][2, 2] == pytest.approx(-1 / np.sqrt(2))
 
 
 def test_connection_is_skew(model, chart, solved):
     beta, _ = solved
     conn = build_lax(model, beta, chart, 0.5)
     for A in conn.mats:
-        A = dense_form(A, chart.shape)
-        assert np.max(np.abs(A + np.swapaxes(A, -1, -2))) < 1e-12
+        A = dense(A, (3, 3) + chart.shape)
+        assert np.max(np.abs(A + np.swapaxes(A, 0, 1))) < 1e-12
 
 
 def test_zero_beta_gives_zero_connection(model, chart):
     # only row d and column d of A_d are present, and zero β makes them zero
     conn = build_lax(model, _zero_beta(chart), chart, 1.0)
     for d, A in enumerate(conn.mats):
-        for i, row in enumerate(A):
-            for j, e in enumerate(row):
-                assert (e is None) == (d not in (i, j) or i == j)
-                assert e is None or np.max(np.abs(e)) == 0.0
+        assert sorted(A) == sorted({(i, d) for i in range(3) if i != d}
+                                   | {(d, j) for j in range(3) if j != d})
+        assert all(np.max(np.abs(e)) == 0.0 for e in A.values())
     # a connection with no present entry at all is flat and integrates to
     # the identity frame
-    empty = LaxConnection(1.0, (((None,) * 3,) * 3,) * 3)
+    empty = LaxConnection(1.0, ({},) * 3)
     assert zero_curvature_residual(empty, chart) == 0.0
     H = [np.ones(chart.shape)] * 3
     fs = integrate_frame(empty, model, H, chart)
@@ -136,7 +151,7 @@ def test_non_orthogonal_frame_aborts(model, chart):
     from pencil_lab.lax import LaxConnection
     mats = [np.zeros(chart.shape + (3, 3)) for _ in range(3)]
     mats[0][..., 0, 0] = 0.5
-    conn = LaxConnection(1.0, tuple(entry_form(A) for A in mats))
+    conn = LaxConnection(1.0, tuple(_entry_form(A) for A in mats))
     H = [np.ones(chart.shape)] * 3
     with pytest.raises(MarchError):
         integrate_frame(conn, model, H, chart)
@@ -191,13 +206,13 @@ def _frame_by_scalar_unknowns(conn, model, H, chart):
     """Reference: one scalar unknown per frame entry, then one scalar
     unknown per position-vector component solved to its fixed point."""
     n = chart.n
-    mats = [dense_form(A, chart.shape) for A in conn.mats]
+    mats = [dense(A, (n, n) + chart.shape) for A in conn.mats]
 
     def entry(a, b, d):
         def f(state, idx):
-            acc = mats[d][..., a, 0][idx] * state[f"F0{b}"][idx]
+            acc = mats[d][a, 0][idx] * state[f"F0{b}"][idx]
             for c in range(1, n):
-                acc = acc + mats[d][..., a, c][idx] * state[f"F{c}{b}"][idx]
+                acc = acc + mats[d][a, c][idx] * state[f"F{c}{b}"][idx]
             return acc
         return f
 
@@ -257,8 +272,7 @@ def test_skipped_zero_entries_change_no_bit(model, chart, solved):
     for mdl, b, h, ch, lam in ((model, beta, H, chart, 0.5),
                                (model2, beta2, H2, ch2, 0.3)):
         conn = build_lax(mdl, b, ch, lam)
-        full = LaxConnection(lam, tuple(with_zeros(A, ch.shape)
-                                        for A in conn.mats))
+        full = LaxConnection(lam, _filled(conn.mats, ch.n))
         assert zero_curvature_residual(conn, ch) == \
             zero_curvature_residual(full, ch)
         fs = integrate_frame(conn, mdl, h, ch)
@@ -268,7 +282,7 @@ def test_skipped_zero_entries_change_no_bit(model, chart, solved):
     ch, sm, fields = _surface_fields()
     s1, s2 = (0.5 + eval_grid(e, ch) for e in (sm.eta1, sm.eta2))
     B = surface._lax_mats(*fields, s1, s2)[:2]
-    full = tuple(with_zeros(M, ch.shape) for M in B)
+    full = _filled(B, 3)
     assert zero_curvature_residual(LaxConnection(0.5, B), ch) == \
         zero_curvature_residual(LaxConnection(0.5, full), ch)
 
@@ -276,21 +290,22 @@ def test_skipped_zero_entries_change_no_bit(model, chart, solved):
 def test_nan_in_one_present_entry_fails(model, chart, solved):
     beta, _ = solved
     conn = build_lax(model, beta, chart, 0.5)
-    mats = [[list(row) for row in A] for A in conn.mats]
-    mats[1][0][1] = mats[1][0][1].copy()
+    mats = [dict(A) for A in conn.mats]
+    mats[1][0, 1] = mats[1][0, 1].copy()
     # the staircase reads A_1 on the plane R3 = min only, so the NaN sits
     # there; the residual sees it anywhere
-    mats[1][0][1][3, 4, 0] = np.nan
-    broken = LaxConnection(0.5, tuple(tuple(map(tuple, A)) for A in mats))
+    mats[1][0, 1][3, 4, 0] = np.nan
+    broken = LaxConnection(0.5, tuple(mats))
     res = zero_curvature_residual(broken, chart)
     assert np.isnan(res) and verdict(res, *SOLVER_BAND) == "fail"
     with pytest.raises(MarchError):
-        solve_frame(chart, broken.mats)
+        solve_frame(chart, broken.mats, 3)
 
 
 def _zero_curvature_einsum(conn, chart):
     h = chart.spacing()
-    mats = [dense_form(A, chart.shape) for A in conn.mats]
+    k = 1 + max(i for A in conn.mats for key in A for i in key)
+    mats = [_stacked(A, k, chart.shape) for A in conn.mats]
     worst = 0.0
     for d in range(chart.n):
         for j in range(d + 1, chart.n):
@@ -309,8 +324,8 @@ def test_product_of_entries_sums_in_einsum_order(k):
     rng = np.random.default_rng(k)
     X, Y = (rng.standard_normal((9, 9, k, k))
             * 10.0 ** rng.integers(-3, 4, (9, 9, k, k)) for _ in range(2))
-    P = _product(entry_form(X), entry_form(Y))
-    assert dense_form(P, (9, 9)).tobytes() == \
+    P = matmul(_entry_form(X), _entry_form(Y))
+    assert _stacked(P, k, (9, 9)).tobytes() == \
         np.einsum("...ik,...kj->...ij", X, Y).tobytes()
 
 
@@ -318,7 +333,7 @@ def test_product_of_entries_sums_in_einsum_order(k):
 def test_zero_curvature_matches_einsum(n):
     ch = Chart(n, ((0.0, 1.0),) * n, (5 if n > 3 else 9,) * n)
     rng = np.random.default_rng(n)
-    mats = tuple(entry_form(rng.standard_normal(ch.shape + (n, n)))
+    mats = tuple(_entry_form(rng.standard_normal(ch.shape + (n, n)))
                  for _ in range(n))
     conn = LaxConnection(0.0, mats)
     assert zero_curvature_residual(conn, ch) == _zero_curvature_einsum(conn, ch)
@@ -361,7 +376,8 @@ def test_surface_residuals_match_einsum(seed):
         r3, r2 = rep[lam]
         assert r3 == _zero_curvature_einsum(LaxConnection(lam, (B1, B2)), ch)
         oracle = _zero_curvature_einsum(LaxConnection(lam, (M1, M2)), ch)
-        assert abs(r2 - oracle) <= 1e-14 * (1.0 + max_abs(M1, M2))
+        assert abs(r2 - oracle) <= 1e-14 * (1.0 + max_abs(*M1.values(),
+                                                          *M2.values()))
 
 
 def _slice_spectrum_by_old_kernel(fs, chart):
@@ -474,7 +490,7 @@ def _nan_grids(chart, shape=()):
 
 
 def test_nan_connection_is_not_flat(chart):
-    conn = LaxConnection(0.0, tuple(entry_form(_nan_grids(chart, (3, 3)))
+    conn = LaxConnection(0.0, tuple(_entry_form(_nan_grids(chart, (3, 3)))
                                     for _ in range(3)))
     assert np.isnan(zero_curvature_residual(conn, chart))
 

@@ -8,8 +8,6 @@ from pencil_lab.march import (POLE_GUARD, MarchError, PoleError, Unknown,
                               check_shift, path_integral, position_vector,
                               solve_compatible, solve_frame)
 
-from lax_entries import entry_form
-
 
 def test_deriv_fourth_order():
     errs = []
@@ -89,6 +87,21 @@ def test_chart_mesh_is_cached_and_read_only():
         ch.axes()[0][:] = 0.0
     ch.mesh().append(None)  # the returned list is the caller's own
     assert len(ch.mesh()) == 2
+
+
+@pytest.mark.parametrize("text", ["2.5", "-0", "sqrt(2)*3"])
+def test_constant_grid_is_a_read_only_zero_stride_view(text):
+    ch = Chart(3, ((0.0, 1.0),) * 3, (5, 6, 7))
+    grid = eval_grid(parse_expr(text, 3), ch)
+    full = np.full(ch.shape, grid[0, 0, 0])
+    assert grid.shape == ch.shape and grid.strides == (0, 0, 0)
+    assert not grid.flags.writeable
+    assert grid.tobytes() == full.tobytes()
+    with pytest.raises(ValueError):
+        grid += 1.0
+    # an expression with a coordinate still gives a fresh writable array
+    fresh = eval_grid(parse_expr("R2 + 0", 3), ch)
+    assert fresh.flags.writeable and fresh is not ch.mesh()[1]
 
 
 def test_chart_guards():
@@ -241,7 +254,8 @@ def test_solve_frame_rotation_and_position_vector():
     # A_0 = A_1 = J (commuting): X = exp((R1 + R2) J) is a rotation
     ch = Chart(2, ((0.0, 1.0), (0.0, 0.5)), (33, 17))
     J = np.broadcast_to(np.array([[0.0, 1.0], [-1.0, 0.0]]), ch.shape + (2, 2))
-    X = solve_frame(ch, (entry_form(J), entry_form(J)))
+    Jd = {idx: J[(...,) + idx] for idx in np.ndindex(2, 2)}
+    X = solve_frame(ch, (Jd, Jd), 2)
     t = ch.mesh()[0] + ch.mesh()[1]
     want = np.stack([np.stack([np.cos(t), np.sin(t)], -1),
                      np.stack([-np.sin(t), np.cos(t)], -1)], -2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pencil_lab import surface
+from pencil_lab.entries import dense, with_zeros
 from pencil_lab.grids import Chart, deriv, eval_grid, max_abs
 from pencil_lab.march import MarchError, PoleError, Unknown, solve_compatible
 from pencil_lab.surface import (
@@ -12,8 +13,6 @@ from pencil_lab.surface import (
     reconstruct_family, seed_surface_model, solve_codazzi,
     weingarten_family_compare,
 )
-
-from lax_entries import dense_form, with_zeros
 
 
 @pytest.fixture(scope="module")
@@ -212,13 +211,13 @@ def _family_by_scalar_unknowns(model, curv, lam):
     H1, H2, b12, b21 = (eval_grid(e, ch) for e in model.lame_beta())
     s1 = lam + eval_grid(model.eta1, ch)
     s2 = lam + eval_grid(model.eta2, ch)
-    mats = [dense_form(M, ch.shape)
+    mats = [dense(M, (3, 3) + ch.shape)
             for M in surface._lax_mats(H1, H2, b12, b21, s1, s2)[:2]]
 
     def entry(a, b, d):
-        return lambda st, i: (mats[d][..., a, 0][i] * st[f"F0{b}"][i]
-                              + mats[d][..., a, 1][i] * st[f"F1{b}"][i]
-                              + mats[d][..., a, 2][i] * st[f"F2{b}"][i])
+        return lambda st, i: (mats[d][a, 0][i] * st[f"F0{b}"][i]
+                              + mats[d][a, 1][i] * st[f"F1{b}"][i]
+                              + mats[d][a, 2][i] * st[f"F2{b}"][i])
 
     sol = solve_compatible(ch, [
         Unknown(f"F{a}{b}", {d: entry(a, b, d) for d in range(2)},
@@ -256,7 +255,8 @@ def test_skipped_zero_entries_change_no_mesh_bit(seed, radii, family,
     lax_mats = surface._lax_mats
 
     def filled(*args):
-        return tuple(with_zeros(M, args[0].shape) for M in lax_mats(*args))
+        return tuple(with_zeros([M], k, (2,), finite=False)[0]
+                     for M, k in zip(lax_mats(*args), (3, 3, 2, 2)))
 
     monkeypatch.setattr(surface, "_lax_mats", filled)
     for mesh, full in zip(family, reconstruct_family(seed, radii)):
