@@ -10,9 +10,8 @@ shape operator.
 from .expr import (Expr, DomainError, ParseError, parse_expr, evaluate, diff,
                    to_text, coords_used)
 from .grids import Chart, GridError, eval_grid, deriv, cumint, max_abs
-from .geometry import (MetricField, ConnectionField, GeometryError,
-                       christoffel, riemann_max, covariant_derivative,
-                       raise_index, nijenhuis)
+from .geometry import (MetricField, GeometryError, christoffel, riemann_max,
+                       covariant_derivative, raise_index, nijenhuis)
 from .march import (MarchError, PoleError, Unknown, path_integral,
                     solve_compatible)
 from .compat import (HamiltonianOperator, PencilOperator, ComplianceReport,

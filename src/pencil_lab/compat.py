@@ -37,8 +37,8 @@ import numpy as np
 from .entries import dense, dot, entries, lin, with_zeros
 from .expr import ZERO, Const, diff
 from .geometry import (
-    MetricField, ConnectionField, christoffel, covariant_derivative,
-    expr_array, grid_max, nijenhuis, raise_index, riemann_max,
+    MetricField, covariant_derivative, expr_array, grid_max, nijenhuis,
+    raise_index, riemann_max,
 )
 from .grids import Chart, max_abs
 
@@ -112,11 +112,10 @@ class PencilOperator:
     r: np.ndarray
 
 
-def levi_civita_operator(g: MetricField,
-                         conn: ConnectionField | None = None) -> HamiltonianOperator:
+def levi_civita_operator(g: MetricField) -> HamiltonianOperator:
     """b^{ij}_k = −g^{is} Γ^j_{sk} with the Levi-Civita symbols of g."""
     n = g.n
-    gamma = (conn or christoffel(g)).gamma
+    gamma = g.gamma
     b = expr_array((n, n, n))
     for i in range(n):
         for j in range(n):
@@ -226,17 +225,15 @@ def pencil_operator(g: MetricField, gt: MetricField) -> PencilOperator:
     return PencilOperator(g, gt, r)
 
 
-def btilde_from_r(p: PencilOperator,
-                  conn: ConnectionField | None = None) -> np.ndarray:
+def btilde_from_r(p: PencilOperator) -> np.ndarray:
     """b̃^{ij}_k from r: 2b̃ = ∇^i r^j_k − ∇^j r^i_k + ∇_k r^{ij} + 2 b^{sj}_k r^i_s."""
     g = p.g
     n = g.n
-    conn = conn or christoffel(g)
-    b = levi_civita_operator(g, conn).b
-    D = covariant_derivative(p.r, "ud", g, conn)           # D[k,i,j] = ∇_k r^i_j
-    Dup = raise_index(D, 0, g)                             # Dup[i,j,k] = ∇^i r^j_k
-    rUU = raise_index(p.r, 1, g)                           # r^{ij}
-    DUU = covariant_derivative(rUU, "uu", g, conn)         # DUU[k,i,j] = ∇_k r^{ij}
+    b = levi_civita_operator(g).b
+    D = covariant_derivative(p.r, "ud", g)           # D[k,i,j] = ∇_k r^i_j
+    Dup = raise_index(D, 0, g)                       # Dup[i,j,k] = ∇^i r^j_k
+    rUU = raise_index(p.r, 1, g)                     # r^{ij}
+    DUU = covariant_derivative(rUU, "uu", g)         # DUU[k,i,j] = ∇_k r^{ij}
     half = Const(0.5)
     bt = expr_array((n, n, n))
     for i in range(n):
@@ -341,9 +338,8 @@ def _second_covariant(g: dict, d2: dict, n: int) -> dict:
 def check_theorem1(p: PencilOperator, chart: Chart) -> ComplianceReport:
     """Nijenhuis vanishing plus the symmetric second-covariant condition."""
     g = p.g
-    conn = christoffel(g)
-    D1 = covariant_derivative(raise_index(p.r, 1, g), "uu", g, conn)
-    D2 = covariant_derivative(D1, "duu", g, conn)   # (s, t, k, l): ∇_s∇_t r^{kl}
+    D1 = covariant_derivative(raise_index(p.r, 1, g), "uu", g)
+    D2 = covariant_derivative(D1, "duu", g)   # (s, t, k, l): ∇_s∇_t r^{kl}
     gn, rn = entries(g.gU, chart), entries(p.r, chart)
     res2 = _second_covariant(gn, entries(D2, chart), g.n)
     scale = 1.0 + max_abs(*rn.values(), *gn.values(),

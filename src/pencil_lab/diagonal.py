@@ -14,12 +14,12 @@ potential.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .expr import Expr, as_expr, coords_used, evaluate, diff, parse_expr
-from .grids import Chart, cumint, deriv, eval_grid, max_abs
+from .grids import Chart, deriv, eval_grid, max_abs
 from .march import MarchError, Unknown, solve_compatible
 
 __all__ = [

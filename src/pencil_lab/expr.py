@@ -19,12 +19,13 @@ domain raises DomainError instead of producing NaN, and so does a constant
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "Expr", "Const", "Coord", "Add", "Sub", "Mul", "Div", "Pow", "Neg", "Call",
+    "Expr", "Const", "Coord", "Bin", "Pow", "Neg", "Call",
     "ExprError", "ParseError", "DomainError",
     "parse_expr", "as_expr", "evaluate", "diff", "to_text", "coords_used",
     "ZERO", "ONE",
@@ -98,25 +99,10 @@ class Coord(Expr):
 
 
 @dataclass(frozen=True)
-class Add(Expr):
-    a: Expr
-    b: Expr
+class Bin(Expr):
+    """a op b, with ``op`` one of "+", "-", "*", "/"."""
 
-
-@dataclass(frozen=True)
-class Sub(Expr):
-    a: Expr
-    b: Expr
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    a: Expr
-    b: Expr
-
-
-@dataclass(frozen=True)
-class Div(Expr):
+    op: str
     a: Expr
     b: Expr
 
@@ -140,6 +126,9 @@ class Call(Expr):
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
+
+_BIN_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+            "/": operator.truediv}
 
 _FUNCS = {
     "sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh,
@@ -176,7 +165,7 @@ def add(a: Expr, b: Expr) -> Expr:
         return b
     if _is_const(b, 0.0):
         return a
-    return Add(a, b)
+    return Bin("+", a, b)
 
 
 def sub(a: Expr, b: Expr) -> Expr:
@@ -186,7 +175,7 @@ def sub(a: Expr, b: Expr) -> Expr:
         return a
     if _is_const(a, 0.0):
         return neg(b)
-    return Sub(a, b)
+    return Bin("-", a, b)
 
 
 def mul(a: Expr, b: Expr) -> Expr:
@@ -198,7 +187,7 @@ def mul(a: Expr, b: Expr) -> Expr:
         return b
     if _is_const(b, 1.0):
         return a
-    return Mul(a, b)
+    return Bin("*", a, b)
 
 
 def div(a: Expr, b: Expr) -> Expr:
@@ -208,7 +197,7 @@ def div(a: Expr, b: Expr) -> Expr:
         return ZERO
     if _is_const(b, 1.0):
         return a
-    return Div(a, b)
+    return Bin("/", a, b)
 
 
 def powi(base: Expr, n: int) -> Expr:
@@ -265,7 +254,7 @@ def evaluate(e: Expr, point):
 
 
 def _children(e: Expr) -> tuple:
-    if isinstance(e, (Add, Sub, Mul, Div)):
+    if isinstance(e, Bin):
         return e.a, e.b
     if isinstance(e, Neg):
         return (e.a,)
@@ -305,21 +294,12 @@ def _evaluate(e: Expr, point, shared: dict, memo: dict):
             raise ExprError(
                 f"point has {len(point)} coordinates, expression uses R{e.index}")
         return point[e.index - 1]
-    if isinstance(e, Add):
-        value = (_evaluate(e.a, point, shared, memo)
-                 + _evaluate(e.b, point, shared, memo))
-    elif isinstance(e, Sub):
-        value = (_evaluate(e.a, point, shared, memo)
-                 - _evaluate(e.b, point, shared, memo))
-    elif isinstance(e, Mul):
-        value = (_evaluate(e.a, point, shared, memo)
-                 * _evaluate(e.b, point, shared, memo))
-    elif isinstance(e, Div):
-        num = _evaluate(e.a, point, shared, memo)
-        den = _evaluate(e.b, point, shared, memo)
-        if np.any(den == 0):
+    if isinstance(e, Bin):
+        a = _evaluate(e.a, point, shared, memo)
+        b = _evaluate(e.b, point, shared, memo)
+        if e.op == "/" and np.any(b == 0):
             raise DomainError("division by zero")
-        value = num / den
+        value = _BIN_OPS[e.op](a, b)
     elif isinstance(e, Pow):
         base = _evaluate(e.base, point, shared, memo)
         if e.exponent < 0 and np.any(base == 0):
@@ -369,16 +349,15 @@ def _diff_root(e: Expr, k: int, memo: dict) -> Expr:
         return ZERO
     if isinstance(e, Coord):
         return ONE if e.index == k else ZERO
-    if isinstance(e, Add):
-        return add(_diff(e.a, k, memo), _diff(e.b, k, memo))
-    if isinstance(e, Sub):
-        return sub(_diff(e.a, k, memo), _diff(e.b, k, memo))
-    if isinstance(e, Mul):
-        return add(mul(_diff(e.a, k, memo), e.b),
-                   mul(e.a, _diff(e.b, k, memo)))
-    if isinstance(e, Div):
-        return sub(div(_diff(e.a, k, memo), e.b),
-                   div(mul(e.a, _diff(e.b, k, memo)), mul(e.b, e.b)))
+    if isinstance(e, Bin):
+        da, db = _diff(e.a, k, memo), _diff(e.b, k, memo)
+        if e.op == "+":
+            return add(da, db)
+        if e.op == "-":
+            return sub(da, db)
+        if e.op == "*":
+            return add(mul(da, e.b), mul(e.a, db))
+        return sub(div(da, e.b), div(mul(e.a, db), mul(e.b, e.b)))
     if isinstance(e, Pow):
         return mul(mul(const(e.exponent), powi(e.base, e.exponent - 1)),
                    _diff(e.base, k, memo))
@@ -425,6 +404,7 @@ _PREC_MUL = 2
 _PREC_NEG = 3
 _PREC_POW = 4
 _PREC_ATOM = 5
+_PREC_BIN = {"+": _PREC_ADD, "-": _PREC_ADD, "*": _PREC_MUL, "/": _PREC_MUL}
 
 
 def _prec(e: Expr) -> int:
@@ -436,9 +416,7 @@ def _prec(e: Expr) -> int:
         return _PREC_POW
     if isinstance(e, Neg):
         return _PREC_NEG
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    return _PREC_ADD
+    return _PREC_BIN[e.op]
 
 
 def to_text(e: Expr) -> str:
@@ -460,23 +438,15 @@ def to_text(e: Expr) -> str:
         if _prec(e.a) < _PREC_NEG or isinstance(e.a, Pow):
             inner = f"({inner})"
         return f"-{inner}"
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
+    if isinstance(e, Bin):
+        prec = _PREC_BIN[e.op]
         left = to_text(e.a)
-        if _prec(e.a) < _PREC_ADD:
+        if _prec(e.a) < prec:
             left = f"({left})"
         right = to_text(e.b)
-        if _prec(e.b) <= _PREC_ADD:
+        if _prec(e.b) <= prec:
             right = f"({right})"
-        return f"{left} {op} {right}"
-    if isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        left = to_text(e.a)
-        if _prec(e.a) < _PREC_MUL:
-            left = f"({left})"
-        right = to_text(e.b)
-        if _prec(e.b) <= _PREC_MUL:
-            right = f"({right})"
+        op = f" {e.op} " if prec == _PREC_ADD else e.op
         return f"{left}{op}{right}"
     raise TypeError(f"not an Expr node: {e!r}")
 

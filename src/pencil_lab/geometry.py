@@ -11,6 +11,7 @@ fixed here once and for all (flatness verdicts do not depend on it).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 
 import numpy as np
@@ -20,7 +21,7 @@ from .expr import Expr, ZERO, ONE, Const, const, diff, div
 from .grids import Chart, eval_grid, max_abs
 
 __all__ = [
-    "MetricField", "ConnectionField", "GeometryError",
+    "MetricField", "GeometryError",
     "expr_array", "eval_array", "grid_max",
     "christoffel", "riemann_expr", "riemann_max",
     "covariant_derivative", "raise_index", "nijenhuis",
@@ -99,7 +100,12 @@ def _inverse_expr(g: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MetricField:
-    """Contravariant metric g^{ij} with its symbolic inverse g_{ij}."""
+    """Contravariant metric g^{ij} with its symbolic inverse g_{ij}.
+
+    ``gamma`` holds its Levi-Civita symbols, built by christoffel on first
+    use and kept on the instance, so every operator of one metric shares one
+    Γ array.
+    """
 
     n: int
     gU: np.ndarray
@@ -130,18 +136,14 @@ class MetricField:
             gL[i, i] = div(ONE, e)
         return cls(n, gU, gL)
 
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return christoffel(self)
 
 
-@dataclass(frozen=True)
-class ConnectionField:
-    """Christoffel symbols Γ^i_{jk}, symmetric in (j, k)."""
-
-    n: int
-    gamma: np.ndarray
-
-
-def christoffel(g: MetricField) -> ConnectionField:
-    """Levi-Civita symbols Γ^i_{jk} = ½ g^{is}(∂_j g_{sk} + ∂_k g_{sj} − ∂_s g_{jk})."""
+def christoffel(g: MetricField) -> np.ndarray:
+    """Levi-Civita symbols Γ[i, j, k] = Γ^i_{jk}, symmetric in (j, k):
+    Γ^i_{jk} = ½ g^{is}(∂_j g_{sk} + ∂_k g_{sj} − ∂_s g_{jk})."""
     n = g.n
     dL = expr_array((n, n, n))  # dL[k, i, j] = ∂_k g_{ij}
     for k in range(n):
@@ -160,13 +162,13 @@ def christoffel(g: MetricField) -> ConnectionField:
                 val = half * s_total
                 gamma[i, j, k] = val
                 gamma[i, k, j] = val
-    return ConnectionField(n, gamma)
+    return gamma
 
 
-def riemann_expr(g: MetricField, conn: ConnectionField | None = None) -> np.ndarray:
+def riemann_expr(g: MetricField) -> np.ndarray:
     """R^i_{jkl} as an Expr array, with the module's sign convention."""
     n = g.n
-    gamma = (conn or christoffel(g)).gamma
+    gamma = g.gamma
     R = expr_array((n, n, n, n))
     for i in range(n):
         for j in range(n):
@@ -186,8 +188,8 @@ def riemann_max(g: MetricField, chart: Chart) -> float:
     return grid_max(riemann_expr(g), chart)
 
 
-def covariant_derivative(T: np.ndarray, valence: str, g: MetricField,
-                         conn: ConnectionField | None = None) -> np.ndarray:
+def covariant_derivative(T: np.ndarray, valence: str,
+                         g: MetricField) -> np.ndarray:
     """∇T with a new leading lower index: out[k, ...] = ∇_k T[...].
 
     ``valence`` is a string of 'u'/'d' per index of T, e.g. 'ud' for r^i_j.
@@ -198,7 +200,7 @@ def covariant_derivative(T: np.ndarray, valence: str, g: MetricField,
     if len(valence) != T.ndim:
         raise GeometryError("valence string must match tensor rank")
     n = g.n
-    gamma = (conn or christoffel(g)).gamma
+    gamma = g.gamma
     out = expr_array((n,) + T.shape)
     for k in range(n):
         for idx in np.ndindex(T.shape):
@@ -230,30 +232,17 @@ def raise_index(T: np.ndarray, axis: int, g: MetricField) -> np.ndarray:
     return out
 
 
-def nijenhuis(r: np.ndarray, conn: ConnectionField | None = None) -> np.ndarray:
-    """N^i_{jk} of a (1,1)-field; with ``conn``, ∂ is replaced by ∇ (same tensor)."""
+def nijenhuis(r: np.ndarray, g: MetricField | None = None) -> np.ndarray:
+    """N^i_{jk} of a (1,1)-field; with ``g``, ∂ is replaced by the ∇ of its
+    Levi-Civita connection (same tensor, as the connection is torsion-free)."""
     r = np.asarray(r, dtype=object)
     n = r.shape[0]
-
-    if conn is None:
-        def d(e, k):
-            return diff(e, k + 1)
+    if g is None:
         dr = expr_array((n, n, n))  # dr[k, i, j] = ∂_k r^i_j
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    dr[k, i, j] = d(r[i, j], k)
+        for k, i, j in np.ndindex(dr.shape):
+            dr[k, i, j] = diff(r[i, j], k + 1)
     else:
-        gamma = conn.gamma
-        dr = expr_array((n, n, n))
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    term = diff(r[i, j], k + 1)
-                    for s in range(n):
-                        term = term + gamma[i, k, s] * r[s, j] \
-                                    - gamma[s, k, j] * r[i, s]
-                    dr[k, i, j] = term
+        dr = covariant_derivative(r, "ud", g)   # dr[k, i, j] = ∇_k r^i_j
 
     N = expr_array((n, n, n))
     for i in range(n):

@@ -155,6 +155,14 @@ def pc_residual(G11, G22, k1, k2, chart: Chart) -> float:
     d_2 k1 = (k2 - k1) d_2 ln sqrt(G11),
     d_1 k2 = (k1 - k2) d_1 ln sqrt(G22).
     """
+    return _pc_residual(k1, k2, chart, lambda: (_log_deriv(G11, 1, chart),
+                                                _log_deriv(G22, 0, chart)))
+
+
+def _pc_residual(k1, k2, chart: Chart, log_derivs) -> float:
+    """pc_residual with the grids of d_2 ln sqrt(G11) and d_1 ln sqrt(G22)
+    from ``log_derivs()``, called after the umbilic check and the radii
+    derivatives, so solve_codazzi can pass the grids it marched with."""
     h = chart.spacing()
     k1g = _grid(k1, chart)
     k2g = _grid(k2, chart)
@@ -164,9 +172,8 @@ def pc_residual(G11, G22, k1, k2, chart: Chart) -> float:
             else deriv(k1g, 1, h[1]))
     d1k2 = (eval_grid(diff(k2, 1), chart) if isinstance(k2, Expr)
             else deriv(k2g, 0, h[0]))
-    r1 = d2k1 - (k2g - k1g) * _log_deriv(G11, 1, chart)
-    r2 = d1k2 - (k1g - k2g) * _log_deriv(G22, 0, chart)
-    return max_abs(r1, r2)
+    L1, L2 = log_derivs()
+    return max_abs(d2k1 - (k2g - k1g) * L1, d1k2 - (k1g - k2g) * L2)
 
 
 def solve_codazzi(G11, G22, k1_line, k2_line, chart: Chart) -> CurvatureData:
@@ -213,7 +220,7 @@ def solve_codazzi(G11, G22, k1_line, k2_line, chart: Chart) -> CurvatureData:
     if gap < UMBILIC_GUARD:
         raise MarchError("umbilic collision during the march")
     data = CurvatureData(sol["k1"], sol["k2"])
-    data.pc = pc_residual(G11, G22, data.k1, data.k2, chart)
+    data.pc = _pc_residual(data.k1, data.k2, chart, lambda: (L1, L2))
     return data
 
 

@@ -1,5 +1,7 @@
+import ast
 import dataclasses
 import importlib
+import pathlib
 import pkgutil
 
 import pencil_lab
@@ -7,12 +9,16 @@ from pencil_lab.geometry import MetricField
 from pencil_lab.grids import Chart
 from pencil_lab.lax import LaxConnection
 
-# Names removed because no command reached them; they must not come back as
-# stale exports.  LaxConnection has lost its `gauge` field and `n` property.
+# Names removed because no command reached them, or folded into one
+# implementation (geometry's Γ into MetricField.gamma, expr's four binary
+# nodes into Bin); they must not come back as stale exports.  LaxConnection
+# has lost its `gauge` field and `n` property.
 REMOVED = {
     "lax": ["build_lax_L1", "gauge_L1_to_L2", "gauge_residual"],
     "surface": ["solve_surface_system", "surface_system_residual"],
     "diagonal": ["lame_from_metric"],
+    "geometry": ["ConnectionField"],
+    "expr": ["Add", "Sub", "Mul", "Div"],
 }
 
 # Methods that only tests called, or nothing did.
@@ -38,3 +44,27 @@ def test_exports_exist_and_removed_names_stay_gone():
     for cls, removed in REMOVED_METHODS.items():
         for attr in removed:
             assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"
+
+
+def _unused_imports(path):
+    """Names that the module at ``path`` imports and never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                imported[a.asname or a.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for a in node.names:
+                imported[a.asname or a.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # the package __init__ imports only to re-export
+    src = pathlib.Path(pencil_lab.__file__).parent
+    unused = {path.name: _unused_imports(path)
+              for path in sorted(src.glob("*.py")) if path.name != "__init__.py"}
+    assert {k: v for k, v in unused.items() if v} == {}

@@ -13,6 +13,7 @@ from pencil_lab.cli import (CURVATURE_BAND, DEFORMATION_BAND, DIRECTION_BAND,
                             main)
 from pencil_lab.compat import ComplianceReport, verdict
 from pencil_lab.expr import as_expr
+from pencil_lab.geometry import christoffel
 from pencil_lab.grids import Chart, eval_grid
 
 BD_KEYS = {"1,2": "0.2", "2,1": "0.1*R1", "3,1": "0.15",
@@ -97,6 +98,27 @@ def test_check_compat_pass_and_fail(tmp_path):
     assert main(["check-compat", "--config", bad, "--out", out2]) == 1
     rep2 = _report(out2)
     assert rep2["residuals"]["nijenhuis"]["verdict"] == "fail"
+
+
+def test_check_compat_builds_each_metric_connection_once(tmp_path,
+                                                         monkeypatch):
+    # theorem 1, b̃, the Levi-Civita operator and both curvature checks read
+    # the Γ that each metric keeps
+    built = []
+
+    def counting(g):
+        built.append(g)
+        return christoffel(g)
+
+    # in every module that binds it, so a by-name import is counted too
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "pencil_lab" and \
+                hasattr(module, "christoffel"):
+            monkeypatch.setattr(module, "christoffel", counting)
+    cfg = _write(tmp_path, "c.json", _cfg_compat(["1+R1^2", "3+R2^2"]))
+    assert main(["check-compat", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 0
+    assert len(built) == 2 and built[0] is not built[1]
 
 
 @pytest.mark.parametrize("tilde,row", [
@@ -325,7 +347,7 @@ def test_deform_surface_evaluates_each_input_once(tmp_path, monkeypatch):
                  str(tmp_path / "out")]) == 0
     for key in ("g22", "eta1", "eta2"):
         assert calls.count(as_expr(cfg_dict["surface"][key], 2)) == 1, key
-    assert len(calls) == 17
+    assert len(calls) == 15
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -18,8 +18,8 @@ from pencil_lab.compat import (
 from pencil_lab.entries import dense as densify, entries
 from pencil_lab.expr import ZERO, Const, evaluate, parse_expr
 from pencil_lab.geometry import (
-    MetricField, christoffel, covariant_derivative, eval_array, expr_array,
-    nijenhuis, raise_index, riemann_expr,
+    MetricField, covariant_derivative, eval_array, expr_array, nijenhuis,
+    raise_index, riemann_expr,
 )
 from pencil_lab.grids import Chart, eval_grid, max_abs
 
@@ -595,9 +595,8 @@ def _dense_theorem1(p, chart):
     """Oracle: the residuals and scale of check_theorem1, every tensor
     evaluated on every entry, and the eigenvalue gap of the dense r."""
     g = p.g
-    conn = christoffel(g)
-    D1 = covariant_derivative(raise_index(p.r, 1, g), "uu", g, conn)
-    d2n = eval_array(covariant_derivative(D1, "duu", g, conn), chart)
+    D1 = covariant_derivative(raise_index(p.r, 1, g), "uu", g)
+    d2n = eval_array(covariant_derivative(D1, "duu", g), chart)
     gn, rn = eval_array(g.gU, chart), eval_array(p.r, chart)
     residuals = {
         "nijenhuis": max_abs(eval_array(nijenhuis(p.r), chart)),

@@ -3,8 +3,8 @@ import pytest
 
 from pencil_lab.expr import ONE, Const, div, evaluate, parse_expr
 from pencil_lab.geometry import (
-    MetricField, christoffel, covariant_derivative, eval_array, expr_array,
-    grid_max, nijenhuis, raise_index, riemann_max,
+    MetricField, covariant_derivative, eval_array, expr_array, grid_max,
+    nijenhuis, raise_index, riemann_max,
 )
 from pencil_lab.grids import Chart, max_abs
 
@@ -30,7 +30,7 @@ def box2():
 
 def test_polar_christoffel(box2):
     g = _diagonal_covariant([_p("1"), _p("R1^2")])
-    gam = christoffel(g).gamma
+    gam = g.gamma
     pt = (1.3, 0.7)
     assert evaluate(gam[0, 1, 1], pt) == pytest.approx(-1.3)
     assert evaluate(gam[1, 0, 1], pt) == pytest.approx(1 / 1.3)
@@ -40,7 +40,7 @@ def test_polar_christoffel(box2):
 def test_reciprocal_coordinate_metric_connection(box2):
     # covariant entries 1/R^i give the halved logarithmic connection terms
     g = MetricField.diagonal_contravariant([_p("R1"), _p("R2")])
-    gam = christoffel(g).gamma
+    gam = g.gamma
     assert evaluate(gam[0, 0, 0], (1.3, 0.7)) == pytest.approx(-1 / 2.6)
 
 
@@ -98,7 +98,7 @@ def test_nijenhuis_connection_independent(box2):
     r[1, 0] = _p("1")
     g = _diagonal_covariant([_p("1"), _p("R1^2")])
     plain = eval_array(nijenhuis(r), box2)
-    twisted = eval_array(nijenhuis(r, christoffel(g)), box2)
+    twisted = eval_array(nijenhuis(r, g), box2)
     assert np.max(np.abs(plain - twisted)) < 1e-12
 
 
