@@ -9,7 +9,7 @@ from the pencil, and finish with a sweep over linear combinations.
 import numpy as np
 
 from pencil_lab import (
-    Chart, MetricField, btilde_from_r, check_pencil, check_theorem1,
+    Chart, MetricField, check_pencil, check_theorem1,
     levi_civita_operator, parse_expr, pencil_operator, verify_appendix,
 )
 from pencil_lab.geometry import eval_array
@@ -25,12 +25,12 @@ print("operator criteria:")
 for name, value in t1.residuals.items():
     print(f"  {name:18s} {value:.3e}  [{t1.verdict_for(name)}]")
 
-bt = btilde_from_r(p)
+bt = p.At.b      # b̃, built once by btilde_from_r and kept on the pencil
 lc = levi_civita_operator(gt).b
 dev = np.max(np.abs(eval_array(bt, box) - eval_array(lc, box)))
 print(f"derived connection vs Levi-Civita: {dev:.3e}")
 
-app = verify_appendix(p, box, bt)
+app = verify_appendix(p, box)
 print(f"symmetry identities: I1 {app.residuals['I1']:.3e}, "
       f"I2 {app.residuals['I2']:.3e}")
 

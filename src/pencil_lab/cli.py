@@ -102,25 +102,39 @@ def _require_finite(what: str, peak: float) -> None:
         raise ConfigError(f"{what} is not finite on the box")
 
 
-def _metric(cfg: dict, key: str, chart: Chart) -> MetricField:
+def _tensor(raw, rank: int, chart: Chart, what: str) -> np.ndarray:
+    """``raw`` as an Expr array with ``rank`` axes of length chart.n: nested
+    lists of exactly that shape whose leaves, expression texts or numbers,
+    are each read by as_expr.  A text is a leaf, never a list of letters."""
     n = chart.n
+    out = expr_array((n,) * rank)
+
+    def fill(v, idx):
+        if len(idx) < rank and isinstance(v, list) and len(v) == n:
+            for i, u in enumerate(v):
+                fill(u, idx + (i,))
+        elif len(idx) == rank and isinstance(v, (str, int, float)):
+            out[idx] = as_expr(v, n)
+        else:
+            raise ConfigError(f"{what} needs nested lists of shape "
+                              f"{(n,) * rank} of expressions or numbers")
+
+    fill(raw, ())
+    return out
+
+
+def _metric(cfg: dict, key: str, chart: Chart) -> MetricField:
     try:
         section = cfg[key]
         if "diag" in section:
-            entries = [parse_expr(t, n) for t in section["diag"]]
-            if len(entries) != n:
-                raise ConfigError("metric diagonal length mismatch")
-            g = MetricField.diagonal_contravariant(entries)
+            g = MetricField.diagonal_contravariant(
+                _tensor(section["diag"], 1, chart, f"{key} diag"))
         else:
-            rows = section["rows"]
-            A = expr_array((n, n))
-            for i in range(n):
-                for j in range(n):
-                    A[i, j] = parse_expr(rows[i][j], n)
-            g = MetricField.from_contravariant(A)
+            g = MetricField.from_contravariant(
+                _tensor(section["rows"], 2, chart, f"{key} rows"))
     except ParseError as e:
         raise ConfigError(f"metric entry: {e}")
-    except (KeyError, IndexError, TypeError) as e:
+    except (KeyError, TypeError) as e:
         raise ConfigError(f"bad {key} section: {e}")
     except GeometryError as e:
         raise ConfigError(str(e))
@@ -148,14 +162,6 @@ def _lambdas(cfg: dict, override) -> list:
     return values
 
 
-def _entries(raw, count: int, what: str) -> list:
-    """``raw`` as a list of ``count`` expression texts or numbers."""
-    if not (isinstance(raw, list) and len(raw) == count
-            and all(isinstance(v, (str, int, float)) for v in raw)):
-        raise ConfigError(f"{what} needs a list of {count} expressions")
-    return raw
-
-
 def _table(residuals: dict, band: tuple) -> dict:
     """Rows of ``residuals`` judged on ``band``."""
     return {k: {"value": v, "verdict": compat.verdict(v, *band)}
@@ -174,15 +180,7 @@ def cmd_check_hamiltonian(cfg, args):
     chart = _chart(cfg, args.grid)
     g = _metric(cfg, "metric", chart)
     if "b" in cfg:
-        b = expr_array((chart.n,) * 3)
-        try:
-            for i in range(chart.n):
-                for j in range(chart.n):
-                    for k in range(chart.n):
-                        b[i, j, k] = parse_expr(cfg["b"][i][j][k], chart.n)
-        except (KeyError, IndexError, TypeError) as e:
-            raise ConfigError(f"bad b section: {e}")
-        A = compat.HamiltonianOperator(g, b)
+        A = compat.HamiltonianOperator(g, _tensor(cfg["b"], 3, chart, "b"))
     else:
         A = compat.levi_civita_operator(g)
     rep = compat.check_hamiltonian(A, chart)
@@ -195,12 +193,10 @@ def cmd_check_compat(cfg, args):
     g = _metric(cfg, "metric", chart)
     gt = _metric(cfg, "metric_tilde", chart)
     p = compat.pencil_operator(g, gt)
+    # in this order: it decides which DomainError a bad pencil reports
     t1 = compat.check_theorem1(p, chart)
-    bt = compat.btilde_from_r(p)
-    app = compat.verify_appendix(p, chart, bt)
-    A = compat.levi_civita_operator(g)
-    At = compat.HamiltonianOperator(gt, bt)
-    pc = compat.check_pencil(A, At, chart, lambdas)
+    app = compat.verify_appendix(p, chart)
+    pc = compat.check_pencil(p.A, p.At, chart, lambdas)
     table = {}
     for rep in (t1, pc, app):
         table.update(_table(rep.residuals, rep.band))
@@ -214,7 +210,8 @@ def cmd_check_compat(cfg, args):
 
 def _diag_inputs(cfg, chart):
     try:
-        model = diagonal.DiagonalModel.from_text(cfg["etas"], chart.n)
+        model = diagonal.DiagonalModel(
+            chart.n, tuple(_tensor(cfg["etas"], 1, chart, "etas")))
         raw = cfg.get("beta_boundary", {})
         lines = {}
         for key, text in raw.items():
@@ -234,8 +231,8 @@ def cmd_solve_diagonal(cfg, args):
         if chart.n != 3 or not model.is_constant():
             raise ConfigError("the angle system needs n=3 and constant etas")
         s2 = cfg["s2"]
-        seed = _entries(s2.get("seed") if isinstance(s2, dict) else None,
-                        3, "the s2 seed")
+        seed = _tensor(s2.get("seed") if isinstance(s2, dict) else None,
+                       1, chart, "the s2 seed")
     beta, egorov = diagonal.solve_S(model, bd, chart)
     f1, f2 = diagonal.flatness_residuals(beta, chart)
     f3 = diagonal.pencil_residual_F3(model, beta, chart)
@@ -269,8 +266,8 @@ def cmd_frame(cfg, args):
         raise ConfigError("frame runs use a three-dimensional chart")
     model, bd = _diag_inputs(cfg, chart)
     lambdas = _lambdas(cfg, args.lam)
-    h_lines = _entries(cfg.get("lame_boundary", ["1"] * chart.n), chart.n,
-                       "lame_boundary")
+    h_lines = _tensor(cfg.get("lame_boundary", ["1"] * chart.n), 1, chart,
+                      "lame_boundary")
     beta, _ = diagonal.solve_S(model, bd, chart)
     H = diagonal.solve_lame(beta, chart, dict(enumerate(h_lines)))
     residuals = {}

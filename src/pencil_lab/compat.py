@@ -30,15 +30,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations, product
 
 import numpy as np
 
 from .entries import dense, dot, entries, lin, with_zeros
-from .expr import ZERO, Const, diff
+from .expr import Const
 from .geometry import (
     MetricField, covariant_derivative, expr_array, grid_max, nijenhuis,
-    raise_index, riemann_max,
+    partials, raise_index, riemann_max,
 )
 from .grids import Chart, max_abs
 
@@ -105,36 +106,39 @@ class HamiltonianOperator:
 
 @dataclass(frozen=True)
 class PencilOperator:
-    """r^i_j = g̃^{is} g_{sj}; the first metric raises and lowers indices."""
+    """r^i_j = g̃^{is} g_{sj}; the first metric raises and lowers indices.
+
+    rUU = r^{ij}, DrUU[k, i, j] = ∇_k r^{ij}, the Levi-Civita operator A of
+    g and At = (g̃, b̃) with b̃ from btilde_from_r are built on first use and
+    kept on the instance, so the checks of one pencil share them.
+    """
 
     g: MetricField
     gt: MetricField
     r: np.ndarray
 
+    @cached_property
+    def rUU(self) -> np.ndarray:
+        return raise_index(self.r, 1, self.g)
+
+    @cached_property
+    def DrUU(self) -> np.ndarray:
+        return covariant_derivative(self.rUU, "uu", self.g)
+
+    @cached_property
+    def A(self) -> HamiltonianOperator:
+        return levi_civita_operator(self.g)
+
+    @cached_property
+    def At(self) -> HamiltonianOperator:
+        return HamiltonianOperator(self.gt, btilde_from_r(self))
+
 
 def levi_civita_operator(g: MetricField) -> HamiltonianOperator:
     """b^{ij}_k = −g^{is} Γ^j_{sk} with the Levi-Civita symbols of g."""
-    n = g.n
-    gamma = g.gamma
-    b = expr_array((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                total = ZERO
-                for s in range(n):
-                    total = total + g.gU[i, s] * gamma[j, s, k]
-                b[i, j, k] = -total
-    return HamiltonianOperator(g, b)
-
-
-def _d(T: np.ndarray) -> np.ndarray:
-    """Exact ∂_s T as an Expr array with axes (s, *T.shape)."""
-    n = T.shape[0]
-    out = expr_array((n,) + T.shape)
-    for s in range(n):
-        for idx in np.ndindex(T.shape):
-            out[(s,) + idx] = diff(T[idx], s + 1)
-    return out
+    # raise_index sums g^{is} Γ^j_{sk} into the axes (j, i, k)
+    return HamiltonianOperator(
+        g, -raise_index(g.gamma, 1, g).transpose(1, 0, 2))
 
 
 def _fields(gU: np.ndarray, b: np.ndarray, chart: Chart) -> list:
@@ -145,7 +149,9 @@ def _fields(gU: np.ndarray, b: np.ndarray, chart: Chart) -> list:
     still evaluated, because the non-finite rule of _j reads it: an overflow
     there must fail as the dense sum's 0·inf = NaN does.
     """
-    return [entries(T, chart) for T in (gU, _d(gU), b, _d(b))]
+    n = len(gU)
+    return [entries(T, chart)
+            for T in (gU, partials(gU, n), b, partials(b, n))]
 
 
 def _j(fields, n: int) -> tuple:
@@ -214,32 +220,22 @@ def check_hamiltonian(A: HamiltonianOperator, chart: Chart) -> ComplianceReport:
 
 def pencil_operator(g: MetricField, gt: MetricField) -> PencilOperator:
     """Assemble r^i_j = g̃^{is} g_{sj}."""
-    n = g.n
-    r = expr_array((n, n))
-    for i in range(n):
-        for j in range(n):
-            total = ZERO
-            for s in range(n):
-                total = total + gt.gU[i, s] * g.gL[s, j]
-            r[i, j] = total
-    return PencilOperator(g, gt, r)
+    return PencilOperator(g, gt, raise_index(g.gL, 0, gt))
 
 
 def btilde_from_r(p: PencilOperator) -> np.ndarray:
     """b̃^{ij}_k from r: 2b̃ = ∇^i r^j_k − ∇^j r^i_k + ∇_k r^{ij} + 2 b^{sj}_k r^i_s."""
     g = p.g
     n = g.n
-    b = levi_civita_operator(g).b
+    b = p.A.b
     D = covariant_derivative(p.r, "ud", g)           # D[k,i,j] = ∇_k r^i_j
     Dup = raise_index(D, 0, g)                       # Dup[i,j,k] = ∇^i r^j_k
-    rUU = raise_index(p.r, 1, g)                     # r^{ij}
-    DUU = covariant_derivative(rUU, "uu", g)         # DUU[k,i,j] = ∇_k r^{ij}
     half = Const(0.5)
     bt = expr_array((n, n, n))
     for i in range(n):
         for j in range(n):
             for k in range(n):
-                total = Dup[i, j, k] - Dup[j, i, k] + DUU[k, i, j]
+                total = Dup[i, j, k] - Dup[j, i, k] + p.DrUU[k, i, j]
                 for s in range(n):
                     total = total + Const(2.0) * b[s, j, k] * p.r[i, s]
                 bt[i, j, k] = half * total
@@ -338,8 +334,7 @@ def _second_covariant(g: dict, d2: dict, n: int) -> dict:
 def check_theorem1(p: PencilOperator, chart: Chart) -> ComplianceReport:
     """Nijenhuis vanishing plus the symmetric second-covariant condition."""
     g = p.g
-    D1 = covariant_derivative(raise_index(p.r, 1, g), "uu", g)
-    D2 = covariant_derivative(D1, "duu", g)   # (s, t, k, l): ∇_s∇_t r^{kl}
+    D2 = covariant_derivative(p.DrUU, "duu", g)   # (s, t, k, l): ∇_s∇_t r^{kl}
     gn, rn = entries(g.gU, chart), entries(p.r, chart)
     res2 = _second_covariant(gn, entries(D2, chart), g.n)
     scale = 1.0 + max_abs(*rn.values(), *gn.values(),
@@ -422,15 +417,11 @@ def _identities(bt: dict, rUU: dict, drUU: dict, n: int) -> tuple:
     return i1, i2
 
 
-def verify_appendix(p: PencilOperator, chart: Chart,
-                    bt: np.ndarray | None = None) -> ComplianceReport:
+def verify_appendix(p: PencilOperator, chart: Chart) -> ComplianceReport:
     """Symmetry identities I1, I2 for the coefficients derived from r."""
-    g = p.g
-    if bt is None:
-        bt = btilde_from_r(p)
-    rUU = raise_index(p.r, 1, g)
-    btn, rUUn = entries(bt, chart), entries(rUU, chart)
-    i1, i2 = _identities(btn, rUUn, entries(_d(rUU), chart), g.n)
+    n = p.g.n
+    btn, rUUn = entries(p.At.b, chart), entries(p.rUU, chart)
+    i1, i2 = _identities(btn, rUUn, entries(partials(p.rUU, n), chart), n)
     scale = 1.0 + max_abs(*rUUn.values(), *btn.values())
     return ComplianceReport({"I1": max_abs(*i1.values()),
                              "I2": max_abs(*i2.values())}, scale)

@@ -81,9 +81,6 @@ class Expr:
     def __neg__(self):
         return neg(self)
 
-    def diff(self, k: int) -> "Expr":
-        return diff(self, k)
-
     def __str__(self) -> str:
         return to_text(self)
 
@@ -603,9 +600,14 @@ def parse_expr(text: str, n: int) -> Expr:
 
 
 def as_expr(v, n: int) -> Expr:
-    """An Expr as is, a string parsed over R1..R{n}, or a number as a constant."""
+    """An Expr as is, a string parsed over R1..R{n}, or a number as a constant
+    (DomainError for an integer outside the float range)."""
     if isinstance(v, Expr):
         return v
     if isinstance(v, str):
         return parse_expr(v, n)
-    return parse_expr(repr(float(v)), n)
+    try:
+        v = float(v)
+    except OverflowError:
+        raise DomainError("number outside the float range") from None
+    return parse_expr(repr(v), n)

@@ -23,7 +23,7 @@ from .grids import Chart, eval_grid, max_abs
 __all__ = [
     "MetricField", "GeometryError",
     "expr_array", "eval_array", "grid_max",
-    "christoffel", "riemann_expr", "riemann_max",
+    "partials", "christoffel", "riemann_expr", "riemann_max",
     "covariant_derivative", "raise_index", "nijenhuis",
 ]
 
@@ -54,6 +54,14 @@ def grid_max(A: np.ndarray, chart: Chart) -> float:
         if e != ZERO:
             best = max_abs(best, eval_grid(e, chart))
     return best
+
+
+def partials(T: np.ndarray, n: int) -> np.ndarray:
+    """Exact ∂_k T for k < n as an Expr array with axes (k, *T.shape)."""
+    out = expr_array((n,) + T.shape)
+    for k, *idx in np.ndindex(out.shape):
+        out[(k, *idx)] = diff(T[tuple(idx)], k + 1)
+    return out
 
 
 def _det_expr(g: np.ndarray) -> Expr:
@@ -121,20 +129,14 @@ class MetricField:
 
     @classmethod
     def euclidean(cls, n: int) -> "MetricField":
-        gU = expr_array((n, n))
-        for i in range(n):
-            gU[i, i] = ONE
-        return cls(n, gU, gU.copy())
+        return cls.diagonal_contravariant([ONE] * n)
 
     @classmethod
     def diagonal_contravariant(cls, entries) -> "MetricField":
-        n = len(entries)
-        gU = expr_array((n, n))
-        gL = expr_array((n, n))
+        gU = expr_array((len(entries),) * 2)
         for i, e in enumerate(entries):
             gU[i, i] = e
-            gL[i, i] = div(ONE, e)
-        return cls(n, gU, gL)
+        return cls.from_contravariant(gU)
 
     @cached_property
     def gamma(self) -> np.ndarray:
@@ -145,11 +147,7 @@ def christoffel(g: MetricField) -> np.ndarray:
     """Levi-Civita symbols Γ[i, j, k] = Γ^i_{jk}, symmetric in (j, k):
     Γ^i_{jk} = ½ g^{is}(∂_j g_{sk} + ∂_k g_{sj} − ∂_s g_{jk})."""
     n = g.n
-    dL = expr_array((n, n, n))  # dL[k, i, j] = ∂_k g_{ij}
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                dL[k, i, j] = diff(g.gL[i, j], k + 1)
+    dL = partials(g.gL, n)  # dL[k, i, j] = ∂_k g_{ij}
     gamma = expr_array((n, n, n))
     half = Const(0.5)
     for i in range(n):
@@ -201,10 +199,10 @@ def covariant_derivative(T: np.ndarray, valence: str,
         raise GeometryError("valence string must match tensor rank")
     n = g.n
     gamma = g.gamma
-    out = expr_array((n,) + T.shape)
+    out = partials(T, n)
     for k in range(n):
         for idx in np.ndindex(T.shape):
-            term = diff(T[idx], k + 1)
+            term = out[(k,) + idx]
             for pos, kind in enumerate(valence):
                 for s in range(n):
                     swapped = list(idx)
@@ -237,12 +235,8 @@ def nijenhuis(r: np.ndarray, g: MetricField | None = None) -> np.ndarray:
     Levi-Civita connection (same tensor, as the connection is torsion-free)."""
     r = np.asarray(r, dtype=object)
     n = r.shape[0]
-    if g is None:
-        dr = expr_array((n, n, n))  # dr[k, i, j] = ∂_k r^i_j
-        for k, i, j in np.ndindex(dr.shape):
-            dr[k, i, j] = diff(r[i, j], k + 1)
-    else:
-        dr = covariant_derivative(r, "ud", g)   # dr[k, i, j] = ∇_k r^i_j
+    # dr[k, i, j] = ∂_k r^i_j, or ∇_k r^i_j with g
+    dr = partials(r, n) if g is None else covariant_derivative(r, "ud", g)
 
     N = expr_array((n, n, n))
     for i in range(n):

@@ -142,8 +142,9 @@ class CurvatureData:
 
 
 def _log_deriv(G, axis: int, chart: Chart):
-    """Grid of d_axis ln sqrt(G), exact for expressions."""
-    if isinstance(G, Expr):
+    """Grid of d_axis ln sqrt(G), exact for an expression or its text."""
+    if isinstance(G, (str, Expr)):
+        G = as_expr(G, 2)
         return eval_grid(diff(G, axis + 1) / (as_expr(2.0, 2) * G), chart)
     g = _grid(G, chart)
     return deriv(g, axis, chart.spacing()[axis]) / (2.0 * g)
@@ -154,6 +155,9 @@ def pc_residual(G11, G22, k1, k2, chart: Chart) -> float:
 
     d_2 k1 = (k2 - k1) d_2 ln sqrt(G11),
     d_1 k2 = (k1 - k2) d_1 ln sqrt(G22).
+
+    The radii are differenced on the grid; the log-derivatives are exact
+    for G11 and G22 given as expressions or their text.
     """
     return _pc_residual(k1, k2, chart, lambda: (_log_deriv(G11, 1, chart),
                                                 _log_deriv(G22, 0, chart)))
@@ -168,10 +172,8 @@ def _pc_residual(k1, k2, chart: Chart, log_derivs) -> float:
     k2g = _grid(k2, chart)
     if float(np.min(np.abs(k2g - k1g))) < UMBILIC_GUARD:
         raise MarchError("umbilic point inside the grid")
-    d2k1 = (eval_grid(diff(k1, 2), chart) if isinstance(k1, Expr)
-            else deriv(k1g, 1, h[1]))
-    d1k2 = (eval_grid(diff(k2, 1), chart) if isinstance(k2, Expr)
-            else deriv(k2g, 0, h[0]))
+    d2k1 = deriv(k1g, 1, h[1])
+    d1k2 = deriv(k2g, 0, h[0])
     L1, L2 = log_derivs()
     return max_abs(d2k1 - (k2g - k1g) * L1, d1k2 - (k1g - k2g) * L2)
 

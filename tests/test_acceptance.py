@@ -120,7 +120,7 @@ def test_criterion_02_derived_coefficients_and_identities():
         bt = btilde_from_r(p)
         lc = levi_civita_operator(gt).b
         dev = float(np.max(np.abs(eval_array(bt, ch) - eval_array(lc, ch))))
-        app = verify_appendix(p, ch, bt)
+        app = verify_appendix(p, ch)
         worst = max(worst, dev, app.residuals["I1"], app.residuals["I2"])
         ok &= dev <= 1e-8 and app.residuals["I1"] <= 1e-9 \
             and app.residuals["I2"] <= 1e-9

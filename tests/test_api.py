@@ -5,6 +5,7 @@ import pathlib
 import pkgutil
 
 import pencil_lab
+from pencil_lab.expr import Expr
 from pencil_lab.geometry import MetricField
 from pencil_lab.grids import Chart
 from pencil_lab.lax import LaxConnection
@@ -25,6 +26,7 @@ REMOVED = {
 REMOVED_METHODS = {
     MetricField: ["from_covariant", "diagonal_covariant", "is_diagonal"],
     Chart: ["cube", "refine"],
+    Expr: ["diff"],
 }
 
 

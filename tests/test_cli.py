@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from pencil_lab import surface
+from pencil_lab import compat, surface
 from pencil_lab.cli import (CURVATURE_BAND, DEFORMATION_BAND, DIRECTION_BAND,
                             EIGENVALUE_BAND, SOLVER_BAND, _pool_map, _table,
                             main)
@@ -119,6 +119,75 @@ def test_check_compat_builds_each_metric_connection_once(tmp_path,
     assert main(["check-compat", "--config", cfg, "--out",
                  str(tmp_path / "out")]) == 0
     assert len(built) == 2 and built[0] is not built[1]
+
+
+def test_check_compat_builds_each_pencil_tensor_once(tmp_path, monkeypatch):
+    # r^{ij}, ∇_k r^{ij}, the Levi-Civita operator of g and b̃ are kept on the
+    # pencil and read by theorem 1, the appendix and the pencil check
+    built = []
+
+    def counting(func, key):
+        def wrapper(*args):
+            built.append(key(*args))
+            return func(*args)
+        return wrapper
+
+    for name, key in (("raise_index", lambda T, axis, g: ("raise", T.ndim,
+                                                          axis)),
+                      ("covariant_derivative", lambda T, v, g: ("nabla", v)),
+                      ("levi_civita_operator", lambda g: "levi_civita"),
+                      ("btilde_from_r", lambda p: "btilde")):
+        func = getattr(compat, name)
+        for module_name, module in list(sys.modules.items()):
+            if module_name.split(".")[0] == "pencil_lab" and \
+                    getattr(module, name, None) is func:
+                monkeypatch.setattr(module, name, counting(func, key))
+    cfg = _write(tmp_path, "c.json", _cfg_compat(["1+R1^2", "3+R2^2"]))
+    assert main(["check-compat", "--config", cfg, "--out",
+                 str(tmp_path / "out")]) == 0
+    for key in (("raise", 2, 1), ("nabla", "uu"), "levi_civita", "btilde"):
+        assert built.count(key) == 1, key
+
+
+def test_rows_metric_gives_the_residuals_of_its_diagonal(tmp_path):
+    reports = []
+    for form, g, gt in (("diag", ["1", "1"], ["1+R1^2", "3+R2^2"]),
+                        ("rows", [["1", "0"], ["0", "1"]],
+                         [["1+R1^2", "0"], ["0", "3+R2^2"]])):
+        cfg = dict(_cfg_compat(None), metric={form: g},
+                   metric_tilde={form: gt})
+        out = str(tmp_path / form)
+        assert main(["check-compat", "--config",
+                     _write(tmp_path, f"{form}.json", cfg), "--out", out]) == 0
+        reports.append({k: v for k, v in _report(out).items()
+                        if k != "config_digest"})
+    assert reports[0] == reports[1]
+
+
+def test_numeric_entries_read_as_their_text(tmp_path):
+    reports = []
+    for g11, b in (("2", [[["R1", "0"], ["0", "R2"]],
+                          [["1", "R1*R2"], ["0", "2.5"]]]),
+                   (2, [[["R1", 0], [0, "R2"]], [[1, "R1*R2"], [0, 2.5]]])):
+        cfg = dict(_cfg_ham(), metric={"diag": [g11, "3+R2^2"]}, b=b)
+        out = str(tmp_path / str(len(reports)))
+        assert main(["check-hamiltonian", "--config",
+                     _write(tmp_path, "c.json", cfg), "--out", out]) == 1
+        reports.append(_report(out)["residuals"])
+    assert reports[0] == reports[1]
+
+
+def test_dense_metric_above_three_dimensions_is_a_config_error(tmp_path,
+                                                               capsys):
+    rows = [["1" if i == j else "0" for j in range(4)] for i in range(4)]
+    rows[0][1] = rows[1][0] = "0.1"
+    cfg = {"chart": {"n": 4, "box": [[0.0, 1.0]] * 4, "shape": [5] * 4},
+           "metric": {"rows": rows}}
+    assert main(["check-hamiltonian", "--config",
+                 _write(tmp_path, "c.json", cfg), "--out",
+                 str(tmp_path / "o")]) == 3
+    assert "symbolic inverse of a dense metric needs n <= 3" in \
+        capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tilde,row", [
@@ -554,6 +623,18 @@ OVERFLOWING_ENTRY = {"metric-inf-1e308", "metric-inf-1e200",
                  dict(_cfg_surface(), surface=dict(_cfg_surface()["surface"],
                                                    k1_line=None)), [],
                  id="surface-null-line"),
+    # a text is one entry, never a list of one-letter expressions
+    pytest.param("check-hamiltonian", dict(_cfg_ham(), metric={"diag": "13"}),
+                 [], id="diag-string"),
+    pytest.param("check-hamiltonian",
+                 dict(_cfg_ham(), metric={"rows": ["10", "01"]}), [],
+                 id="rows-strings"),
+    pytest.param("check-hamiltonian", dict(_cfg_ham(), b=[["00", "00"]] * 2),
+                 [], id="b-rows-strings"),
+    pytest.param("solve-diagonal", dict(_cfg_diag(), etas="124"), [],
+                 id="etas-string"),
+    pytest.param("frame", _cfg_diag({"lame_boundary": [10 ** 400, "1", "1"]}),
+                 [], id="lame-boundary-huge-int"),
     # 1 + R1^2 overflows on these boxes
     pytest.param("check-compat",
                  _with_box(_cfg_compat(["1+R1^2", "3+R2^2"]),

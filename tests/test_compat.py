@@ -10,7 +10,7 @@ import pytest
 import pencil_lab
 from pencil_lab.cli import main
 from pencil_lab.compat import (
-    ComplianceReport, HamiltonianOperator, _d, _det, _fields,
+    ComplianceReport, HamiltonianOperator, _det, _fields,
     _identities, _j, _second_covariant, check_hamiltonian, check_pencil,
     check_theorem1, btilde_from_r, eigenvalue_gap, hamiltonian_residuals,
     levi_civita_operator, pencil_operator, verify_appendix,
@@ -19,7 +19,7 @@ from pencil_lab.entries import dense as densify, entries
 from pencil_lab.expr import ZERO, Const, evaluate, parse_expr
 from pencil_lab.geometry import (
     MetricField, covariant_derivative, eval_array, expr_array, nijenhuis,
-    raise_index, riemann_expr,
+    partials, raise_index, riemann_expr,
 )
 from pencil_lab.grids import Chart, eval_grid, max_abs
 
@@ -233,7 +233,7 @@ def test_polarized_pencil_matches_direct_evaluation(box2, case):
 
 def _dg_eval(T, chart):
     """Dense ∂_s T on the grid; axes (s, *T.shape, *grid)."""
-    return eval_array(_d(T), chart)
+    return eval_array(partials(T, chart.n), chart)
 
 
 def _dense_fields(gU, b, chart):
@@ -615,7 +615,8 @@ def _dense_appendix(p, chart, bt):
     """Oracle: the residuals and scale of verify_appendix from dense arrays."""
     rUU = raise_index(p.r, 1, p.g)
     btn, rUUn = eval_array(bt, chart), eval_array(rUU, chart)
-    i1, i2 = _dense_identities(btn, rUUn, eval_array(_d(rUU), chart))
+    i1, i2 = _dense_identities(btn, rUUn,
+                               eval_array(partials(rUU, chart.n), chart))
     return {"I1": max_abs(i1), "I2": max_abs(i2)}, 1.0 + max_abs(rUUn, btn)
 
 
@@ -712,7 +713,7 @@ def test_theorem1_and_appendix_equal_the_dense_oracle_on_curved_pencils(n):
     assert eigenvalue_gap(entries(p.r, chart), chart) == gap
     assert t1.notes[0] == f"eigenvalue_gap={gap:.3e}"
     bt = btilde_from_r(p)
-    app = verify_appendix(p, chart, bt)
+    app = verify_appendix(p, chart)
     assert (app.residuals, app.scale) == _dense_appendix(p, chart, bt)
     if n > 1:    # nonzero residuals, so the order of summation is tested
         assert residuals["second_covariant"] > 1e-6

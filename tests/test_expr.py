@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pencil_lab.expr import (
-    Call, Const, DomainError, ParseError, as_expr, coords_used, diff, evaluate,
-    parse_expr, to_text,
+    _FUNCS, Call, Const, DomainError, ParseError, as_expr, call, coords_used,
+    diff, evaluate, parse_expr, to_text,
 )
 
 
@@ -125,6 +125,19 @@ def test_derivative_matches_differences(e, x, y):
     assert abs(exact - approx) <= 1e-6 * scale
 
 
+@pytest.mark.parametrize("name", sorted(_FUNCS))
+def test_derivative_rule_matches_differences(name):
+    # the argument stays in (0.3, 0.6) near the point, inside every domain
+    e = call(name, parse_expr("0.3*R1 + 0.2*R1*R2 + 0.1", 2))
+    x, y, h = 0.5, 0.7, 1e-6
+    for k, (dx, dy) in ((1, (h, 0.0)), (2, (0.0, h))):
+        exact = evaluate(diff(e, k), (x, y))
+        approx = (evaluate(e, (x + dx, y + dy))
+                  - evaluate(e, (x - dx, y - dy))) / (2 * h)
+        assert exact != 0.0
+        assert abs(exact - approx) <= 1e-9 * (1.0 + abs(exact))
+
+
 @given(e=_exprs())
 @settings(max_examples=60, deadline=None)
 def test_mixed_partials_commute(e):
@@ -142,6 +155,8 @@ def test_as_expr_accepts_expr_text_and_numbers():
     assert to_text(as_expr(0.1, 1)) == "0.1"
     with pytest.raises(ParseError):
         as_expr("R3", 2)
+    with pytest.raises(DomainError):
+        as_expr(10 ** 400, 2)
 
 
 def test_negated_power_prints_in_parentheses():

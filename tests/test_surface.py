@@ -5,6 +5,7 @@ import pytest
 
 from pencil_lab import surface
 from pencil_lab.entries import dense, with_zeros
+from pencil_lab.expr import parse_expr
 from pencil_lab.grids import Chart, deriv, eval_grid, max_abs
 from pencil_lab.march import MarchError, PoleError, Unknown, solve_compatible
 from pencil_lab.surface import (
@@ -75,6 +76,15 @@ def test_transport_residual_trivial_case():
     assert pc_residual("1", "1", 2.0, 3.0, ch) < 1e-12
 
 
+def test_transport_residual_reads_text_as_its_expression():
+    # both forms take the exact log-derivative, so they agree bit for bit
+    ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (17, 17))
+    text = pc_residual("exp(R2)*(2+R1)", "1", 2.0, 3.0, ch)
+    tree = pc_residual(parse_expr("exp(R2)*(2+R1)", 2), parse_expr("1", 2),
+                       2.0, 3.0, ch)
+    assert text == tree
+
+
 def test_transport_residual_umbilic_guard():
     ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
     with pytest.raises(MarchError):
@@ -92,8 +102,9 @@ def test_codazzi_solution_matches_closed_form(seed, radii):
 
 def test_codazzi_rejects_inconsistent_boundary(seed):
     G11, G22 = seed.shifted_form(0.0)
-    with pytest.raises(MarchError):
-        solve_codazzi(G11, G22, "2+2*R1+R2", "2.5", seed.chart)
+    for k1_line, k2_line in (("2+2*R1+R2", "2.5"), ("2+2*R1", "2.5+R1")):
+        with pytest.raises(MarchError):
+            solve_codazzi(G11, G22, k1_line, k2_line, seed.chart)
 
 
 def test_lax_residuals_small_and_consistent(seed):
