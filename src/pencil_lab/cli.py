@@ -11,9 +11,11 @@ Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 configuration error.
 Reports are JSON with sorted keys; wall time goes to stderr only so that
 identical configurations produce byte-identical artifacts.
 
+``main`` reads the config and the chart and writes every file; a command
+returns its residual rows and its files, ``(name, writer, data)``.
 PENCIL_LAB_THREADS (read by ``_threads`` only) bounds both the thread pool
-of the per-shift work and, once that pool has joined, the processes among
-which ``io.write_all`` splits a command's CSV and OBJ files.
+of the per-shift work and, once the command has returned, the processes
+among which ``io.write_all`` splits its CSV and OBJ files.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import compat, diagonal, lax, surface
-from .expr import DomainError, ParseError, as_expr, parse_expr
+from .expr import DomainError, ParseError, as_expr
 from .geometry import MetricField, expr_array, grid_max, GeometryError
 from .grids import Chart, GridError, max_abs
 from .io import (canonical_digest, write_all, write_csv_grid, write_json_report,
@@ -168,16 +170,26 @@ def _table(residuals: dict, band: tuple) -> dict:
             for k, v in residuals.items()}
 
 
+def _refuse_booleans(value, where="config") -> None:
+    """JSON true and false would be read as 1 and 0; no config key takes one."""
+    if isinstance(value, bool):
+        raise ConfigError(f"{where} is a boolean, which no config key takes")
+    items = (value.items() if isinstance(value, dict) else
+             enumerate(value) if isinstance(value, list) else ())
+    for key, v in items:
+        _refuse_booleans(v, f"{where}[{key!r}]")
+
+
 def _out_dir(cfg, args) -> str:
-    """The output directory, created on first use: commands call this only
-    once their computation has succeeded, so a failed run writes nothing."""
+    """The output directory's path; ``main`` creates it only once the command
+    has succeeded, so a failed run writes nothing."""
     out = args.out or cfg.get("out", "pencil_lab_out")
-    os.makedirs(out, exist_ok=True)
+    if not isinstance(out, str) or not out or "\0" in out:
+        raise ConfigError(f"out must be a non-empty path without NUL: {out!r}")
     return out
 
 
-def cmd_check_hamiltonian(cfg, args):
-    chart = _chart(cfg, args.grid)
+def cmd_check_hamiltonian(cfg, args, chart):
     g = _metric(cfg, "metric", chart)
     if "b" in cfg:
         A = compat.HamiltonianOperator(g, _tensor(cfg["b"], 3, chart, "b"))
@@ -187,8 +199,7 @@ def cmd_check_hamiltonian(cfg, args):
     return _table(rep.residuals, rep.band), {"scale": rep.scale}, []
 
 
-def cmd_check_compat(cfg, args):
-    chart = _chart(cfg, args.grid)
+def cmd_check_compat(cfg, args, chart):
     lambdas = _lambdas(cfg, args.lam)
     g = _metric(cfg, "metric", chart)
     gt = _metric(cfg, "metric_tilde", chart)
@@ -214,17 +225,16 @@ def _diag_inputs(cfg, chart):
             chart.n, tuple(_tensor(cfg["etas"], 1, chart, "etas")))
         raw = cfg.get("beta_boundary", {})
         lines = {}
-        for key, text in raw.items():
+        for key, value in raw.items():
             i, j = (int(t) - 1 for t in key.split(","))
-            lines[(i, j)] = parse_expr(text, chart.n)
+            lines[(i, j)] = as_expr(value, chart.n)
         bd = diagonal.BoundaryData(chart.n, lines)
     except (KeyError, ValueError, TypeError, AttributeError) as e:
         raise ConfigError(f"bad diagonal section: {e}")
     return model, bd
 
 
-def cmd_solve_diagonal(cfg, args):
-    chart = _chart(cfg, args.grid)
+def cmd_solve_diagonal(cfg, args, chart):
     model, bd = _diag_inputs(cfg, chart)
     seed = None
     if "s2" in cfg:
@@ -247,21 +257,16 @@ def cmd_solve_diagonal(cfg, args):
         residuals["S2_consistency"] = cons
         m12, m13, m23 = diagonal.monge_ampere_residual(sol, chart)
         residuals.update({"MA_12": m12, "MA_13": m13, "MA_23": m23})
-    digest = canonical_digest(cfg)
-    out = _out_dir(cfg, args)
     cols = {f"beta_{i + 1}{j + 1}": beta[(i, j)]
             for i in range(chart.n) for j in range(chart.n) if i != j}
-    jobs = [(write_csv_grid, (os.path.join(out, "beta.csv"), chart, cols,
-                              digest))]
+    files = [("beta.csv", write_csv_grid, (chart, cols))]
     if seed is not None:
-        jobs.append((write_csv_grid, (os.path.join(out, "angles.csv"), chart,
-                                      {k: sol[k] for k in ("p", "q", "r")},
-                                      digest)))
-    return _table(residuals, SOLVER_BAND), extra, write_all(jobs, _threads())
+        files.append(("angles.csv", write_csv_grid,
+                      (chart, {k: sol[k] for k in ("p", "q", "r")})))
+    return _table(residuals, SOLVER_BAND), extra, files
 
 
-def cmd_frame(cfg, args):
-    chart = _chart(cfg, args.grid)
+def cmd_frame(cfg, args, chart):
     if chart.n != 3:
         raise ConfigError("frame runs use a three-dimensional chart")
     model, bd = _diag_inputs(cfg, chart)
@@ -295,24 +300,18 @@ def cmd_frame(cfg, args):
         residuals["scaling_mesh_b"] = rep["mesh_eigen_residual_b"]
         if rep["umbilic_flat_slice"]:
             notes.append(rep["note"])
-    digest = canonical_digest(cfg)
-    out = _out_dir(cfg, args)
     # the slice R3 = min and its normal, the last frame row, copied so that
     # the writers, and a forked one, hold no whole frame
-    jobs = [(write_obj, (os.path.join(out, f"slice_lambda_{lam:g}.obj"),
-                         frames[lam].rvec[:, :, 0].copy(),
-                         frames[lam].phi[:, :, 0, 2].copy(), digest))
-            for lam in lambdas]
-    del frames, fs
-    jobs.append((write_csv_grid, (os.path.join(out, "lame.csv"), chart,
-                                  {f"H{j + 1}": H[j] for j in range(chart.n)},
-                                  digest)))
-    return (_table(residuals, SOLVER_BAND), {"notes": notes},
-            write_all(jobs, _threads()))
+    files = [(f"slice_lambda_{lam:g}.obj", write_obj,
+              (frames[lam].rvec[:, :, 0].copy(),
+               frames[lam].phi[:, :, 0, 2].copy()))
+             for lam in lambdas]
+    files.append(("lame.csv", write_csv_grid,
+                  (chart, {f"H{j + 1}": H[j] for j in range(chart.n)})))
+    return _table(residuals, SOLVER_BAND), {"notes": notes}, files
 
 
-def cmd_deform_surface(cfg, args):
-    chart = _chart(cfg, args.grid)
+def cmd_deform_surface(cfg, args, chart):
     if chart.n != 2:
         raise ConfigError("surface runs use a two-dimensional chart")
     try:
@@ -344,12 +343,6 @@ def cmd_deform_surface(cfg, args):
         solver.update({f"lax3_{mesh.lam:g}": r3, f"lax2_{mesh.lam:g}": r2})
         meshes.append(mesh)
     table.update(_table(solver, SOLVER_BAND))
-    digest = canonical_digest(cfg)
-    out = _out_dir(cfg, args)
-    artifacts = write_all(
-        [(write_obj, (os.path.join(out, f"surface_lambda_{mesh.lam:g}.obj"),
-                      mesh.vertices, mesh.normals, digest))
-         for mesh in meshes], _threads())
     if len(meshes) >= 2:
         wg = surface.weingarten_family_compare(meshes)
         eig, ang = wg["eigenvalue_deviation"], wg["misalignment_angle"]
@@ -358,8 +351,10 @@ def cmd_deform_surface(cfg, args):
         hd = surface.mesh_nontriviality(meshes[0], meshes[-1])
         table["deformation_size"] = {
             "value": hd, "verdict": compat.verdict(-hd, *DEFORMATION_BAND)}
+    files = [(f"surface_lambda_{mesh.lam:g}.obj", write_obj,
+              (mesh.vertices, mesh.normals)) for mesh in meshes]
     return table, {"notes": notes, "excluded_vertices":
-                   [m.excluded for m in meshes]}, artifacts
+                   [m.excluded for m in meshes]}, files
 
 
 COMMANDS = {
@@ -385,31 +380,34 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with open(args.config) as fh:
             cfg = json.load(fh)
-    except (ConfigError, OSError, json.JSONDecodeError) as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 3
-
-    try:
+        _refuse_booleans(cfg)
         # overflow and NaN are judged by the guards and verdicts, not printed
         with np.errstate(all="ignore"):
-            table, extra, artifacts = COMMANDS[args.command](cfg, args)
-    except (ConfigError, ParseError, DomainError, PoleError) as e:
+            chart = _chart(cfg, args.grid)  # refuses a config that is no object
+            out = _out_dir(cfg, args)
+            table, extra, files = COMMANDS[args.command](cfg, args, chart)
+        os.makedirs(out, exist_ok=True)  # an OSError: the path is unusable
+    except (ConfigError, OSError, json.JSONDecodeError, ParseError,
+            DomainError, PoleError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 3
     except MarchError as e:
         print(f"run failed: {e}", file=sys.stderr)
         return 1
 
+    digest = canonical_digest(cfg)
+    write_all([(writer, (os.path.join(out, name), *data, digest))
+               for name, writer, data in files], _threads())
     verdict = compat.overall(row["verdict"] for row in table.values())
     report = {
         "command": args.command,
-        "config_digest": canonical_digest(cfg),
+        "config_digest": digest,
         "residuals": table,
         "verdict": verdict,
-        "artifacts": [os.path.basename(a) for a in artifacts],
+        "artifacts": [name for name, _, _ in files],
     }
     report.update(extra)
-    path = os.path.join(_out_dir(cfg, args), "report.json")
+    path = os.path.join(out, "report.json")
     write_json_report(path, report)
     elapsed = time.monotonic() - t0
     print(f"wall time {elapsed:.2f}s, report at {path}", file=sys.stderr)

@@ -18,7 +18,7 @@ import numpy as np
 from .diagonal import DiagonalModel
 from .entries import lin, matmul
 from .grids import Chart, deriv, max_abs
-from .march import MarchError, check_shift, position_vector, solve_frame
+from .march import MarchError, position_vector, shift, solve_frame
 
 __all__ = [
     "LaxConnection", "FrameSolution", "build_lax", "zero_curvature_residual",
@@ -40,13 +40,6 @@ class LaxConnection:
     mats: tuple
 
 
-def _shifted(model: DiagonalModel, chart: Chart, lam: float):
-    eta = model.eta_grids(chart)
-    shifted = [lam + e for e in eta]
-    check_shift(lam, shifted)
-    return shifted
-
-
 def build_lax(model: DiagonalModel, beta: dict, chart: Chart,
               lam: float) -> LaxConnection:
     """Skew connection of the gauged frame system.
@@ -57,7 +50,7 @@ def build_lax(model: DiagonalModel, beta: dict, chart: Chart,
     Only row d and column d of A_d are present, 2(n - 1) of its n^2 entries.
     """
     n = chart.n
-    sh = _shifted(model, chart, lam)
+    sh = shift(lam, model.eta_grids(chart))
     mats = []
     for d in range(n):
         A = {}
@@ -122,7 +115,7 @@ def integrate_frame(conn: LaxConnection, model: DiagonalModel, H: list,
             f"frame lost orthogonality (drift {drift:.3e}); the rotation "
             "coefficients are not consistent on this box")
 
-    sh = _shifted(model, chart, conn.lam)
+    sh = shift(conn.lam, model.eta_grids(chart))
     rvec = position_vector(chart, [H[d] / np.sqrt(sh[d]) for d in range(n)],
                            phi)
     return FrameSolution(conn.lam, phi, rvec, drift)
@@ -136,7 +129,7 @@ def induced_metric_residual(fs: FrameSolution, model: DiagonalModel,
     """
     n = chart.n
     h = chart.spacing()
-    sh = _shifted(model, chart, fs.lam)
+    sh = shift(fs.lam, model.eta_grids(chart))
     dr = [deriv(fs.rvec, d, h[d]) for d in range(n)]
     worst = 0.0
     for i in range(n):
@@ -156,7 +149,7 @@ def hypersurface_curvatures(model: DiagonalModel, beta: dict, H: list,
     over the slice.
     """
     n = chart.n
-    sh = _shifted(model, chart, lam)
+    sh = shift(lam, model.eta_grids(chart))
     idx = (slice(None),) * (n - 1) + (0,)
     root = np.sqrt(sh[n - 1][idx])
     return [beta[(n - 1, i)][idx] / H[i][idx] * root for i in range(n - 1)]
@@ -201,8 +194,9 @@ def weingarten_scaling_report(model: DiagonalModel, beta: dict, H: list,
     ka = hypersurface_curvatures(model, beta, H, chart, lam_a)
     kb = hypersurface_curvatures(model, beta, H, chart, lam_b)
     idx = (slice(None),) * (n - 1) + (0,)
-    sh_a = _shifted(model, chart, lam_a)[n - 1][idx]
-    sh_b = _shifted(model, chart, lam_b)[n - 1][idx]
+    etas = model.eta_grids(chart)
+    sh_a = shift(lam_a, etas)[n - 1][idx]
+    sh_b = shift(lam_b, etas)[n - 1][idx]
     factor = np.sqrt(sh_a / sh_b)
 
     umbilic = all(max_abs(k) <= 1e-12 for k in ka)

@@ -29,7 +29,7 @@ from .expr import Expr, evaluate
 from .grids import Chart, cumint, max_abs
 
 __all__ = ["Unknown", "MarchError", "PoleError", "POLE_GUARD", "TOL",
-           "MAX_SWEEPS", "BLOWUP", "check_shift", "path_integral",
+           "MAX_SWEEPS", "BLOWUP", "shift", "path_integral",
            "solve_compatible", "solve_frame", "position_vector"]
 
 # Smallest admissible value of lam + eta_i on the box for a spectral shift.
@@ -48,12 +48,15 @@ class PoleError(MarchError):
     """A spectral shift puts a pole of lam + eta_i on (or inside) the box."""
 
 
-def check_shift(lam: float, shifted) -> None:
-    """Raise PoleError unless every grid of lam + eta_i stays above POLE_GUARD."""
+def shift(lam: float, etas) -> list:
+    """The grids lam + eta_i, one per grid of ``etas``.  Raises PoleError
+    unless every one of them stays above POLE_GUARD on the box."""
+    shifted = [lam + e for e in etas]
     low = min(float(np.min(s)) for s in shifted)
     if low <= POLE_GUARD:
         raise PoleError(
             f"shift {lam} touches a pole: min(lam + eta) = {low:.3e}")
+    return shifted
 
 
 @dataclass

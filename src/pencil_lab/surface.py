@@ -22,8 +22,8 @@ import numpy as np
 from .expr import Expr, as_expr, call, coords_used, diff, evaluate
 from .grids import Chart, deriv, eval_grid, max_abs
 from .lax import LaxConnection, mesh_weingarten, zero_curvature_residual
-from .march import (MarchError, PoleError, Unknown, check_shift,
-                    position_vector, solve_compatible, solve_frame)
+from .march import (MarchError, Unknown, position_vector, shift,
+                    solve_compatible, solve_frame)
 
 __all__ = [
     "SurfaceModel", "CurvatureData", "SurfaceMesh", "seed_surface_model",
@@ -50,7 +50,8 @@ class SurfaceModel:
     g11, g22 are the covariant metric entries; eta1 and eta2 should depend
     only on the first and second coordinate respectively.  validate() records
     violations instead of raising so that deliberately broken inputs can be
-    pushed through the pipeline as negative controls.
+    pushed through the pipeline as negative controls.  A shift at a pole is
+    no such input: every per-shift function refuses it (march.shift).
     """
 
     g11: Expr
@@ -71,11 +72,6 @@ class SurfaceModel:
             problems.append("eta1 depends on the second coordinate")
         if coords_used(self.eta2) - {2}:
             problems.append("eta2 depends on the first coordinate")
-        for lam in self.lambdas:
-            try:
-                check_shift(lam, [lam + eta for eta in self.eta_grids])
-            except PoleError as e:
-                problems.append(str(e))
         flat = max_abs(eval_grid(gaussian_curvature_expr(self.g11, self.g22),
                                  self.chart))
         if flat > 1e-8 * (1.0 + max_abs(*self.metric_grids)):
@@ -125,7 +121,7 @@ def constant_curvature_check(model: SurfaceModel) -> dict:
     """Per-shift max-abs of (Gaussian curvature of the shifted form) - 1."""
     out = {}
     for lam in model.lambdas:
-        check_shift(lam, [lam + eta for eta in model.eta_grids])
+        shift(lam, model.eta_grids)
         Gt11, Gt22 = model.shifted_form(lam)
         K = gaussian_curvature_expr(Gt11, Gt22)
         out[lam] = max_abs(eval_grid(K, model.chart) - 1.0)
@@ -253,8 +249,7 @@ def lax_residuals_3x3_2x2(H1, H2, b12, b21, eta1, eta2, chart: Chart,
     e1, e2 = _grid(eta1, chart), _grid(eta2, chart)
     out = {}
     for lam in lambdas:
-        s1, s2 = lam + e1, lam + e2
-        check_shift(lam, (s1, s2))
+        s1, s2 = shift(lam, (e1, e2))
         B1, B2, M1, M2 = _lax_mats(H1g, H2g, b12g, b21g, s1, s2)
         out[lam] = tuple(zero_curvature_residual(LaxConnection(lam, mats),
                                                  chart)
@@ -302,8 +297,7 @@ def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
                              "vector equation degenerates")
     meshes = []
     for lam in lambdas:
-        s1, s2 = lam + e1, lam + e2
-        check_shift(lam, (s1, s2))
+        s1, s2 = shift(lam, (e1, e2))
         B1, B2, _, _ = _lax_mats(H1g, H2g, b12g, b21g, s1, s2)
         frame = solve_frame(chart, (B1, B2), 3)
         gram = np.einsum("...ki,...kj->...ij", frame, frame)
@@ -324,11 +318,6 @@ def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
         mesh = SurfaceMesh(float(lam), verts, normal, eig, off,
                            int(np.count_nonzero(gap < 1e-6)))
         mesh.notes.append(f"frame_drift={drift:.3e}")
-        core = (slice(2, -2),) * 2
-        mixed = max_abs(
-            (deriv(coeff[0][..., None] * frame[..., 0, :], 1, h[1])
-             - deriv(coeff[1][..., None] * frame[..., 1, :], 0, h[0]))[core])
-        mesh.notes.append(f"mixed_partial={mixed:.3e}")
         meshes.append(mesh)
     return meshes
 

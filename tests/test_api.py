@@ -12,10 +12,12 @@ from pencil_lab.lax import LaxConnection
 
 # Names removed because no command reached them, or folded into one
 # implementation (geometry's Γ into MetricField.gamma, expr's four binary
-# nodes into Bin); they must not come back as stale exports.  LaxConnection
+# nodes into Bin, the grids lam + eta_i and their pole guard into
+# march.shift); they must not come back as stale exports.  LaxConnection
 # has lost its `gauge` field and `n` property.
 REMOVED = {
-    "lax": ["build_lax_L1", "gauge_L1_to_L2", "gauge_residual"],
+    "lax": ["build_lax_L1", "gauge_L1_to_L2", "gauge_residual", "_shifted"],
+    "march": ["check_shift"],
     "surface": ["solve_surface_system", "surface_system_residual"],
     "diagonal": ["lame_from_metric"],
     "geometry": ["ConnectionField"],

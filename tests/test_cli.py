@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import re
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pencil_lab import compat, surface
+from pencil_lab import cli, compat, io, surface
 from pencil_lab.cli import (CURVATURE_BAND, DEFORMATION_BAND, DIRECTION_BAND,
                             EIGENVALUE_BAND, SOLVER_BAND, _pool_map, _table,
                             main)
@@ -649,6 +650,20 @@ OVERFLOWING_ENTRY = {"metric-inf-1e308", "metric-inf-1e200",
     pytest.param("deform-surface",
                  _with_box(_cfg_surface(), [[0.5, 1e200], [0, 1]]), [],
                  id="surface-inf-1e200"),
+    # JSON true and false would be read as 1 and 0; no key takes them
+    pytest.param("frame", _cfg_diag({"etas": [True, "2", "4"],
+                                     "lambdas": [0.5]}), [],
+                 id="etas-boolean"),
+    pytest.param("check-compat",
+                 dict(_cfg_compat(["1+R1^2", "3+R2^2"]), lambdas=[True]), [],
+                 id="lambdas-boolean"),
+    pytest.param("solve-diagonal",
+                 _cfg_diag({"beta_boundary": dict(BD_KEYS, **{"1,2": True})}),
+                 [], id="beta-boundary-boolean"),
+    pytest.param("deform-surface",
+                 dict(_cfg_surface(), surface=dict(_cfg_surface()["surface"],
+                                                   k1_line=False)), [],
+                 id="surface-k1-line-boolean"),
 ])
 def test_config_faults_are_config_errors(tmp_path, capsys, request, command,
                                          cfg_dict, argv):
@@ -662,6 +677,91 @@ def test_config_faults_are_config_errors(tmp_path, capsys, request, command,
     if request.node.callspec.id in OVERFLOWING_ENTRY:
         assert "is not finite on the box" in err
         assert "pole" not in err
+
+
+@pytest.mark.parametrize("out,cfg_out", [
+    ("{file}", None), ("{file}/sub", None), (None, 5), (None, ["x"]),
+    (None, ""), (None, "a\0b"),
+], ids=["file", "below-a-file", "number", "list", "empty", "nul"])
+def test_unusable_output_directory_is_a_config_error(tmp_path, capsys,
+                                                     monkeypatch, out,
+                                                     cfg_out):
+    monkeypatch.chdir(tmp_path)    # where a relative default would go
+    (tmp_path / "file").write_text("x")
+    cfg_dict = _cfg_diag() if cfg_out is None else dict(_cfg_diag(),
+                                                        out=cfg_out)
+    cfg = _write(tmp_path, "c.json", cfg_dict)
+    before = sorted(tmp_path.rglob("*"))
+    argv = ["solve-diagonal", "--config", cfg]
+    if out is not None:
+        argv += ["--out", out.format(file=tmp_path / "file")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text() == "x"
+
+
+def test_numeric_beta_boundary_reads_as_its_text(tmp_path):
+    numeric = {k: float(v) if re.fullmatch(r"[0-9.]+", v) else v
+               for k, v in BD_KEYS.items()}
+    assert sum(isinstance(v, float) for v in numeric.values()) == 4
+    runs = []
+    for name, lines in (("text", BD_KEYS), ("numeric", numeric)):
+        cfg = _write(tmp_path, f"{name}.json",
+                     _cfg_diag({"beta_boundary": lines}))
+        out = tmp_path / name
+        assert main(["solve-diagonal", "--config", cfg, "--out",
+                     str(out)]) == 0
+        digest, *rows = (out / "beta.csv").read_text().splitlines()
+        runs.append((digest, rows, _report(str(out))["residuals"]))
+    (digest_t, rows_t, res_t), (digest_n, rows_n, res_n) = runs
+    assert rows_t == rows_n and res_t == res_n
+    assert digest_t != digest_n          # the configs differ
+
+
+NO_FILE_RUNS = [
+    ("check-hamiltonian", _cfg_ham()),
+    ("check-compat", _cfg_compat(["1+R1^2", "3+R2^2"])),
+    ("solve-diagonal", _cfg_diag({"s2": {"seed": ["1.5707963267948966", "0",
+                                                  "0"]}})),
+    ("frame", _cfg_diag({"lambdas": [0.5, 2.0]})),
+    ("deform-surface", _cfg_surface()),
+]
+
+
+@pytest.mark.parametrize("command,cfg_dict", NO_FILE_RUNS,
+                         ids=[r[0] for r in NO_FILE_RUNS])
+def test_commands_touch_no_file(tmp_path, monkeypatch, command, cfg_dict):
+    # a command returns its files; main creates the directory and writes
+    # them, and its report lists them in the command's order
+    path = _write(tmp_path, "c.json", cfg_dict)
+    out = tmp_path / "out"
+    main([command, "--config", path, "--out", str(out)])
+    artifacts = _report(str(out))["artifacts"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command touched a file")
+
+    monkeypatch.chdir(tmp_path)
+    for module, name in ((os, "makedirs"), (io, "write_all"),
+                         (cli, "write_all"), (cli, "write_json_report")):
+        monkeypatch.setattr(module, name, refuse)
+    before = sorted(tmp_path.rglob("*"))
+    args = argparse.Namespace(out=None, lam=None, grid=None)
+    with np.errstate(all="ignore"):
+        _, _, files = cli.COMMANDS[command](cfg_dict, args,
+                                            cli._chart(cfg_dict))
+    assert sorted(tmp_path.rglob("*")) == before
+    assert [name for name, _, _ in files] == artifacts
+    monkeypatch.undo()
+    again = tmp_path / "again"
+    again.mkdir()
+    digest = io.canonical_digest(cfg_dict)
+    for name, writer, data in files:
+        writer(str(again / name), *data, digest)
+        assert (again / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_angle_system_off_its_branch_is_a_run_failure(tmp_path, capsys):

@@ -5,7 +5,7 @@ from pencil_lab.expr import parse_expr
 from pencil_lab.grids import (_C_LEFT, _C_MID, Chart, GridError, cumint,
                               deriv, eval_grid, max_abs)
 from pencil_lab.march import (POLE_GUARD, MarchError, PoleError, Unknown,
-                              check_shift, path_integral, position_vector,
+                              path_integral, position_vector, shift,
                               solve_compatible, solve_frame)
 
 
@@ -242,11 +242,15 @@ def test_vector_unknown_matches_stacked_scalars():
 
 
 def test_check_shift_raises_pole_error():
-    ok = [np.full((5, 5), 2 * POLE_GUARD), np.ones((5, 5))]
-    check_shift(0.0, ok)
-    bad = ok + [np.full((5, 5), POLE_GUARD)]
+    # shift returns the grids lam + eta_i that it checked
+    etas = [np.full((5, 5), 2 * POLE_GUARD), np.linspace(1, 2, 25).reshape(5, 5)]
+    for lam in (0.0, 0.375):
+        got = shift(lam, etas)
+        assert [g.tobytes() for g in got] == [(lam + e).tobytes()
+                                              for e in etas]
+    bad = etas + [np.full((5, 5), POLE_GUARD)]
     with pytest.raises(PoleError, match="touches a pole"):
-        check_shift(0.0, bad)
+        shift(0.0, bad)
     assert issubclass(PoleError, MarchError)
 
 
