@@ -243,7 +243,7 @@ def cmd_solve_diagonal(cfg, args, chart):
         s2 = cfg["s2"]
         seed = _tensor(s2.get("seed") if isinstance(s2, dict) else None,
                        1, chart, "the s2 seed")
-    beta, egorov = diagonal.solve_S(model, bd, chart)
+    beta, egorov = diagonal.solve_S(model, bd, chart, model.eta_grids(chart))
     f1, f2 = diagonal.flatness_residuals(beta, chart)
     f3 = diagonal.pencil_residual_F3(model, beta, chart)
     residuals = {"F1": f1, "F2": f2, "F3": f3}
@@ -273,16 +273,17 @@ def cmd_frame(cfg, args, chart):
     lambdas = _lambdas(cfg, args.lam)
     h_lines = _tensor(cfg.get("lame_boundary", ["1"] * chart.n), 1, chart,
                       "lame_boundary")
-    beta, _ = diagonal.solve_S(model, bd, chart)
+    eta = model.eta_grids(chart)  # evaluated here; pool tasks read them
+    beta, _ = diagonal.solve_S(model, bd, chart, eta)
     H = diagonal.solve_lame(beta, chart, dict(enumerate(h_lines)))
     residuals = {}
     notes = []
 
     def run_one(lam):
-        conn = lax.build_lax(model, beta, chart, lam)
+        conn = lax.build_lax(eta, beta, chart, lam)
         zc = lax.zero_curvature_residual(conn, chart)
-        fs = lax.integrate_frame(conn, model, H, chart)
-        im = lax.induced_metric_residual(fs, model, H, chart)
+        fs = lax.integrate_frame(conn, eta, H, chart)
+        im = lax.induced_metric_residual(fs, eta, H, chart)
         return lam, zc, fs, im
 
     frames = {}
@@ -293,7 +294,7 @@ def cmd_frame(cfg, args, chart):
         frames[lam] = fs
     if len(lambdas) >= 2:
         rep = lax.weingarten_scaling_report(
-            model, beta, H, chart, lambdas[0], lambdas[1],
+            eta, beta, H, chart, lambdas[0], lambdas[1],
             frames=(frames[lambdas[0]], frames[lambdas[1]]))
         residuals["scaling_closed_form"] = rep["closed_form_residual"]
         residuals["scaling_mesh_a"] = rep["mesh_eigen_residual_a"]
@@ -396,8 +397,6 @@ def main(argv=None) -> int:
         return 1
 
     digest = canonical_digest(cfg)
-    write_all([(writer, (os.path.join(out, name), *data, digest))
-               for name, writer, data in files], _threads())
     verdict = compat.overall(row["verdict"] for row in table.values())
     report = {
         "command": args.command,
@@ -408,7 +407,13 @@ def main(argv=None) -> int:
     }
     report.update(extra)
     path = os.path.join(out, "report.json")
-    write_json_report(path, report)
+    try:  # an OSError: the directory cannot take a file
+        write_all([(writer, (os.path.join(out, name), *data, digest))
+                   for name, writer, data in files], _threads())
+        write_json_report(path, report)
+    except OSError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return 3
     elapsed = time.monotonic() - t0
     print(f"wall time {elapsed:.2f}s, report at {path}", file=sys.stderr)
     print(f"{args.command}: {verdict}")

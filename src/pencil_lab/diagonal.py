@@ -154,8 +154,7 @@ def pencil_residual_F3(model: DiagonalModel, beta: dict, chart: Chart) -> float:
     return worst
 
 
-def _check_separation(model: DiagonalModel, chart: Chart, guard: float = 1e-8):
-    eta = model.eta_grids(chart)
+def _check_separation(eta: list, chart: Chart, guard: float = 1e-8):
     n = chart.n
     for i in range(n):
         for j in range(n):
@@ -166,7 +165,7 @@ def _check_separation(model: DiagonalModel, chart: Chart, guard: float = 1e-8):
 
 
 def solve_S(model: DiagonalModel, bd: BoundaryData, chart: Chart,
-            order=None):
+            eta: list, order=None):
     """Integrate the resolved system (S) for the rotation coefficients.
 
     d_i beta_ij = [ (1/2) eta_i' beta_ij + (1/2) eta_j' beta_ji
@@ -175,12 +174,13 @@ def solve_S(model: DiagonalModel, bd: BoundaryData, chart: Chart,
     d_k beta_ij = beta_ik beta_kj  (k != i, j),
     with beta_ij freely prescribed along the j-th coordinate line.
 
-    Returns (beta dict of grids, egorov flag).  The egorov flag records
-    whether the solution came out symmetric (beta_ij = beta_ji) to 1e-10.
+    eta holds the grids of the model's etas on the chart (model.eta_grids),
+    evaluated once by the caller.  Returns (beta dict of grids, egorov
+    flag).  The egorov flag records whether the solution came out symmetric
+    (beta_ij = beta_ji) to 1e-10.
     """
     n = chart.n
-    _check_separation(model, chart)
-    eta = model.eta_grids(chart)
+    _check_separation(eta, chart)
     etap = model.eta_prime_grids(chart)
 
     def rhs_resolved(i, j):

@@ -6,7 +6,9 @@ equations form a linear connection depending on the shift.  This module
 builds that connection in its one (skew) gauge, checks its zero-curvature
 condition, integrates the frame and the position vector, and extracts the
 principal curvatures of the coordinate hypersurfaces, which rescale by
-sqrt(lam + eta_n) as the shift moves.
+sqrt(lam + eta_n) as the shift moves.  Each function takes the etas as
+their grids on the chart (DiagonalModel.eta_grids), which a caller
+evaluates once and passes to every shift.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagonal import DiagonalModel
 from .entries import lin, matmul
 from .grids import Chart, deriv, max_abs
 from .march import MarchError, position_vector, shift, solve_frame
@@ -40,7 +41,7 @@ class LaxConnection:
     mats: tuple
 
 
-def build_lax(model: DiagonalModel, beta: dict, chart: Chart,
+def build_lax(eta: list, beta: dict, chart: Chart,
               lam: float) -> LaxConnection:
     """Skew connection of the gauged frame system.
 
@@ -50,7 +51,7 @@ def build_lax(model: DiagonalModel, beta: dict, chart: Chart,
     Only row d and column d of A_d are present, 2(n - 1) of its n^2 entries.
     """
     n = chart.n
-    sh = shift(lam, model.eta_grids(chart))
+    sh = shift(lam, eta)
     mats = []
     for d in range(n):
         A = {}
@@ -98,7 +99,7 @@ class FrameSolution:
     ortho_drift: float
 
 
-def integrate_frame(conn: LaxConnection, model: DiagonalModel, H: list,
+def integrate_frame(conn: LaxConnection, eta: list, H: list,
                     chart: Chart) -> FrameSolution:
     """Integrate d_d Phi = A_d Phi from Phi = identity at the chart corner,
     then the position vector d_d r = (H_d / sqrt(lam+eta_d)) row_d(Phi).
@@ -115,21 +116,21 @@ def integrate_frame(conn: LaxConnection, model: DiagonalModel, H: list,
             f"frame lost orthogonality (drift {drift:.3e}); the rotation "
             "coefficients are not consistent on this box")
 
-    sh = shift(conn.lam, model.eta_grids(chart))
+    sh = shift(conn.lam, eta)
     rvec = position_vector(chart, [H[d] / np.sqrt(sh[d]) for d in range(n)],
                            phi)
     return FrameSolution(conn.lam, phi, rvec, drift)
 
 
-def induced_metric_residual(fs: FrameSolution, model: DiagonalModel,
-                            H: list, chart: Chart) -> float:
+def induced_metric_residual(fs: FrameSolution, eta: list, H: list,
+                            chart: Chart) -> float:
     """Check (d_i r, d_j r) = delta_ij H_i^2 / (lam + eta_i) by differences.
 
     The dot products are symmetric in (i, j), so only i <= j are formed.
     """
     n = chart.n
     h = chart.spacing()
-    sh = shift(fs.lam, model.eta_grids(chart))
+    sh = shift(fs.lam, eta)
     dr = [deriv(fs.rvec, d, h[d]) for d in range(n)]
     worst = 0.0
     for i in range(n):
@@ -140,8 +141,8 @@ def induced_metric_residual(fs: FrameSolution, model: DiagonalModel,
     return worst
 
 
-def hypersurface_curvatures(model: DiagonalModel, beta: dict, H: list,
-                            chart: Chart, lam: float):
+def hypersurface_curvatures(eta: list, beta: dict, H: list, chart: Chart,
+                            lam: float):
     """Principal curvatures of the level hypersurface of the last coordinate.
 
     On the slice R^n = min the n-1 curvature lines have
@@ -149,7 +150,7 @@ def hypersurface_curvatures(model: DiagonalModel, beta: dict, H: list,
     over the slice.
     """
     n = chart.n
-    sh = shift(lam, model.eta_grids(chart))
+    sh = shift(lam, eta)
     idx = (slice(None),) * (n - 1) + (0,)
     root = np.sqrt(sh[n - 1][idx])
     return [beta[(n - 1, i)][idx] / H[i][idx] * root for i in range(n - 1)]
@@ -179,7 +180,7 @@ def mesh_weingarten(r: np.ndarray, normal: np.ndarray, spacing) -> np.ndarray:
     return np.einsum("...ab,...bc->...ac", np.linalg.inv(I), II)
 
 
-def weingarten_scaling_report(model: DiagonalModel, beta: dict, H: list,
+def weingarten_scaling_report(eta: list, beta: dict, H: list,
                               chart: Chart, lam_a: float, lam_b: float,
                               frames: tuple | None = None) -> dict:
     """How the hypersurface shape operator responds to moving the shift.
@@ -191,12 +192,11 @@ def weingarten_scaling_report(model: DiagonalModel, beta: dict, H: list,
     reconstructed hypersurfaces against the formula.
     """
     n = chart.n
-    ka = hypersurface_curvatures(model, beta, H, chart, lam_a)
-    kb = hypersurface_curvatures(model, beta, H, chart, lam_b)
+    ka = hypersurface_curvatures(eta, beta, H, chart, lam_a)
+    kb = hypersurface_curvatures(eta, beta, H, chart, lam_b)
     idx = (slice(None),) * (n - 1) + (0,)
-    etas = model.eta_grids(chart)
-    sh_a = shift(lam_a, etas)[n - 1][idx]
-    sh_b = shift(lam_b, etas)[n - 1][idx]
+    sh_a = shift(lam_a, eta)[n - 1][idx]
+    sh_b = shift(lam_b, eta)[n - 1][idx]
     factor = np.sqrt(sh_a / sh_b)
 
     umbilic = all(max_abs(k) <= 1e-12 for k in ka)

@@ -80,7 +80,7 @@ def diag_solution():
     out = {}
     for m in (9, 17):
         ch = Chart(3, ((0.0, 1.0),) * 3, (m,) * 3)
-        beta, _ = solve_S(model, bd, ch)
+        beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
         H = solve_lame(beta, ch, {0: "1", 1: "1", 2: "1"})
         out[m] = (ch, beta, H)
     return model, bd, out
@@ -158,7 +158,7 @@ def test_criterion_04_system_integration(diag_solution):
     x = ch.axes()[0]
     bound = max(float(np.max(np.abs(beta[(0, 1)][0, :, 0] - 0.2))),
                 float(np.max(np.abs(beta[(1, 0)][:, 0, 0] - 0.1 * x))))
-    alt, _ = solve_S(model, bd, ch, order=(2, 1, 0))
+    alt, _ = solve_S(model, bd, ch, model.eta_grids(ch), order=(2, 1, 0))
     perm = max(float(np.max(np.abs(alt[k] - beta[k]))) for k in beta)
     elapsed = time.monotonic() - t0
     ok = ratio >= 12.0 and bound <= 1e-8 and perm <= 1e-5 and elapsed <= 10.0
@@ -210,12 +210,14 @@ def test_criterion_07_zero_curvature(diag_solution):
     model, _, sols = diag_solution
     worst = {}
     for m, (ch, beta, _) in sols.items():
+        eta = model.eta_grids(ch)
         worst[m] = max(zero_curvature_residual(
-            build_lax(model, beta, ch, lam), ch) for lam in LAMBDAS)
+            build_lax(eta, beta, ch, lam), ch) for lam in LAMBDAS)
     ch, beta, _ = sols[17]
     broken = dict(beta)
     broken[(0, 1)] = beta[(0, 1)] + 0.1
-    pert = zero_curvature_residual(build_lax(model, broken, ch, 1.0), ch)
+    pert = zero_curvature_residual(
+        build_lax(model.eta_grids(ch), broken, ch, 1.0), ch)
     ok = worst[17] <= 1e-5 and worst[9] / worst[17] >= 12.0 and pert > 1e-2
     _report(7, ok, f"sweep max {worst[17]:.1e}, refinement "
             f"x{worst[9] / worst[17]:.1f}, perturbed {pert:.1e}")
@@ -225,11 +227,12 @@ def test_criterion_07_zero_curvature(diag_solution):
 def test_criterion_08_orthogonal_reconstruction(diag_solution):
     model, _, sols = diag_solution
     ch, beta, H = sols[17]
+    eta = model.eta_grids(ch)
     worst_o, worst_m = 0.0, 0.0
     for lam in LAMBDAS:
-        fs = integrate_frame(build_lax(model, beta, ch, lam), model, H, ch)
+        fs = integrate_frame(build_lax(eta, beta, ch, lam), eta, H, ch)
         worst_o = max(worst_o, fs.ortho_drift)
-        worst_m = max(worst_m, induced_metric_residual(fs, model, H, ch))
+        worst_m = max(worst_m, induced_metric_residual(fs, eta, H, ch))
     ok = worst_o <= 1e-6 and worst_m <= 1e-5
     _report(8, ok, f"orthogonality {worst_o:.1e}, induced metric "
             f"{worst_m:.1e}")
@@ -240,9 +243,10 @@ def test_criterion_09_shape_operator_scaling(diag_solution):
     model, _, sols = diag_solution
     mesh_res = {}
     for m, (ch, beta, H) in sols.items():
-        fa = integrate_frame(build_lax(model, beta, ch, 1.0), model, H, ch)
-        fb = integrate_frame(build_lax(model, beta, ch, 0.0), model, H, ch)
-        rep = weingarten_scaling_report(model, beta, H, ch, 1.0, 0.0,
+        eta = model.eta_grids(ch)
+        fa = integrate_frame(build_lax(eta, beta, ch, 1.0), eta, H, ch)
+        fb = integrate_frame(build_lax(eta, beta, ch, 0.0), eta, H, ch)
+        rep = weingarten_scaling_report(eta, beta, H, ch, 1.0, 0.0,
                                         frames=(fa, fb))
         mesh_res[m] = max(rep["mesh_eigen_residual_a"],
                           rep["mesh_eigen_residual_b"])

@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from pencil_lab import cli, compat, io, surface
+from pencil_lab import (cli, compat, diagonal, geometry, grids, io,
+                        surface)
 from pencil_lab.cli import (CURVATURE_BAND, DEFORMATION_BAND, DIRECTION_BAND,
                             EIGENVALUE_BAND, SOLVER_BAND, _pool_map, _table,
                             main)
@@ -701,6 +702,44 @@ def test_unusable_output_directory_is_a_config_error(tmp_path, capsys,
     assert "Traceback" not in err
     assert sorted(tmp_path.rglob("*")) == before
     assert (tmp_path / "file").read_text() == "x"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("blocked", ["report.json", "surface_lambda_0.obj",
+                                     "surface_lambda_0.5.obj"])
+def test_an_output_directory_that_cannot_take_a_file_is_a_config_error(
+        tmp_path, capfd, monkeypatch, threads, blocked):
+    # a directory at an artifact's path: its writer raises an OSError here,
+    # or, with two processes, in the forked writer of surface_lambda_0.5.obj
+    monkeypatch.setenv("PENCIL_LAB_THREADS", threads)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    cfg = _write(tmp_path, "s.json",
+                 dict(_cfg_surface(), lambdas=[0.0, 0.5, 1.0]))
+    assert main(["deform-surface", "--config", cfg, "--out", str(out)]) == 3
+    err = capfd.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("config error: ")
+    assert blocked in err.splitlines()[-1]
+
+
+def test_frame_evaluates_each_eta_once(tmp_path, monkeypatch):
+    # solve_S and the frame functions of every shift share one grid of each
+    # eta; the other three calls are the etas' derivatives in solve_S
+    calls = []
+
+    def counting(e, chart):
+        calls.append(e)
+        return eval_grid(e, chart)
+
+    for module in (diagonal, geometry, grids, surface):
+        monkeypatch.setattr(module, "eval_grid", counting)
+    cfg_dict = _cfg_diag({"lambdas": [0.5, 2.0, 3.0]})
+    assert main(["frame", "--config", _write(tmp_path, "f.json", cfg_dict),
+                 "--out", str(tmp_path / "out")]) == 0
+    for text in cfg_dict["etas"]:
+        assert calls.count(as_expr(text, 3)) == 1, text
+    assert len(calls) == 6
 
 
 def test_numeric_beta_boundary_reads_as_its_text(tmp_path):

@@ -63,7 +63,7 @@ def test_two_component_constant_case():
     ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (17, 17))
     model = DiagonalModel.constant([0.0, 1.0])
     bd = BoundaryData.from_text({(0, 1): "0.3+0.1*R2", (1, 0): "0.2*R1"}, 2)
-    beta, _ = solve_S(model, bd, ch)
+    beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
     y = ch.axes()[1]
     x = ch.axes()[0]
     assert np.max(np.abs(beta[(0, 1)] - (0.3 + 0.1 * y)[None, :])) < 1e-10
@@ -74,7 +74,7 @@ def test_solver_residuals_and_boundary():
     ch = _chart3()
     model = DiagonalModel.constant(ETAS3)
     bd = BoundaryData.from_text(BD3, 3)
-    beta, egorov = solve_S(model, bd, ch)
+    beta, egorov = solve_S(model, bd, ch, model.eta_grids(ch))
     f1, f2 = flatness_residuals(beta, ch)
     f3 = pencil_residual_F3(model, beta, ch)
     assert max(f1, f2, f3) < 1e-6
@@ -91,7 +91,7 @@ def test_solver_convergence_order():
     res = []
     for m in (9, 17):
         ch = Chart(3, ((0.0, 1.0),) * 3, (m,) * 3)
-        beta, _ = solve_S(model, bd, ch)
+        beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
         f1, f2 = flatness_residuals(beta, ch)
         res.append(max(f1, f2, pencil_residual_F3(model, beta, ch)))
     assert res[0] / res[1] > 12.0
@@ -101,8 +101,8 @@ def test_path_independence():
     ch = _chart3()
     model = DiagonalModel.constant(ETAS3)
     bd = BoundaryData.from_text(BD3, 3)
-    a, _ = solve_S(model, bd, ch)
-    b, _ = solve_S(model, bd, ch, order=(2, 1, 0))
+    a, _ = solve_S(model, bd, ch, model.eta_grids(ch))
+    b, _ = solve_S(model, bd, ch, model.eta_grids(ch), order=(2, 1, 0))
     worst = max(np.max(np.abs(a[k] - b[k])) for k in a)
     assert worst < 1e-5
 
@@ -113,7 +113,7 @@ def test_variable_eta_solution():
     res = []
     for m in (17, 33):
         ch = _chart3(m)
-        beta, _ = solve_S(model, bd, ch)
+        beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
         f1, f2 = flatness_residuals(beta, ch)
         res.append(max(f1, f2, pencil_residual_F3(model, beta, ch)))
     assert res[0] < 2e-4
@@ -125,7 +125,7 @@ def test_spectrum_collision_rejected():
     model = DiagonalModel.from_text(["R1", "0.5", "3"], 3)
     bd = BoundaryData.from_text(BD3, 3)
     with pytest.raises(MarchError):
-        solve_S(model, bd, ch)
+        solve_S(model, bd, ch, model.eta_grids(ch))
 
 
 def test_rescaling_symmetry():
@@ -134,13 +134,13 @@ def test_rescaling_symmetry():
     model = DiagonalModel.constant(ETAS3)
     bd = BoundaryData.from_text(BD3, 3)
     ch = _chart3()
-    beta, _ = solve_S(model, bd, ch)
+    beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
     ch2 = Chart(3, ((0.0, 2.0),) * 3, ch.shape)
     half = {k: f"0.5*({t})" for k, t in BD3.items()}
     half = {k: t.replace("R1", "(0.5*R1)").replace("R3", "(0.5*R3)")
             for k, t in half.items()}
     bd2 = BoundaryData.from_text(half, 3)
-    beta2, _ = solve_S(model, bd2, ch2)
+    beta2, _ = solve_S(model, bd2, ch2, model.eta_grids(ch2))
     worst = max(np.max(np.abs(beta2[k] - 0.5 * beta[k])) for k in beta)
     assert worst < 1e-8
 
@@ -149,7 +149,7 @@ def test_lame_integration():
     ch = _chart3()
     model = DiagonalModel.constant(ETAS3)
     bd = BoundaryData.from_text(BD3, 3)
-    beta, _ = solve_S(model, bd, ch)
+    beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
     H = solve_lame(beta, ch, {0: "1", 1: "1", 2: "1"})
     from pencil_lab.grids import deriv
     h = ch.spacing()
@@ -166,7 +166,7 @@ def test_conserved_quantities():
     ch = _chart3()
     model = DiagonalModel.constant(ETAS3)
     bd = BoundaryData.from_text(BD3, 3)
-    beta, _ = solve_S(model, bd, ch)
+    beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
     P, drift = conserved_P(model, beta, ch)
     assert drift < 1e-6
     # corner value by direct substitution
@@ -231,7 +231,7 @@ def test_shift_identity_matches_twisted_flatness():
     c = [1.0, 2.0, 4.0]
     model = DiagonalModel.constant(c)
     bd = BoundaryData.from_text(BD3, 3)
-    beta, _ = solve_S(model, bd, ch)
+    beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
     twisted = {(i, j): beta[(i, j)] * np.sqrt(c[i] / c[j])
                for i in range(3) for j in range(3) if i != j}
     from pencil_lab.grids import deriv, max_abs
@@ -255,7 +255,8 @@ def test_shift_identity_matches_twisted_flatness():
 def beta9():
     ch = _chart3(9)
     model = DiagonalModel.constant(ETAS3)
-    beta, _ = solve_S(model, BoundaryData.from_text(BD3, 3), ch)
+    beta, _ = solve_S(model, BoundaryData.from_text(BD3, 3), ch,
+                      model.eta_grids(ch))
     return model, beta, ch
 
 

@@ -31,8 +31,13 @@ def model():
 
 
 @pytest.fixture(scope="module")
-def solved(model, chart):
-    beta, _ = solve_S(model, BoundaryData.from_text(BD3, 3), chart)
+def eta(model, chart):
+    return model.eta_grids(chart)
+
+
+@pytest.fixture(scope="module")
+def solved(model, eta, chart):
+    beta, _ = solve_S(model, BoundaryData.from_text(BD3, 3), chart, eta)
     H = solve_lame(beta, chart, {0: "1", 1: "1", 2: "1"})
     return beta, H
 
@@ -63,23 +68,23 @@ def test_connection_entry_value():
     ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (5, 5))
     model = DiagonalModel.constant([1.0, 3.0])
     beta = {(0, 1): np.ones(ch.shape), (1, 0): np.zeros(ch.shape)}
-    conn = build_lax(model, beta, ch, 1.0)
+    conn = build_lax(model.eta_grids(ch), beta, ch, 1.0)
     # weight sqrt((lam+eta_1)/(lam+eta_2)) = sqrt(2/4)
     assert conn.mats[1][0, 1][2, 2] == pytest.approx(1 / np.sqrt(2))
     assert conn.mats[1][1, 0][2, 2] == pytest.approx(-1 / np.sqrt(2))
 
 
-def test_connection_is_skew(model, chart, solved):
+def test_connection_is_skew(eta, chart, solved):
     beta, _ = solved
-    conn = build_lax(model, beta, chart, 0.5)
+    conn = build_lax(eta, beta, chart, 0.5)
     for A in conn.mats:
         A = dense(A, (3, 3) + chart.shape)
         assert np.max(np.abs(A + np.swapaxes(A, 0, 1))) < 1e-12
 
 
-def test_zero_beta_gives_zero_connection(model, chart):
+def test_zero_beta_gives_zero_connection(eta, chart):
     # only row d and column d of A_d are present, and zero β makes them zero
-    conn = build_lax(model, _zero_beta(chart), chart, 1.0)
+    conn = build_lax(eta, _zero_beta(chart), chart, 1.0)
     for d, A in enumerate(conn.mats):
         assert sorted(A) == sorted({(i, d) for i in range(3) if i != d}
                                    | {(d, j) for j in range(3) if j != d})
@@ -89,23 +94,23 @@ def test_zero_beta_gives_zero_connection(model, chart):
     empty = LaxConnection(1.0, ({},) * 3)
     assert zero_curvature_residual(empty, chart) == 0.0
     H = [np.ones(chart.shape)] * 3
-    fs = integrate_frame(empty, model, H, chart)
+    fs = integrate_frame(empty, eta, H, chart)
     assert fs.phi.tobytes() == np.broadcast_to(
         np.eye(3), chart.shape + (3, 3)).tobytes()
     assert fs.ortho_drift == 0.0
 
 
-def test_pole_rejected(model, chart, solved):
+def test_pole_rejected(eta, chart, solved):
     beta, _ = solved
     for lam in (-1.0, -2.5):
         with pytest.raises(MarchError):
-            build_lax(model, beta, chart, lam)
+            build_lax(eta, beta, chart, lam)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 5.0])
-def test_zero_curvature_sweep(model, chart, solved, lam):
+def test_zero_curvature_sweep(eta, chart, solved, lam):
     beta, _ = solved
-    conn = build_lax(model, beta, chart, lam)
+    conn = build_lax(eta, beta, chart, lam)
     assert zero_curvature_residual(conn, chart) < 1e-5
 
 
@@ -114,23 +119,24 @@ def test_zero_curvature_refines_at_fourth_order(model):
     res = []
     for m in (9, 17):
         ch = Chart(3, ((0.0, 1.0),) * 3, (m,) * 3)
-        beta, _ = solve_S(model, bd, ch)
-        res.append(zero_curvature_residual(build_lax(model, beta, ch, 1.0), ch))
+        eta = model.eta_grids(ch)
+        beta, _ = solve_S(model, bd, ch, eta)
+        res.append(zero_curvature_residual(build_lax(eta, beta, ch, 1.0), ch))
     assert res[0] / res[1] > 12.0
 
 
-def test_perturbed_coefficients_break_curvature(model, chart, solved):
+def test_perturbed_coefficients_break_curvature(eta, chart, solved):
     beta, _ = solved
     broken = dict(beta)
     broken[(0, 1)] = beta[(0, 1)] + 0.1
-    conn = build_lax(model, broken, chart, 1.0)
+    conn = build_lax(eta, broken, chart, 1.0)
     assert zero_curvature_residual(conn, chart) > 1e-2
 
 
-def test_frame_of_zero_connection_is_cartesian(model, chart):
+def test_frame_of_zero_connection_is_cartesian(eta, chart):
     beta = _zero_beta(chart)
     H = [np.ones(chart.shape)] * 3
-    fs = integrate_frame(build_lax(model, beta, chart, 1.0), model, H, chart)
+    fs = integrate_frame(build_lax(eta, beta, chart, 1.0), eta, H, chart)
     assert np.max(np.abs(fs.phi - np.eye(3))) < 1e-12
     mesh = chart.mesh()
     for c in range(3):
@@ -138,14 +144,14 @@ def test_frame_of_zero_connection_is_cartesian(model, chart):
         assert np.max(np.abs(fs.rvec[..., c] - want)) < 1e-12
 
 
-def test_frame_orthogonality_and_metric(model, chart, solved):
+def test_frame_orthogonality_and_metric(eta, chart, solved):
     beta, H = solved
-    fs = integrate_frame(build_lax(model, beta, chart, 1.0), model, H, chart)
+    fs = integrate_frame(build_lax(eta, beta, chart, 1.0), eta, H, chart)
     assert fs.ortho_drift < 1e-6
-    assert induced_metric_residual(fs, model, H, chart) < 1e-5
+    assert induced_metric_residual(fs, eta, H, chart) < 1e-5
 
 
-def test_non_orthogonal_frame_aborts(model, chart):
+def test_non_orthogonal_frame_aborts(eta, chart):
     # a connection with a symmetric part stretches the frame, so the
     # orthogonality guard fires
     from pencil_lab.lax import LaxConnection
@@ -154,13 +160,13 @@ def test_non_orthogonal_frame_aborts(model, chart):
     conn = LaxConnection(1.0, tuple(_entry_form(A) for A in mats))
     H = [np.ones(chart.shape)] * 3
     with pytest.raises(MarchError):
-        integrate_frame(conn, model, H, chart)
+        integrate_frame(conn, eta, H, chart)
 
 
-def test_flat_slice_has_zero_curvatures(model, chart):
+def test_flat_slice_has_zero_curvatures(eta, chart):
     beta = _zero_beta(chart)
     H = [np.ones(chart.shape)] * 3
-    ks = hypersurface_curvatures(model, beta, H, chart, 1.0)
+    ks = hypersurface_curvatures(eta, beta, H, chart, 1.0)
     assert all(np.max(np.abs(k)) == 0.0 for k in ks)
 
 
@@ -168,41 +174,42 @@ def test_curvature_scaling_factor():
     ch = Chart(3, ((0.0, 1.0),) * 3, (9,) * 3)
     model = DiagonalModel.constant([0.25, 0.5, 1.0])
     bd = BoundaryData.from_text(BD3, 3)
-    beta, _ = solve_S(model, bd, ch)
+    eta = model.eta_grids(ch)
+    beta, _ = solve_S(model, bd, ch, eta)
     H = solve_lame(beta, ch, {0: "1", 1: "1", 2: "1"})
-    rep = weingarten_scaling_report(model, beta, H, ch, 3.0, 0.0)
+    rep = weingarten_scaling_report(eta, beta, H, ch, 3.0, 0.0)
     # sqrt((3 + 1)/(0 + 1)) = 2
     assert rep["scaling_factor_range"] == pytest.approx([2.0, 2.0])
     assert rep["closed_form_residual"] < 1e-6
     assert not rep["umbilic_flat_slice"]
 
 
-def test_scaling_report_with_mesh_oracle(model, chart, solved):
+def test_scaling_report_with_mesh_oracle(eta, chart, solved):
     beta, H = solved
-    fa = integrate_frame(build_lax(model, beta, chart, 1.0), model, H, chart)
-    fb = integrate_frame(build_lax(model, beta, chart, 0.0), model, H, chart)
-    rep = weingarten_scaling_report(model, beta, H, chart, 1.0, 0.0,
+    fa = integrate_frame(build_lax(eta, beta, chart, 1.0), eta, H, chart)
+    fb = integrate_frame(build_lax(eta, beta, chart, 0.0), eta, H, chart)
+    rep = weingarten_scaling_report(eta, beta, H, chart, 1.0, 0.0,
                                     frames=(fa, fb))
     assert rep["closed_form_residual"] < 1e-6
     assert rep["mesh_eigen_residual_a"] < 1e-3
     assert rep["mesh_eigen_residual_b"] < 1e-3
 
 
-def test_umbilic_slice_is_flagged(model, chart):
+def test_umbilic_slice_is_flagged(eta, chart):
     beta = _zero_beta(chart)
     H = [np.ones(chart.shape)] * 3
-    rep = weingarten_scaling_report(model, beta, H, chart, 1.0, 0.0)
+    rep = weingarten_scaling_report(eta, beta, H, chart, 1.0, 0.0)
     assert rep["umbilic_flat_slice"]
     assert "vacuous" in rep["note"]
 
 
-def test_pole_is_a_pole_error(model, chart, solved):
+def test_pole_is_a_pole_error(eta, chart, solved):
     beta, _ = solved
     with pytest.raises(PoleError):
-        build_lax(model, beta, chart, -1.0)
+        build_lax(eta, beta, chart, -1.0)
 
 
-def _frame_by_scalar_unknowns(conn, model, H, chart):
+def _frame_by_scalar_unknowns(conn, eta, H, chart):
     """Reference: one scalar unknown per frame entry, then one scalar
     unknown per position-vector component solved to its fixed point."""
     n = chart.n
@@ -225,7 +232,7 @@ def _frame_by_scalar_unknowns(conn, model, H, chart):
         for b in range(n):
             phi[..., a, b] = sol[f"F{a}{b}"]
     coeff = [H[d] / np.sqrt(conn.lam + e)
-             for d, e in enumerate(model.eta_grids(chart))]
+             for d, e in enumerate(eta)]
 
     def leg(d, c):
         return lambda state, idx: coeff[d][idx] * phi[..., d, c][idx]
@@ -237,11 +244,11 @@ def _frame_by_scalar_unknowns(conn, model, H, chart):
 
 
 @pytest.mark.parametrize("lam", [0.0, 1.5])
-def test_frame_matches_scalar_unknowns_bytes(model, chart, solved, lam):
+def test_frame_matches_scalar_unknowns_bytes(eta, chart, solved, lam):
     beta, H = solved
-    conn = build_lax(model, beta, chart, lam)
-    fs = integrate_frame(conn, model, H, chart)
-    phi, rvec = _frame_by_scalar_unknowns(conn, model, H, chart)
+    conn = build_lax(eta, beta, chart, lam)
+    fs = integrate_frame(conn, eta, H, chart)
+    phi, rvec = _frame_by_scalar_unknowns(conn, eta, H, chart)
     assert fs.phi.tobytes() == phi.tobytes()
     assert fs.rvec.tobytes() == rvec.tobytes()
 
@@ -249,34 +256,35 @@ def test_frame_matches_scalar_unknowns_bytes(model, chart, solved, lam):
 def _solved_2d():
     ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (17, 13))
     model = DiagonalModel.from_text(["1+0.5*R1", "3"], 2)
+    eta = model.eta_grids(ch)
     beta, _ = solve_S(model, BoundaryData.from_text(
-        {(0, 1): "0.2", (1, 0): "0.1*R1"}, 2), ch)
+        {(0, 1): "0.2", (1, 0): "0.1*R1"}, 2), ch, eta)
     H = solve_lame(beta, ch, {0: "1", 1: "1+0.1*R2"})
-    return ch, model, beta, H
+    return ch, eta, beta, H
 
 
 def test_frame_2d_matches_scalar_unknowns_bytes():
-    ch, model, beta, H = _solved_2d()
-    conn = build_lax(model, beta, ch, 0.3)
-    fs = integrate_frame(conn, model, H, ch)
-    phi, rvec = _frame_by_scalar_unknowns(conn, model, H, ch)
+    ch, eta, beta, H = _solved_2d()
+    conn = build_lax(eta, beta, ch, 0.3)
+    fs = integrate_frame(conn, eta, H, ch)
+    phi, rvec = _frame_by_scalar_unknowns(conn, eta, H, ch)
     assert fs.phi.tobytes() == phi.tobytes()
     assert fs.rvec.tobytes() == rvec.tobytes()
 
 
-def test_skipped_zero_entries_change_no_bit(model, chart, solved):
+def test_skipped_zero_entries_change_no_bit(eta, chart, solved):
     # the connection with its structural zeros filled by np.zeros gives the
     # same residual and the same frame bytes (sign of zero included)
     beta, H = solved
-    ch2, model2, beta2, H2 = _solved_2d()
-    for mdl, b, h, ch, lam in ((model, beta, H, chart, 0.5),
-                               (model2, beta2, H2, ch2, 0.3)):
-        conn = build_lax(mdl, b, ch, lam)
+    ch2, eta2, beta2, H2 = _solved_2d()
+    for e, b, h, ch, lam in ((eta, beta, H, chart, 0.5),
+                             (eta2, beta2, H2, ch2, 0.3)):
+        conn = build_lax(e, b, ch, lam)
         full = LaxConnection(lam, _filled(conn.mats, ch.n))
         assert zero_curvature_residual(conn, ch) == \
             zero_curvature_residual(full, ch)
-        fs = integrate_frame(conn, mdl, h, ch)
-        fs_full = integrate_frame(full, mdl, h, ch)
+        fs = integrate_frame(conn, e, h, ch)
+        fs_full = integrate_frame(full, e, h, ch)
         assert fs.phi.tobytes() == fs_full.phi.tobytes()
         assert fs.rvec.tobytes() == fs_full.rvec.tobytes()
     ch, sm, fields = _surface_fields()
@@ -287,9 +295,9 @@ def test_skipped_zero_entries_change_no_bit(model, chart, solved):
         zero_curvature_residual(LaxConnection(0.5, full), ch)
 
 
-def test_nan_in_one_present_entry_fails(model, chart, solved):
+def test_nan_in_one_present_entry_fails(eta, chart, solved):
     beta, _ = solved
-    conn = build_lax(model, beta, chart, 0.5)
+    conn = build_lax(eta, beta, chart, 0.5)
     mats = [dict(A) for A in conn.mats]
     mats[1][0, 1] = mats[1][0, 1].copy()
     # the staircase reads A_1 on the plane R3 = min only, so the NaN sits
@@ -339,9 +347,9 @@ def test_zero_curvature_matches_einsum(n):
     assert zero_curvature_residual(conn, ch) == _zero_curvature_einsum(conn, ch)
 
 
-def test_zero_curvature_matches_einsum_on_solved_connection(model, chart, solved):
+def test_zero_curvature_matches_einsum_on_solved_connection(eta, chart, solved):
     beta, _ = solved
-    conn = build_lax(model, beta, chart, 0.5)
+    conn = build_lax(eta, beta, chart, 0.5)
     assert zero_curvature_residual(conn, chart) == \
         _zero_curvature_einsum(conn, chart)
 
@@ -401,12 +409,12 @@ def _slice_spectrum_by_old_kernel(fs, chart):
     return np.sort(np.linalg.eigvals(S).real, axis=-1)
 
 
-def test_slice_spectrum_matches_old_kernel_bytes(model, chart, solved):
+def test_slice_spectrum_matches_old_kernel_bytes(eta, chart, solved):
     beta, H = solved
     lams = (1.0, 0.0)
-    frames = [integrate_frame(build_lax(model, beta, chart, lam), model, H,
+    frames = [integrate_frame(build_lax(eta, beta, chart, lam), eta, H,
                               chart) for lam in lams]
-    rep = weingarten_scaling_report(model, beta, H, chart, *lams,
+    rep = weingarten_scaling_report(eta, beta, H, chart, *lams,
                                     frames=tuple(frames))
     core = (slice(2, -2),) * 2
     for fs, lam, key in zip(frames, lams, ("a", "b")):
@@ -416,7 +424,7 @@ def test_slice_spectrum_matches_old_kernel_bytes(model, chart, solved):
         new = np.sort(np.linalg.eigvals(-S).real, axis=-1)
         assert new.tobytes() == old.tobytes()
         k = np.sort(np.stack(hypersurface_curvatures(
-            model, beta, H, chart, lam), axis=-1), axis=-1)
+            eta, beta, H, chart, lam), axis=-1), axis=-1)
         want = max_abs(old[core] - k[core])
         assert np.float64(rep[f"mesh_eigen_residual_{key}"]).tobytes() == \
             np.float64(want).tobytes()
@@ -436,10 +444,10 @@ def _mesh_weingarten_full_loop(r, normal, spacing):
     return np.einsum("...ab,...bc->...ac", np.linalg.inv(I), II)
 
 
-def _induced_metric_full_loop(fs, model, H, chart):
+def _induced_metric_full_loop(fs, eta, H, chart):
     """Reference: induced_metric_residual over every (i, j)."""
     h = chart.spacing()
-    sh = [fs.lam + e for e in model.eta_grids(chart)]
+    sh = [fs.lam + e for e in eta]
     dr = [deriv(fs.rvec, d, h[d]) for d in range(chart.n)]
     worst = 0.0
     for i in range(chart.n):
@@ -450,7 +458,7 @@ def _induced_metric_full_loop(fs, model, H, chart):
     return worst
 
 
-def test_symmetric_dot_products_match_the_full_loop_bytes(model, chart,
+def test_symmetric_dot_products_match_the_full_loop_bytes(eta, chart,
                                                           solved):
     # the dot product of two grid vectors has the same bytes with its
     # operands swapped, so the mirror-image half of I is copied
@@ -464,13 +472,13 @@ def test_symmetric_dot_products_match_the_full_loop_bytes(model, chart,
     assert mesh_weingarten(r, normal, spacing).tobytes() == \
         _mesh_weingarten_full_loop(r, normal, spacing).tobytes()
     beta, H = solved
-    fs = integrate_frame(build_lax(model, beta, chart, 1.0), model, H, chart)
+    fs = integrate_frame(build_lax(eta, beta, chart, 1.0), eta, H, chart)
     idx = (slice(None), slice(None), 0)
     args = (fs.rvec[idx], fs.phi[idx + (2, slice(None))], chart.spacing()[:2])
     assert mesh_weingarten(*args).tobytes() == \
         _mesh_weingarten_full_loop(*args).tobytes()
-    assert np.float64(induced_metric_residual(fs, model, H, chart)).tobytes() \
-        == np.float64(_induced_metric_full_loop(fs, model, H, chart)).tobytes()
+    assert np.float64(induced_metric_residual(fs, eta, H, chart)).tobytes() \
+        == np.float64(_induced_metric_full_loop(fs, eta, H, chart)).tobytes()
 
 
 def test_mesh_weingarten_of_a_sphere():
@@ -495,16 +503,16 @@ def test_nan_connection_is_not_flat(chart):
     assert np.isnan(zero_curvature_residual(conn, chart))
 
 
-def test_nan_position_vector_fails_metric_check(model, chart, solved):
+def test_nan_position_vector_fails_metric_check(eta, chart, solved):
     _, H = solved
     fs = FrameSolution(1.0, np.broadcast_to(np.eye(3), chart.shape + (3, 3)),
                        _nan_grids(chart, (3,)), 0.0)
-    assert np.isnan(induced_metric_residual(fs, model, H, chart))
+    assert np.isnan(induced_metric_residual(fs, eta, H, chart))
 
 
-def test_nan_curvatures_fail_scaling_ratio(model, chart, solved):
+def test_nan_curvatures_fail_scaling_ratio(eta, chart, solved):
     beta, H = solved
     broken = dict(beta)
     broken[(2, 1)] = _nan_grids(chart)
-    rep = weingarten_scaling_report(model, broken, H, chart, 1.0, 0.0)
+    rep = weingarten_scaling_report(eta, broken, H, chart, 1.0, 0.0)
     assert np.isnan(rep["closed_form_residual"])
