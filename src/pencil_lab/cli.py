@@ -243,9 +243,10 @@ def cmd_solve_diagonal(cfg, args, chart):
         s2 = cfg["s2"]
         seed = _tensor(s2.get("seed") if isinstance(s2, dict) else None,
                        1, chart, "the s2 seed")
-    beta, egorov = diagonal.solve_S(model, bd, chart, model.eta_grids(chart))
+    eta = model.eta_grids(chart)
+    beta, egorov = diagonal.solve_S(model, bd, chart, eta)
     f1, f2 = diagonal.flatness_residuals(beta, chart)
-    f3 = diagonal.pencil_residual_F3(model, beta, chart)
+    f3 = diagonal.pencil_residual_F3(model, beta, chart, eta)
     residuals = {"F1": f1, "F2": f2, "F3": f3}
     extra = {"egorov": egorov}
     if model.is_constant():

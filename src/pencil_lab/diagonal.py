@@ -130,15 +130,17 @@ def flatness_residuals(beta: dict, chart: Chart):
     return f1, f2
 
 
-def pencil_residual_F3(model: DiagonalModel, beta: dict, chart: Chart) -> float:
+def pencil_residual_F3(model: DiagonalModel, beta: dict, chart: Chart,
+                       eta: list) -> float:
     """Residual of the shift-invariance identity.
 
     F3: eta_i d_i beta_ij + eta_j d_j beta_ji + (1/2) eta_i' beta_ij
         + (1/2) eta_j' beta_ji + sum_{k != i,j} eta_k beta_ki beta_kj = 0.
+
+    eta holds the grids of the model's etas on the chart, as for solve_S.
     """
     n = chart.n
     h = chart.spacing()
-    eta = model.eta_grids(chart)
     etap = model.eta_prime_grids(chart)
     worst = 0.0
     for i in range(n):

@@ -115,21 +115,28 @@ _C_MID = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0     # cell [x1, x2] from f0..
 
 
 def cumint(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """4th-order cumulative integral along ``axis``; zero at the first sample."""
+    """4th-order cumulative integral along ``axis``; zero at the first sample.
+
+    The result is a fresh array in the input's memory order: its cells are
+    formed in it with one scratch buffer, then summed in place lane by lane.
+    """
     arr = np.asarray(arr)
     m = arr.shape[axis]
     if m < 4:
         raise GridError("4th-order quadrature needs at least 4 points per axis")
     a = np.moveaxis(arr, axis, 0)
-    cells = np.empty((m - 1,) + a.shape[1:], dtype=np.result_type(a, float))
-    cells[0] = _C_LEFT[0] * a[0] + _C_LEFT[1] * a[1] + _C_LEFT[2] * a[2] + _C_LEFT[3] * a[3]
-    cells[1:m - 2] = (_C_MID[0] * a[0:m - 3] + _C_MID[1] * a[1:m - 2]
-                      + _C_MID[2] * a[2:m - 1] + _C_MID[3] * a[3:m])
-    cells[m - 2] = (_C_LEFT[0] * a[m - 1] + _C_LEFT[1] * a[m - 2]
-                    + _C_LEFT[2] * a[m - 3] + _C_LEFT[3] * a[m - 4])
-    out = np.empty_like(a, dtype=cells.dtype)
+    out = np.empty_like(a, dtype=np.result_type(a, float))
+    # cell i goes to out[i + 1], with the terms of each cell added in order
     out[0] = 0.0
-    np.cumsum(cells, axis=0, out=out[1:])
+    out[1] = _C_LEFT[0] * a[0] + _C_LEFT[1] * a[1] + _C_LEFT[2] * a[2] + _C_LEFT[3] * a[3]
+    mid = out[2:m - 1]
+    np.multiply(_C_MID[0], a[0:m - 3], out=mid)
+    term = np.empty_like(mid)
+    for j in range(1, 4):
+        mid += np.multiply(_C_MID[j], a[j:m - 3 + j], out=term)
+    out[m - 1] = (_C_LEFT[0] * a[m - 1] + _C_LEFT[1] * a[m - 2]
+                  + _C_LEFT[2] * a[m - 3] + _C_LEFT[3] * a[m - 4])
+    np.cumsum(out[1:], axis=0, out=out[1:])
     out *= h
     return np.moveaxis(out, 0, axis)
 

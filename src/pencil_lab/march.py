@@ -11,6 +11,16 @@ repeats the passes until the fixed point is reached.  Compatibility
 (Frobenius) of the system is certified afterwards by residuals, not assumed
 silently: path-independence can be probed by permuting the leg order.
 
+Memory order moves no bit (each value is an elementwise operation or a
+per-lane cumulative sum); it sets how fast numpy walks the grids.  A vector
+unknown (a frame row) is held leg-major: the axis of its last leg, the one
+leg over the whole grid, outermost in memory, then its component axes, then
+the other grid axes, so every slab cumint adds is contiguous.  solve_frame
+copies each entry of that leg's A_d in the same order as the sweep reads it
+(a product of mixed orders is several times slower).  Scalar unknowns, whose
+rhs read C-ordered grids, stay in C order.  Every public function returns
+C-contiguous grids.
+
 The convergence contract is fixed: a solve has converged when the largest
 change of a sweep is at most TOL * scale = 1e-13 * (1 + max |unknown|), it
 gets at most MAX_SWEEPS = 600 sweeps, and it raises MarchError when scale
@@ -20,6 +30,7 @@ exceeds BLOWUP = 1e6 or a value is not finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -102,9 +113,17 @@ def _boundary_array(u: Unknown, chart: Chart) -> np.ndarray:
     return vals.reshape(shape)
 
 
-def _full(part: np.ndarray, chart: Chart) -> np.ndarray:
-    shape = chart.shape + part.shape[chart.n:]
-    return np.ascontiguousarray(np.broadcast_to(part, shape))
+def _held(chart: Chart, value, lead: int | None) -> np.ndarray:
+    """A fresh grid (+ component axes) of ``value`` broadcast over the chart,
+    in C order when ``lead`` is None, else leg-major about axis ``lead``."""
+    value = np.asarray(value)
+    shape = chart.shape + value.shape[chart.n:]
+    perm = tuple(range(len(shape))) if lead is None else (
+        lead, *range(chart.n, len(shape)),
+        *(k for k in range(chart.n) if k != lead))
+    out = np.empty([shape[p] for p in perm]).transpose(np.argsort(perm))
+    out[...] = value
+    return out
 
 
 def _order(chart: Chart, order) -> tuple:
@@ -121,13 +140,19 @@ def path_integral(chart: Chart, u: Unknown, order: tuple | None = None,
     Legs follow ``order`` (default 0..n-1); axes not yet traversed (and not
     free) stay pinned at the corner, so leg i asks each rhs for the slab of
     the grid spanned by the free axis and the first i+1 legs.  Exact when the
-    rhs does not read ``state``.
+    rhs does not read ``state``.  Returns a C-contiguous grid.
     """
-    order = _order(chart, order)
+    return np.ascontiguousarray(_pass(chart, u, _order(chart, order), state))
+
+
+def _pass(chart: Chart, u: Unknown, order: tuple, state) -> np.ndarray:
+    """path_integral as a fresh grid in the unknown's memory order."""
     spacing = chart.spacing()
     part = _boundary_array(u, chart)
     comps = part.shape[chart.n:]
     dirs = [k for k in order if k != u.free_axis]
+    if not dirs:  # a fresh grid, which a sweep may overwrite
+        return _held(chart, part, None)
     for i, k in enumerate(dirs):
         idx = [slice(None)] * chart.n
         for later in dirs[i + 1:]:
@@ -135,8 +160,17 @@ def path_integral(chart: Chart, u: Unknown, order: tuple | None = None,
         idx = tuple(idx)
         slab = tuple(1 if s.stop == 1 else m for s, m in zip(idx, chart.shape))
         field = np.broadcast_to(u.rhs[k](state, idx), slab + comps)
-        part = part + cumint(field, k, spacing[k])
-    return _full(part, chart)
+        step = cumint(field, k, spacing[k])
+        step += part  # in place: this leg's slab spans the part so far
+        part = step
+    return part
+
+
+def _peak(best: float, a: np.ndarray) -> float:
+    """max(best, max |a|) for a real array with no |a| temporary, by the rules
+    of max_abs: a NaN in either gives NaN (np.maximum; Python's max drops a
+    NaN that is not its first argument), and + 0.0 turns -min(0.0) into 0.0."""
+    return float(np.maximum(best, np.maximum(np.max(a), -np.min(a)))) + 0.0
 
 
 def _guard(scale: float) -> None:
@@ -147,23 +181,31 @@ def _guard(scale: float) -> None:
 
 def solve_compatible(chart: Chart, unknowns: list[Unknown],
                      order: tuple | None = None) -> dict[str, np.ndarray]:
-    """Solve the system to its fixed point; returns name -> full grid.
+    """Solve the system to its fixed point; returns name -> full grid
+    (C-contiguous).
 
     ``order`` is the axis permutation defining the staircase legs (defaults to
     0..n-1).  Deterministic: fixed sweep order, fixed quadrature.
     """
     order = _order(chart, order)
-    state = {u.name: _full(_boundary_array(u, chart), chart) for u in unknowns}
+    state = {}
+    for u in unknowns:  # held as the module docstring says
+        part = _boundary_array(u, chart)
+        dirs = [k for k in order if k != u.free_axis]
+        lead = dirs[-1] if part.ndim > chart.n and dirs else None
+        state[u.name] = _held(chart, part, lead)
     for _ in range(MAX_SWEEPS):
         delta = 0.0
         for u in unknowns:
-            new = path_integral(chart, u, order, state)
-            delta = max_abs(delta, new - state[u.name])
+            new = _pass(chart, u, order, state)
+            # the old grid, dead once replaced, takes new - old
+            delta = _peak(delta, np.subtract(new, state[u.name],
+                                             out=state[u.name]))
             state[u.name] = new
-        scale = 1.0 + max_abs(*(state[u.name] for u in unknowns))
+        scale = 1.0 + reduce(_peak, state.values(), 0.0)
         _guard(scale)  # a NaN or inf in delta also shows in scale
         if delta <= TOL * scale:
-            return state
+            return {name: np.ascontiguousarray(v) for name, v in state.items()}
     raise MarchError(f"no fixed point after {MAX_SWEEPS} sweeps (last delta {delta:.3e})")
 
 
@@ -178,13 +220,16 @@ def solve_frame(chart: Chart, mats, k: int) -> np.ndarray:
     (a, b) of the sweep reads only column b, so the Gauss-Seidel order is
     that of one scalar unknown per entry taken row by row.
     """
+    last = chart.n - 1  # every row's last leg, the one over the whole grid
+
     def row(a, d):
         terms = [(f"F{c}", mats[d][a, c]) for c in range(k)
                  if (a, c) in mats[d]]
 
         def f(state, idx):
-            acc = dot((A[idx][..., None], state[name][idx])
-                      for name, A in terms)
+            # on the last leg each entry in turn is copied leg-major
+            acc = dot(((_held(chart, A, last) if d == last else A[idx])
+                       [..., None], state[name][idx]) for name, A in terms)
             return 0.0 if acc is None else acc
         return f
 

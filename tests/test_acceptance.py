@@ -152,7 +152,8 @@ def test_criterion_04_system_integration(diag_solution):
     res = {}
     for m, (ch, beta, H) in sols.items():
         f1, f2 = flatness_residuals(beta, ch)
-        res[m] = max(f1, f2, pencil_residual_F3(model, beta, ch))
+        res[m] = max(f1, f2, pencil_residual_F3(model, beta, ch,
+                                                model.eta_grids(ch)))
     ratio = res[9] / res[17]
     ch, beta, _ = sols[17]
     x = ch.axes()[0]

@@ -723,9 +723,9 @@ def test_an_output_directory_that_cannot_take_a_file_is_a_config_error(
     assert blocked in err.splitlines()[-1]
 
 
-def test_frame_evaluates_each_eta_once(tmp_path, monkeypatch):
-    # solve_S and the frame functions of every shift share one grid of each
-    # eta; the other three calls are the etas' derivatives in solve_S
+def _eta_evaluations(tmp_path, monkeypatch, command) -> int:
+    """Runs ``command`` on the diagonal config; asserts that it evaluates
+    each eta once and returns its number of eval_grid calls."""
     calls = []
 
     def counting(e, chart):
@@ -735,11 +735,23 @@ def test_frame_evaluates_each_eta_once(tmp_path, monkeypatch):
     for module in (diagonal, geometry, grids, surface):
         monkeypatch.setattr(module, "eval_grid", counting)
     cfg_dict = _cfg_diag({"lambdas": [0.5, 2.0, 3.0]})
-    assert main(["frame", "--config", _write(tmp_path, "f.json", cfg_dict),
+    assert main([command, "--config", _write(tmp_path, "f.json", cfg_dict),
                  "--out", str(tmp_path / "out")]) == 0
     for text in cfg_dict["etas"]:
         assert calls.count(as_expr(text, 3)) == 1, text
-    assert len(calls) == 6
+    return len(calls)
+
+
+def test_frame_evaluates_each_eta_once(tmp_path, monkeypatch):
+    # solve_S and the frame functions of every shift share one grid of each
+    # eta; the other three calls are the etas' derivatives in solve_S
+    assert _eta_evaluations(tmp_path, monkeypatch, "frame") == 6
+
+
+def test_solve_diagonal_evaluates_each_eta_once(tmp_path, monkeypatch):
+    # solve_S and F3 share one grid of each eta; each of them evaluates the
+    # three derivatives
+    assert _eta_evaluations(tmp_path, monkeypatch, "solve-diagonal") == 9
 
 
 def test_numeric_beta_boundary_reads_as_its_text(tmp_path):

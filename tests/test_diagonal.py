@@ -74,9 +74,10 @@ def test_solver_residuals_and_boundary():
     ch = _chart3()
     model = DiagonalModel.constant(ETAS3)
     bd = BoundaryData.from_text(BD3, 3)
-    beta, egorov = solve_S(model, bd, ch, model.eta_grids(ch))
+    eta = model.eta_grids(ch)
+    beta, egorov = solve_S(model, bd, ch, eta)
     f1, f2 = flatness_residuals(beta, ch)
-    f3 = pencil_residual_F3(model, beta, ch)
+    f3 = pencil_residual_F3(model, beta, ch, eta)
     assert max(f1, f2, f3) < 1e-6
     assert not egorov
     # line data reproduced on the free lines
@@ -91,9 +92,10 @@ def test_solver_convergence_order():
     res = []
     for m in (9, 17):
         ch = Chart(3, ((0.0, 1.0),) * 3, (m,) * 3)
-        beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
+        eta = model.eta_grids(ch)
+        beta, _ = solve_S(model, bd, ch, eta)
         f1, f2 = flatness_residuals(beta, ch)
-        res.append(max(f1, f2, pencil_residual_F3(model, beta, ch)))
+        res.append(max(f1, f2, pencil_residual_F3(model, beta, ch, eta)))
     assert res[0] / res[1] > 12.0
 
 
@@ -113,9 +115,10 @@ def test_variable_eta_solution():
     res = []
     for m in (17, 33):
         ch = _chart3(m)
-        beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
+        eta = model.eta_grids(ch)
+        beta, _ = solve_S(model, bd, ch, eta)
         f1, f2 = flatness_residuals(beta, ch)
-        res.append(max(f1, f2, pencil_residual_F3(model, beta, ch)))
+        res.append(max(f1, f2, pencil_residual_F3(model, beta, ch, eta)))
     assert res[0] < 2e-4
     assert res[0] / res[1] > 8.0
 
@@ -192,7 +195,8 @@ def test_angle_system_consistency_and_parametrization():
     beta = beta_from_pqr(sol, *c)
     model = DiagonalModel.constant(list(c))
     f1, f2 = flatness_residuals(beta, ch)
-    assert max(f1, f2, pencil_residual_F3(model, beta, ch)) < 2e-4
+    f3 = pencil_residual_F3(model, beta, ch, model.eta_grids(ch))
+    assert max(f1, f2, f3) < 2e-4
     P, drift = conserved_P(model, beta, ch)
     assert np.max(np.abs(P[0] - 1.0)) < 1e-12
     assert np.max(np.abs(P[1] - 1.0)) < 1e-12
@@ -266,7 +270,8 @@ def test_nan_beta_is_not_flat(beta9, key):
     broken = dict(beta)
     broken[key] = np.full(ch.shape, np.nan)
     assert all(np.isnan(v) for v in flatness_residuals(broken, ch))
-    assert np.isnan(pencil_residual_F3(model, broken, ch))
+    assert np.isnan(pencil_residual_F3(model, broken, ch,
+                                       model.eta_grids(ch)))
     _, drift = conserved_P(model, broken, ch)
     assert np.isnan(drift)
 

@@ -5,7 +5,7 @@ from pencil_lab.expr import parse_expr
 from pencil_lab.grids import (_C_LEFT, _C_MID, Chart, GridError, cumint,
                               deriv, eval_grid, max_abs)
 from pencil_lab.march import (POLE_GUARD, MarchError, PoleError, Unknown,
-                              path_integral, position_vector, shift,
+                              _peak, path_integral, position_vector, shift,
                               solve_compatible, solve_frame)
 
 
@@ -55,19 +55,36 @@ def _cumint_loop(arr, axis, h):
     return np.moveaxis(out, 0, axis)
 
 
+def _leg_major(arr, lead, comps):
+    """arr held as a C buffer shaped (arr.shape[lead], the last ``comps``
+    axes, the other axes), moved back to its logical order."""
+    rest = [k for k in range(arr.ndim - comps) if k != lead]
+    perm = (lead, *range(arr.ndim - comps, arr.ndim), *rest)
+    return np.ascontiguousarray(arr.transpose(perm)).transpose(np.argsort(perm))
+
+
 @pytest.mark.parametrize("shape", [(17, 9), (4, 6), (5, 5), (9, 7, 6),
                                    (4, 5, 6), (33, 1), (33, 1, 1),
-                                   (33, 33, 1)])
+                                   (33, 33, 1), (9, 7, 6, 3), (17, 9, 3),
+                                   (6, 5, 2, 2)])
 def test_cumint_matches_loop_bytes(shape):
     rng = np.random.default_rng(sum(shape))
     arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
     for axis in range(len(shape)):
         if shape[axis] < 4:
             continue
-        got = cumint(arr, axis, 0.1)
         want = _cumint_loop(arr, axis, 0.1)
+        got = cumint(arr, axis, 0.1)
         assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == want.tobytes() and got.flags.c_contiguous
+        # leg-major about this axis, with 0, 1 or 2 trailing component axes:
+        # the same bytes, held in the input's memory order
+        for comps in range(min(3, len(shape) - axis)):
+            laid = _leg_major(arr, axis, comps)
+            got = cumint(laid, axis, 0.1)
+            assert got.tobytes() == want.tobytes()
+            if 1 not in shape:
+                assert got.strides == laid.strides
     # a strided view takes the same path
     view = np.swapaxes(arr, 0, -1)
     if view.shape[0] >= 4:
@@ -157,6 +174,28 @@ def test_nan_state_is_not_a_fixed_point():
         solve_compatible(ch, [u])
 
 
+def test_nan_in_the_second_vector_unknown_is_not_a_fixed_point():
+    # Python's max would drop the second unknown's NaN from delta and scale
+    ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (9, 9))
+    bad = np.where(ch.mesh()[0] > 0.5, np.nan, 0.0)[..., None] * np.ones(2)
+    unknowns = [Unknown("u", {0: lambda s, i: 0.1 * s["u"][i],
+                              1: lambda s, i: 0.0}, boundary=np.ones(2)),
+                Unknown("v", {0: lambda s, i: bad[i], 1: lambda s, i: 0.0},
+                        boundary=np.zeros(2))]
+    with pytest.raises(MarchError, match="blow-up guard or is not finite"):
+        solve_compatible(ch, unknowns)
+
+
+@pytest.mark.parametrize("best,values,want", [
+    (0.0, [0.0, 0.0], "0.0"), (0.0, [-0.0, -0.0], "0.0"),
+    (0.0, [0.0, -0.0], "0.0"), (0.0, [-2.0, 1.5], "2.0"),
+    (3.0, [-2.0, 1.5], "3.0"), (0.0, [1.0, np.nan], "nan"),
+    (np.nan, [1.0, 2.0], "nan"), (1.0, [np.inf, 0.0], "inf")])
+def test_peak_keeps_the_rules_of_max_abs(best, values, want):
+    assert repr(_peak(best, np.array(values))) == want
+    assert repr(max_abs([best], values)) == want
+
+
 @pytest.mark.parametrize("arrays", [([np.nan],), ([1.0, np.nan],),
                                     ([np.nan], [2.0]), ([2.0], [np.nan])])
 def test_max_abs_propagates_nan(arrays):
@@ -236,6 +275,7 @@ def test_vector_unknown_matches_stacked_scalars():
         got = solve_compatible(ch, vector, order=order)
         want = solve_compatible(ch, scalars, order=order)
         assert got["u"].shape == ch.shape + (2,)
+        assert all(v.flags.c_contiguous for v in got.values())
         stacked = np.stack([want["u0"], want["u1"]], axis=-1)
         assert got["u"].tobytes() == stacked.tobytes()
         assert got["w"].tobytes() == want["w"].tobytes()
@@ -270,6 +310,34 @@ def test_solve_frame_rotation_and_position_vector():
     eye = np.broadcast_to(np.eye(2), ch.shape + (2, 2))
     r = position_vector(ch, [ones, 2.0 * ones], eye)
     assert np.max(np.abs(r - np.stack(ch.mesh(), -1) * [1.0, 2.0])) < 1e-14
+
+
+@pytest.mark.parametrize("ch", [Chart(3, ((0.0, 1.0),) * 3, (9, 8, 7)),
+                                Chart(2, ((0.0, 1.0),) * 2, (17, 13))])
+def test_solve_frame_bytes_do_not_depend_on_the_layout_of_A(ch):
+    # A_d of a Lax pair (row d and column d, antisymmetric) plus one more
+    # entry, held C-ordered, Fortran-ordered and as a non-contiguous view
+    k = 3
+    X = ch.mesh()
+    mats = []
+    for d in range(ch.n):
+        A = {}
+        for c in range(k):
+            if c != d:
+                w = 0.3 * np.cos(sum((j + 1 + c) * x for j, x in enumerate(X))
+                                 + d)
+                A[d, c], A[c, d] = w, -w
+        A[(d + 1) % k, (d + 2) % k] = 0.1 * np.sin(X[0] - X[-1] + d)
+        mats.append(A)
+    layouts = [np.ascontiguousarray, np.asfortranarray,
+               lambda g: np.stack([g, -g], axis=-1)[..., 0]]
+    frames = [solve_frame(ch, [{key: lay(g) for key, g in A.items()}
+                               for A in mats], k) for lay in layouts]
+    assert not layouts[2](X[0]).flags.c_contiguous
+    assert not layouts[2](X[0]).flags.f_contiguous
+    for frame in frames:
+        assert frame.shape == ch.shape + (k, k) and frame.flags.c_contiguous
+        assert frame.tobytes() == frames[0].tobytes()
 
 
 @pytest.mark.parametrize("scale", [np.nan, 1e7])
