@@ -26,9 +26,8 @@ G11, G22 = model.shifted_form(0.0)
 curv = solve_codazzi(G11, G22, "2+2*R1", "2.5", model.chart)
 print(f"radii transport residual: {curv.pc:.3e}")
 
-H1, H2, b12, b21 = model.lame_beta()
-laxres = lax_residuals_3x3_2x2(H1, H2, b12, b21, model.eta1, model.eta2,
-                               model.chart, model.lambdas)
+laxres = lax_residuals_3x3_2x2(*model.coefficient_grids, model.chart,
+                               model.lambdas)
 for lam, (r3, r2) in laxres.items():
     print(f"shift {lam:3.1f}: linear systems 3x3 {r3:.3e}, 2x2 {r2:.3e}")
 

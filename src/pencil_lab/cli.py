@@ -81,16 +81,24 @@ def _pool_map(fn, items) -> list:
         return list(pool.map(quiet, items))
 
 
+def _count(v) -> int:
+    """A chart count: an integer, or a float with an integral value."""
+    if isinstance(v, float) and not v.is_integer():   # inf and NaN too
+        raise ValueError(f"count {v!r} is not a whole number")
+    return int(v)
+
+
 def _chart(cfg: dict, grid_override=None) -> Chart:
     try:
         section = cfg["chart"]
-        n = int(section["n"])
+        n = _count(section["n"])
         box = tuple((float(a), float(b)) for a, b in section["box"])
-        shape = tuple(int(m) for m in section["shape"])
-    except (KeyError, TypeError, ValueError) as e:
+        shape = tuple(_count(m) for m in section["shape"])
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        # OverflowError: a box bound written as an integer past the floats
         raise ConfigError(f"bad chart section: {e}")
-    if grid_override is not None:
-        shape = (int(grid_override),) * n
+    if grid_override is not None:   # one count per interval; Chart checks n
+        shape = (int(grid_override),) * len(box)
     try:
         return Chart(n, box, shape)
     except GridError as e:
@@ -151,7 +159,7 @@ def _lambdas(cfg: dict, override) -> list:
         raise ConfigError(f"shift list must be a non-empty list: {raw!r}")
     try:
         values = [float(v) for v in raw]
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"bad shift list: {raw!r}")
     if not np.all(np.isfinite(values)):
         raise ConfigError(f"shifts must be finite: {raw!r}")

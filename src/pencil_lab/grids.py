@@ -9,6 +9,7 @@ integration never leaves the grid.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -47,7 +48,7 @@ class Chart:
             if m < 5:
                 raise GridError(
                     "need at least 5 samples per axis for the stencils")
-        if int(np.prod(shape)) > 10**7:
+        if math.prod(shape) > 10**7:   # np.prod wraps around in int64
             raise GridError("grid exceeds 10^7 points")
         object.__setattr__(self, "box", box)
         object.__setattr__(self, "shape", shape)

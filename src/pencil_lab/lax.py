@@ -163,7 +163,7 @@ def mesh_weingarten(r: np.ndarray, normal: np.ndarray, spacing) -> np.ndarray:
     fundamental forms I_ab = (d_a r, d_b r) and II_ab = -(d_a n, d_b r) come
     from finite differences.  I is symmetric, so I_ba is copied from I_ab;
     II is not symmetric on a mesh and is formed in full.  Returns S, shape
-    grid + (m, m).
+    grid + (m, m); a mesh too degenerate for a finite S raises MarchError.
     """
     m = len(spacing)
     dr = [deriv(r, a, spacing[a]) for a in range(m)]
@@ -177,7 +177,13 @@ def mesh_weingarten(r: np.ndarray, normal: np.ndarray, spacing) -> np.ndarray:
             else:
                 I[..., a, b] = I[..., b, a]
             II[..., a, b] = -np.einsum("...c,...c->...", dn[a], dr[b])
-    return np.einsum("...ab,...bc->...ac", np.linalg.inv(I), II)
+    try:
+        S = np.einsum("...ab,...bc->...ac", np.linalg.inv(I), II)
+        if np.isfinite(S).all():
+            return S
+    except np.linalg.LinAlgError:   # I is singular at some vertex
+        pass
+    raise MarchError("mesh shape operator is not finite: the mesh degenerates")
 
 
 def weingarten_scaling_report(eta: list, beta: dict, H: list,

@@ -9,13 +9,16 @@ surface preserving its Weingarten operator.  This module checks the
 curvature-1 property, solves the transport equations for the radii,
 verifies the two equivalent linear systems (3x3 real and 2x2 complex),
 reconstructs the family of surface meshes, and compares their shape
-operators vertex by vertex.
+operators vertex by vertex.  Functions take the forms deform-surface hands
+them: expressions for the third fundamental form and the radii's boundary
+lines, grids on the chart for every field (radii, H_i, b_ij, eta_i).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
@@ -33,14 +36,6 @@ __all__ = [
 ]
 
 UMBILIC_GUARD = 1e-8
-
-
-def _grid(v, chart: Chart):
-    if isinstance(v, str):
-        v = as_expr(v, 2)
-    if isinstance(v, Expr):
-        return eval_grid(v, chart)
-    return np.broadcast_to(np.asarray(v, dtype=float), chart.shape)
 
 
 @dataclass(frozen=True)
@@ -137,89 +132,61 @@ class CurvatureData:
     pc: float = np.nan
 
 
-def _log_deriv(G, axis: int, chart: Chart):
-    """Grid of d_axis ln sqrt(G), exact for an expression or its text."""
-    if isinstance(G, (str, Expr)):
-        G = as_expr(G, 2)
-        return eval_grid(diff(G, axis + 1) / (as_expr(2.0, 2) * G), chart)
-    g = _grid(G, chart)
-    return deriv(g, axis, chart.spacing()[axis]) / (2.0 * g)
+def _log_deriv(G: Expr, axis: int, chart: Chart) -> np.ndarray:
+    """Grid of d_axis ln sqrt(G), exact for the expression G."""
+    return eval_grid(diff(G, axis + 1) / (as_expr(2.0, 2) * G), chart)
 
 
-def pc_residual(G11, G22, k1, k2, chart: Chart) -> float:
+def pc_residual(k1, k2, L1, L2, chart: Chart) -> float:
     """Transport-equation residuals for the radii, denominators cleared.
 
-    d_2 k1 = (k2 - k1) d_2 ln sqrt(G11),
-    d_1 k2 = (k1 - k2) d_1 ln sqrt(G22).
+    d_2 k1 = (k2 - k1) L1,  L1 = d_2 ln sqrt(G11),
+    d_1 k2 = (k1 - k2) L2,  L2 = d_1 ln sqrt(G22).
 
-    The radii are differenced on the grid; the log-derivatives are exact
-    for G11 and G22 given as expressions or their text.
+    All four arguments are grids on the chart; the radii are differenced on
+    it.  Raises MarchError where k1 and k2 meet (an umbilic point), since
+    the transport equations hold no information there.
     """
-    return _pc_residual(k1, k2, chart, lambda: (_log_deriv(G11, 1, chart),
-                                                _log_deriv(G22, 0, chart)))
-
-
-def _pc_residual(k1, k2, chart: Chart, log_derivs) -> float:
-    """pc_residual with the grids of d_2 ln sqrt(G11) and d_1 ln sqrt(G22)
-    from ``log_derivs()``, called after the umbilic check and the radii
-    derivatives, so solve_codazzi can pass the grids it marched with."""
-    h = chart.spacing()
-    k1g = _grid(k1, chart)
-    k2g = _grid(k2, chart)
-    if float(np.min(np.abs(k2g - k1g))) < UMBILIC_GUARD:
+    if float(np.min(np.abs(k2 - k1))) < UMBILIC_GUARD:
         raise MarchError("umbilic point inside the grid")
-    d2k1 = deriv(k1g, 1, h[1])
-    d1k2 = deriv(k2g, 0, h[0])
-    L1, L2 = log_derivs()
-    return max_abs(d2k1 - (k2g - k1g) * L1, d1k2 - (k1g - k2g) * L2)
+    h = chart.spacing()
+    return max_abs(deriv(k1, 1, h[1]) - (k2 - k1) * L1,
+                   deriv(k2, 0, h[0]) - (k1 - k2) * L2)
 
 
-def solve_codazzi(G11, G22, k1_line, k2_line, chart: Chart) -> CurvatureData:
+def solve_codazzi(G11: Expr, G22: Expr, k1_line, k2_line,
+                  chart: Chart) -> CurvatureData:
     """Integrate the radii transport equations.
 
     k1 is prescribed on the first-coordinate line through the corner and
     transported in the second direction; k2 the other way round.  Boundary
     expressions referencing the transverse coordinate are accepted only when
     their transverse derivative matches the transport equation at the corner.
+    Its ``pc`` is pc_residual on the march's grids, which refuses umbilics.
     """
     L1 = _log_deriv(G11, 1, chart)
     L2 = _log_deriv(G22, 0, chart)
-    k1_line = as_expr(k1_line, 2)
-    k2_line = as_expr(k2_line, 2)
-
+    k1_line, k2_line = (as_expr(v, 2) for v in (k1_line, k2_line))
     corner = chart.corner()
-    k1c = evaluate(k1_line, corner)
-    k2c = evaluate(k2_line, corner)
-    if 2 in coords_used(k1_line):
-        want = (k2c - k1c) * L1[(0,) * 2]
-        got = evaluate(diff(k1_line, 2), corner)
-        if abs(got - want) > 1e-6:
-            raise MarchError(
-                "boundary for k1 prescribes a transverse derivative "
-                f"({got:.6g}) inconsistent with the transport equation "
-                f"({want:.6g})")
-    if 1 in coords_used(k2_line):
-        want = (k1c - k2c) * L2[(0,) * 2]
-        got = evaluate(diff(k2_line, 1), corner)
-        if abs(got - want) > 1e-6:
-            raise MarchError(
-                "boundary for k2 prescribes a transverse derivative "
-                f"({got:.6g}) inconsistent with the transport equation "
-                f"({want:.6g})")
+    k1c, k2c = (evaluate(v, corner) for v in (k1_line, k2_line))
+    for tag, line, axis, gap, L in (("k1", k1_line, 2, k2c - k1c, L1),
+                                    ("k2", k2_line, 1, k1c - k2c, L2)):
+        if axis in coords_used(line):
+            want = gap * L[(0,) * 2]
+            got = evaluate(diff(line, axis), corner)
+            if abs(got - want) > 1e-6:
+                raise MarchError(
+                    f"boundary for {tag} prescribes a transverse derivative "
+                    f"({got:.6g}) inconsistent with the transport equation "
+                    f"({want:.6g})")
 
-    unknowns = [
+    sol = solve_compatible(chart, [
         Unknown("k1", {1: lambda s, i: (s["k2"][i] - s["k1"][i]) * L1[i]},
                 free_axis=0, boundary=k1_line),
         Unknown("k2", {0: lambda s, i: (s["k1"][i] - s["k2"][i]) * L2[i]},
-                free_axis=1, boundary=k2_line),
-    ]
-    sol = solve_compatible(chart, unknowns)
-    gap = float(np.min(np.abs(sol["k2"] - sol["k1"])))
-    if gap < UMBILIC_GUARD:
-        raise MarchError("umbilic collision during the march")
-    data = CurvatureData(sol["k1"], sol["k2"])
-    data.pc = _pc_residual(data.k1, data.k2, chart, lambda: (L1, L2))
-    return data
+                free_axis=1, boundary=k2_line)])
+    return CurvatureData(sol["k1"], sol["k2"],
+                         pc_residual(sol["k1"], sol["k2"], L1, L2, chart))
 
 
 def _lax_mats(H1g, H2g, b12g, b21g, s1, s2):
@@ -243,17 +210,17 @@ def _lax_mats(H1g, H2g, b12g, b21g, s1, s2):
 
 def lax_residuals_3x3_2x2(H1, H2, b12, b21, eta1, eta2, chart: Chart,
                           lambdas) -> dict:
-    """Zero-curvature residuals of the 3x3 and 2x2 connections per shift."""
-    H1g, H2g = _grid(H1, chart), _grid(H2, chart)
-    b12g, b21g = _grid(b12, chart), _grid(b21, chart)
-    e1, e2 = _grid(eta1, chart), _grid(eta2, chart)
+    """Zero-curvature residuals of the 3x3 and 2x2 connections per shift.
+
+    H1, H2, b12, b21, eta1 and eta2 are grids on the chart, in the order of
+    SurfaceModel.coefficient_grids.
+    """
     out = {}
     for lam in lambdas:
-        s1, s2 = shift(lam, (e1, e2))
-        B1, B2, M1, M2 = _lax_mats(H1g, H2g, b12g, b21g, s1, s2)
-        out[lam] = tuple(zero_curvature_residual(LaxConnection(lam, mats),
+        mats = _lax_mats(H1, H2, b12, b21, *shift(lam, (eta1, eta2)))
+        out[lam] = tuple(zero_curvature_residual(LaxConnection(lam, pair),
                                                  chart)
-                         for mats in ((B1, B2), (M1, M2)))
+                         for pair in (mats[:2], mats[2:]))
     return out
 
 
@@ -322,40 +289,33 @@ def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
     return meshes
 
 
-def weingarten_family_compare(meshes: list, trim: int = 2) -> dict:
+def weingarten_family_compare(meshes: list) -> dict:
     """Vertex-by-vertex shape-operator agreement across the family.
 
     The sorted spectra stored on the meshes are compared; misalignment is the
     angle of the principal directions away from the parameter axes, read off
     the off-diagonal grid each mesh stores with its spectrum.  Near-umbilic
-    vertices (spectral gap below 1e-6) are excluded from the angle statistic
-    and counted.  Differencing near the boundary is noisier, so a trim margin
-    of grid cells is dropped from the comparison.
+    vertices (spectral gap below 1e-6) are left out of the angle statistic;
+    SurfaceMesh.excluded counts them.  Differencing near the boundary is
+    noisier, so the two outer rings of grid cells are dropped, as in
+    lax.weingarten_scaling_report.
     """
     if len(meshes) < 2:
         raise ValueError("need at least two meshes to compare")
-    core = (slice(trim, -trim if trim else None),) * 2
-    eig_dev = 0.0
-    angle_dev = 0.0
-    excluded = 0
+    core = (slice(2, -2),) * 2
     eigs = [m.eigenvalues[core] for m in meshes]
-    for a in range(len(eigs)):
-        for b in range(a + 1, len(eigs)):
-            eig_dev = max_abs(eig_dev, eigs[a] - eigs[b])
+    eig_dev = 0.0
+    for ea, eb in combinations(eigs, 2):
+        eig_dev = max_abs(eig_dev, ea - eb)
+    angle_dev = 0.0
     for m, ev in zip(meshes, eigs):
         gap = np.abs(ev[..., 1] - ev[..., 0])
         ok = gap >= 1e-6
-        excluded += int(np.count_nonzero(~ok))
         # In curvature-line parameters the operator should be diagonal; the
         # off-diagonal terms measure the rotation of its eigenframe.
         angle_dev = max_abs(angle_dev,
                             np.arctan2(m.off_diagonal[core][ok], gap[ok]))
-    return {
-        "eigenvalue_deviation": eig_dev,
-        "misalignment_angle": angle_dev,
-        "excluded_vertices": excluded,
-        "pairs": len(meshes) * (len(meshes) - 1) // 2,
-    }
+    return {"eigenvalue_deviation": eig_dev, "misalignment_angle": angle_dev}
 
 
 def mesh_nontriviality(mesh_a: SurfaceMesh, mesh_b: SurfaceMesh) -> float:

@@ -265,9 +265,8 @@ def test_criterion_10_surface_family():
     cc = constant_curvature_check(seed)
     G11, G22 = seed.shifted_form(0.0)
     curv = solve_codazzi(G11, G22, "2+2*R1", "2.5", seed.chart)
-    H1, H2, b12, b21 = seed.lame_beta()
-    laxres = lax_residuals_3x3_2x2(H1, H2, b12, b21, seed.eta1, seed.eta2,
-                                   seed.chart, seed.lambdas)
+    laxres = lax_residuals_3x3_2x2(*seed.coefficient_grids, seed.chart,
+                                   seed.lambdas)
     meshes = reconstruct_family(seed, curv)
     wg = weingarten_family_compare(meshes)
     hd = mesh_nontriviality(meshes[0], meshes[-1])

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -13,12 +14,15 @@ from pencil_lab.lax import LaxConnection
 # Names removed because no command reached them, or folded into one
 # implementation (geometry's Γ into MetricField.gamma, expr's four binary
 # nodes into Bin, the grids lam + eta_i and their pole guard into
-# march.shift); they must not come back as stale exports.  LaxConnection
-# has lost its `gauge` field and `n` property.
+# march.shift, surface's _pc_residual into pc_residual; surface's _grid
+# went when its functions came to take grids, not text or numbers); they
+# must not come back as stale exports.  LaxConnection has lost its `gauge`
+# field and `n` property.
 REMOVED = {
     "lax": ["build_lax_L1", "gauge_L1_to_L2", "gauge_residual", "_shifted"],
     "march": ["check_shift"],
-    "surface": ["solve_surface_system", "surface_system_residual"],
+    "surface": ["solve_surface_system", "surface_system_residual", "_grid",
+                "_pc_residual"],
     "diagonal": ["lame_from_metric"],
     "geometry": ["ConnectionField"],
     "expr": ["Add", "Sub", "Mul", "Div"],
@@ -48,6 +52,13 @@ def test_exports_exist_and_removed_names_stay_gone():
     for cls, removed in REMOVED_METHODS.items():
         for attr in removed:
             assert not hasattr(cls, attr), f"{cls.__name__}.{attr}"
+
+
+def test_family_compare_has_no_trim_parameter():
+    # it trims the two outer rings, as lax.weingarten_scaling_report does
+    params = inspect.signature(
+        pencil_lab.weingarten_family_compare).parameters
+    assert "trim" not in params
 
 
 def _unused_imports(path):

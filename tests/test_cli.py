@@ -392,9 +392,8 @@ def test_deform_surface_lax_rows_match_one_serial_call(tmp_path, monkeypatch,
         *(cfg_dict["surface"][k] for k in ("g11", "g22", "eta1", "eta2")),
         Chart(2, cfg_dict["chart"]["box"], cfg_dict["chart"]["shape"]),
         cfg_dict["lambdas"])
-    want = surface.lax_residuals_3x3_2x2(*model.lame_beta(), model.eta1,
-                                         model.eta2, model.chart,
-                                         model.lambdas)
+    want = surface.lax_residuals_3x3_2x2(*model.coefficient_grids,
+                                         model.chart, model.lambdas)
     assert len(want) == 4
     for lam, (r3, r2) in want.items():
         assert np.array([res[f"lax3_{lam:g}"]["value"],
@@ -575,6 +574,11 @@ def _with_box(cfg, box):
     return dict(cfg, chart=dict(cfg["chart"], box=box))
 
 
+def _compat_with_chart(**chart):
+    cfg = _cfg_compat(["1+R1^2", "3+R2^2"])
+    return dict(cfg, chart=dict(cfg["chart"], **chart))
+
+
 def _cfg_diag_2d():
     return {"chart": {"n": 2, "box": [[0.0, 1.0]] * 2, "shape": [9, 9]},
             "etas": ["1", "2"], "beta_boundary": {"1,2": "0.2", "2,1": "0"},
@@ -665,6 +669,26 @@ OVERFLOWING_ENTRY = {"metric-inf-1e308", "metric-inf-1e200",
                  dict(_cfg_surface(), surface=dict(_cfg_surface()["surface"],
                                                    k1_line=False)), [],
                  id="surface-k1-line-boolean"),
+    # a chart count is a whole number: int() of inf raises OverflowError
+    pytest.param("check-compat", _compat_with_chart(shape=[float("inf"), 9]),
+                 [], id="shape-infinity"),
+    pytest.param("check-compat", _compat_with_chart(n=float("inf")), [],
+                 id="n-infinity"),
+    pytest.param("check-compat", _compat_with_chart(n=float("nan")), [],
+                 id="n-nan"),
+    pytest.param("check-compat", _compat_with_chart(shape=[9.5, 9]), [],
+                 id="shape-non-integral"),
+    pytest.param("check-compat", _compat_with_chart(n=2.5), [],
+                 id="n-non-integral"),
+    # a huge n with --grid would ask for a tuple of n counts
+    pytest.param("check-compat", _compat_with_chart(n=10 ** 30),
+                 ["--grid", "9"], id="n-huge-with-grid"),
+    # an integer too large for a float
+    pytest.param("check-compat",
+                 _compat_with_chart(box=[[0, 10 ** 400], [0, 1]]), [],
+                 id="box-huge-int"),
+    pytest.param("deform-surface", dict(_cfg_surface(), lambdas=[10 ** 400]),
+                 [], id="lambdas-huge-int"),
 ])
 def test_config_faults_are_config_errors(tmp_path, capsys, request, command,
                                          cfg_dict, argv):
@@ -678,6 +702,39 @@ def test_config_faults_are_config_errors(tmp_path, capsys, request, command,
     if request.node.callspec.id in OVERFLOWING_ENTRY:
         assert "is not finite on the box" in err
         assert "pole" not in err
+
+
+@pytest.mark.parametrize("command,cfg_dict", [
+    # g22 = 1e-320 leaves the surface no extent along R2
+    ("deform-surface", dict(_cfg_surface(), surface=dict(
+        _cfg_surface()["surface"], g22=1e-320))),
+    # a box 1e-320 wide gives the slice mesh subnormal spacings
+    ("frame", _with_box(_cfg_diag({"lambdas": [0.5, 2.0]}),
+                        [[0.0, 1e-320], [0.0, 1.0], [0.0, 1.0]])),
+], ids=["surface-g22-subnormal", "frame-box-subnormal"])
+def test_degenerate_mesh_is_a_run_failure(tmp_path, capsys, command,
+                                          cfg_dict):
+    # its shape operator is not finite, where numpy's eigvals would raise
+    cfg = _write(tmp_path, "c.json", cfg_dict)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out),
+                 "--grid", "9"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("run failed: mesh shape operator is not finite: "
+                   "the mesh degenerates\n")
+    assert not out.exists()
+
+
+def test_integral_float_chart_counts_are_counts(tmp_path):
+    # JSON 2.0 and 9.0 read as 2 and 9: the same residuals as the integers
+    residuals = []
+    for n, m in ((2, 9), (2.0, 9.0)):
+        cfg = _write(tmp_path, "c.json",
+                     _compat_with_chart(n=n, shape=[m, m]))
+        out = str(tmp_path / f"o{len(residuals)}")
+        assert main(["check-compat", "--config", cfg, "--out", out]) == 0
+        residuals.append(_report(out)["residuals"])
+    assert residuals[0] == residuals[1]
 
 
 @pytest.mark.parametrize("out,cfg_out", [

@@ -375,8 +375,8 @@ def test_surface_residuals_match_einsum(seed):
     rng = None if seed is None else np.random.default_rng(seed)
     ch, model, (H1, H2, b12, b21) = _surface_fields(rng)
     lambdas = (0.0, 0.5, 1.0)
-    rep = surface.lax_residuals_3x3_2x2(H1, H2, b12, b21, model.eta1,
-                                        model.eta2, ch, lambdas)
+    rep = surface.lax_residuals_3x3_2x2(H1, H2, b12, b21, *model.eta_grids,
+                                        ch, lambdas)
     for lam in lambdas:
         s1 = lam + eval_grid(model.eta1, ch)
         s2 = lam + eval_grid(model.eta2, ch)
@@ -491,6 +491,20 @@ def test_mesh_weingarten_of_a_sphere():
     S = mesh_weingarten(r, r, ch.spacing())
     assert S.shape == ch.shape + (2, 2)
     assert max_abs(S + np.eye(2)) < 1e-5
+
+
+def test_degenerate_mesh_has_no_shape_operator():
+    # a mesh with no extent along R2 or none at all has a singular I, and a
+    # NaN vertex spreads through the stencil: no S is finite
+    ch = Chart(2, ((0.5, 1.5), (0.0, 1.0)), (9, 9))
+    th = ch.mesh()[0]
+    line = np.stack([th, 0.0 * th, 0.0 * th], axis=-1)
+    holed = np.stack(ch.mesh() + [0.0 * th], axis=-1)
+    holed[4, 4, 2] = np.nan
+    normal = np.broadcast_to((0.0, 0.0, 1.0), ch.shape + (3,))
+    for r in (line, np.zeros(ch.shape + (3,)), holed):
+        with pytest.raises(MarchError, match="not finite"):
+            mesh_weingarten(r, normal, ch.spacing())
 
 
 def _nan_grids(chart, shape=()):

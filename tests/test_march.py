@@ -128,6 +128,12 @@ def test_chart_guards():
         Chart(1, ((0.0, 1.0),), (3,))
 
 
+def test_chart_refuses_a_point_count_past_int64():
+    # 2^32 · 2^32 is 0 in int64 arithmetic; the chart allocates nothing yet
+    with pytest.raises(GridError, match="10\\^7"):
+        Chart(2, ((0.0, 1.0), (0.0, 1.0)), (2**32, 2**32))
+
+
 def test_linear_transport():
     # d_1 u = u with u = exp(R2) on the second-coordinate line: u = exp(R1+R2)
     ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (33, 33))
