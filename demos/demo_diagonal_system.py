@@ -22,10 +22,10 @@ bd = BoundaryData.from_text(
     {(0, 1): "0.2", (1, 0): "0.1*R1", (2, 0): "0.15",
      (0, 2): "0.1+0.05*R3", (1, 2): "0.2", (2, 1): "0.25"}, 3)
 
-eta = model.eta_grids(chart)
-beta, egorov = solve_S(model, bd, chart, eta)
+eta, etap = model.eta_grids(chart), model.eta_prime_grids(chart)
+beta, egorov = solve_S(bd, chart, eta, etap)
 f1, f2 = flatness_residuals(beta, chart)
-f3 = pencil_residual_F3(model, beta, chart, eta)
+f3 = pencil_residual_F3(beta, chart, eta, etap)
 print(f"flatness residuals: {f1:.3e} {f2:.3e}, shift identity {f3:.3e}")
 print(f"symmetric coefficients: {egorov}")
 

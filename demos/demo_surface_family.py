@@ -7,35 +7,30 @@ the same radii of principal curvature across the shifts reconstructs a
 family of genuinely different surfaces with identical shape operators.
 """
 
-import numpy as np
-
 from pencil_lab import (
-    constant_curvature_check, lax_residuals_3x3_2x2, mesh_nontriviality,
-    reconstruct_family, seed_surface_model, solve_codazzi,
-    weingarten_family_compare,
+    constant_curvature_check, mesh_nontriviality, reconstruct_family,
+    seed_surface_model, solve_codazzi, weingarten_family_compare,
 )
 
-model = seed_surface_model(lambdas=(0.0, 0.5, 1.0))
+model = seed_surface_model()
 print("validation problems:", model.validate() or "none")
 
-cc = constant_curvature_check(model)
-for lam, dev in cc.items():
+shifts = (0.0, 0.5, 1.0)
+for lam in shifts:
+    dev = constant_curvature_check(model, lam)
     print(f"shift {lam:3.1f}: curvature-one deviation {dev:.3e}")
 
 G11, G22 = model.shifted_form(0.0)
 curv = solve_codazzi(G11, G22, "2+2*R1", "2.5", model.chart)
 print(f"radii transport residual: {curv.pc:.3e}")
 
-laxres = lax_residuals_3x3_2x2(*model.coefficient_grids, model.chart,
-                               model.lambdas)
-for lam, (r3, r2) in laxres.items():
-    print(f"shift {lam:3.1f}: linear systems 3x3 {r3:.3e}, 2x2 {r2:.3e}")
-
-meshes = reconstruct_family(model, curv)
-for mesh in meshes:
-    print(f"mesh at shift {mesh.lam:3.1f}: normal drift "
-          f"{mesh.normal_unit_drift():.3e}, near-umbilic vertices "
-          f"{mesh.excluded}")
+meshes = []
+for lam in shifts:  # one member per shift: both linear systems and the mesh
+    r3, r2, mesh = reconstruct_family(model, curv, lam)
+    print(f"shift {lam:3.1f}: linear systems 3x3 {r3:.3e}, 2x2 {r2:.3e}; "
+          f"normal drift {mesh.normal_unit_drift():.3e}, near-umbilic "
+          f"vertices {mesh.excluded}")
+    meshes.append(mesh)
 
 wg = weingarten_family_compare(meshes)
 print(f"eigenvalue deviation across the family: "

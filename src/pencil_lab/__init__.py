@@ -12,7 +12,7 @@ from .expr import (Expr, DomainError, ParseError, parse_expr, evaluate, diff,
 from .grids import Chart, GridError, eval_grid, deriv, cumint, max_abs
 from .geometry import (MetricField, GeometryError, christoffel, riemann_max,
                        covariant_derivative, raise_index, nijenhuis)
-from .march import (MarchError, PoleError, Unknown, path_integral,
+from .march import (MarchError, PoleError, Unknown, shift, path_integral,
                     solve_compatible)
 from .compat import (HamiltonianOperator, PencilOperator, ComplianceReport,
                      levi_civita_operator, check_hamiltonian, pencil_operator,
@@ -22,7 +22,7 @@ from .diagonal import (DiagonalModel, BoundaryData, flatness_residuals,
                        pencil_residual_F3, solve_S, solve_lame, conserved_P,
                        mu_constants, integrate_S2, monge_ampere_residual,
                        beta_from_pqr)
-from .lax import (LaxConnection, FrameSolution, build_lax,
+from .lax import (FrameSolution, build_lax,
                   zero_curvature_residual, integrate_frame,
                   induced_metric_residual, hypersurface_curvatures,
                   weingarten_scaling_report)

@@ -30,12 +30,12 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import compat, diagonal, lax, surface
-from .expr import DomainError, ParseError, as_expr
+from .expr import DomainError, ParseError, as_expr, coords_used
 from .geometry import MetricField, expr_array, grid_max, GeometryError
 from .grids import Chart, GridError, max_abs
 from .io import (canonical_digest, write_all, write_csv_grid, write_json_report,
                  write_obj)
-from .march import MarchError, PoleError
+from .march import MarchError, PoleError, shift
 
 __all__ = ["main"]
 
@@ -131,6 +131,18 @@ def _tensor(raw, rank: int, chart: Chart, what: str) -> np.ndarray:
 
     fill(raw, ())
     return out
+
+
+def _lines(raw, chart: Chart, what: str) -> np.ndarray:
+    """``raw`` as one expression per coordinate line: entry j (from 0) gives
+    a field on the j-th line through the corner, so it may read R^{j+1}
+    alone."""
+    lines = _tensor(raw, 1, chart, what)
+    for j, e in enumerate(lines):
+        if coords_used(e) - {j + 1}:
+            raise ConfigError(f"{what} entry {j + 1} must depend only on "
+                              f"coordinate {j + 1}")
+    return lines
 
 
 def _metric(cfg: dict, key: str, chart: Chart) -> MetricField:
@@ -235,6 +247,9 @@ def _diag_inputs(cfg, chart):
         lines = {}
         for key, value in raw.items():
             i, j = (int(t) - 1 for t in key.split(","))
+            if (i, j) in lines:
+                raise ConfigError(f"beta_boundary names the pair "
+                                  f"({i + 1}, {j + 1}) twice")
             lines[(i, j)] = as_expr(value, chart.n)
         bd = diagonal.BoundaryData(chart.n, lines)
     except (KeyError, ValueError, TypeError, AttributeError) as e:
@@ -249,12 +264,12 @@ def cmd_solve_diagonal(cfg, args, chart):
         if chart.n != 3 or not model.is_constant():
             raise ConfigError("the angle system needs n=3 and constant etas")
         s2 = cfg["s2"]
-        seed = _tensor(s2.get("seed") if isinstance(s2, dict) else None,
-                       1, chart, "the s2 seed")
-    eta = model.eta_grids(chart)
-    beta, egorov = diagonal.solve_S(model, bd, chart, eta)
+        seed = _lines(s2.get("seed") if isinstance(s2, dict) else None,
+                      chart, "the s2 seed")
+    eta, etap = model.eta_grids(chart), model.eta_prime_grids(chart)
+    beta, egorov = diagonal.solve_S(bd, chart, eta, etap)
     f1, f2 = diagonal.flatness_residuals(beta, chart)
-    f3 = diagonal.pencil_residual_F3(model, beta, chart, eta)
+    f3 = diagonal.pencil_residual_F3(beta, chart, eta, etap)
     residuals = {"F1": f1, "F2": f2, "F3": f3}
     extra = {"egorov": egorov}
     if model.is_constant():
@@ -280,31 +295,33 @@ def cmd_frame(cfg, args, chart):
         raise ConfigError("frame runs use a three-dimensional chart")
     model, bd = _diag_inputs(cfg, chart)
     lambdas = _lambdas(cfg, args.lam)
-    h_lines = _tensor(cfg.get("lame_boundary", ["1"] * chart.n), 1, chart,
-                      "lame_boundary")
+    h_lines = _lines(cfg.get("lame_boundary", ["1"] * chart.n), chart,
+                     "lame_boundary")
     eta = model.eta_grids(chart)  # evaluated here; pool tasks read them
-    beta, _ = diagonal.solve_S(model, bd, chart, eta)
+    beta, _ = diagonal.solve_S(bd, chart, eta, model.eta_prime_grids(chart))
     H = diagonal.solve_lame(beta, chart, dict(enumerate(h_lines)))
     residuals = {}
     notes = []
 
-    def run_one(lam):
-        conn = lax.build_lax(eta, beta, chart, lam)
+    def run_one(lam):  # lam + eta once; every function of the shift reads it
+        sh = shift(lam, eta)
+        conn = lax.build_lax(sh, beta, chart)
         zc = lax.zero_curvature_residual(conn, chart)
-        fs = lax.integrate_frame(conn, eta, H, chart)
-        im = lax.induced_metric_residual(fs, eta, H, chart)
-        return lam, zc, fs, im
+        fs = lax.integrate_frame(conn, sh, H, chart)
+        im = lax.induced_metric_residual(fs, sh, H, chart)
+        # the scaling report reads the grids of the first two shifts only
+        return lam, sh if lam in lambdas[:2] else None, zc, fs, im
 
-    frames = {}
-    for lam, zc, fs, im in _pool_map(run_one, lambdas):
+    shifted, frames = {}, {}
+    for lam, sh, zc, fs, im in _pool_map(run_one, lambdas):
         residuals[f"zero_curvature_{lam:g}"] = zc
         residuals[f"induced_metric_{lam:g}"] = im
         residuals[f"frame_orthogonality_{lam:g}"] = fs.ortho_drift
-        frames[lam] = fs
+        shifted[lam], frames[lam] = sh, fs
     if len(lambdas) >= 2:
-        rep = lax.weingarten_scaling_report(
-            eta, beta, H, chart, lambdas[0], lambdas[1],
-            frames=(frames[lambdas[0]], frames[lambdas[1]]))
+        a, b = lambdas[:2]
+        rep = lax.weingarten_scaling_report(shifted[a], shifted[b], frames[a],
+                                            frames[b], beta, H, chart)
         residuals["scaling_closed_form"] = rep["closed_form_residual"]
         residuals["scaling_mesh_a"] = rep["mesh_eigen_residual_a"]
         residuals["scaling_mesh_b"] = rep["mesh_eigen_residual_b"]
@@ -328,7 +345,7 @@ def cmd_deform_surface(cfg, args, chart):
         s = cfg["surface"]
         lambdas = _lambdas(cfg, args.lam)
         model = surface.SurfaceModel.from_text(
-            s["g11"], s["g22"], s["eta1"], s["eta2"], chart, lambdas)
+            s["g11"], s["g22"], s["eta1"], s["eta2"], chart)
         k1_line, k2_line = (as_expr(s[k], 2) for k in ("k1_line", "k2_line"))
     except (KeyError, TypeError) as e:
         raise ConfigError(f"missing or malformed surface entry: {e}")
@@ -336,20 +353,17 @@ def cmd_deform_surface(cfg, args, chart):
                          (*model.metric_grids, *model.eta_grids)):
         _require_finite(f"surface {key}", max_abs(grid))
     notes = model.validate()
-    cc = surface.constant_curvature_check(model)
-    table = _table({f"curvature_one_{lam:g}": v for lam, v in cc.items()},
-                   CURVATURE_BAND)
+    table = _table({f"curvature_one_{lam:g}":
+                    surface.constant_curvature_check(model, lam)
+                    for lam in lambdas}, CURVATURE_BAND)
     G11, G22 = model.shifted_form(lambdas[0])
     curv = surface.solve_codazzi(G11, G22, k1_line, k2_line, chart)
     solver = {"pc_residual": curv.pc}
-    coeffs = model.coefficient_grids    # evaluated here; pool tasks read them
-
-    def build(lam):
-        laxres = surface.lax_residuals_3x3_2x2(*coeffs, chart, (lam,))[lam]
-        return laxres, surface.reconstruct_family(model, curv, (lam,))[0]
+    model.coefficient_grids    # evaluated here, once; pool tasks read them
 
     meshes = []
-    for (r3, r2), mesh in _pool_map(build, lambdas):
+    for r3, r2, mesh in _pool_map(
+            lambda lam: surface.reconstruct_family(model, curv, lam), lambdas):
         solver.update({f"lax3_{mesh.lam:g}": r3, f"lax2_{mesh.lam:g}": r2})
         meshes.append(mesh)
     table.update(_table(solver, SOLVER_BAND))

@@ -47,12 +47,10 @@ __all__ = [
     "HamiltonianOperator", "PencilOperator", "ComplianceReport", "verdict",
     "overall", "levi_civita_operator", "check_hamiltonian", "pencil_operator",
     "btilde_from_r", "check_theorem1", "check_pencil", "verify_appendix",
-    "DEFAULT_LAMBDAS",
 ]
 
 PASS_FACTOR = 1e-8
 FAIL_FACTOR = 1e-4
-DEFAULT_LAMBDAS = (0.0, 0.75, 1.5, 2.25, 3.0)
 
 
 def verdict(value: float, pass_at: float, fail_at: float) -> str:
@@ -350,8 +348,9 @@ def check_theorem1(p: PencilOperator, chart: Chart) -> ComplianceReport:
 
 
 def check_pencil(A: HamiltonianOperator, At: HamiltonianOperator, chart: Chart,
-                 lambdas=DEFAULT_LAMBDAS) -> ComplianceReport:
-    """Compatibility conditions (C1, C2) plus a λ-sweep of J(Ã + λA).
+                 shifts) -> ComplianceReport:
+    """Compatibility conditions (C1, C2) plus a sweep of J(Ã + λA) over the
+    caller's shifts λ.
 
     With x the fields of A and y those of Ã, J(y + λx) is the quadratic
     J(y) + λC + λ²J(x), where C = J(x + y) − J(x) − J(y) holds the bilinear
@@ -370,7 +369,7 @@ def check_pencil(A: HamiltonianOperator, At: HamiltonianOperator, chart: Chart,
                           *y[2].values())
     n = A.g.n
     used, skipped = [], []
-    for lam in lambdas:
+    for lam in shifts:
         det = _det({k: lin((1, y[0].get(k)), (lam, x[0].get(k)))
                     for k in {*x[0], *y[0]}}, n)
         degenerate = det is None or float(np.min(np.abs(det))) < 1e-8

@@ -130,18 +130,18 @@ def flatness_residuals(beta: dict, chart: Chart):
     return f1, f2
 
 
-def pencil_residual_F3(model: DiagonalModel, beta: dict, chart: Chart,
-                       eta: list) -> float:
+def pencil_residual_F3(beta: dict, chart: Chart, eta: list,
+                       etap: list) -> float:
     """Residual of the shift-invariance identity.
 
     F3: eta_i d_i beta_ij + eta_j d_j beta_ji + (1/2) eta_i' beta_ij
         + (1/2) eta_j' beta_ji + sum_{k != i,j} eta_k beta_ki beta_kj = 0.
 
-    eta holds the grids of the model's etas on the chart, as for solve_S.
+    eta and etap hold the grids of the etas and their derivatives on the
+    chart, as for solve_S.
     """
     n = chart.n
     h = chart.spacing()
-    etap = model.eta_prime_grids(chart)
     worst = 0.0
     for i in range(n):
         for j in range(i + 1, n):
@@ -159,15 +159,15 @@ def pencil_residual_F3(model: DiagonalModel, beta: dict, chart: Chart,
 def _check_separation(eta: list, chart: Chart, guard: float = 1e-8):
     n = chart.n
     for i in range(n):
-        for j in range(n):
-            if i != j and float(np.min(np.abs(eta[j] - eta[i]))) < guard:
+        for j in range(i + 1, n):  # |eta_j - eta_i| is symmetric
+            if float(np.min(np.abs(eta[j] - eta[i]))) < guard:
                 raise MarchError(
                     f"eta_{i + 1} and eta_{j + 1} collide on the box; the "
                     "resolved system has a vanishing denominator")
 
 
-def solve_S(model: DiagonalModel, bd: BoundaryData, chart: Chart,
-            eta: list, order=None):
+def solve_S(bd: BoundaryData, chart: Chart, eta: list, etap: list,
+            order=None):
     """Integrate the resolved system (S) for the rotation coefficients.
 
     d_i beta_ij = [ (1/2) eta_i' beta_ij + (1/2) eta_j' beta_ji
@@ -176,14 +176,14 @@ def solve_S(model: DiagonalModel, bd: BoundaryData, chart: Chart,
     d_k beta_ij = beta_ik beta_kj  (k != i, j),
     with beta_ij freely prescribed along the j-th coordinate line.
 
-    eta holds the grids of the model's etas on the chart (model.eta_grids),
-    evaluated once by the caller.  Returns (beta dict of grids, egorov
-    flag).  The egorov flag records whether the solution came out symmetric
-    (beta_ij = beta_ji) to 1e-10.
+    eta and etap hold the grids of the etas and of their derivatives on the
+    chart (DiagonalModel.eta_grids and eta_prime_grids), evaluated once by
+    the caller.  Returns (beta dict of grids, egorov flag).  The egorov flag
+    records whether the solution came out symmetric (beta_ij = beta_ji) to
+    1e-10.
     """
     n = chart.n
     _check_separation(eta, chart)
-    etap = model.eta_prime_grids(chart)
 
     def rhs_resolved(i, j):
         def f(state, idx):

@@ -6,9 +6,13 @@ equations form a linear connection depending on the shift.  This module
 builds that connection in its one (skew) gauge, checks its zero-curvature
 condition, integrates the frame and the position vector, and extracts the
 principal curvatures of the coordinate hypersurfaces, which rescale by
-sqrt(lam + eta_n) as the shift moves.  Each function takes the etas as
-their grids on the chart (DiagonalModel.eta_grids), which a caller
-evaluates once and passes to every shift.
+sqrt(lam + eta_n) as the shift moves.  Each function works at one shift
+and takes it as the grids lam + eta_i on the chart, which a caller forms
+once per shift with march.shift and passes to every function of that shift.
+
+A connection is the tuple of its matrices A_d of d_d X = A_d X, each in the
+entry form of pencil_lab.entries: a dict from (i, j) to the grid of entry
+(i, j), with no key where that entry is a structural zero.
 """
 
 from __future__ import annotations
@@ -19,31 +23,17 @@ import numpy as np
 
 from .entries import lin, matmul
 from .grids import Chart, deriv, max_abs
-from .march import MarchError, position_vector, shift, solve_frame
+from .march import MarchError, position_vector, solve_frame
 
 __all__ = [
-    "LaxConnection", "FrameSolution", "build_lax", "zero_curvature_residual",
+    "FrameSolution", "build_lax", "zero_curvature_residual",
     "integrate_frame", "induced_metric_residual", "hypersurface_curvatures",
     "mesh_weingarten", "weingarten_scaling_report",
 ]
 
-@dataclass(frozen=True)
-class LaxConnection:
-    """Connection matrices A_d of a linear system d_d X = A_d X.
 
-    mats[d] holds A_d in the entry form of pencil_lab.entries: a dict from
-    (i, j) to the grid of entry (i, j), with no key where that entry is a
-    structural zero.  A_d acts on column vectors of frame components; lam
-    is the spectral shift.
-    """
-
-    lam: float
-    mats: tuple
-
-
-def build_lax(eta: list, beta: dict, chart: Chart,
-              lam: float) -> LaxConnection:
-    """Skew connection of the gauged frame system.
+def build_lax(sh: list, beta: dict, chart: Chart) -> tuple:
+    """Skew connection of the gauged frame system; sh holds lam + eta_i.
 
     d_d phi_i = sqrt((lam+eta_i)/(lam+eta_d)) beta_id phi_d        (i != d),
     d_d phi_d = -sum_{k != d} sqrt((lam+eta_k)/(lam+eta_d)) beta_kd phi_k.
@@ -51,7 +41,6 @@ def build_lax(eta: list, beta: dict, chart: Chart,
     Only row d and column d of A_d are present, 2(n - 1) of its n^2 entries.
     """
     n = chart.n
-    sh = shift(lam, eta)
     mats = []
     for d in range(n):
         A = {}
@@ -61,10 +50,10 @@ def build_lax(eta: list, beta: dict, chart: Chart,
                 A[i, d] = w
                 A[d, i] = -w
         mats.append(A)
-    return LaxConnection(float(lam), tuple(mats))
+    return tuple(mats)
 
 
-def zero_curvature_residual(conn: LaxConnection, chart: Chart) -> float:
+def zero_curvature_residual(conn: tuple, chart: Chart) -> float:
     """Max-abs of F_dj = d_d A_j - d_j A_d - [A_d, A_j] over the grid.
 
     Works on the present entries only: it differentiates those and forms
@@ -75,13 +64,12 @@ def zero_curvature_residual(conn: LaxConnection, chart: Chart) -> float:
     """
     n = chart.n
     h = chart.spacing()
-    A = conn.mats
     worst = 0.0
     for d in range(n):
         for j in range(d + 1, n):
-            dAj = {key: deriv(e, d, h[d]) for key, e in A[j].items()}
-            dAd = {key: deriv(e, j, h[j]) for key, e in A[d].items()}
-            P, Q = matmul(A[d], A[j]), matmul(A[j], A[d])
+            dAj = {key: deriv(e, d, h[d]) for key, e in conn[j].items()}
+            dAd = {key: deriv(e, j, h[j]) for key, e in conn[d].items()}
+            P, Q = matmul(conn[d], conn[j]), matmul(conn[j], conn[d])
             for key in {*dAj, *dAd, *P, *Q}:
                 F = lin((1, lin((1, dAj.get(key)), (-1, dAd.get(key)))),
                         (-1, lin((1, P.get(key)), (-1, Q.get(key)))))
@@ -93,13 +81,12 @@ def zero_curvature_residual(conn: LaxConnection, chart: Chart) -> float:
 class FrameSolution:
     """Integrated frame Phi (rows are the frame vectors) and position vector."""
 
-    lam: float
     phi: np.ndarray              # grid + (n, n)
     rvec: np.ndarray             # grid + (n,)
     ortho_drift: float
 
 
-def integrate_frame(conn: LaxConnection, eta: list, H: list,
+def integrate_frame(conn: tuple, sh: list, H: list,
                     chart: Chart) -> FrameSolution:
     """Integrate d_d Phi = A_d Phi from Phi = identity at the chart corner,
     then the position vector d_d r = (H_d / sqrt(lam+eta_d)) row_d(Phi).
@@ -108,21 +95,20 @@ def integrate_frame(conn: LaxConnection, eta: list, H: list,
     since the connection then fails to be integrable on this box.
     """
     n = chart.n
-    phi = solve_frame(chart, conn.mats, n)
+    phi = solve_frame(chart, conn, n)
     gram = np.einsum("...ki,...kj->...ij", phi, phi)
-    drift = max_abs(gram - np.eye(n))
+    gram -= np.eye(n)  # in place: one full-grid temporary fewer
+    drift = max_abs(gram)
     if drift > 1e-4:
         raise MarchError(
             f"frame lost orthogonality (drift {drift:.3e}); the rotation "
             "coefficients are not consistent on this box")
-
-    sh = shift(conn.lam, eta)
     rvec = position_vector(chart, [H[d] / np.sqrt(sh[d]) for d in range(n)],
                            phi)
-    return FrameSolution(conn.lam, phi, rvec, drift)
+    return FrameSolution(phi, rvec, drift)
 
 
-def induced_metric_residual(fs: FrameSolution, eta: list, H: list,
+def induced_metric_residual(fs: FrameSolution, sh: list, H: list,
                             chart: Chart) -> float:
     """Check (d_i r, d_j r) = delta_ij H_i^2 / (lam + eta_i) by differences.
 
@@ -130,7 +116,6 @@ def induced_metric_residual(fs: FrameSolution, eta: list, H: list,
     """
     n = chart.n
     h = chart.spacing()
-    sh = shift(fs.lam, eta)
     dr = [deriv(fs.rvec, d, h[d]) for d in range(n)]
     worst = 0.0
     for i in range(n):
@@ -141,8 +126,7 @@ def induced_metric_residual(fs: FrameSolution, eta: list, H: list,
     return worst
 
 
-def hypersurface_curvatures(eta: list, beta: dict, H: list, chart: Chart,
-                            lam: float):
+def hypersurface_curvatures(sh: list, beta: dict, H: list, chart: Chart):
     """Principal curvatures of the level hypersurface of the last coordinate.
 
     On the slice R^n = min the n-1 curvature lines have
@@ -150,7 +134,6 @@ def hypersurface_curvatures(eta: list, beta: dict, H: list, chart: Chart,
     over the slice.
     """
     n = chart.n
-    sh = shift(lam, eta)
     idx = (slice(None),) * (n - 1) + (0,)
     root = np.sqrt(sh[n - 1][idx])
     return [beta[(n - 1, i)][idx] / H[i][idx] * root for i in range(n - 1)]
@@ -186,24 +169,23 @@ def mesh_weingarten(r: np.ndarray, normal: np.ndarray, spacing) -> np.ndarray:
     raise MarchError("mesh shape operator is not finite: the mesh degenerates")
 
 
-def weingarten_scaling_report(eta: list, beta: dict, H: list,
-                              chart: Chart, lam_a: float, lam_b: float,
-                              frames: tuple | None = None) -> dict:
+def weingarten_scaling_report(sh_a: list, sh_b: list, fs_a: FrameSolution,
+                              fs_b: FrameSolution, beta: dict, H: list,
+                              chart: Chart) -> dict:
     """How the hypersurface shape operator responds to moving the shift.
 
-    The closed-form curvatures at two shifts differ by the constant factor
-    sqrt((lam_a + eta_n)/(lam_b + eta_n)) on the slice R^n = min.  The report
-    carries the closed-form ratio residual and, when integrated frames are
-    supplied, a mesh oracle comparing shape-operator eigenvalues from the
+    sh_a and sh_b hold lam + eta_i at two shifts, and fs_a and fs_b are the
+    frames integrated at them.  The closed-form curvatures at the two shifts
+    differ by the constant factor sqrt((lam_a + eta_n)/(lam_b + eta_n)) on
+    the slice R^n = min.  The report carries the closed-form ratio residual
+    and a mesh oracle comparing shape-operator eigenvalues from the
     reconstructed hypersurfaces against the formula.
     """
     n = chart.n
-    ka = hypersurface_curvatures(eta, beta, H, chart, lam_a)
-    kb = hypersurface_curvatures(eta, beta, H, chart, lam_b)
+    ka = hypersurface_curvatures(sh_a, beta, H, chart)
+    kb = hypersurface_curvatures(sh_b, beta, H, chart)
     idx = (slice(None),) * (n - 1) + (0,)
-    sh_a = shift(lam_a, eta)[n - 1][idx]
-    sh_b = shift(lam_b, eta)[n - 1][idx]
-    factor = np.sqrt(sh_a / sh_b)
+    factor = np.sqrt(sh_a[n - 1][idx] / sh_b[n - 1][idx])
 
     umbilic = all(max_abs(k) <= 1e-12 for k in ka)
     ratio_res = 0.0
@@ -211,26 +193,21 @@ def weingarten_scaling_report(eta: list, beta: dict, H: list,
         for a, b in zip(ka, kb):
             ratio_res = max_abs(ratio_res, a - factor * b)
     report = {
-        "lam_a": lam_a,
-        "lam_b": lam_b,
-        "scaling_factor_range": [float(np.min(factor)), float(np.max(factor))],
         "closed_form_residual": ratio_res,
         "umbilic_flat_slice": umbilic,
     }
     if umbilic:
         report["note"] = "slice is totally geodesic; scaling law is vacuous"
 
-    if frames is not None:
-        # The slice normal is the last frame row.  The closed-form
-        # curvatures use the convention d_a n = k^a d_a r, which flips the
-        # sign of II, so their spectrum is that of -S.  Finite differencing
-        # the mesh is least accurate near edges; compare on the interior.
-        core = (slice(2, -2),) * (n - 1)
-        for fs, k, tag in zip(frames, (ka, kb), "ab"):
-            S = mesh_weingarten(fs.rvec[idx],
-                                fs.phi[idx + (n - 1, slice(None))],
-                                chart.spacing()[:n - 1])
-            eig = np.sort(np.linalg.eigvals(-S).real, axis=-1)
-            k = np.sort(np.stack(k, axis=-1), axis=-1)
-            report[f"mesh_eigen_residual_{tag}"] = max_abs(eig[core] - k[core])
+    # The slice normal is the last frame row.  The closed-form curvatures
+    # use the convention d_a n = k^a d_a r, which flips the sign of II, so
+    # their spectrum is that of -S.  Finite differencing the mesh is least
+    # accurate near edges; compare on the interior.
+    core = (slice(2, -2),) * (n - 1)
+    for fs, k, tag in ((fs_a, ka, "a"), (fs_b, kb, "b")):
+        S = mesh_weingarten(fs.rvec[idx], fs.phi[idx + (n - 1, slice(None))],
+                            chart.spacing()[:n - 1])
+        eig = np.sort(np.linalg.eigvals(-S).real, axis=-1)
+        k = np.sort(np.stack(k, axis=-1), axis=-1)
+        report[f"mesh_eigen_residual_{tag}"] = max_abs(eig[core] - k[core])
     return report

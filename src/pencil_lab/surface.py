@@ -11,7 +11,9 @@ verifies the two equivalent linear systems (3x3 real and 2x2 complex),
 reconstructs the family of surface meshes, and compares their shape
 operators vertex by vertex.  Functions take the forms deform-surface hands
 them: expressions for the third fundamental form and the radii's boundary
-lines, grids on the chart for every field (radii, H_i, b_ij, eta_i).
+lines, grids on the chart for every field (radii, H_i, b_ij, eta_i).  A
+per-shift function takes one shift lam and forms lam + eta_i once, by
+march.shift.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from .expr import Expr, as_expr, call, coords_used, diff, evaluate
 from .grids import Chart, deriv, eval_grid, max_abs
-from .lax import LaxConnection, mesh_weingarten, zero_curvature_residual
+from .lax import mesh_weingarten, zero_curvature_residual
 from .march import (MarchError, Unknown, position_vector, shift,
                     solve_compatible, solve_frame)
 
@@ -54,12 +56,11 @@ class SurfaceModel:
     eta1: Expr
     eta2: Expr
     chart: Chart
-    lambdas: tuple = (0.0,)
 
     @classmethod
-    def from_text(cls, g11, g22, eta1, eta2, chart, lambdas=(0.0,)):
+    def from_text(cls, g11, g22, eta1, eta2, chart):
         return cls(as_expr(g11, 2), as_expr(g22, 2), as_expr(eta1, 2),
-                   as_expr(eta2, 2), chart, tuple(float(v) for v in lambdas))
+                   as_expr(eta2, 2), chart)
 
     def validate(self) -> list:
         problems = []
@@ -112,15 +113,11 @@ def gaussian_curvature_expr(E: Expr, G: Expr) -> Expr:
     return as_expr(0.0, 2) - half * inner / root
 
 
-def constant_curvature_check(model: SurfaceModel) -> dict:
-    """Per-shift max-abs of (Gaussian curvature of the shifted form) - 1."""
-    out = {}
-    for lam in model.lambdas:
-        shift(lam, model.eta_grids)
-        Gt11, Gt22 = model.shifted_form(lam)
-        K = gaussian_curvature_expr(Gt11, Gt22)
-        out[lam] = max_abs(eval_grid(K, model.chart) - 1.0)
-    return out
+def constant_curvature_check(model: SurfaceModel, lam: float) -> float:
+    """Max-abs of (Gaussian curvature of the form shifted by lam) - 1."""
+    shift(lam, model.eta_grids)
+    K = gaussian_curvature_expr(*model.shifted_form(lam))
+    return max_abs(eval_grid(K, model.chart) - 1.0)
 
 
 @dataclass
@@ -162,7 +159,9 @@ def solve_codazzi(G11: Expr, G22: Expr, k1_line, k2_line,
     transported in the second direction; k2 the other way round.  Boundary
     expressions referencing the transverse coordinate are accepted only when
     their transverse derivative matches the transport equation at the corner.
-    Its ``pc`` is pc_residual on the march's grids, which refuses umbilics.
+    Its ``pc`` is pc_residual on the march's grids, which refuses umbilics;
+    radii that vanish on the grid are refused after it, since every member of
+    the family then has a degenerate position vector equation.
     """
     L1 = _log_deriv(G11, 1, chart)
     L2 = _log_deriv(G22, 0, chart)
@@ -185,15 +184,19 @@ def solve_codazzi(G11: Expr, G22: Expr, k1_line, k2_line,
                 free_axis=0, boundary=k1_line),
         Unknown("k2", {0: lambda s, i: (s["k1"][i] - s["k2"][i]) * L2[i]},
                 free_axis=1, boundary=k2_line)])
-    return CurvatureData(sol["k1"], sol["k2"],
-                         pc_residual(sol["k1"], sol["k2"], L1, L2, chart))
+    pc = pc_residual(sol["k1"], sol["k2"], L1, L2, chart)
+    for tag in ("k1", "k2"):
+        if float(np.min(np.abs(sol[tag]))) < 1e-8:
+            raise MarchError(f"{tag} vanishes on the grid; the position "
+                             "vector equation degenerates")
+    return CurvatureData(sol["k1"], sol["k2"], pc)
 
 
 def _lax_mats(H1g, H2g, b12g, b21g, s1, s2):
     """3x3 real and 2x2 complex connection matrices for one shift.
 
     s1, s2 are the grids of lam + eta_i.  Each matrix is in the entry form
-    of LaxConnection: B1 and B2 have 4 present entries each, M1 and M2 all
+    of pencil_lab.lax: B1 and B2 have 4 present entries each, M1 and M2 all
     4 of theirs.
     """
     r1, r2 = np.sqrt(s1), np.sqrt(s2)
@@ -208,20 +211,14 @@ def _lax_mats(H1g, H2g, b12g, b21g, s1, s2):
     return B1, B2, M1, M2
 
 
-def lax_residuals_3x3_2x2(H1, H2, b12, b21, eta1, eta2, chart: Chart,
-                          lambdas) -> dict:
-    """Zero-curvature residuals of the 3x3 and 2x2 connections per shift.
+def lax_residuals_3x3_2x2(mats: tuple, chart: Chart) -> tuple:
+    """Zero-curvature residuals (3x3, 2x2) of one shift's connections.
 
-    H1, H2, b12, b21, eta1 and eta2 are grids on the chart, in the order of
-    SurfaceModel.coefficient_grids.
+    mats is (B1, B2, M1, M2) as _lax_mats builds them: the real 3x3 pair
+    and the complex 2x2 pair.
     """
-    out = {}
-    for lam in lambdas:
-        mats = _lax_mats(H1, H2, b12, b21, *shift(lam, (eta1, eta2)))
-        out[lam] = tuple(zero_curvature_residual(LaxConnection(lam, pair),
-                                                 chart)
-                         for pair in (mats[:2], mats[2:]))
-    return out
+    return (zero_curvature_residual(mats[:2], chart),
+            zero_curvature_residual(mats[2:], chart))
 
 
 @dataclass
@@ -246,47 +243,43 @@ class SurfaceMesh:
 
 
 def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
-                       lambdas=None) -> list:
-    """Build the surface for each shift from the sphere frame and the radii.
+                       lam: float) -> tuple:
+    """The member of the family at shift lam: (r3, r2, SurfaceMesh).
 
-    The 3x3 connection integrates to a frame (e1, e2, n) whose last row is
-    the Gauss map; the position vector follows from d_i r = -k^i d_i n.
-    Flipping the normal negates both radii; the convention here fixes n as
-    the third frame row from the identity corner frame.
+    Both connections are built once: r3 and r2 are the zero-curvature
+    residuals of the 3x3 and 2x2 ones.  The 3x3 connection integrates to a
+    frame (e1, e2, n) whose last row is the Gauss map; the position vector
+    follows from d_i r = -k^i d_i n.  Flipping the normal negates both
+    radii; the convention here fixes n as the third frame row from the
+    identity corner frame.
     """
-    lambdas = model.lambdas if lambdas is None else lambdas
     chart = model.chart
-    h = chart.spacing()
     H1g, H2g, b12g, b21g, e1, e2 = model.coefficient_grids
-    for k, tag in ((curv.k1, "k1"), (curv.k2, "k2")):
-        if float(np.min(np.abs(k))) < 1e-8:
-            raise MarchError(f"{tag} vanishes on the grid; the position "
-                             "vector equation degenerates")
-    meshes = []
-    for lam in lambdas:
-        s1, s2 = shift(lam, (e1, e2))
-        B1, B2, _, _ = _lax_mats(H1g, H2g, b12g, b21g, s1, s2)
-        frame = solve_frame(chart, (B1, B2), 3)
-        gram = np.einsum("...ki,...kj->...ij", frame, frame)
-        drift = max_abs(gram - np.eye(3))
-        normal = frame[..., 2, :]
-        # d_1 n = -(H1/sqrt(s1)) e1 and d_2 n = -(H2/sqrt(s2)) e2; the
-        # Gauss map must actually move for the surface to exist.
-        span = max_abs(H1g / np.sqrt(s1), H2g / np.sqrt(s2))
-        if span < 1e-10:
-            raise MarchError("Gauss map degenerate")
-        coeff = [curv.k1 * H1g / np.sqrt(s1), curv.k2 * H2g / np.sqrt(s2)]
-        verts = position_vector(chart, coeff, frame)
+    s1, s2 = shift(lam, (e1, e2))
+    B1, B2, M1, M2 = _lax_mats(H1g, H2g, b12g, b21g, s1, s2)
+    r3, r2 = lax_residuals_3x3_2x2((B1, B2, M1, M2), chart)
+    del M1, M2  # the 2x2 pair serves its residual only, not the march
+    frame = solve_frame(chart, (B1, B2), 3)
+    gram = np.einsum("...ki,...kj->...ij", frame, frame)
+    gram -= np.eye(3)  # in place: one full-grid temporary fewer
+    drift = max_abs(gram)
+    normal = frame[..., 2, :]
+    # d_1 n = -(H1/sqrt(s1)) e1 and d_2 n = -(H2/sqrt(s2)) e2; the
+    # Gauss map must actually move for the surface to exist.
+    span = max_abs(H1g / np.sqrt(s1), H2g / np.sqrt(s2))
+    if span < 1e-10:
+        raise MarchError("Gauss map degenerate")
+    coeff = [curv.k1 * H1g / np.sqrt(s1), curv.k2 * H2g / np.sqrt(s2)]
+    verts = position_vector(chart, coeff, frame)
 
-        S = mesh_weingarten(verts, normal, h)
-        eig = np.sort(np.linalg.eigvals(S).real, axis=-1)
-        gap = np.abs(eig[..., 1] - eig[..., 0])
-        off = np.maximum(np.abs(S[..., 0, 1]), np.abs(S[..., 1, 0]))
-        mesh = SurfaceMesh(float(lam), verts, normal, eig, off,
-                           int(np.count_nonzero(gap < 1e-6)))
-        mesh.notes.append(f"frame_drift={drift:.3e}")
-        meshes.append(mesh)
-    return meshes
+    S = mesh_weingarten(verts, normal, chart.spacing())
+    eig = np.sort(np.linalg.eigvals(S).real, axis=-1)
+    gap = np.abs(eig[..., 1] - eig[..., 0])
+    off = np.maximum(np.abs(S[..., 0, 1]), np.abs(S[..., 1, 0]))
+    mesh = SurfaceMesh(float(lam), verts, normal, eig, off,
+                       int(np.count_nonzero(gap < 1e-6)))
+    mesh.notes.append(f"frame_drift={drift:.3e}")
+    return r3, r2, mesh
 
 
 def weingarten_family_compare(meshes: list) -> dict:
@@ -341,15 +334,13 @@ def mesh_nontriviality(mesh_a: SurfaceMesh, mesh_b: SurfaceMesh) -> float:
     return max_abs(np.linalg.norm(B @ (U @ Vt) - A, axis=1))
 
 
-def seed_surface_model(chart: Chart | None = None,
-                       lambdas=(0.0, 0.5, 1.0)) -> SurfaceModel:
+def seed_surface_model(chart: Chart | None = None) -> SurfaceModel:
     """A closed-form model satisfying every structure equation exactly.
 
     H1 = 1, H2 = R1, b12 = 1, b21 = 0 solve the structure equations with
     eta1 = 5 - R1^2 and any eta2 = eta2(R2); the box keeps both denominators
-    positive and away from poles for the configured shifts.
+    positive and away from poles for every shift lam > -1.
     """
     if chart is None:
         chart = Chart(2, ((0.5, 1.5), (0.0, 1.0)), (33, 33))
-    return SurfaceModel.from_text("1", "R1^2", "5-R1^2", "1+R2^2",
-                                  chart, lambdas)
+    return SurfaceModel.from_text("1", "R1^2", "5-R1^2", "1+R2^2", chart)

@@ -30,10 +30,11 @@ from pencil_lab.lax import (
     build_lax, induced_metric_residual, integrate_frame,
     weingarten_scaling_report, zero_curvature_residual,
 )
+from pencil_lab.march import shift
 from pencil_lab.surface import (
-    constant_curvature_check, lax_residuals_3x3_2x2, mesh_nontriviality,
-    reconstruct_family, seed_surface_model, solve_codazzi,
-    weingarten_family_compare, SurfaceModel,
+    constant_curvature_check, mesh_nontriviality, reconstruct_family,
+    seed_surface_model, solve_codazzi, weingarten_family_compare,
+    SurfaceModel,
 )
 
 BD3 = {(0, 1): "0.2", (1, 0): "0.1*R1", (2, 0): "0.15",
@@ -80,7 +81,8 @@ def diag_solution():
     out = {}
     for m in (9, 17):
         ch = Chart(3, ((0.0, 1.0),) * 3, (m,) * 3)
-        beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
+        beta, _ = solve_S(bd, ch, model.eta_grids(ch),
+                          model.eta_prime_grids(ch))
         H = solve_lame(beta, ch, {0: "1", 1: "1", 2: "1"})
         out[m] = (ch, beta, H)
     return model, bd, out
@@ -152,14 +154,15 @@ def test_criterion_04_system_integration(diag_solution):
     res = {}
     for m, (ch, beta, H) in sols.items():
         f1, f2 = flatness_residuals(beta, ch)
-        res[m] = max(f1, f2, pencil_residual_F3(model, beta, ch,
-                                                model.eta_grids(ch)))
+        res[m] = max(f1, f2, pencil_residual_F3(beta, ch, model.eta_grids(ch),
+                                                model.eta_prime_grids(ch)))
     ratio = res[9] / res[17]
     ch, beta, _ = sols[17]
     x = ch.axes()[0]
     bound = max(float(np.max(np.abs(beta[(0, 1)][0, :, 0] - 0.2))),
                 float(np.max(np.abs(beta[(1, 0)][:, 0, 0] - 0.1 * x))))
-    alt, _ = solve_S(model, bd, ch, model.eta_grids(ch), order=(2, 1, 0))
+    alt, _ = solve_S(bd, ch, model.eta_grids(ch), model.eta_prime_grids(ch),
+                     order=(2, 1, 0))
     perm = max(float(np.max(np.abs(alt[k] - beta[k]))) for k in beta)
     elapsed = time.monotonic() - t0
     ok = ratio >= 12.0 and bound <= 1e-8 and perm <= 1e-5 and elapsed <= 10.0
@@ -213,12 +216,12 @@ def test_criterion_07_zero_curvature(diag_solution):
     for m, (ch, beta, _) in sols.items():
         eta = model.eta_grids(ch)
         worst[m] = max(zero_curvature_residual(
-            build_lax(eta, beta, ch, lam), ch) for lam in LAMBDAS)
+            build_lax(shift(lam, eta), beta, ch), ch) for lam in LAMBDAS)
     ch, beta, _ = sols[17]
     broken = dict(beta)
     broken[(0, 1)] = beta[(0, 1)] + 0.1
     pert = zero_curvature_residual(
-        build_lax(model.eta_grids(ch), broken, ch, 1.0), ch)
+        build_lax(shift(1.0, model.eta_grids(ch)), broken, ch), ch)
     ok = worst[17] <= 1e-5 and worst[9] / worst[17] >= 12.0 and pert > 1e-2
     _report(7, ok, f"sweep max {worst[17]:.1e}, refinement "
             f"x{worst[9] / worst[17]:.1f}, perturbed {pert:.1e}")
@@ -231,9 +234,10 @@ def test_criterion_08_orthogonal_reconstruction(diag_solution):
     eta = model.eta_grids(ch)
     worst_o, worst_m = 0.0, 0.0
     for lam in LAMBDAS:
-        fs = integrate_frame(build_lax(eta, beta, ch, lam), eta, H, ch)
+        sh = shift(lam, eta)
+        fs = integrate_frame(build_lax(sh, beta, ch), sh, H, ch)
         worst_o = max(worst_o, fs.ortho_drift)
-        worst_m = max(worst_m, induced_metric_residual(fs, eta, H, ch))
+        worst_m = max(worst_m, induced_metric_residual(fs, sh, H, ch))
     ok = worst_o <= 1e-6 and worst_m <= 1e-5
     _report(8, ok, f"orthogonality {worst_o:.1e}, induced metric "
             f"{worst_m:.1e}")
@@ -245,10 +249,10 @@ def test_criterion_09_shape_operator_scaling(diag_solution):
     mesh_res = {}
     for m, (ch, beta, H) in sols.items():
         eta = model.eta_grids(ch)
-        fa = integrate_frame(build_lax(eta, beta, ch, 1.0), eta, H, ch)
-        fb = integrate_frame(build_lax(eta, beta, ch, 0.0), eta, H, ch)
-        rep = weingarten_scaling_report(eta, beta, H, ch, 1.0, 0.0,
-                                        frames=(fa, fb))
+        sa, sb = shift(1.0, eta), shift(0.0, eta)
+        fa = integrate_frame(build_lax(sa, beta, ch), sa, H, ch)
+        fb = integrate_frame(build_lax(sb, beta, ch), sb, H, ch)
+        rep = weingarten_scaling_report(sa, sb, fa, fb, beta, H, ch)
         mesh_res[m] = max(rep["mesh_eigen_residual_a"],
                           rep["mesh_eigen_residual_b"])
         closed = rep["closed_form_residual"]
@@ -261,22 +265,25 @@ def test_criterion_09_shape_operator_scaling(diag_solution):
 
 def test_criterion_10_surface_family():
     t0 = time.monotonic()
-    seed = seed_surface_model(lambdas=(0.0, 0.5, 1.0))
-    cc = constant_curvature_check(seed)
+    seed = seed_surface_model()
+    shifts = (0.0, 0.5, 1.0)
+    cc = {lam: constant_curvature_check(seed, lam) for lam in shifts}
     G11, G22 = seed.shifted_form(0.0)
     curv = solve_codazzi(G11, G22, "2+2*R1", "2.5", seed.chart)
-    laxres = lax_residuals_3x3_2x2(*seed.coefficient_grids, seed.chart,
-                                   seed.lambdas)
-    meshes = reconstruct_family(seed, curv)
+    members = [reconstruct_family(seed, curv, lam) for lam in shifts]
+    laxres = {lam: (r3, r2) for lam, (r3, r2, _) in zip(shifts, members)}
+    meshes = [mesh for _, _, mesh in members]
     wg = weingarten_family_compare(meshes)
     hd = mesh_nontriviality(meshes[0], meshes[-1])
 
     control = SurfaceModel.from_text("1", "R1^2", "5-R1^2+3*R2^2", "1+R2^2",
-                                     seed.chart, (0.0, 1.0))
+                                     seed.chart)
     ctrl_curv = solve_codazzi(*control.shifted_form(0.0), "2+2*R1", "2.5",
                               seed.chart)
-    ctrl = weingarten_family_compare(reconstruct_family(control, ctrl_curv))
-    ctrl_dev = max(max(constant_curvature_check(control).values()),
+    ctrl = weingarten_family_compare(
+        [reconstruct_family(control, ctrl_curv, lam)[2] for lam in (0.0, 1.0)])
+    ctrl_dev = max(max(constant_curvature_check(control, lam)
+                       for lam in (0.0, 1.0)),
                    ctrl["misalignment_angle"])
     elapsed = time.monotonic() - t0
     ok = (max(cc.values()) <= 1e-8 and curv.pc <= 1e-6

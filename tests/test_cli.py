@@ -17,6 +17,7 @@ from pencil_lab.compat import ComplianceReport, verdict
 from pencil_lab.expr import as_expr
 from pencil_lab.geometry import christoffel
 from pencil_lab.grids import Chart, eval_grid
+from pencil_lab.march import shift
 
 BD_KEYS = {"1,2": "0.2", "2,1": "0.1*R1", "3,1": "0.15",
            "1,3": "0.1+0.05*R3", "2,3": "0.2", "3,2": "0.25"}
@@ -390,12 +391,11 @@ def test_deform_surface_lax_rows_match_one_serial_call(tmp_path, monkeypatch,
     res = _report(out)["residuals"]
     model = surface.SurfaceModel.from_text(
         *(cfg_dict["surface"][k] for k in ("g11", "g22", "eta1", "eta2")),
-        Chart(2, cfg_dict["chart"]["box"], cfg_dict["chart"]["shape"]),
-        cfg_dict["lambdas"])
-    want = surface.lax_residuals_3x3_2x2(*model.coefficient_grids,
-                                         model.chart, model.lambdas)
-    assert len(want) == 4
-    for lam, (r3, r2) in want.items():
+        Chart(2, cfg_dict["chart"]["box"], cfg_dict["chart"]["shape"]))
+    for lam in cfg_dict["lambdas"]:
+        mats = surface._lax_mats(*model.coefficient_grids[:4],
+                                 *shift(lam, model.eta_grids))
+        r3, r2 = surface.lax_residuals_3x3_2x2(mats, model.chart)
         assert np.array([res[f"lax3_{lam:g}"]["value"],
                          res[f"lax2_{lam:g}"]["value"]]).tobytes() == \
             np.array([r3, r2]).tobytes()
@@ -424,7 +424,8 @@ def test_deform_surface_evaluates_each_input_once(tmp_path, monkeypatch):
 def test_deform_surface_failing_shift_task_writes_nothing(tmp_path, capsys,
                                                           monkeypatch,
                                                           threads):
-    # k1 = 0 passes the radii transport but fails every mesh build
+    # k1 = 0 passes the radii transport and is refused once after it, before
+    # any shift task
     monkeypatch.setenv("PENCIL_LAB_THREADS", threads)
     cfg_dict = _cfg_surface()
     cfg_dict["surface"]["k1_line"] = "0"
@@ -589,6 +590,18 @@ def _cfg_diag_2d():
 OVERFLOWING_ENTRY = {"metric-inf-1e308", "metric-inf-1e200",
                      "surface-inf-1e200"}
 
+# The message of each case below whose fault is line data read off its line
+# (which the march would read at the corner alone) or a pair given twice.
+LINE_FAULTS = {
+    "lame-boundary-off-line":
+        "lame_boundary entry 1 must depend only on coordinate 1",
+    "lame-boundary-other-coordinate":
+        "lame_boundary entry 2 must depend only on coordinate 2",
+    "s2-seed-off-line":
+        "the s2 seed entry 1 must depend only on coordinate 1",
+    "beta-boundary-pair-twice": "beta_boundary names the pair (1, 2) twice",
+}
+
 
 @pytest.mark.parametrize("command,cfg_dict,argv", [
     pytest.param("frame", _cfg_diag_2d(), [], id="frame-2d-chart"),
@@ -689,6 +702,15 @@ OVERFLOWING_ENTRY = {"metric-inf-1e308", "metric-inf-1e200",
                  id="box-huge-int"),
     pytest.param("deform-surface", dict(_cfg_surface(), lambdas=[10 ** 400]),
                  [], id="lambdas-huge-int"),
+    pytest.param("frame", _cfg_diag({"lame_boundary": ["1+R2+R3", "1", "1"]}),
+                 [], id="lame-boundary-off-line"),
+    pytest.param("frame", _cfg_diag({"lame_boundary": ["1", "1+R1", "1"]}),
+                 [], id="lame-boundary-other-coordinate"),
+    pytest.param("solve-diagonal", _cfg_diag({"s2": {"seed": ["R2", "0",
+                                                              "0"]}}),
+                 [], id="s2-seed-off-line"),
+    pytest.param("frame", _cfg_diag({"beta_boundary": dict(
+        BD_KEYS, **{"01,2": "0.9"})}), [], id="beta-boundary-pair-twice"),
 ])
 def test_config_faults_are_config_errors(tmp_path, capsys, request, command,
                                          cfg_dict, argv):
@@ -702,6 +724,8 @@ def test_config_faults_are_config_errors(tmp_path, capsys, request, command,
     if request.node.callspec.id in OVERFLOWING_ENTRY:
         assert "is not finite on the box" in err
         assert "pole" not in err
+    if request.node.callspec.id in LINE_FAULTS:
+        assert err == f"config error: {LINE_FAULTS[request.node.callspec.id]}\n"
 
 
 @pytest.mark.parametrize("command,cfg_dict", [
@@ -801,14 +825,14 @@ def _eta_evaluations(tmp_path, monkeypatch, command) -> int:
 
 def test_frame_evaluates_each_eta_once(tmp_path, monkeypatch):
     # solve_S and the frame functions of every shift share one grid of each
-    # eta; the other three calls are the etas' derivatives in solve_S
+    # eta; the other three calls are the etas' derivatives, which solve_S
+    # reads
     assert _eta_evaluations(tmp_path, monkeypatch, "frame") == 6
 
 
 def test_solve_diagonal_evaluates_each_eta_once(tmp_path, monkeypatch):
-    # solve_S and F3 share one grid of each eta; each of them evaluates the
-    # three derivatives
-    assert _eta_evaluations(tmp_path, monkeypatch, "solve-diagonal") == 9
+    # solve_S and F3 share one grid of each eta and one of each derivative
+    assert _eta_evaluations(tmp_path, monkeypatch, "solve-diagonal") == 6
 
 
 def test_numeric_beta_boundary_reads_as_its_text(tmp_path):

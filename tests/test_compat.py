@@ -80,10 +80,9 @@ def test_compatible_pair_passes_both_criteria(box2, flat_pencil):
     assert "simple_spectrum" in t1.notes
     bt = btilde_from_r(p)
     pc = check_pencil(levi_civita_operator(g), HamiltonianOperator(gt, bt),
-                      box2)
+                      box2, (0.0, 0.75, 1.5, 2.25, 3.0))
     assert pc.verdict == "pass"
-    assert pc.lambdas_used == list(pc.lambdas_used)
-    assert len(pc.lambdas_used) == 5
+    assert pc.lambdas_used == [0.0, 0.75, 1.5, 2.25, 3.0]
 
 
 def test_derived_coefficients_close_the_bracket(box2, flat_pencil):
@@ -135,7 +134,7 @@ def test_lambda_sweep_skips_degenerate_values(box2):
         np.array([[_p("2"), _p("0")], [_p("0"), _p("2")]], dtype=object))
     A = levi_civita_operator(e)
     At = levi_civita_operator(gt)
-    rep = check_pencil(A, At, box2, lambdas=(-2.0, 0.0, 1.0))
+    rep = check_pencil(A, At, box2, shifts=(-2.0, 0.0, 1.0))
     assert -2.0 in rep.lambdas_skipped
     assert rep.lambdas_used == [0.0, 1.0]
     assert rep.verdict == "pass"
@@ -216,7 +215,7 @@ def _direct_sweep(A, At, chart, lambdas):
 @pytest.mark.parametrize("case", ["swapped", "perturbed"])
 def test_polarized_pencil_matches_direct_evaluation(box2, case):
     A, At = _violating_pencil(case)
-    rep = check_pencil(A, At, box2, lambdas=(-1.0, 0.0, 0.75, 1.5, 3.0))
+    rep = check_pencil(A, At, box2, shifts=(-1.0, 0.0, 0.75, 1.5, 3.0))
     skipped = [-1.0] if case == "swapped" else []   # R2 − 1 = 0 on the box
     assert rep.lambdas_skipped == skipped
     assert len(rep.lambdas_used) == 5 - len(skipped)
@@ -567,7 +566,7 @@ def test_nan_in_a_diagonal_coefficient_fails_j2_and_c2(n, i, s):
     ham = check_hamiltonian(At, chart)
     assert np.isnan(ham.residuals["J2"])
     assert ham.verdict == "fail"
-    pc = check_pencil(levi_civita_operator(e), At, chart, lambdas=(0.0, 1.0))
+    pc = check_pencil(levi_civita_operator(e), At, chart, shifts=(0.0, 1.0))
     assert np.isnan(pc.residuals["C2"])
     assert np.isnan(pc.residuals["lambda_sweep"])
     assert pc.verdict_for("C2") == "fail"

@@ -7,7 +7,7 @@ from pencil_lab.diagonal import (
     pencil_residual_F3, solve_S, solve_lame,
 )
 from pencil_lab.expr import evaluate
-from pencil_lab.grids import Chart, eval_grid
+from pencil_lab.grids import Chart
 from pencil_lab.march import MarchError
 from pencil_lab.surface import seed_surface_model
 
@@ -20,10 +20,9 @@ def _chart3(m=17):
     return Chart(3, ((0.0, 1.0),) * 3, (m,) * 3)
 
 
-def _grids(beta, chart):
-    from pencil_lab.expr import Expr
-    return {k: (eval_grid(v, chart) if isinstance(v, Expr) else v)
-            for k, v in beta.items()}
+def _etas(model, chart):
+    """The grids of the etas and of their derivatives, as solve_S takes them."""
+    return model.eta_grids(chart), model.eta_prime_grids(chart)
 
 
 def test_model_validates_eta_dependence():
@@ -63,7 +62,7 @@ def test_two_component_constant_case():
     ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (17, 17))
     model = DiagonalModel.constant([0.0, 1.0])
     bd = BoundaryData.from_text({(0, 1): "0.3+0.1*R2", (1, 0): "0.2*R1"}, 2)
-    beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
+    beta, _ = solve_S(bd, ch, *_etas(model, ch))
     y = ch.axes()[1]
     x = ch.axes()[0]
     assert np.max(np.abs(beta[(0, 1)] - (0.3 + 0.1 * y)[None, :])) < 1e-10
@@ -74,10 +73,10 @@ def test_solver_residuals_and_boundary():
     ch = _chart3()
     model = DiagonalModel.constant(ETAS3)
     bd = BoundaryData.from_text(BD3, 3)
-    eta = model.eta_grids(ch)
-    beta, egorov = solve_S(model, bd, ch, eta)
+    eta, etap = _etas(model, ch)
+    beta, egorov = solve_S(bd, ch, eta, etap)
     f1, f2 = flatness_residuals(beta, ch)
-    f3 = pencil_residual_F3(model, beta, ch, eta)
+    f3 = pencil_residual_F3(beta, ch, eta, etap)
     assert max(f1, f2, f3) < 1e-6
     assert not egorov
     # line data reproduced on the free lines
@@ -92,10 +91,10 @@ def test_solver_convergence_order():
     res = []
     for m in (9, 17):
         ch = Chart(3, ((0.0, 1.0),) * 3, (m,) * 3)
-        eta = model.eta_grids(ch)
-        beta, _ = solve_S(model, bd, ch, eta)
+        eta, etap = _etas(model, ch)
+        beta, _ = solve_S(bd, ch, eta, etap)
         f1, f2 = flatness_residuals(beta, ch)
-        res.append(max(f1, f2, pencil_residual_F3(model, beta, ch, eta)))
+        res.append(max(f1, f2, pencil_residual_F3(beta, ch, eta, etap)))
     assert res[0] / res[1] > 12.0
 
 
@@ -103,8 +102,8 @@ def test_path_independence():
     ch = _chart3()
     model = DiagonalModel.constant(ETAS3)
     bd = BoundaryData.from_text(BD3, 3)
-    a, _ = solve_S(model, bd, ch, model.eta_grids(ch))
-    b, _ = solve_S(model, bd, ch, model.eta_grids(ch), order=(2, 1, 0))
+    a, _ = solve_S(bd, ch, *_etas(model, ch))
+    b, _ = solve_S(bd, ch, *_etas(model, ch), order=(2, 1, 0))
     worst = max(np.max(np.abs(a[k] - b[k])) for k in a)
     assert worst < 1e-5
 
@@ -115,10 +114,10 @@ def test_variable_eta_solution():
     res = []
     for m in (17, 33):
         ch = _chart3(m)
-        eta = model.eta_grids(ch)
-        beta, _ = solve_S(model, bd, ch, eta)
+        eta, etap = _etas(model, ch)
+        beta, _ = solve_S(bd, ch, eta, etap)
         f1, f2 = flatness_residuals(beta, ch)
-        res.append(max(f1, f2, pencil_residual_F3(model, beta, ch, eta)))
+        res.append(max(f1, f2, pencil_residual_F3(beta, ch, eta, etap)))
     assert res[0] < 2e-4
     assert res[0] / res[1] > 8.0
 
@@ -128,7 +127,7 @@ def test_spectrum_collision_rejected():
     model = DiagonalModel.from_text(["R1", "0.5", "3"], 3)
     bd = BoundaryData.from_text(BD3, 3)
     with pytest.raises(MarchError):
-        solve_S(model, bd, ch, model.eta_grids(ch))
+        solve_S(bd, ch, *_etas(model, ch))
 
 
 def test_rescaling_symmetry():
@@ -137,13 +136,13 @@ def test_rescaling_symmetry():
     model = DiagonalModel.constant(ETAS3)
     bd = BoundaryData.from_text(BD3, 3)
     ch = _chart3()
-    beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
+    beta, _ = solve_S(bd, ch, *_etas(model, ch))
     ch2 = Chart(3, ((0.0, 2.0),) * 3, ch.shape)
     half = {k: f"0.5*({t})" for k, t in BD3.items()}
     half = {k: t.replace("R1", "(0.5*R1)").replace("R3", "(0.5*R3)")
             for k, t in half.items()}
     bd2 = BoundaryData.from_text(half, 3)
-    beta2, _ = solve_S(model, bd2, ch2, model.eta_grids(ch2))
+    beta2, _ = solve_S(bd2, ch2, *_etas(model, ch2))
     worst = max(np.max(np.abs(beta2[k] - 0.5 * beta[k])) for k in beta)
     assert worst < 1e-8
 
@@ -152,7 +151,7 @@ def test_lame_integration():
     ch = _chart3()
     model = DiagonalModel.constant(ETAS3)
     bd = BoundaryData.from_text(BD3, 3)
-    beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
+    beta, _ = solve_S(bd, ch, *_etas(model, ch))
     H = solve_lame(beta, ch, {0: "1", 1: "1", 2: "1"})
     from pencil_lab.grids import deriv
     h = ch.spacing()
@@ -169,7 +168,7 @@ def test_conserved_quantities():
     ch = _chart3()
     model = DiagonalModel.constant(ETAS3)
     bd = BoundaryData.from_text(BD3, 3)
-    beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
+    beta, _ = solve_S(bd, ch, *_etas(model, ch))
     P, drift = conserved_P(model, beta, ch)
     assert drift < 1e-6
     # corner value by direct substitution
@@ -195,7 +194,7 @@ def test_angle_system_consistency_and_parametrization():
     beta = beta_from_pqr(sol, *c)
     model = DiagonalModel.constant(list(c))
     f1, f2 = flatness_residuals(beta, ch)
-    f3 = pencil_residual_F3(model, beta, ch, model.eta_grids(ch))
+    f3 = pencil_residual_F3(beta, ch, *_etas(model, ch))
     assert max(f1, f2, f3) < 2e-4
     P, drift = conserved_P(model, beta, ch)
     assert np.max(np.abs(P[0] - 1.0)) < 1e-12
@@ -235,7 +234,7 @@ def test_shift_identity_matches_twisted_flatness():
     c = [1.0, 2.0, 4.0]
     model = DiagonalModel.constant(c)
     bd = BoundaryData.from_text(BD3, 3)
-    beta, _ = solve_S(model, bd, ch, model.eta_grids(ch))
+    beta, _ = solve_S(bd, ch, *_etas(model, ch))
     twisted = {(i, j): beta[(i, j)] * np.sqrt(c[i] / c[j])
                for i in range(3) for j in range(3) if i != j}
     from pencil_lab.grids import deriv, max_abs
@@ -259,8 +258,7 @@ def test_shift_identity_matches_twisted_flatness():
 def beta9():
     ch = _chart3(9)
     model = DiagonalModel.constant(ETAS3)
-    beta, _ = solve_S(model, BoundaryData.from_text(BD3, 3), ch,
-                      model.eta_grids(ch))
+    beta, _ = solve_S(BoundaryData.from_text(BD3, 3), ch, *_etas(model, ch))
     return model, beta, ch
 
 
@@ -270,8 +268,7 @@ def test_nan_beta_is_not_flat(beta9, key):
     broken = dict(beta)
     broken[key] = np.full(ch.shape, np.nan)
     assert all(np.isnan(v) for v in flatness_residuals(broken, ch))
-    assert np.isnan(pencil_residual_F3(model, broken, ch,
-                                       model.eta_grids(ch)))
+    assert np.isnan(pencil_residual_F3(broken, ch, *_etas(model, ch)))
     _, drift = conserved_P(model, broken, ch)
     assert np.isnan(drift)
 

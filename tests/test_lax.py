@@ -8,11 +8,11 @@ from pencil_lab.diagonal import BoundaryData, DiagonalModel, solve_S, solve_lame
 from pencil_lab.entries import dense, matmul, with_zeros
 from pencil_lab.grids import Chart, deriv, eval_grid, max_abs
 from pencil_lab.lax import (
-    FrameSolution, LaxConnection, build_lax,
+    FrameSolution, build_lax,
     hypersurface_curvatures, induced_metric_residual, integrate_frame,
     mesh_weingarten, weingarten_scaling_report, zero_curvature_residual,
 )
-from pencil_lab.march import (MarchError, PoleError, Unknown,
+from pencil_lab.march import (MarchError, PoleError, Unknown, shift,
                               solve_compatible, solve_frame)
 
 BD3 = {(0, 1): "0.2", (1, 0): "0.1*R1", (2, 0): "0.15",
@@ -37,7 +37,8 @@ def eta(model, chart):
 
 @pytest.fixture(scope="module")
 def solved(model, eta, chart):
-    beta, _ = solve_S(model, BoundaryData.from_text(BD3, 3), chart, eta)
+    beta, _ = solve_S(BoundaryData.from_text(BD3, 3), chart, eta,
+                      model.eta_prime_grids(chart))
     H = solve_lame(beta, chart, {0: "1", 1: "1", 2: "1"})
     return beta, H
 
@@ -68,49 +69,51 @@ def test_connection_entry_value():
     ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (5, 5))
     model = DiagonalModel.constant([1.0, 3.0])
     beta = {(0, 1): np.ones(ch.shape), (1, 0): np.zeros(ch.shape)}
-    conn = build_lax(model.eta_grids(ch), beta, ch, 1.0)
+    conn = build_lax(shift(1.0, model.eta_grids(ch)), beta, ch)
     # weight sqrt((lam+eta_1)/(lam+eta_2)) = sqrt(2/4)
-    assert conn.mats[1][0, 1][2, 2] == pytest.approx(1 / np.sqrt(2))
-    assert conn.mats[1][1, 0][2, 2] == pytest.approx(-1 / np.sqrt(2))
+    assert conn[1][0, 1][2, 2] == pytest.approx(1 / np.sqrt(2))
+    assert conn[1][1, 0][2, 2] == pytest.approx(-1 / np.sqrt(2))
 
 
 def test_connection_is_skew(eta, chart, solved):
     beta, _ = solved
-    conn = build_lax(eta, beta, chart, 0.5)
-    for A in conn.mats:
+    conn = build_lax(shift(0.5, eta), beta, chart)
+    for A in conn:
         A = dense(A, (3, 3) + chart.shape)
         assert np.max(np.abs(A + np.swapaxes(A, 0, 1))) < 1e-12
 
 
 def test_zero_beta_gives_zero_connection(eta, chart):
     # only row d and column d of A_d are present, and zero β makes them zero
-    conn = build_lax(eta, _zero_beta(chart), chart, 1.0)
-    for d, A in enumerate(conn.mats):
+    sh = shift(1.0, eta)
+    conn = build_lax(sh, _zero_beta(chart), chart)
+    for d, A in enumerate(conn):
         assert sorted(A) == sorted({(i, d) for i in range(3) if i != d}
                                    | {(d, j) for j in range(3) if j != d})
         assert all(np.max(np.abs(e)) == 0.0 for e in A.values())
     # a connection with no present entry at all is flat and integrates to
     # the identity frame
-    empty = LaxConnection(1.0, ({},) * 3)
+    empty = ({},) * 3
     assert zero_curvature_residual(empty, chart) == 0.0
     H = [np.ones(chart.shape)] * 3
-    fs = integrate_frame(empty, eta, H, chart)
+    fs = integrate_frame(empty, sh, H, chart)
     assert fs.phi.tobytes() == np.broadcast_to(
         np.eye(3), chart.shape + (3, 3)).tobytes()
     assert fs.ortho_drift == 0.0
 
 
 def test_pole_rejected(eta, chart, solved):
+    # a shift at a pole is refused before any connection is built
     beta, _ = solved
     for lam in (-1.0, -2.5):
         with pytest.raises(MarchError):
-            build_lax(eta, beta, chart, lam)
+            build_lax(shift(lam, eta), beta, chart)
 
 
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 2.0, 5.0])
 def test_zero_curvature_sweep(eta, chart, solved, lam):
     beta, _ = solved
-    conn = build_lax(eta, beta, chart, lam)
+    conn = build_lax(shift(lam, eta), beta, chart)
     assert zero_curvature_residual(conn, chart) < 1e-5
 
 
@@ -120,8 +123,9 @@ def test_zero_curvature_refines_at_fourth_order(model):
     for m in (9, 17):
         ch = Chart(3, ((0.0, 1.0),) * 3, (m,) * 3)
         eta = model.eta_grids(ch)
-        beta, _ = solve_S(model, bd, ch, eta)
-        res.append(zero_curvature_residual(build_lax(eta, beta, ch, 1.0), ch))
+        beta, _ = solve_S(bd, ch, eta, model.eta_prime_grids(ch))
+        res.append(zero_curvature_residual(build_lax(shift(1.0, eta), beta,
+                                                     ch), ch))
     assert res[0] / res[1] > 12.0
 
 
@@ -129,14 +133,15 @@ def test_perturbed_coefficients_break_curvature(eta, chart, solved):
     beta, _ = solved
     broken = dict(beta)
     broken[(0, 1)] = beta[(0, 1)] + 0.1
-    conn = build_lax(eta, broken, chart, 1.0)
+    conn = build_lax(shift(1.0, eta), broken, chart)
     assert zero_curvature_residual(conn, chart) > 1e-2
 
 
 def test_frame_of_zero_connection_is_cartesian(eta, chart):
     beta = _zero_beta(chart)
     H = [np.ones(chart.shape)] * 3
-    fs = integrate_frame(build_lax(eta, beta, chart, 1.0), eta, H, chart)
+    sh = shift(1.0, eta)
+    fs = integrate_frame(build_lax(sh, beta, chart), sh, H, chart)
     assert np.max(np.abs(fs.phi - np.eye(3))) < 1e-12
     mesh = chart.mesh()
     for c in range(3):
@@ -146,28 +151,46 @@ def test_frame_of_zero_connection_is_cartesian(eta, chart):
 
 def test_frame_orthogonality_and_metric(eta, chart, solved):
     beta, H = solved
-    fs = integrate_frame(build_lax(eta, beta, chart, 1.0), eta, H, chart)
+    sh = shift(1.0, eta)
+    fs = integrate_frame(build_lax(sh, beta, chart), sh, H, chart)
     assert fs.ortho_drift < 1e-6
-    assert induced_metric_residual(fs, eta, H, chart) < 1e-5
+    assert induced_metric_residual(fs, sh, H, chart) < 1e-5
 
 
 def test_non_orthogonal_frame_aborts(eta, chart):
     # a connection with a symmetric part stretches the frame, so the
     # orthogonality guard fires
-    from pencil_lab.lax import LaxConnection
     mats = [np.zeros(chart.shape + (3, 3)) for _ in range(3)]
     mats[0][..., 0, 0] = 0.5
-    conn = LaxConnection(1.0, tuple(_entry_form(A) for A in mats))
+    conn = tuple(_entry_form(A) for A in mats)
     H = [np.ones(chart.shape)] * 3
     with pytest.raises(MarchError):
-        integrate_frame(conn, eta, H, chart)
+        integrate_frame(conn, shift(1.0, eta), H, chart)
 
 
 def test_flat_slice_has_zero_curvatures(eta, chart):
     beta = _zero_beta(chart)
     H = [np.ones(chart.shape)] * 3
-    ks = hypersurface_curvatures(eta, beta, H, chart, 1.0)
+    ks = hypersurface_curvatures(shift(1.0, eta), beta, H, chart)
     assert all(np.max(np.abs(k)) == 0.0 for k in ks)
+
+
+def _two_shifts(eta, beta, H, chart, lams):
+    """(lam + eta, frame) at each of the shifts ``lams``."""
+    out = []
+    for lam in lams:
+        sh = shift(lam, eta)
+        out.append((sh, integrate_frame(build_lax(sh, beta, chart), sh, H,
+                                        chart)))
+    return out
+
+
+def _scaling_report(eta, beta, H, chart, lams, frame_beta=None):
+    """The scaling report at two shifts, its frames integrated from
+    ``frame_beta`` (default ``beta``)."""
+    fb = beta if frame_beta is None else frame_beta
+    (sa, fa), (sb, fbr) = _two_shifts(eta, fb, H, chart, lams)
+    return weingarten_scaling_report(sa, sb, fa, fbr, beta, H, chart)
 
 
 def test_curvature_scaling_factor():
@@ -175,21 +198,21 @@ def test_curvature_scaling_factor():
     model = DiagonalModel.constant([0.25, 0.5, 1.0])
     bd = BoundaryData.from_text(BD3, 3)
     eta = model.eta_grids(ch)
-    beta, _ = solve_S(model, bd, ch, eta)
+    beta, _ = solve_S(bd, ch, eta, model.eta_prime_grids(ch))
     H = solve_lame(beta, ch, {0: "1", 1: "1", 2: "1"})
-    rep = weingarten_scaling_report(eta, beta, H, ch, 3.0, 0.0)
+    rep = _scaling_report(eta, beta, H, ch, (3.0, 0.0))
     # sqrt((3 + 1)/(0 + 1)) = 2
-    assert rep["scaling_factor_range"] == pytest.approx([2.0, 2.0])
+    ka, kb = (hypersurface_curvatures(shift(lam, eta), beta, H, ch)
+              for lam in (3.0, 0.0))
+    for a, b in zip(ka, kb):
+        assert np.max(np.abs(a - 2.0 * b)) < 1e-12
     assert rep["closed_form_residual"] < 1e-6
     assert not rep["umbilic_flat_slice"]
 
 
 def test_scaling_report_with_mesh_oracle(eta, chart, solved):
     beta, H = solved
-    fa = integrate_frame(build_lax(eta, beta, chart, 1.0), eta, H, chart)
-    fb = integrate_frame(build_lax(eta, beta, chart, 0.0), eta, H, chart)
-    rep = weingarten_scaling_report(eta, beta, H, chart, 1.0, 0.0,
-                                    frames=(fa, fb))
+    rep = _scaling_report(eta, beta, H, chart, (1.0, 0.0))
     assert rep["closed_form_residual"] < 1e-6
     assert rep["mesh_eigen_residual_a"] < 1e-3
     assert rep["mesh_eigen_residual_b"] < 1e-3
@@ -198,22 +221,21 @@ def test_scaling_report_with_mesh_oracle(eta, chart, solved):
 def test_umbilic_slice_is_flagged(eta, chart):
     beta = _zero_beta(chart)
     H = [np.ones(chart.shape)] * 3
-    rep = weingarten_scaling_report(eta, beta, H, chart, 1.0, 0.0)
+    rep = _scaling_report(eta, beta, H, chart, (1.0, 0.0))
     assert rep["umbilic_flat_slice"]
     assert "vacuous" in rep["note"]
 
 
 def test_pole_is_a_pole_error(eta, chart, solved):
-    beta, _ = solved
     with pytest.raises(PoleError):
-        build_lax(eta, beta, chart, -1.0)
+        shift(-1.0, eta)
 
 
-def _frame_by_scalar_unknowns(conn, eta, H, chart):
+def _frame_by_scalar_unknowns(conn, sh, H, chart):
     """Reference: one scalar unknown per frame entry, then one scalar
     unknown per position-vector component solved to its fixed point."""
     n = chart.n
-    mats = [dense(A, (n, n) + chart.shape) for A in conn.mats]
+    mats = [dense(A, (n, n) + chart.shape) for A in conn]
 
     def entry(a, b, d):
         def f(state, idx):
@@ -231,8 +253,7 @@ def _frame_by_scalar_unknowns(conn, eta, H, chart):
     for a in range(n):
         for b in range(n):
             phi[..., a, b] = sol[f"F{a}{b}"]
-    coeff = [H[d] / np.sqrt(conn.lam + e)
-             for d, e in enumerate(eta)]
+    coeff = [H[d] / np.sqrt(sh[d]) for d in range(n)]
 
     def leg(d, c):
         return lambda state, idx: coeff[d][idx] * phi[..., d, c][idx]
@@ -246,9 +267,10 @@ def _frame_by_scalar_unknowns(conn, eta, H, chart):
 @pytest.mark.parametrize("lam", [0.0, 1.5])
 def test_frame_matches_scalar_unknowns_bytes(eta, chart, solved, lam):
     beta, H = solved
-    conn = build_lax(eta, beta, chart, lam)
-    fs = integrate_frame(conn, eta, H, chart)
-    phi, rvec = _frame_by_scalar_unknowns(conn, eta, H, chart)
+    sh = shift(lam, eta)
+    conn = build_lax(sh, beta, chart)
+    fs = integrate_frame(conn, sh, H, chart)
+    phi, rvec = _frame_by_scalar_unknowns(conn, sh, H, chart)
     assert fs.phi.tobytes() == phi.tobytes()
     assert fs.rvec.tobytes() == rvec.tobytes()
 
@@ -257,17 +279,19 @@ def _solved_2d():
     ch = Chart(2, ((0.0, 1.0), (0.0, 1.0)), (17, 13))
     model = DiagonalModel.from_text(["1+0.5*R1", "3"], 2)
     eta = model.eta_grids(ch)
-    beta, _ = solve_S(model, BoundaryData.from_text(
-        {(0, 1): "0.2", (1, 0): "0.1*R1"}, 2), ch, eta)
+    beta, _ = solve_S(BoundaryData.from_text(
+        {(0, 1): "0.2", (1, 0): "0.1*R1"}, 2), ch, eta,
+        model.eta_prime_grids(ch))
     H = solve_lame(beta, ch, {0: "1", 1: "1+0.1*R2"})
     return ch, eta, beta, H
 
 
 def test_frame_2d_matches_scalar_unknowns_bytes():
     ch, eta, beta, H = _solved_2d()
-    conn = build_lax(eta, beta, ch, 0.3)
-    fs = integrate_frame(conn, eta, H, ch)
-    phi, rvec = _frame_by_scalar_unknowns(conn, eta, H, ch)
+    sh = shift(0.3, eta)
+    conn = build_lax(sh, beta, ch)
+    fs = integrate_frame(conn, sh, H, ch)
+    phi, rvec = _frame_by_scalar_unknowns(conn, sh, H, ch)
     assert fs.phi.tobytes() == phi.tobytes()
     assert fs.rvec.tobytes() == rvec.tobytes()
 
@@ -279,41 +303,41 @@ def test_skipped_zero_entries_change_no_bit(eta, chart, solved):
     ch2, eta2, beta2, H2 = _solved_2d()
     for e, b, h, ch, lam in ((eta, beta, H, chart, 0.5),
                              (eta2, beta2, H2, ch2, 0.3)):
-        conn = build_lax(e, b, ch, lam)
-        full = LaxConnection(lam, _filled(conn.mats, ch.n))
+        sh = shift(lam, e)
+        conn = build_lax(sh, b, ch)
+        full = _filled(conn, ch.n)
         assert zero_curvature_residual(conn, ch) == \
             zero_curvature_residual(full, ch)
-        fs = integrate_frame(conn, e, h, ch)
-        fs_full = integrate_frame(full, e, h, ch)
+        fs = integrate_frame(conn, sh, h, ch)
+        fs_full = integrate_frame(full, sh, h, ch)
         assert fs.phi.tobytes() == fs_full.phi.tobytes()
         assert fs.rvec.tobytes() == fs_full.rvec.tobytes()
     ch, sm, fields = _surface_fields()
     s1, s2 = (0.5 + eval_grid(e, ch) for e in (sm.eta1, sm.eta2))
     B = surface._lax_mats(*fields, s1, s2)[:2]
     full = _filled(B, 3)
-    assert zero_curvature_residual(LaxConnection(0.5, B), ch) == \
-        zero_curvature_residual(LaxConnection(0.5, full), ch)
+    assert zero_curvature_residual(B, ch) == zero_curvature_residual(full, ch)
 
 
 def test_nan_in_one_present_entry_fails(eta, chart, solved):
     beta, _ = solved
-    conn = build_lax(eta, beta, chart, 0.5)
-    mats = [dict(A) for A in conn.mats]
+    conn = build_lax(shift(0.5, eta), beta, chart)
+    mats = [dict(A) for A in conn]
     mats[1][0, 1] = mats[1][0, 1].copy()
     # the staircase reads A_1 on the plane R3 = min only, so the NaN sits
     # there; the residual sees it anywhere
     mats[1][0, 1][3, 4, 0] = np.nan
-    broken = LaxConnection(0.5, tuple(mats))
+    broken = tuple(mats)
     res = zero_curvature_residual(broken, chart)
     assert np.isnan(res) and verdict(res, *SOLVER_BAND) == "fail"
     with pytest.raises(MarchError):
-        solve_frame(chart, broken.mats, 3)
+        solve_frame(chart, broken, 3)
 
 
 def _zero_curvature_einsum(conn, chart):
     h = chart.spacing()
-    k = 1 + max(i for A in conn.mats for key in A for i in key)
-    mats = [_stacked(A, k, chart.shape) for A in conn.mats]
+    k = 1 + max(i for A in conn for key in A for i in key)
+    mats = [_stacked(A, k, chart.shape) for A in conn]
     worst = 0.0
     for d in range(chart.n):
         for j in range(d + 1, chart.n):
@@ -343,13 +367,12 @@ def test_zero_curvature_matches_einsum(n):
     rng = np.random.default_rng(n)
     mats = tuple(_entry_form(rng.standard_normal(ch.shape + (n, n)))
                  for _ in range(n))
-    conn = LaxConnection(0.0, mats)
-    assert zero_curvature_residual(conn, ch) == _zero_curvature_einsum(conn, ch)
+    assert zero_curvature_residual(mats, ch) == _zero_curvature_einsum(mats, ch)
 
 
 def test_zero_curvature_matches_einsum_on_solved_connection(eta, chart, solved):
     beta, _ = solved
-    conn = build_lax(eta, beta, chart, 0.5)
+    conn = build_lax(shift(0.5, eta), beta, chart)
     assert zero_curvature_residual(conn, chart) == \
         _zero_curvature_einsum(conn, chart)
 
@@ -374,16 +397,13 @@ def test_surface_residuals_match_einsum(seed):
     # zero_curvature_residual; einsum is the oracle
     rng = None if seed is None else np.random.default_rng(seed)
     ch, model, (H1, H2, b12, b21) = _surface_fields(rng)
-    lambdas = (0.0, 0.5, 1.0)
-    rep = surface.lax_residuals_3x3_2x2(H1, H2, b12, b21, *model.eta_grids,
-                                        ch, lambdas)
-    for lam in lambdas:
+    for lam in (0.0, 0.5, 1.0):
         s1 = lam + eval_grid(model.eta1, ch)
         s2 = lam + eval_grid(model.eta2, ch)
-        B1, B2, M1, M2 = surface._lax_mats(H1, H2, b12, b21, s1, s2)
-        r3, r2 = rep[lam]
-        assert r3 == _zero_curvature_einsum(LaxConnection(lam, (B1, B2)), ch)
-        oracle = _zero_curvature_einsum(LaxConnection(lam, (M1, M2)), ch)
+        B1, B2, M1, M2 = mats = surface._lax_mats(H1, H2, b12, b21, s1, s2)
+        r3, r2 = surface.lax_residuals_3x3_2x2(mats, ch)
+        assert r3 == _zero_curvature_einsum((B1, B2), ch)
+        oracle = _zero_curvature_einsum((M1, M2), ch)
         assert abs(r2 - oracle) <= 1e-14 * (1.0 + max_abs(*M1.values(),
                                                           *M2.values()))
 
@@ -411,20 +431,18 @@ def _slice_spectrum_by_old_kernel(fs, chart):
 
 def test_slice_spectrum_matches_old_kernel_bytes(eta, chart, solved):
     beta, H = solved
-    lams = (1.0, 0.0)
-    frames = [integrate_frame(build_lax(eta, beta, chart, lam), eta, H,
-                              chart) for lam in lams]
-    rep = weingarten_scaling_report(eta, beta, H, chart, *lams,
-                                    frames=tuple(frames))
+    pairs = _two_shifts(eta, beta, H, chart, (1.0, 0.0))
+    (sa, fa), (sb, fb) = pairs
+    rep = weingarten_scaling_report(sa, sb, fa, fb, beta, H, chart)
     core = (slice(2, -2),) * 2
-    for fs, lam, key in zip(frames, lams, ("a", "b")):
+    for (sh, fs), key in zip(pairs, ("a", "b")):
         old = _slice_spectrum_by_old_kernel(fs, chart)
         S = mesh_weingarten(fs.rvec[:, :, 0], fs.phi[:, :, 0, 2],
                             chart.spacing()[:2])
         new = np.sort(np.linalg.eigvals(-S).real, axis=-1)
         assert new.tobytes() == old.tobytes()
         k = np.sort(np.stack(hypersurface_curvatures(
-            eta, beta, H, chart, lam), axis=-1), axis=-1)
+            sh, beta, H, chart), axis=-1), axis=-1)
         want = max_abs(old[core] - k[core])
         assert np.float64(rep[f"mesh_eigen_residual_{key}"]).tobytes() == \
             np.float64(want).tobytes()
@@ -444,10 +462,9 @@ def _mesh_weingarten_full_loop(r, normal, spacing):
     return np.einsum("...ab,...bc->...ac", np.linalg.inv(I), II)
 
 
-def _induced_metric_full_loop(fs, eta, H, chart):
+def _induced_metric_full_loop(fs, sh, H, chart):
     """Reference: induced_metric_residual over every (i, j)."""
     h = chart.spacing()
-    sh = [fs.lam + e for e in eta]
     dr = [deriv(fs.rvec, d, h[d]) for d in range(chart.n)]
     worst = 0.0
     for i in range(chart.n):
@@ -472,13 +489,14 @@ def test_symmetric_dot_products_match_the_full_loop_bytes(eta, chart,
     assert mesh_weingarten(r, normal, spacing).tobytes() == \
         _mesh_weingarten_full_loop(r, normal, spacing).tobytes()
     beta, H = solved
-    fs = integrate_frame(build_lax(eta, beta, chart, 1.0), eta, H, chart)
+    sh = shift(1.0, eta)
+    fs = integrate_frame(build_lax(sh, beta, chart), sh, H, chart)
     idx = (slice(None), slice(None), 0)
     args = (fs.rvec[idx], fs.phi[idx + (2, slice(None))], chart.spacing()[:2])
     assert mesh_weingarten(*args).tobytes() == \
         _mesh_weingarten_full_loop(*args).tobytes()
-    assert np.float64(induced_metric_residual(fs, eta, H, chart)).tobytes() \
-        == np.float64(_induced_metric_full_loop(fs, eta, H, chart)).tobytes()
+    assert np.float64(induced_metric_residual(fs, sh, H, chart)).tobytes() \
+        == np.float64(_induced_metric_full_loop(fs, sh, H, chart)).tobytes()
 
 
 def test_mesh_weingarten_of_a_sphere():
@@ -512,21 +530,20 @@ def _nan_grids(chart, shape=()):
 
 
 def test_nan_connection_is_not_flat(chart):
-    conn = LaxConnection(0.0, tuple(_entry_form(_nan_grids(chart, (3, 3)))
-                                    for _ in range(3)))
+    conn = tuple(_entry_form(_nan_grids(chart, (3, 3))) for _ in range(3))
     assert np.isnan(zero_curvature_residual(conn, chart))
 
 
 def test_nan_position_vector_fails_metric_check(eta, chart, solved):
     _, H = solved
-    fs = FrameSolution(1.0, np.broadcast_to(np.eye(3), chart.shape + (3, 3)),
+    fs = FrameSolution(np.broadcast_to(np.eye(3), chart.shape + (3, 3)),
                        _nan_grids(chart, (3,)), 0.0)
-    assert np.isnan(induced_metric_residual(fs, eta, H, chart))
+    assert np.isnan(induced_metric_residual(fs, shift(1.0, eta), H, chart))
 
 
 def test_nan_curvatures_fail_scaling_ratio(eta, chart, solved):
     beta, H = solved
     broken = dict(beta)
     broken[(2, 1)] = _nan_grids(chart)
-    rep = weingarten_scaling_report(eta, broken, H, chart, 1.0, 0.0)
+    rep = _scaling_report(eta, broken, H, chart, (1.0, 0.0), frame_beta=beta)
     assert np.isnan(rep["closed_form_residual"])

@@ -8,13 +8,28 @@ from pencil_lab import surface
 from pencil_lab.cli import main
 from pencil_lab.entries import dense, with_zeros
 from pencil_lab.grids import Chart, deriv, eval_grid, max_abs
-from pencil_lab.march import MarchError, PoleError, Unknown, solve_compatible
+from pencil_lab.march import (MarchError, PoleError, Unknown, shift,
+                              solve_compatible)
 from pencil_lab.surface import (
-    CurvatureData, SurfaceModel, constant_curvature_check,
+    SurfaceModel, constant_curvature_check,
     lax_residuals_3x3_2x2, mesh_nontriviality, pc_residual,
     reconstruct_family, seed_surface_model, solve_codazzi,
     weingarten_family_compare,
 )
+
+SHIFTS = (0.0, 0.5, 1.0)
+
+
+def _family(model, curv, shifts=SHIFTS):
+    """The meshes of reconstruct_family at each of ``shifts``."""
+    return [reconstruct_family(model, curv, lam)[2] for lam in shifts]
+
+
+def _residuals(H1, H2, b12, b21, eta1, eta2, chart, lam):
+    """lax_residuals_3x3_2x2 of the two connections at the shift lam."""
+    s1, s2 = shift(lam, (eta1, eta2))
+    return lax_residuals_3x3_2x2(surface._lax_mats(H1, H2, b12, b21, s1, s2),
+                                 chart)
 
 
 @pytest.fixture(scope="module")
@@ -30,7 +45,7 @@ def radii(seed):
 
 @pytest.fixture(scope="module")
 def family(seed, radii):
-    return reconstruct_family(seed, radii)
+    return _family(seed, radii)
 
 
 def test_seed_validates_cleanly(seed):
@@ -39,35 +54,29 @@ def test_seed_validates_cleanly(seed):
 
 def test_validate_flags_broken_inputs():
     ch = Chart(2, ((0.5, 1.5), (0.0, 1.0)), (17, 17))
-    bad = SurfaceModel.from_text("1", "R1^2", "5-R1^2+3*R2^2", "1+R2^2",
-                                 ch, (0.0,))
+    bad = SurfaceModel.from_text("1", "R1^2", "5-R1^2+3*R2^2", "1+R2^2", ch)
     assert any("eta1" in p for p in bad.validate())
-    curved = SurfaceModel.from_text("1", "sin(R1)^2", "1", "1", ch, (0.0,))
+    curved = SurfaceModel.from_text("1", "sin(R1)^2", "1", "1", ch)
     assert any("not flat" in p for p in curved.validate())
 
 
 def test_shifted_forms_have_unit_curvature(seed):
-    rep = constant_curvature_check(seed)
-    assert set(rep) == {0.0, 0.5, 1.0}
-    assert all(v < 1e-12 for v in rep.values())
+    assert all(constant_curvature_check(seed, lam) < 1e-12 for lam in SHIFTS)
 
 
 def test_sphere_metric_reports_shift_as_deviation():
     # with eta = 1 the shifted form scales the round metric by 1/(1+lam),
     # so its curvature is 1 + lam and the deviation equals lam exactly
     ch = Chart(2, ((0.5, 1.5), (0.0, 1.0)), (17, 17))
-    model = SurfaceModel.from_text("1", "sin(R1)^2", "1", "1", ch,
-                                   (0.0, 0.25, 0.5))
-    rep = constant_curvature_check(model)
-    for lam, dev in rep.items():
+    model = SurfaceModel.from_text("1", "sin(R1)^2", "1", "1", ch)
+    for lam in (0.0, 0.25, 0.5):
+        dev = constant_curvature_check(model, lam)
         assert dev == pytest.approx(lam, abs=1e-10)
 
 
 def test_curvature_check_rejects_pole(seed):
-    bad = SurfaceModel(seed.g11, seed.g22, seed.eta1, seed.eta2,
-                       seed.chart, (-6.0,))
     with pytest.raises(MarchError):
-        constant_curvature_check(bad)
+        constant_curvature_check(seed, -6.0)
 
 
 def _full(ch, value):
@@ -133,9 +142,9 @@ def test_codazzi_rejects_inconsistent_boundary(seed):
 def test_lax_residuals_small_and_consistent(seed):
     R1 = seed.chart.mesh()[0]
     ones = np.ones(seed.chart.shape)
-    rep = lax_residuals_3x3_2x2(ones, R1, ones, _full(seed.chart, 0.0),
-                                *seed.eta_grids, seed.chart, (0.0, 0.5, 1.0))
-    for lam, (r3, r2) in rep.items():
+    for lam in SHIFTS:
+        r3, r2 = _residuals(ones, R1, ones, _full(seed.chart, 0.0),
+                            *seed.eta_grids, seed.chart, lam)
         assert r3 < 1e-5
         assert r2 < 1e-5
         # the two formulations agree on the verdict within a small factor
@@ -144,25 +153,24 @@ def test_lax_residuals_small_and_consistent(seed):
 
 def test_lax_residuals_zero_fields(seed):
     zero = _full(seed.chart, 0.0)
-    rep = lax_residuals_3x3_2x2(zero, zero, zero, zero, _full(seed.chart, 2.0),
-                                _full(seed.chart, 4.0), seed.chart, (0.0,))
-    assert rep[0.0] == (0.0, 0.0)
+    assert _residuals(zero, zero, zero, zero, _full(seed.chart, 2.0),
+                      _full(seed.chart, 4.0), seed.chart, 0.0) == (0.0, 0.0)
 
 
 def test_lax_residuals_pole(seed):
     with pytest.raises(MarchError):
-        lax_residuals_3x3_2x2(np.ones(seed.chart.shape),
-                              seed.chart.mesh()[0],
-                              np.ones(seed.chart.shape),
-                              _full(seed.chart, 0.0), *seed.eta_grids,
-                              seed.chart, (-10.0,))
+        _residuals(np.ones(seed.chart.shape), seed.chart.mesh()[0],
+                   np.ones(seed.chart.shape), _full(seed.chart, 0.0),
+                   *seed.eta_grids, seed.chart, -10.0)
 
 
 def test_reconstruction_rejects_vanishing_radii(seed):
-    ch = seed.chart
-    curv = CurvatureData(np.zeros(ch.shape), np.ones(ch.shape))
-    with pytest.raises(MarchError):
-        reconstruct_family(seed, curv)
+    # radii that vanish on the grid are refused once, after the march: with
+    # the seed forms k1 keeps its boundary line "0" across the chart
+    G11, G22 = seed.shifted_form(0.0)
+    with pytest.raises(MarchError, match="^k1 vanishes on the grid; the "
+                       "position vector equation degenerates$"):
+        solve_codazzi(G11, G22, "0", "2.5", seed.chart)
 
 
 def test_family_mesh_invariants(seed, radii, family):
@@ -189,8 +197,8 @@ def test_shifts_share_one_evaluation_of_the_coefficients(radii,
         return eval_grid(e, chart)
 
     monkeypatch.setattr(surface, "eval_grid", counting)
-    for lam in model.lambdas:
-        reconstruct_family(model, radii, (lam,))
+    for lam in SHIFTS:
+        reconstruct_family(model, radii, lam)
     assert len(calls) == 6
 
 
@@ -210,13 +218,12 @@ def test_broken_eta_fails_weingarten_control():
     # making eta1 depend on the transverse coordinate destroys the family:
     # the curvature-1 property and the shape-operator match both fail
     ch = Chart(2, ((0.5, 1.5), (0.0, 1.0)), (33, 33))
-    bad = SurfaceModel.from_text("1", "R1^2", "5-R1^2+3*R2^2", "1+R2^2",
-                                 ch, (0.0, 1.0))
-    rep = constant_curvature_check(bad)
-    assert max(rep.values()) > 1e-4
+    bad = SurfaceModel.from_text("1", "R1^2", "5-R1^2+3*R2^2", "1+R2^2", ch)
+    assert max(constant_curvature_check(bad, lam) for lam in (0.0, 1.0)) \
+        > 1e-4
     G11, G22 = bad.shifted_form(0.0)
     curv = solve_codazzi(G11, G22, "2+2*R1", "2.5", ch)
-    meshes = reconstruct_family(bad, curv)
+    meshes = _family(bad, curv, (0.0, 1.0))
     comp = weingarten_family_compare(meshes)
     assert comp["misalignment_angle"] > 1e-1
 
@@ -227,16 +234,13 @@ def test_compare_needs_two_meshes(seed, family):
 
 
 def test_every_pole_guard_raises_pole_error(seed, radii):
-    bad = SurfaceModel(seed.g11, seed.g22, seed.eta1, seed.eta2,
-                       seed.chart, (-6.0,))
     with pytest.raises(PoleError):
-        constant_curvature_check(bad)
+        constant_curvature_check(seed, -6.0)
     with pytest.raises(PoleError):
-        reconstruct_family(bad, radii)
+        reconstruct_family(seed, radii, -6.0)
     one, zero = _full(seed.chart, 1.0), _full(seed.chart, 0.0)
     with pytest.raises(PoleError):
-        lax_residuals_3x3_2x2(one, one, one, zero, *seed.eta_grids,
-                              seed.chart, (-10.0,))
+        _residuals(one, one, one, zero, *seed.eta_grids, seed.chart, -10.0)
 
 
 def _family_by_scalar_unknowns(model, curv, lam):
@@ -294,7 +298,7 @@ def test_skipped_zero_entries_change_no_mesh_bit(seed, radii, family,
                      for M, k in zip(lax_mats(*args), (3, 3, 2, 2)))
 
     monkeypatch.setattr(surface, "_lax_mats", filled)
-    for mesh, full in zip(family, reconstruct_family(seed, radii)):
+    for mesh, full in zip(family, _family(seed, radii)):
         assert mesh.vertices.tobytes() == full.vertices.tobytes()
         assert mesh.normals.tobytes() == full.normals.tobytes()
         assert mesh.eigenvalues.tobytes() == full.eigenvalues.tobytes()
@@ -425,10 +429,9 @@ def _compare_by_old_kernel(meshes, chart):
 def broken_family():
     # eta1 depends on R2, so the spectra and directions really differ
     ch = Chart(2, ((0.5, 1.5), (0.0, 1.0)), (33, 33))
-    bad = SurfaceModel.from_text("1", "R1^2", "5-R1^2+3*R2^2", "1+R2^2",
-                                 ch, (0.0, 0.5, 1.0))
+    bad = SurfaceModel.from_text("1", "R1^2", "5-R1^2+3*R2^2", "1+R2^2", ch)
     curv = solve_codazzi(*bad.shifted_form(0.0), "2+2*R1", "2.5", ch)
-    return ch, reconstruct_family(bad, curv)
+    return ch, _family(bad, curv)
 
 
 def test_mesh_spectra_match_old_kernel_bytes(seed, family, broken_family):
