@@ -22,10 +22,10 @@ from .diagonal import (DiagonalModel, BoundaryData, flatness_residuals,
                        pencil_residual_F3, solve_S, solve_lame, conserved_P,
                        mu_constants, integrate_S2, monge_ampere_residual,
                        beta_from_pqr)
-from .lax import (FrameSolution, build_lax,
+from .lax import (FrameSolution, FrameSlice, build_lax,
                   zero_curvature_residual, integrate_frame,
-                  induced_metric_residual, hypersurface_curvatures,
-                  weingarten_scaling_report)
+                  induced_metric_residual, frame_slice,
+                  hypersurface_curvatures, weingarten_scaling_report)
 from .surface import (SurfaceModel, CurvatureData, SurfaceMesh,
                       seed_surface_model, gaussian_curvature_expr,
                       constant_curvature_check, pc_residual, solve_codazzi,

@@ -300,8 +300,7 @@ def cmd_frame(cfg, args, chart):
     eta = model.eta_grids(chart)  # evaluated here; pool tasks read them
     beta, _ = diagonal.solve_S(bd, chart, eta, model.eta_prime_grids(chart))
     H = diagonal.solve_lame(beta, chart, dict(enumerate(h_lines)))
-    residuals = {}
-    notes = []
+    residuals, notes, slices = {}, [], []
 
     def run_one(lam):  # lam + eta once; every function of the shift reads it
         sh = shift(lam, eta)
@@ -309,30 +308,23 @@ def cmd_frame(cfg, args, chart):
         zc = lax.zero_curvature_residual(conn, chart)
         fs = lax.integrate_frame(conn, sh, H, chart)
         im = lax.induced_metric_residual(fs, sh, H, chart)
-        # the scaling report reads the grids of the first two shifts only
-        return lam, sh if lam in lambdas[:2] else None, zc, fs, im
+        # of the whole-grid results only the slice R3 = min outlives the task
+        return zc, im, fs.ortho_drift, lax.frame_slice(fs, sh, chart)
 
-    shifted, frames = {}, {}
-    for lam, sh, zc, fs, im in _pool_map(run_one, lambdas):
+    for lam, (zc, im, drift, sl) in zip(lambdas, _pool_map(run_one, lambdas)):
         residuals[f"zero_curvature_{lam:g}"] = zc
         residuals[f"induced_metric_{lam:g}"] = im
-        residuals[f"frame_orthogonality_{lam:g}"] = fs.ortho_drift
-        shifted[lam], frames[lam] = sh, fs
-    if len(lambdas) >= 2:
-        a, b = lambdas[:2]
-        rep = lax.weingarten_scaling_report(shifted[a], shifted[b], frames[a],
-                                            frames[b], beta, H, chart)
+        residuals[f"frame_orthogonality_{lam:g}"] = drift
+        slices.append(sl)
+    if len(slices) >= 2:
+        rep = lax.weingarten_scaling_report(*slices[:2], beta, H, chart)
         residuals["scaling_closed_form"] = rep["closed_form_residual"]
         residuals["scaling_mesh_a"] = rep["mesh_eigen_residual_a"]
         residuals["scaling_mesh_b"] = rep["mesh_eigen_residual_b"]
         if rep["umbilic_flat_slice"]:
             notes.append(rep["note"])
-    # the slice R3 = min and its normal, the last frame row, copied so that
-    # the writers, and a forked one, hold no whole frame
     files = [(f"slice_lambda_{lam:g}.obj", write_obj,
-              (frames[lam].rvec[:, :, 0].copy(),
-               frames[lam].phi[:, :, 0, 2].copy()))
-             for lam in lambdas]
+              (sl.vertices, sl.normals)) for lam, sl in zip(lambdas, slices)]
     files.append(("lame.csv", write_csv_grid,
                   (chart, {f"H{j + 1}": H[j] for j in range(chart.n)})))
     return _table(residuals, SOLVER_BAND), {"notes": notes}, files

@@ -92,9 +92,6 @@ def _inverse_expr(g: np.ndarray) -> np.ndarray:
         raise GeometryError("symbolic inverse of a dense metric needs n <= 3")
     det = _det_expr(g)
     inv = expr_array((n, n))
-    if n == 1:
-        inv[0, 0] = div(ONE, g[0, 0])
-        return inv
     for i in range(n):
         for j in range(n):
             rows = [r for r in range(n) if r != j]

@@ -8,7 +8,8 @@ condition, integrates the frame and the position vector, and extracts the
 principal curvatures of the coordinate hypersurfaces, which rescale by
 sqrt(lam + eta_n) as the shift moves.  Each function works at one shift
 and takes it as the grids lam + eta_i on the chart, which a caller forms
-once per shift with march.shift and passes to every function of that shift.
+once per shift with march.shift and passes to every function of that shift;
+of its results only the slice R^n = min (frame_slice) outlives the shift.
 
 A connection is the tuple of its matrices A_d of d_d X = A_d X, each in the
 entry form of pencil_lab.entries: a dict from (i, j) to the grid of entry
@@ -26,9 +27,9 @@ from .grids import Chart, deriv, max_abs
 from .march import MarchError, position_vector, solve_frame
 
 __all__ = [
-    "FrameSolution", "build_lax", "zero_curvature_residual",
-    "integrate_frame", "induced_metric_residual", "hypersurface_curvatures",
-    "mesh_weingarten", "weingarten_scaling_report",
+    "FrameSolution", "FrameSlice", "build_lax", "zero_curvature_residual",
+    "integrate_frame", "induced_metric_residual", "frame_slice",
+    "hypersurface_curvatures", "mesh_weingarten", "weingarten_scaling_report",
 ]
 
 
@@ -126,17 +127,38 @@ def induced_metric_residual(fs: FrameSolution, sh: list, H: list,
     return worst
 
 
-def hypersurface_curvatures(sh: list, beta: dict, H: list, chart: Chart):
-    """Principal curvatures of the level hypersurface of the last coordinate.
+def _on_slice(grid: np.ndarray, n: int) -> np.ndarray:
+    """A copy of ``grid`` (chart axes first) on the slice R^n = min."""
+    return grid[(slice(None),) * (n - 1) + (0,)].copy()
 
-    On the slice R^n = min the n-1 curvature lines have
-    k^i = (beta_{n i} / H_i) sqrt(lam + eta_n); returns a list of n-1 arrays
-    over the slice.
+
+@dataclass
+class FrameSlice:
+    """The slice R^n = min of one shift, copied off its whole-grid results."""
+
+    vertices: np.ndarray         # slice + (n,), the position vector
+    normals: np.ndarray          # slice + (n,), the last frame row
+    sh_n: np.ndarray             # slice, lam + eta_n
+
+
+def frame_slice(fs: FrameSolution, sh: list, chart: Chart) -> FrameSlice:
+    """The slice of the frame ``fs`` integrated at the shift ``sh``."""
+    n = chart.n
+    return FrameSlice(*(_on_slice(a, n) for a in
+                        (fs.rvec, fs.phi[..., n - 1, :], sh[n - 1])))
+
+
+def hypersurface_curvatures(sh_n, beta: dict, H: list, chart: Chart):
+    """Principal curvatures of the level hypersurface R^n = min.
+
+    With sh_n = lam + eta_n on the slice (FrameSlice.sh_n), its n-1
+    curvature lines have k^i = (beta_{n i} / H_i) sqrt(sh_n); returns a list
+    of n-1 arrays over the slice.
     """
     n = chart.n
-    idx = (slice(None),) * (n - 1) + (0,)
-    root = np.sqrt(sh[n - 1][idx])
-    return [beta[(n - 1, i)][idx] / H[i][idx] * root for i in range(n - 1)]
+    root = np.sqrt(sh_n)
+    return [_on_slice(beta[(n - 1, i)], n) / _on_slice(H[i], n) * root
+            for i in range(n - 1)]
 
 
 def mesh_weingarten(r: np.ndarray, normal: np.ndarray, spacing) -> np.ndarray:
@@ -169,44 +191,34 @@ def mesh_weingarten(r: np.ndarray, normal: np.ndarray, spacing) -> np.ndarray:
     raise MarchError("mesh shape operator is not finite: the mesh degenerates")
 
 
-def weingarten_scaling_report(sh_a: list, sh_b: list, fs_a: FrameSolution,
-                              fs_b: FrameSolution, beta: dict, H: list,
-                              chart: Chart) -> dict:
+def weingarten_scaling_report(sl_a: FrameSlice, sl_b: FrameSlice,
+                              beta: dict, H: list, chart: Chart) -> dict:
     """How the hypersurface shape operator responds to moving the shift.
 
-    sh_a and sh_b hold lam + eta_i at two shifts, and fs_a and fs_b are the
-    frames integrated at them.  The closed-form curvatures at the two shifts
-    differ by the constant factor sqrt((lam_a + eta_n)/(lam_b + eta_n)) on
-    the slice R^n = min.  The report carries the closed-form ratio residual
-    and a mesh oracle comparing shape-operator eigenvalues from the
-    reconstructed hypersurfaces against the formula.
+    sl_a and sl_b are the slices R^n = min at two shifts, on which the
+    closed-form curvatures differ by the constant factor
+    sqrt((lam_a + eta_n)/(lam_b + eta_n)).  The report carries the
+    closed-form ratio residual and a mesh oracle comparing shape-operator
+    eigenvalues from the slice meshes against the formula.
     """
     n = chart.n
-    ka = hypersurface_curvatures(sh_a, beta, H, chart)
-    kb = hypersurface_curvatures(sh_b, beta, H, chart)
-    idx = (slice(None),) * (n - 1) + (0,)
-    factor = np.sqrt(sh_a[n - 1][idx] / sh_b[n - 1][idx])
+    ka = hypersurface_curvatures(sl_a.sh_n, beta, H, chart)
+    kb = hypersurface_curvatures(sl_b.sh_n, beta, H, chart)
+    factor = np.sqrt(sl_a.sh_n / sl_b.sh_n)
 
     umbilic = all(max_abs(k) <= 1e-12 for k in ka)
-    ratio_res = 0.0
-    if not umbilic:
-        for a, b in zip(ka, kb):
-            ratio_res = max_abs(ratio_res, a - factor * b)
-    report = {
-        "closed_form_residual": ratio_res,
-        "umbilic_flat_slice": umbilic,
-    }
+    ratio_res = 0.0 if umbilic else max_abs(
+        *(a - factor * b for a, b in zip(ka, kb)))
+    report = {"closed_form_residual": ratio_res, "umbilic_flat_slice": umbilic}
     if umbilic:
         report["note"] = "slice is totally geodesic; scaling law is vacuous"
 
-    # The slice normal is the last frame row.  The closed-form curvatures
-    # use the convention d_a n = k^a d_a r, which flips the sign of II, so
-    # their spectrum is that of -S.  Finite differencing the mesh is least
-    # accurate near edges; compare on the interior.
+    # The closed-form curvatures follow d_a n = k^a d_a r, which flips the
+    # sign of II, so their spectrum is that of -S.  Finite differencing is
+    # least accurate near edges; compare on the interior.
     core = (slice(2, -2),) * (n - 1)
-    for fs, k, tag in ((fs_a, ka, "a"), (fs_b, kb, "b")):
-        S = mesh_weingarten(fs.rvec[idx], fs.phi[idx + (n - 1, slice(None))],
-                            chart.spacing()[:n - 1])
+    for sl, k, tag in ((sl_a, ka, "a"), (sl_b, kb, "b")):
+        S = mesh_weingarten(sl.vertices, sl.normals, chart.spacing()[:n - 1])
         eig = np.sort(np.linalg.eigvals(-S).real, axis=-1)
         k = np.sort(np.stack(k, axis=-1), axis=-1)
         report[f"mesh_eigen_residual_{tag}"] = max_abs(eig[core] - k[core])

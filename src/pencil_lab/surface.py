@@ -263,7 +263,7 @@ def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
     gram = np.einsum("...ki,...kj->...ij", frame, frame)
     gram -= np.eye(3)  # in place: one full-grid temporary fewer
     drift = max_abs(gram)
-    normal = frame[..., 2, :]
+    normal = frame[..., 2, :].copy()  # a mesh keeps no view of its frame
     # d_1 n = -(H1/sqrt(s1)) e1 and d_2 n = -(H2/sqrt(s2)) e2; the
     # Gauss map must actually move for the surface to exist.
     span = max_abs(H1g / np.sqrt(s1), H2g / np.sqrt(s2))

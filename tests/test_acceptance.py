@@ -27,7 +27,7 @@ from pencil_lab.expr import parse_expr
 from pencil_lab.geometry import MetricField, eval_array
 from pencil_lab.grids import Chart
 from pencil_lab.lax import (
-    build_lax, induced_metric_residual, integrate_frame,
+    build_lax, frame_slice, induced_metric_residual, integrate_frame,
     weingarten_scaling_report, zero_curvature_residual,
 )
 from pencil_lab.march import shift
@@ -252,7 +252,8 @@ def test_criterion_09_shape_operator_scaling(diag_solution):
         sa, sb = shift(1.0, eta), shift(0.0, eta)
         fa = integrate_frame(build_lax(sa, beta, ch), sa, H, ch)
         fb = integrate_frame(build_lax(sb, beta, ch), sb, H, ch)
-        rep = weingarten_scaling_report(sa, sb, fa, fb, beta, H, ch)
+        rep = weingarten_scaling_report(frame_slice(fa, sa, ch),
+                                        frame_slice(fb, sb, ch), beta, H, ch)
         mesh_res[m] = max(rep["mesh_eigen_residual_a"],
                           rep["mesh_eigen_residual_b"])
         closed = rep["closed_form_residual"]

@@ -6,8 +6,10 @@ import json
 import pathlib
 import pkgutil
 
+import numpy as np
+
 import pencil_lab
-from pencil_lab import march, surface
+from pencil_lab import cli, march, surface
 from pencil_lab.cli import main
 from pencil_lab.expr import Expr
 from pencil_lab.geometry import MetricField
@@ -81,12 +83,17 @@ def _routines(module):
 
 def test_no_public_function_takes_a_shift_list_or_frames():
     # a function works at one shift, handed to it as lam or as the grids
-    # lam + eta_i; the command's shift list is the only list of shifts
+    # lam + eta_i; the command's shift list is the only list of shifts.  What
+    # lax compares across two shifts is their slices, not their whole-grid
+    # frames and shifted grids
     seen = 0
     for name in ("lax", "surface", "compat"):
+        refused = {"lambdas", "frames"}
+        if name == "lax":
+            refused |= {"fs_a", "fs_b", "sh_a", "sh_b"}
         for f in _routines(importlib.import_module(f"pencil_lab.{name}")):
             params = set(inspect.signature(f).parameters)
-            assert not params & {"lambdas", "frames"}, f.__qualname__
+            assert not params & refused, f.__qualname__
             seen += 1
     assert seen > 30
 
@@ -119,18 +126,41 @@ def _modules():
             for info in pkgutil.iter_modules(pencil_lab.__path__)]
 
 
+FRAME_CFG = {"chart": {"n": 3, "box": [[0.0, 1.0]] * 3, "shape": [17] * 3},
+             "etas": ["1", "2", "4"],
+             "beta_boundary": {"1,2": "0.2", "2,1": "0.1*R1", "3,1": "0.15",
+                               "1,3": "0.1+0.05*R3", "2,3": "0.2",
+                               "3,2": "0.25"},
+             "lambdas": [0.5, 2.0, 3.0]}
+
+
 def test_a_frame_task_forms_its_shift_once(tmp_path, monkeypatch):
-    # one march.shift per shift task; the scaling report reuses the grids of
-    # the first two tasks
+    # one march.shift per shift task; the scaling report reads the slices
+    # that the first two tasks return
     calls = _counted(monkeypatch, "shift", [march] + _modules())
-    cfg = {"chart": {"n": 3, "box": [[0.0, 1.0]] * 3, "shape": [17] * 3},
-           "etas": ["1", "2", "4"],
-           "beta_boundary": {"1,2": "0.2", "2,1": "0.1*R1", "3,1": "0.15",
-                             "1,3": "0.1+0.05*R3", "2,3": "0.2",
-                             "3,2": "0.25"},
-           "lambdas": [0.5, 2.0, 3.0]}
-    assert _run(tmp_path, "frame", cfg) == 0
+    assert _run(tmp_path, "frame", FRAME_CFG) == 0
     assert sorted(lam for lam, _ in calls) == [0.5, 2.0, 3.0]
+
+
+def test_a_frame_task_returns_no_more_than_its_slice(tmp_path, monkeypatch):
+    # its residual scalars and its slice R3 = min: no whole-grid frame,
+    # position vector or shifted grid outlives the task
+    results = []
+    pool_map = cli._pool_map
+
+    def recording(fn, items):
+        out = pool_map(fn, items)
+        results.extend(out)
+        return out
+
+    monkeypatch.setattr(cli, "_pool_map", recording)
+    assert _run(tmp_path, "frame", FRAME_CFG) == 0
+    assert len(results) == 3
+    for result in results:
+        sizes = [np.size(v) for part in result for v in
+                 (vars(part).values() if dataclasses.is_dataclass(part)
+                  else (part,))]
+        assert max(sizes) == 17 ** 2 * 3, sizes
 
 
 def test_a_surface_shift_task_builds_its_connections_once(tmp_path,

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pencil_lab import (cli, compat, diagonal, geometry, grids, io,
+from pencil_lab import (cli, compat, diagonal, geometry, grids, io, march,
                         surface)
 from pencil_lab.cli import (CURVATURE_BAND, DEFORMATION_BAND, DIRECTION_BAND,
                             EIGENVALUE_BAND, SOLVER_BAND, _pool_map, _table,
@@ -449,6 +449,29 @@ def test_deform_surface_negative_control(tmp_path):
     assert any("eta1" in n for n in rep["notes"])
 
 
+def test_eta2_off_its_coordinate_is_noted(tmp_path):
+    cfg_dict = _cfg_surface()
+    cfg_dict["surface"]["eta2"] = "1+R2^2+0.1*R1"
+    # a negative control: the curvature-one rows fail and the notes say why
+    out = str(tmp_path / "out")
+    assert main(["deform-surface", "--config",
+                 _write(tmp_path, "s.json", cfg_dict), "--out", out]) == 1
+    assert _report(out)["notes"] == ["eta2 depends on the first coordinate"]
+
+
+def test_no_fixed_point_is_a_run_failure(tmp_path, capsys, monkeypatch):
+    # the march gives up after MAX_SWEEPS sweeps; the run writes nothing
+    monkeypatch.setattr(march, "MAX_SWEEPS", 2)
+    out = tmp_path / "out"
+    assert main(["solve-diagonal", "--config",
+                 _write(tmp_path, "d.json", _cfg_diag()), "--out",
+                 str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"run failed: no fixed point after 2 sweeps "
+                        r"\(last delta [^)]*\)\n", err), err
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path):
     assert main(["check-hamiltonian", "--config",
                  str(tmp_path / "absent.json")]) == 3
@@ -711,6 +734,14 @@ LINE_FAULTS = {
                  [], id="s2-seed-off-line"),
     pytest.param("frame", _cfg_diag({"beta_boundary": dict(
         BD_KEYS, **{"01,2": "0.9"})}), [], id="beta-boundary-pair-twice"),
+    pytest.param("deform-surface", dict(_cfg_surface(),
+                                        chart=_cfg_diag()["chart"]), [],
+                 id="surface-3d-chart"),
+    # the angle system is posed for constant etas only
+    pytest.param("solve-diagonal",
+                 _cfg_diag({"etas": ["1+R1", "2", "4"],
+                            "s2": {"seed": ["0.1", "0.2", "0.3"]}}), [],
+                 id="s2-non-constant-etas"),
 ])
 def test_config_faults_are_config_errors(tmp_path, capsys, request, command,
                                          cfg_dict, argv):

@@ -8,7 +8,7 @@ from pencil_lab.diagonal import BoundaryData, DiagonalModel, solve_S, solve_lame
 from pencil_lab.entries import dense, matmul, with_zeros
 from pencil_lab.grids import Chart, deriv, eval_grid, max_abs
 from pencil_lab.lax import (
-    FrameSolution, build_lax,
+    FrameSolution, build_lax, frame_slice,
     hypersurface_curvatures, induced_metric_residual, integrate_frame,
     mesh_weingarten, weingarten_scaling_report, zero_curvature_residual,
 )
@@ -171,8 +171,22 @@ def test_non_orthogonal_frame_aborts(eta, chart):
 def test_flat_slice_has_zero_curvatures(eta, chart):
     beta = _zero_beta(chart)
     H = [np.ones(chart.shape)] * 3
-    ks = hypersurface_curvatures(shift(1.0, eta), beta, H, chart)
+    ks = hypersurface_curvatures(shift(1.0, eta)[2][:, :, 0], beta, H, chart)
     assert all(np.max(np.abs(k)) == 0.0 for k in ks)
+
+
+def test_frame_slice_copies_the_last_slice(eta, chart, solved):
+    # vertices, normals (the last frame row) and lam + eta_3 at R3 = min, each
+    # an array of its own that keeps no whole-grid result alive
+    beta, H = solved
+    sh = shift(1.0, eta)
+    fs = integrate_frame(build_lax(sh, beta, chart), sh, H, chart)
+    sl = frame_slice(fs, sh, chart)
+    for got, want in ((sl.vertices, fs.rvec[:, :, 0]),
+                      (sl.normals, fs.phi[:, :, 0, 2]),
+                      (sl.sh_n, sh[2][:, :, 0])):
+        assert got.tobytes() == want.tobytes()
+        assert got.base is None and got.flags.c_contiguous
 
 
 def _two_shifts(eta, beta, H, chart, lams):
@@ -189,8 +203,9 @@ def _scaling_report(eta, beta, H, chart, lams, frame_beta=None):
     """The scaling report at two shifts, its frames integrated from
     ``frame_beta`` (default ``beta``)."""
     fb = beta if frame_beta is None else frame_beta
-    (sa, fa), (sb, fbr) = _two_shifts(eta, fb, H, chart, lams)
-    return weingarten_scaling_report(sa, sb, fa, fbr, beta, H, chart)
+    sl_a, sl_b = (frame_slice(fs, sh, chart)
+                  for sh, fs in _two_shifts(eta, fb, H, chart, lams))
+    return weingarten_scaling_report(sl_a, sl_b, beta, H, chart)
 
 
 def test_curvature_scaling_factor():
@@ -202,8 +217,8 @@ def test_curvature_scaling_factor():
     H = solve_lame(beta, ch, {0: "1", 1: "1", 2: "1"})
     rep = _scaling_report(eta, beta, H, ch, (3.0, 0.0))
     # sqrt((3 + 1)/(0 + 1)) = 2
-    ka, kb = (hypersurface_curvatures(shift(lam, eta), beta, H, ch)
-              for lam in (3.0, 0.0))
+    ka, kb = (hypersurface_curvatures(shift(lam, eta)[2][:, :, 0], beta, H,
+                                      ch) for lam in (3.0, 0.0))
     for a, b in zip(ka, kb):
         assert np.max(np.abs(a - 2.0 * b)) < 1e-12
     assert rep["closed_form_residual"] < 1e-6
@@ -432,17 +447,17 @@ def _slice_spectrum_by_old_kernel(fs, chart):
 def test_slice_spectrum_matches_old_kernel_bytes(eta, chart, solved):
     beta, H = solved
     pairs = _two_shifts(eta, beta, H, chart, (1.0, 0.0))
-    (sa, fa), (sb, fb) = pairs
-    rep = weingarten_scaling_report(sa, sb, fa, fb, beta, H, chart)
+    slices = [frame_slice(fs, sh, chart) for sh, fs in pairs]
+    rep = weingarten_scaling_report(*slices, beta, H, chart)
     core = (slice(2, -2),) * 2
-    for (sh, fs), key in zip(pairs, ("a", "b")):
+    for (_, fs), sl, key in zip(pairs, slices, ("a", "b")):
         old = _slice_spectrum_by_old_kernel(fs, chart)
         S = mesh_weingarten(fs.rvec[:, :, 0], fs.phi[:, :, 0, 2],
                             chart.spacing()[:2])
         new = np.sort(np.linalg.eigvals(-S).real, axis=-1)
         assert new.tobytes() == old.tobytes()
         k = np.sort(np.stack(hypersurface_curvatures(
-            sh, beta, H, chart), axis=-1), axis=-1)
+            sl.sh_n, beta, H, chart), axis=-1), axis=-1)
         want = max_abs(old[core] - k[core])
         assert np.float64(rep[f"mesh_eigen_residual_{key}"]).tobytes() == \
             np.float64(want).tobytes()
