@@ -13,9 +13,9 @@ identical configurations produce byte-identical artifacts.
 
 ``main`` reads the config and the chart and writes every file; a command
 returns its residual rows and its files, ``(name, writer, data)``.
-PENCIL_LAB_THREADS (read by ``_threads`` only) bounds both the thread pool
-of the per-shift work and, once the command has returned, the processes
-among which ``io.write_all`` splits its CSV and OBJ files.
+PENCIL_LAB_THREADS (read by ``_threads`` only) bounds the worker processes
+of the per-shift work and then those that write the CSV and OBJ files
+(``io.run_forked``); a thread pool runs the shifts where no fork can be.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from . import compat, diagonal, lax, surface
 from .expr import DomainError, ParseError, as_expr, coords_used
 from .geometry import MetricField, expr_array, grid_max, GeometryError
 from .grids import Chart, GridError, max_abs
-from .io import (canonical_digest, write_all, write_csv_grid, write_json_report,
-                 write_obj)
+from .io import (canonical_digest, run_forked, write_all, write_csv_grid,
+                 write_json_report, write_obj)
 from .march import MarchError, PoleError, shift
 
 __all__ = ["main"]
@@ -71,14 +71,21 @@ def _threads() -> int:
 
 
 def _pool_map(fn, items) -> list:
-    """``fn`` over ``items`` on the shift pool.  np.errstate is per thread, so
-    each task ignores floating-point errors as ``main`` does."""
+    """``fn`` over ``items``, in order, by io.run_forked (a worker lost is a
+    MarchError) or else a thread pool.  np.errstate is per thread, so each
+    task ignores floating-point errors as ``main`` does."""
     def quiet(item):
         with np.errstate(all="ignore"):
             return fn(item)
 
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        return list(pool.map(quiet, items))
+    def threaded():
+        with ThreadPoolExecutor(max_workers=_threads()) as pool:
+            return list(pool.map(quiet, items))
+
+    try:
+        return run_forked(quiet, items, min(_threads(), len(items)), threaded)
+    except ChildProcessError as e:
+        raise MarchError(str(e)) from None
 
 
 def _count(v) -> int:

@@ -19,10 +19,10 @@ built on first use, so importing this module builds none.
 
 ``write_all`` runs a command's writer jobs.  Two threads write no faster
 than one, so a second core can only help as a second process: given two or
-more workers it forks up to ``workers - 1`` children in one go, where
-``os.fork`` exists and no other thread is alive, and splits the files,
-whole, between them and this process.  Each file is still made by the same
-writer from the same arrays, so its bytes do not depend on the split.
+more workers it forks up to ``workers - 1`` children (``run_forked``, which
+also runs the shift work of ``cli``) and splits the files, whole, between
+them and this process.  Each file is still made by the same writer from the
+same arrays, so its bytes do not depend on the split.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import threading
 import numpy as np
 
 __all__ = ["canonical_digest", "write_csv_grid", "write_obj",
-           "write_json_report", "write_all"]
+           "write_json_report", "write_all", "run_forked"]
 
 # Rows per formatted block: enough to amortize the numpy calls, few enough
 # that a block's temporaries (about 1 kB a row) do not raise the peak RSS.
@@ -266,45 +266,86 @@ def write_json_report(path, report: dict) -> None:
 
 
 def write_all(jobs: list, workers: int) -> None:
-    """Run the writer jobs ``(writer, args)``.
+    """Run the writer jobs ``(writer, args)``; ``writer(*args)`` writes the
+    file ``args[0]``.  The jobs are dealt greedily by size (``_size``) into
+    at most ``workers`` shares of whole files, one per process of
+    ``run_forked``, where a writer failing in a child raises OSError naming
+    its files; where it cannot fork, the jobs run here in order."""
+    shares = _shares(jobs, min(workers, len(jobs)))
 
-    ``writer(*args)`` writes the file ``args[0]``.  With two or more
-    ``workers``, two or more jobs, ``os.fork`` and no other thread alive,
-    the jobs are dealt greedily by size (``_size``) into at most ``workers``
-    shares of whole files; the first share is written here and each other
-    one by a child forked for it, after stdout and stderr are flushed.  The
-    children are always reaped: a failed child prints its error on one line
-    and makes this raise OSError, and an error here kills them first.
-    Otherwise the jobs run here in order.
-    """
-    count = min(workers, len(jobs))
-    if count < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        _run(jobs)
-        return
-    own, *others = _shares(jobs, count)
+    def write(share):
+        try:
+            _run(share)
+        except Exception as e:
+            if share is shares[0]:
+                raise
+            raise OSError(f"writing {', '.join(str(a[0]) for _, a in share)} "
+                          f"failed in a child process: {e!r}")
+
+    run_forked(write, shares, len(shares), lambda: _run(jobs))
+
+
+def run_forked(fn, items, workers: int, otherwise):
+    """``[fn(item) for item in items]``, the items dealt round-robin to this
+    process and ``workers - 1`` children forked at once; ``otherwise()``
+    where fewer than two workers, no ``os.fork`` or another live thread (a
+    child would copy this one only) rule that out.  Each process stops at
+    its first failure; a child pickles its results and that failure through
+    a pipe.  The lowest-index failure is raised, as ``pool.map`` does, and a
+    child that exits without sending raises ChildProcessError.  The children
+    are always reaped, killed first on an error here or a failed item 0."""
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return otherwise()
+    import pickle  # numpy has loaded it; only this path needs the name
+
+    def share(w):  # (results, failure or None) of items w, w + workers, ...
+        done = []
+        try:
+            for item in items[w::workers]:
+                done.append(fn(item))
+        except Exception as e:
+            return done, e
+        return done, None
+
     sys.stdout.flush()
     sys.stderr.flush()
-    pids = []
+    pids, pipes = [], []  # per child: its pid, the two ends of its pipe
     try:
-        for share in others:
-            pid = os.fork()
-            if pid == 0:
-                _run_and_exit(share)
-            pids.append(pid)
-        _run(own)
+        for w in range(1, workers):
+            pipes.append([os.fdopen(fd, mode)
+                          for fd, mode in zip(os.pipe(), ("rb", "wb"))])
+            pids.append(os.fork())
+            if pids[-1] == 0:  # the child, which never returns
+                try:
+                    pipes[-1][1].write(pickle.dumps(share(w)))
+                    pipes[-1][1].close()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pipes[-1][1].close()
+        shares = [share(0)]
+        if shares[0][1] is not None and not shares[0][0]:
+            raise shares[0][1]  # no failure can precede item 0's
+        sent = [r.read() for r, _ in pipes]
     except BaseException:
         import signal  # only this path needs it; importing costs setup time
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
+        for end in (end for pipe in pipes for end in pipe):
+            end.close()
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                  for pid in pids]
-    for share, code in zip(others, codes):
-        if code != 0:
-            names = ", ".join(str(args[0]) for _, args in share)
-            raise OSError(f"writing {names} failed in a child process "
-                          f"(exit status {code})")
+    for code in filter(None, codes):
+        raise ChildProcessError(f"a forked worker exited with status {code}"
+                                " before sending its result")
+    shares += [pickle.loads(data) for data in sent]
+    for k in range(len(items)):  # a worker's results end at its failure
+        done, failure = shares[k % workers]
+        if k // workers == len(done):
+            raise failure
+    return [shares[k % workers][0][k // workers] for k in range(len(items))]
 
 
 def _size(job) -> int:
@@ -331,16 +372,3 @@ def _shares(jobs: list, count: int) -> list:
 def _run(jobs: list) -> None:
     for writer, args in jobs:
         writer(*args)
-
-
-def _run_and_exit(jobs: list) -> None:
-    """The body of a forked child: it never returns into its caller."""
-    code = 1
-    try:
-        _run(jobs)
-        code = 0
-    except BaseException as e:
-        print(f"{type(e).__name__}: {e}", file=sys.stderr)
-        sys.stderr.flush()
-    finally:
-        os._exit(code)

@@ -28,8 +28,9 @@ from .march import MarchError, position_vector, solve_frame
 
 __all__ = [
     "FrameSolution", "FrameSlice", "build_lax", "zero_curvature_residual",
-    "integrate_frame", "induced_metric_residual", "frame_slice",
-    "hypersurface_curvatures", "mesh_weingarten", "weingarten_scaling_report",
+    "integrate_frame", "gram_drift", "induced_metric_residual", "frame_slice",
+    "hypersurface_curvatures", "mesh_weingarten", "spectrum_2x2",
+    "weingarten_scaling_report",
 ]
 
 
@@ -97,9 +98,7 @@ def integrate_frame(conn: tuple, sh: list, H: list,
     """
     n = chart.n
     phi = solve_frame(chart, conn, n)
-    gram = np.einsum("...ki,...kj->...ij", phi, phi)
-    gram -= np.eye(n)  # in place: one full-grid temporary fewer
-    drift = max_abs(gram)
+    drift = gram_drift(phi)
     if drift > 1e-4:
         raise MarchError(
             f"frame lost orthogonality (drift {drift:.3e}); the rotation "
@@ -107,6 +106,14 @@ def integrate_frame(conn: tuple, sh: list, H: list,
     rvec = position_vector(chart, [H[d] / np.sqrt(sh[d]) for d in range(n)],
                            phi)
     return FrameSolution(phi, rvec, drift)
+
+
+def gram_drift(phi: np.ndarray) -> float:
+    """max |Phi^T Phi - identity| over the frames phi (grid + (k, k)), from
+    the entries i <= j, each summed over the rows in order as einsum does."""
+    k = phi.shape[-1]
+    return max_abs(*(sum(phi[..., r, i] * phi[..., r, j] for r in range(k))
+                     - float(i == j) for i in range(k) for j in range(i, k)))
 
 
 def induced_metric_residual(fs: FrameSolution, sh: list, H: list,
@@ -162,33 +169,35 @@ def hypersurface_curvatures(sh_n, beta: dict, H: list, chart: Chart):
 
 
 def mesh_weingarten(r: np.ndarray, normal: np.ndarray, spacing) -> np.ndarray:
-    """Shape operator S = I^-1 II of a mesh in its parameter basis.
+    """Shape operator S = I^-1 II, shape grid + (2, 2), of a mesh over two
+    parameter axes; r and normal have shape grid + (c,).  The fundamental
+    forms I_ab = (d_a r, d_b r) (symmetric: I_10 is I_01) and II_ab =
+    -(d_a n, d_b r) come from finite differences.  I^-1 is adj(I) (1/det I),
+    the reciprocal first, so that a subnormal det overflows to a refusal as
+    LAPACK's inverse did: a mesh with no finite S raises MarchError."""
+    (r0, r1), (n0, n1) = ([deriv(v, a, h) for a, h in enumerate(spacing)]
+                          for v in (r, normal))
+    I00, I01, I11 = (np.einsum("...c,...c->...", x, y)
+                     for x, y in ((r0, r0), (r0, r1), (r1, r1)))
+    with np.errstate(all="ignore"):  # a non-finite S is refused below
+        rdet = 1.0 / (I00 * I11 - I01 * I01)
+        inv = ((I11 * rdet, -I01 * rdet), (-I01 * rdet, I00 * rdet))
+        II = [[-np.einsum("...c,...c->...", m, x) for x in (r0, r1)]
+              for m in (n0, n1)]
+        S = np.stack([np.stack([inv[a][0] * II[0][c] + inv[a][1] * II[1][c]
+                                for c in range(2)], -1) for a in range(2)], -2)
+    if not np.isfinite(S).all():
+        raise MarchError("mesh shape operator is not finite: the mesh "
+                         "degenerates")
+    return S
 
-    r and normal have shape grid + (c,) over len(spacing) parameter axes; the
-    fundamental forms I_ab = (d_a r, d_b r) and II_ab = -(d_a n, d_b r) come
-    from finite differences.  I is symmetric, so I_ba is copied from I_ab;
-    II is not symmetric on a mesh and is formed in full.  Returns S, shape
-    grid + (m, m); a mesh too degenerate for a finite S raises MarchError.
-    """
-    m = len(spacing)
-    dr = [deriv(r, a, spacing[a]) for a in range(m)]
-    dn = [deriv(normal, a, spacing[a]) for a in range(m)]
-    I = np.empty(r.shape[:-1] + (m, m))
-    II = np.empty_like(I)
-    for a in range(m):
-        for b in range(m):
-            if b >= a:
-                I[..., a, b] = np.einsum("...c,...c->...", dr[a], dr[b])
-            else:
-                I[..., a, b] = I[..., b, a]
-            II[..., a, b] = -np.einsum("...c,...c->...", dn[a], dr[b])
-    try:
-        S = np.einsum("...ab,...bc->...ac", np.linalg.inv(I), II)
-        if np.isfinite(S).all():
-            return S
-    except np.linalg.LinAlgError:   # I is singular at some vertex
-        pass
-    raise MarchError("mesh shape operator is not finite: the mesh degenerates")
+
+def spectrum_2x2(S: np.ndarray) -> np.ndarray:
+    """Sorted real parts of the eigenvalues of each 2x2 matrix of S: mean -+
+    sqrt(d), d = ((S_00 - S_11)/2)^2 + S_01 S_10; the mean twice if d < 0."""
+    mean, half = (0.5 * (S[..., 0, 0] + s * S[..., 1, 1]) for s in (1, -1))
+    root = np.sqrt(np.maximum(half * half + S[..., 0, 1] * S[..., 1, 0], 0.0))
+    return np.stack([mean - root, mean + root], axis=-1)
 
 
 def weingarten_scaling_report(sl_a: FrameSlice, sl_b: FrameSlice,
@@ -219,7 +228,7 @@ def weingarten_scaling_report(sl_a: FrameSlice, sl_b: FrameSlice,
     core = (slice(2, -2),) * (n - 1)
     for sl, k, tag in ((sl_a, ka, "a"), (sl_b, kb, "b")):
         S = mesh_weingarten(sl.vertices, sl.normals, chart.spacing()[:n - 1])
-        eig = np.sort(np.linalg.eigvals(-S).real, axis=-1)
+        eig = spectrum_2x2(-S)
         k = np.sort(np.stack(k, axis=-1), axis=-1)
         report[f"mesh_eigen_residual_{tag}"] = max_abs(eig[core] - k[core])
     return report

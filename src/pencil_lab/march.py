@@ -16,7 +16,7 @@ per-lane cumulative sum); it sets how fast numpy walks the grids.  A vector
 unknown (a frame row) is held leg-major: the axis of its last leg, the one
 leg over the whole grid, outermost in memory, then its component axes, then
 the other grid axes, so every slab cumint adds is contiguous.  solve_frame
-copies each entry of that leg's A_d in the same order as the sweep reads it
+copies each entry of that leg's A_d into the same order once per solve
 (a product of mixed orders is several times slower).  Scalar unknowns, whose
 rhs read C-ordered grids, stay in C order.  Every public function returns
 C-contiguous grids.
@@ -40,7 +40,7 @@ from .expr import Expr, evaluate
 from .grids import Chart, cumint, max_abs
 
 __all__ = ["Unknown", "MarchError", "PoleError", "POLE_GUARD", "TOL",
-           "MAX_SWEEPS", "BLOWUP", "shift", "path_integral",
+           "MAX_SWEEPS", "BLOWUP", "refuse_pole", "shift", "path_integral",
            "solve_compatible", "solve_frame", "position_vector"]
 
 # Smallest admissible value of lam + eta_i on the box for a spectral shift.
@@ -59,15 +59,20 @@ class PoleError(MarchError):
     """A spectral shift puts a pole of lam + eta_i on (or inside) the box."""
 
 
-def shift(lam: float, etas) -> list:
-    """The grids lam + eta_i, one per grid of ``etas``.  Raises PoleError
-    unless every one of them stays above POLE_GUARD on the box."""
-    shifted = [lam + e for e in etas]
-    low = min(float(np.min(s)) for s in shifted)
+def refuse_pole(lam: float, etas) -> None:
+    """Raise PoleError unless each lam + eta_i (eta_i a grid of ``etas``)
+    stays above POLE_GUARD; rounding is monotone, so min(lam + eta_i) is
+    exactly lam + min(eta_i) and no grid is formed."""
+    low = min(lam + float(np.min(e)) for e in etas)
     if low <= POLE_GUARD:
         raise PoleError(
             f"shift {lam} touches a pole: min(lam + eta) = {low:.3e}")
-    return shifted
+
+
+def shift(lam: float, etas) -> list:
+    """The grids lam + eta_i, one per grid of ``etas``, past refuse_pole."""
+    refuse_pole(lam, etas)
+    return [lam + e for e in etas]
 
 
 @dataclass
@@ -221,15 +226,16 @@ def solve_frame(chart: Chart, mats, k: int) -> np.ndarray:
     that of one scalar unknown per entry taken row by row.
     """
     last = chart.n - 1  # every row's last leg, the one over the whole grid
+    held = {key: _held(chart, A, last) for key, A in mats[last].items()}
 
     def row(a, d):
-        terms = [(f"F{c}", mats[d][a, c]) for c in range(k)
-                 if (a, c) in mats[d]]
+        entries = held if d == last else mats[d]
+        terms = [(f"F{c}", entries[a, c]) for c in range(k)
+                 if (a, c) in entries]
 
         def f(state, idx):
-            # on the last leg each entry in turn is copied leg-major
-            acc = dot(((_held(chart, A, last) if d == last else A[idx])
-                       [..., None], state[name][idx]) for name, A in terms)
+            acc = dot((A[idx][..., None], state[name][idx])
+                      for name, A in terms)
             return 0.0 if acc is None else acc
         return f
 

@@ -26,9 +26,10 @@ import numpy as np
 
 from .expr import Expr, as_expr, call, coords_used, diff, evaluate
 from .grids import Chart, deriv, eval_grid, max_abs
-from .lax import mesh_weingarten, zero_curvature_residual
-from .march import (MarchError, Unknown, position_vector, shift,
-                    solve_compatible, solve_frame)
+from .lax import (gram_drift, mesh_weingarten, spectrum_2x2,
+                  zero_curvature_residual)
+from .march import (MarchError, Unknown, position_vector, refuse_pole,
+                    shift, solve_compatible, solve_frame)
 
 __all__ = [
     "SurfaceModel", "CurvatureData", "SurfaceMesh", "seed_surface_model",
@@ -48,7 +49,7 @@ class SurfaceModel:
     only on the first and second coordinate respectively.  validate() records
     violations instead of raising so that deliberately broken inputs can be
     pushed through the pipeline as negative controls.  A shift at a pole is
-    no such input: every per-shift function refuses it (march.shift).
+    no such input: every per-shift function refuses it (march.refuse_pole).
     """
 
     g11: Expr
@@ -115,7 +116,7 @@ def gaussian_curvature_expr(E: Expr, G: Expr) -> Expr:
 
 def constant_curvature_check(model: SurfaceModel, lam: float) -> float:
     """Max-abs of (Gaussian curvature of the form shifted by lam) - 1."""
-    shift(lam, model.eta_grids)
+    refuse_pole(lam, model.eta_grids)
     K = gaussian_curvature_expr(*model.shifted_form(lam))
     return max_abs(eval_grid(K, model.chart) - 1.0)
 
@@ -260,9 +261,7 @@ def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
     r3, r2 = lax_residuals_3x3_2x2((B1, B2, M1, M2), chart)
     del M1, M2  # the 2x2 pair serves its residual only, not the march
     frame = solve_frame(chart, (B1, B2), 3)
-    gram = np.einsum("...ki,...kj->...ij", frame, frame)
-    gram -= np.eye(3)  # in place: one full-grid temporary fewer
-    drift = max_abs(gram)
+    drift = gram_drift(frame)
     normal = frame[..., 2, :].copy()  # a mesh keeps no view of its frame
     # d_1 n = -(H1/sqrt(s1)) e1 and d_2 n = -(H2/sqrt(s2)) e2; the
     # Gauss map must actually move for the surface to exist.
@@ -273,7 +272,7 @@ def reconstruct_family(model: SurfaceModel, curv: CurvatureData,
     verts = position_vector(chart, coeff, frame)
 
     S = mesh_weingarten(verts, normal, chart.spacing())
-    eig = np.sort(np.linalg.eigvals(S).real, axis=-1)
+    eig = spectrum_2x2(S)
     gap = np.abs(eig[..., 1] - eig[..., 0])
     off = np.maximum(np.abs(S[..., 0, 1]), np.abs(S[..., 1, 0]))
     mesh = SurfaceMesh(float(lam), verts, normal, eig, off,

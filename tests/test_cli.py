@@ -2,8 +2,10 @@ import argparse
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -308,8 +310,8 @@ SPLIT_RUNS = [
                          ids=[r[0] for r in SPLIT_RUNS])
 def test_artifacts_do_not_depend_on_the_writer_processes(
         tmp_path, monkeypatch, command, cfg, code):
-    # PENCIL_LAB_THREADS also bounds the processes that write the
-    # artifacts; each file is still written whole by one of them
+    # PENCIL_LAB_THREADS bounds the processes of the shift pool and those
+    # that write the artifacts; each file is still written whole by one
     fork = os.fork
     forks = []
 
@@ -331,8 +333,11 @@ def test_artifacts_do_not_depend_on_the_writer_processes(
     assert outputs[0] == outputs[1] == outputs[2]
     assert sorted(_report(str(out))["artifacts"]) == sorted(
         set(outputs[0]) - {"report.json"})
-    # no child with one thread, then one, then two (one per file at most)
-    assert len(forks) == 0 + 1 + (min(3, files) - 1)
+    # no child with one thread; with t threads the pool forks t - 1 (one
+    # per shift at most) and the writers t - 1 (one per file at most)
+    shifts = len(cfg["lambdas"]) if command != "solve-diagonal" else 1
+    assert len(forks) == sum(min(t, shifts) - 1 + min(t, files) - 1
+                             for t in (1, 2, 3))
 
 
 def test_one_thread_writes_the_artifacts_without_forking(tmp_path,
@@ -347,6 +352,96 @@ def test_one_thread_writes_the_artifacts_without_forking(tmp_path,
         assert main([command, "--config", _write(tmp_path, "c.json", cfg),
                      "--out", out]) == code
         assert len(_report(out)["artifacts"]) >= 2
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+def test_shift_task_errors_keep_their_text_and_exit_code(tmp_path, capsys,
+                                                         monkeypatch,
+                                                         threads):
+    # with two or more workers these tasks fail in forked children, which
+    # send their exceptions back; the lowest shift's failure is reported
+    monkeypatch.setenv("PENCIL_LAB_THREADS", threads)
+    tiny = dict(_cfg_surface()["surface"], g11="1e-18", g22="1e-18*R1^2")
+    runs = [
+        # the pole at -1.5 (item 1) is reported before the one at -2.5
+        ("frame", _cfg_diag({"lambdas": [0.5, -1.5, -2.5]}), 3,
+         "config error: shift -1.5 touches a pole: min(lam + eta) = "
+         "-5.000e-01\n"),
+        # H_i / sqrt(lam + eta_i) falls below 1e-10 at the shifts 1000 and
+        # 2000 (items 1 and 2): the Gauss map stands still
+        ("deform-surface", dict(_cfg_surface(), surface=tiny,
+                                lambdas=[0.0, 1000.0, 2000.0]), 1,
+         "run failed: Gauss map degenerate\n"),
+    ]
+    for command, cfg, code, message in runs:
+        out = tmp_path / command
+        assert main([command, "--config", _write(tmp_path, "c.json", cfg),
+                     "--out", str(out)]) == code
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+        _no_child_left()
+
+
+@pytest.mark.parametrize("how", ["exit", "kill"])
+def test_a_lost_shift_worker_is_a_run_failure(tmp_path, capsys, monkeypatch,
+                                              how):
+    # a child that ends without sending its result fails the run: exit 1
+    # with one line, no traceback and no output directory
+    here = os.getpid()
+    reconstruct = surface.reconstruct_family
+
+    def dying(model, curv, lam):
+        if lam == 1.0 and os.getpid() != here:
+            if how == "exit":
+                os._exit(7)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return reconstruct(model, curv, lam)
+
+    monkeypatch.setattr(surface, "reconstruct_family", dying)
+    monkeypatch.setenv("PENCIL_LAB_THREADS", "2")
+    out = tmp_path / "o"
+    assert main(["deform-surface", "--config",
+                 _write(tmp_path, "s.json", _cfg_surface()), "--out",
+                 str(out)]) == 1
+    status = 7 if how == "exit" else -signal.SIGKILL
+    assert capsys.readouterr().err == (
+        f"run failed: a forked worker exited with status {status} before "
+        "sending its result\n")
+    assert not out.exists()
+    _no_child_left()
+
+
+def test_a_live_thread_keeps_the_shift_pool_in_threads(tmp_path,
+                                                      monkeypatch):
+    # a child would hold a copy of this thread only, so none is forked; the
+    # thread pool gives the same bytes
+    cfg = _write(tmp_path, "f.json", _cfg_diag({"lambdas": [0.5, 2.0, 3.0]}))
+    monkeypatch.setenv("PENCIL_LAB_THREADS", "1")
+    assert main(["frame", "--config", cfg, "--out",
+                 str(tmp_path / "one")]) == 0
+
+    def refuse():
+        raise AssertionError("forked with another thread alive")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setenv("PENCIL_LAB_THREADS", "2")
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert main(["frame", "--config", cfg, "--out",
+                     str(tmp_path / "two")]) == 0
+    finally:
+        release.set()
+        thread.join()
+    one, two = ({p.name: p.read_bytes() for p in (tmp_path / d).iterdir()}
+                for d in ("one", "two"))
+    assert one == two and len(one) == 5
 
 
 def test_frame_pole_is_config_error(tmp_path):
@@ -399,6 +494,39 @@ def test_deform_surface_lax_rows_match_one_serial_call(tmp_path, monkeypatch,
         assert np.array([res[f"lax3_{lam:g}"]["value"],
                          res[f"lax2_{lam:g}"]["value"]]).tobytes() == \
             np.array([r3, r2]).tobytes()
+
+
+def test_deform_surface_forms_lam_plus_eta_once_per_shift(tmp_path,
+                                                         monkeypatch):
+    # the curvature check refuses a pole without forming the grids, so only
+    # the shift task calls march.shift
+    calls = []
+
+    def counting(lam, etas):
+        calls.append(lam)
+        return shift(lam, etas)
+
+    for module in (cli, surface, march):
+        monkeypatch.setattr(module, "shift", counting)
+    monkeypatch.setenv("PENCIL_LAB_THREADS", "1")
+    cfg_dict = dict(_cfg_surface(), lambdas=[0.0, 0.5, 1.0, 1.5])
+    assert main(["deform-surface", "--config",
+                 _write(tmp_path, "s.json", cfg_dict), "--out",
+                 str(tmp_path / "out")]) == 0
+    assert calls == cfg_dict["lambdas"]
+
+
+def test_deform_surface_pole_is_refused_before_the_radii_fail(tmp_path,
+                                                             capsys):
+    # k1 = 0 fails the run (exit 1) once the radii are solved; the pole at
+    # -3 is an input error found before that
+    cfg_dict = _cfg_surface()
+    cfg_dict["surface"]["k1_line"] = "0"
+    assert main(["deform-surface", "--config",
+                 _write(tmp_path, "s.json", cfg_dict), "--out",
+                 str(tmp_path / "o"), "--lambda=0,-3"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "config error: shift -3.0 touches a pole")
 
 
 def test_deform_surface_evaluates_each_input_once(tmp_path, monkeypatch):
@@ -925,6 +1053,20 @@ def test_commands_touch_no_file(tmp_path, monkeypatch, command, cfg_dict):
     for name, writer, data in files:
         writer(str(again / name), *data, digest)
         assert (again / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_angle_q_out_of_its_range_is_a_run_failure(tmp_path, capsys):
+    # q = 21 on its line: on a box 1e-6 wide the march still converges, and
+    # the angle system is refused past |q| = 20
+    box = [[0.0, 1e-6]] * 3
+    cfg = _write(tmp_path, "d.json", _with_box(
+        _cfg_diag({"s2": {"seed": ["0", "21", "0"]}}), box))
+    out = tmp_path / "o"
+    assert main(["solve-diagonal", "--config", cfg, "--out", str(out),
+                 "--grid", "9"]) == 1
+    assert capsys.readouterr().err == (
+        "run failed: angle q left the trustworthy range (|q| > 20)\n")
+    assert not out.exists()
 
 
 def test_angle_system_off_its_branch_is_a_run_failure(tmp_path, capsys):

@@ -34,7 +34,7 @@ GOLDEN = {
                            "1,3": "0.1+0.05*R3", "2,3": "0.2", "3,2": "0.25"},
          "lambdas": [0.45, 0.55, 0.8, 2.7]},
         {"lame.csv": "680b22e28b5938232df4cab0a39200595989aecdb006add512b861c771f596d4",
-         "report.json": "3bd1d92e01830b4dcb3f152a0d1bbb87db5a7ab4e7a951c084dd7a28813de6d9",
+         "report.json": "314e976aacfbb89e5314940fd32abb3486cd2f257353a709e158ce9980fcb252",
          "slice_lambda_0.45.obj": "065ea6efef51440a44f78837649cf2c8ee8db0fc959c08994d3446968ed561a9",
          "slice_lambda_0.55.obj": "f283f3fab4b5dbfc51b096b57cd091ea2477e09a1adb35f4de05d03052de09dc",
          "slice_lambda_0.8.obj": "f4f63575abb0b20bdf9159ad1b2d3fb8aae77ee145bb030d34444c9bec57ecff",
@@ -45,7 +45,7 @@ GOLDEN = {
          "surface": {"g11": "1", "g22": "R1^2", "eta1": "5-R1^2",
                      "eta2": "1+R2^2", "k1_line": "2+2*R1", "k2_line": "2.5"},
          "lambdas": [0.7, 1.15, 1.35, 1.5]},
-        {"report.json": "f47eb505cb2eeb757f4a4dffd172d2dc64e37c3f995effd0559de9576bbe7ad0",
+        {"report.json": "d56ad35dadf0ebce12dd1065be0ea5446236ba102d26f55fe92a3c484cdd7c24",
          "surface_lambda_0.7.obj": "60169957807f3678cd0b7fdb97c90a40a75ff63a0055820ebee037c78bf43331",
          "surface_lambda_1.15.obj": "1052d2d66dfe144c958c937af12fb3f44233cb48fa4fa5db566635e697b789da",
          "surface_lambda_1.35.obj": "bc729568ee6ff7802d0aab26309ce04c34cdba2be2e7c7abd9a27ccc7568da41",

@@ -10,7 +10,8 @@ from pencil_lab.grids import Chart, deriv, eval_grid, max_abs
 from pencil_lab.lax import (
     FrameSolution, build_lax, frame_slice,
     hypersurface_curvatures, induced_metric_residual, integrate_frame,
-    mesh_weingarten, weingarten_scaling_report, zero_curvature_residual,
+    mesh_weingarten, spectrum_2x2, weingarten_scaling_report,
+    zero_curvature_residual,
 )
 from pencil_lab.march import (MarchError, PoleError, Unknown, shift,
                               solve_compatible, solve_frame)
@@ -423,9 +424,10 @@ def test_surface_residuals_match_einsum(seed):
                                                           *M2.values()))
 
 
-def _slice_spectrum_by_old_kernel(fs, chart):
-    """Reference: the slice shape-operator eigenvalues as lax.py built them
-    before the mesh kernel was shared (II with the sign of d_a n = k^a d_a r)."""
+def _slice_spectrum_by_lapack(fs, chart):
+    """Reference: the slice shape-operator spectrum as lax.py took it before
+    the closed form, by LAPACK (II with the sign of d_a n = k^a d_a r), and
+    the spacing of the doubles at max |S| of each vertex."""
     n = chart.n
     h = chart.spacing()
     idx = (slice(None),) * (n - 1) + (0,)
@@ -441,30 +443,48 @@ def _slice_spectrum_by_old_kernel(fs, chart):
             I[..., a, b] = np.einsum("...c,...c->...", dr[a], dr[b])
             II[..., a, b] = np.einsum("...c,...c->...", dn[a], dr[b])
     S = np.einsum("...ab,...bc->...ac", np.linalg.inv(I), II)
-    return np.sort(np.linalg.eigvals(S).real, axis=-1)
+    return (np.sort(np.linalg.eigvals(S).real, axis=-1),
+            np.spacing(np.abs(S).max(axis=(-2, -1))))
 
 
-def test_slice_spectrum_matches_old_kernel_bytes(eta, chart, solved):
+def test_slice_spectrum_matches_lapack_to_round_off(eta, chart, solved):
+    # the closed-form spectrum is LAPACK's to 8 ulp of max |S| per vertex,
+    # and the report's residual is that of the closed-form spectrum
     beta, H = solved
     pairs = _two_shifts(eta, beta, H, chart, (1.0, 0.0))
     slices = [frame_slice(fs, sh, chart) for sh, fs in pairs]
     rep = weingarten_scaling_report(*slices, beta, H, chart)
     core = (slice(2, -2),) * 2
     for (_, fs), sl, key in zip(pairs, slices, ("a", "b")):
-        old = _slice_spectrum_by_old_kernel(fs, chart)
+        old, ulp = _slice_spectrum_by_lapack(fs, chart)
         S = mesh_weingarten(fs.rvec[:, :, 0], fs.phi[:, :, 0, 2],
                             chart.spacing()[:2])
-        new = np.sort(np.linalg.eigvals(-S).real, axis=-1)
-        assert new.tobytes() == old.tobytes()
+        new = spectrum_2x2(-S)
+        assert np.all(np.abs(new - old) <= 8 * ulp[..., None])
         k = np.sort(np.stack(hypersurface_curvatures(
             sl.sh_n, beta, H, chart), axis=-1), axis=-1)
-        want = max_abs(old[core] - k[core])
+        want = max_abs(new[core] - k[core])
         assert np.float64(rep[f"mesh_eigen_residual_{key}"]).tobytes() == \
             np.float64(want).tobytes()
+        assert abs(want - max_abs(old[core] - k[core])) <= 8 * ulp.max()
+
+
+@pytest.mark.parametrize("S,want", [
+    ([[3.0, 1.0], [2.0, 2.0]], [1.0, 4.0]),     # two real roots
+    ([[2.0, 1.0], [0.0, 2.0]], [2.0, 2.0]),     # a repeated root
+    ([[1.0, -2.0], [2.0, 1.0]], [1.0, 1.0]),    # the pair 1 -+ 2i
+    ([[-5.0, 0.0], [0.0, 0.25]], [-5.0, 0.25]),
+], ids=["distinct", "repeated", "complex-pair", "diagonal"])
+def test_spectrum_2x2_is_exact_on_exact_roots(S, want):
+    S = np.array(S)
+    got = spectrum_2x2(np.broadcast_to(S, (3, 2, 2)))
+    assert got.tolist() == [want] * 3
+    assert got[0].tolist() == np.sort(np.linalg.eigvals(S).real).tolist()
 
 
 def _mesh_weingarten_full_loop(r, normal, spacing):
-    """Reference: mesh_weingarten with I formed in full, (a, b) and (b, a)."""
+    """Reference: mesh_weingarten with I formed in full, (a, b) and (b, a),
+    and the same closed-form inverse adj(I) (1 / det I)."""
     m = len(spacing)
     dr = [deriv(r, a, spacing[a]) for a in range(m)]
     dn = [deriv(normal, a, spacing[a]) for a in range(m)]
@@ -474,7 +494,11 @@ def _mesh_weingarten_full_loop(r, normal, spacing):
         for b in range(m):
             I[..., a, b] = np.einsum("...c,...c->...", dr[a], dr[b])
             II[..., a, b] = -np.einsum("...c,...c->...", dn[a], dr[b])
-    return np.einsum("...ab,...bc->...ac", np.linalg.inv(I), II)
+    rdet = 1.0 / (I[..., 0, 0] * I[..., 1, 1] - I[..., 0, 1] * I[..., 1, 0])
+    inv = np.stack([I[..., 1, 1] * rdet, -I[..., 0, 1] * rdet,
+                    -I[..., 1, 0] * rdet, I[..., 0, 0] * rdet],
+                   axis=-1).reshape(I.shape)
+    return np.einsum("...ab,...bc->...ac", inv, II)
 
 
 def _induced_metric_full_loop(fs, sh, H, chart):
@@ -524,6 +548,10 @@ def test_mesh_weingarten_of_a_sphere():
     S = mesh_weingarten(r, r, ch.spacing())
     assert S.shape == ch.shape + (2, 2)
     assert max_abs(S + np.eye(2)) < 1e-5
+    # and its spectrum is -1 twice; at radius 2 it is -1/2 twice
+    assert max_abs(spectrum_2x2(S) + 1.0) < 1e-5
+    S2 = mesh_weingarten(2.0 * r, r, ch.spacing())
+    assert max_abs(spectrum_2x2(S2) + 0.5) < 1e-5
 
 
 def test_degenerate_mesh_has_no_shape_operator():
