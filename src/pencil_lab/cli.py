@@ -12,10 +12,11 @@ Reports are JSON with sorted keys; wall time goes to stderr only so that
 identical configurations produce byte-identical artifacts.
 
 ``main`` reads the config and the chart and writes every file; a command
-returns its residual rows and its files, ``(name, writer, data)``.
-PENCIL_LAB_THREADS (read by ``_threads`` only) bounds the worker processes
-of the per-shift work and then those that write the CSV and OBJ files
-(``io.run_forked``); a thread pool runs the shifts where no fork can be.
+returns its residual rows and its files, ``(name, writer, data)``.  The
+shift tasks, then the CSV and OBJ files, go through one pool, ``_pool_map``,
+of PENCIL_LAB_THREADS (read by ``_threads`` only) forked processes, or of
+threads where no fork can be.  A lost worker exits 1; a writer's OSError
+exits 3 and names its file.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import argparse
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,7 +35,7 @@ from . import compat, diagonal, lax, surface
 from .expr import DomainError, ParseError, as_expr, coords_used
 from .geometry import MetricField, expr_array, grid_max, GeometryError
 from .grids import Chart, GridError, max_abs
-from .io import (canonical_digest, run_forked, write_all, write_csv_grid,
+from .io import (_shares, canonical_digest, run_forked, write_csv_grid,
                  write_json_report, write_obj)
 from .march import MarchError, PoleError, shift
 
@@ -71,21 +73,28 @@ def _threads() -> int:
 
 
 def _pool_map(fn, items) -> list:
-    """``fn`` over ``items``, in order, by io.run_forked (a worker lost is a
-    MarchError) or else a thread pool.  np.errstate is per thread, so each
-    task ignores floating-point errors as ``main`` does."""
+    """``fn`` over ``items``, in order, with floating-point errors ignored as
+    in ``main``: forked by io.run_forked (a lost worker is a MarchError)
+    given two or more workers, os.fork and no other live thread, which a
+    child would not copy; else in a thread pool (np.errstate per thread)."""
     def quiet(item):
         with np.errstate(all="ignore"):
             return fn(item)
 
-    def threaded():
+    workers = min(_threads(), len(items))
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         with ThreadPoolExecutor(max_workers=_threads()) as pool:
             return list(pool.map(quiet, items))
-
     try:
-        return run_forked(quiet, items, min(_threads(), len(items)), threaded)
+        return run_forked(quiet, items, workers)
     except ChildProcessError as e:
         raise MarchError(str(e)) from None
+
+
+def _write(share: list) -> None:
+    """Run a share of writer jobs: ``writer(*args)`` writes ``args[0]``."""
+    for writer, args in share:
+        writer(*args)
 
 
 def _count(v) -> int:
@@ -410,6 +419,23 @@ def main(argv=None) -> int:
             out = _out_dir(cfg, args)
             table, extra, files = COMMANDS[args.command](cfg, args, chart)
         os.makedirs(out, exist_ok=True)  # an OSError: the path is unusable
+        digest = canonical_digest(cfg)
+        verdict = compat.overall(row["verdict"] for row in table.values())
+        report = {
+            "command": args.command,
+            "config_digest": digest,
+            "residuals": table,
+            "verdict": verdict,
+            "artifacts": [name for name, _, _ in files],
+        }
+        report.update(extra)
+        path = os.path.join(out, "report.json")
+        # an OSError from a writer: the directory cannot take a file
+        jobs = [(writer, (os.path.join(out, name), *data, digest))
+                for name, writer, data in files]
+        if jobs:  # one share of whole files per worker (none: no pool)
+            _pool_map(_write, _shares(jobs, _threads()))
+        write_json_report(path, report)
     except (ConfigError, OSError, json.JSONDecodeError, ParseError,
             DomainError, PoleError) as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -417,25 +443,6 @@ def main(argv=None) -> int:
     except MarchError as e:
         print(f"run failed: {e}", file=sys.stderr)
         return 1
-
-    digest = canonical_digest(cfg)
-    verdict = compat.overall(row["verdict"] for row in table.values())
-    report = {
-        "command": args.command,
-        "config_digest": digest,
-        "residuals": table,
-        "verdict": verdict,
-        "artifacts": [name for name, _, _ in files],
-    }
-    report.update(extra)
-    path = os.path.join(out, "report.json")
-    try:  # an OSError: the directory cannot take a file
-        write_all([(writer, (os.path.join(out, name), *data, digest))
-                   for name, writer, data in files], _threads())
-        write_json_report(path, report)
-    except OSError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 3
     elapsed = time.monotonic() - t0
     print(f"wall time {elapsed:.2f}s, report at {path}", file=sys.stderr)
     print(f"{args.command}: {verdict}")

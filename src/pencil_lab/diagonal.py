@@ -156,11 +156,11 @@ def pencil_residual_F3(beta: dict, chart: Chart, eta: list,
     return worst
 
 
-def _check_separation(eta: list, chart: Chart, guard: float = 1e-8):
+def _check_separation(eta: list, chart: Chart):
     n = chart.n
     for i in range(n):
         for j in range(i + 1, n):  # |eta_j - eta_i| is symmetric
-            if float(np.min(np.abs(eta[j] - eta[i]))) < guard:
+            if float(np.min(np.abs(eta[j] - eta[i]))) < 1e-8:
                 raise MarchError(
                     f"eta_{i + 1} and eta_{j + 1} collide on the box; the "
                     "resolved system has a vanishing denominator")

@@ -54,26 +54,14 @@ class Expr:
     def __add__(self, other):
         return add(self, _wrap(other))
 
-    def __radd__(self, other):
-        return add(_wrap(other), self)
-
     def __sub__(self, other):
         return sub(self, _wrap(other))
-
-    def __rsub__(self, other):
-        return sub(_wrap(other), self)
 
     def __mul__(self, other):
         return mul(self, _wrap(other))
 
-    def __rmul__(self, other):
-        return mul(_wrap(other), self)
-
     def __truediv__(self, other):
         return div(self, _wrap(other))
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
 
     def __pow__(self, n):
         return powi(self, n)
@@ -137,8 +125,6 @@ _FUNCS = {
 def _wrap(x) -> Expr:
     if isinstance(x, Expr):
         return x
-    if isinstance(x, (int, float, np.floating, np.integer)):
-        return const(float(x))
     raise TypeError(f"cannot use {type(x).__name__} in an expression")
 
 

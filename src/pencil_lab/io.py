@@ -17,11 +17,11 @@ once per axis sample and an OBJ vertex number once per grid shape, and
 their text is copied to the rows that use it.  The kernel's tables are
 built on first use, so importing this module builds none.
 
-``write_all`` runs a command's writer jobs.  Two threads write no faster
-than one, so a second core can only help as a second process: given two or
-more workers it forks up to ``workers - 1`` children (``run_forked``, which
-also runs the shift work of ``cli``) and splits the files, whole, between
-them and this process.  Each file is still made by the same writer from the
+``run_forked`` maps a function over items in this process and forked
+children; ``cli`` runs its shift tasks and its writers through it.  Two
+threads write no faster than one, so a second core can only help as a
+second process.  ``_shares`` deals a run's files, whole and by size, into
+one share per process; each file is still made by the same writer from the
 same arrays, so its bytes do not depend on the split.
 """
 
@@ -32,12 +32,11 @@ import hashlib
 import json
 import os
 import sys
-import threading
 
 import numpy as np
 
 __all__ = ["canonical_digest", "write_csv_grid", "write_obj",
-           "write_json_report", "write_all", "run_forked"]
+           "write_json_report", "run_forked"]
 
 # Rows per formatted block: enough to amortize the numpy calls, few enough
 # that a block's temporaries (about 1 kB a row) do not raise the peak RSS.
@@ -265,37 +264,14 @@ def write_json_report(path, report: dict) -> None:
         fh.write("\n")
 
 
-def write_all(jobs: list, workers: int) -> None:
-    """Run the writer jobs ``(writer, args)``; ``writer(*args)`` writes the
-    file ``args[0]``.  The jobs are dealt greedily by size (``_size``) into
-    at most ``workers`` shares of whole files, one per process of
-    ``run_forked``, where a writer failing in a child raises OSError naming
-    its files; where it cannot fork, the jobs run here in order."""
-    shares = _shares(jobs, min(workers, len(jobs)))
-
-    def write(share):
-        try:
-            _run(share)
-        except Exception as e:
-            if share is shares[0]:
-                raise
-            raise OSError(f"writing {', '.join(str(a[0]) for _, a in share)} "
-                          f"failed in a child process: {e!r}")
-
-    run_forked(write, shares, len(shares), lambda: _run(jobs))
-
-
-def run_forked(fn, items, workers: int, otherwise):
+def run_forked(fn, items, workers: int):
     """``[fn(item) for item in items]``, the items dealt round-robin to this
-    process and ``workers - 1`` children forked at once; ``otherwise()``
-    where fewer than two workers, no ``os.fork`` or another live thread (a
-    child would copy this one only) rule that out.  Each process stops at
-    its first failure; a child pickles its results and that failure through
-    a pipe.  The lowest-index failure is raised, as ``pool.map`` does, and a
+    process and ``workers - 1`` children forked at once, with no other
+    thread alive (``cli._pool_map`` sees to it).  Each process stops at its
+    first failure; a child pickles its results and that failure through a
+    pipe.  The lowest-index failure is raised, as ``pool.map`` does, and a
     child that exits without sending raises ChildProcessError.  The children
     are always reaped, killed first on an error here or a failed item 0."""
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return otherwise()
     import pickle  # numpy has loaded it; only this path needs the name
 
     def share(w):  # (results, failure or None) of items w, w + workers, ...
@@ -358,8 +334,9 @@ def _size(job) -> int:
 
 
 def _shares(jobs: list, count: int) -> list:
-    """The jobs in at most ``count`` shares: largest first, each to the
-    lightest share so far (the first on a tie); empty shares are dropped."""
+    """The writer jobs ``(writer, args)`` in at most ``count`` shares: largest
+    first, each to the lightest share so far (the first on a tie); empty
+    shares are dropped."""
     shares = [[] for _ in range(count)]
     loads = [0] * count
     for job in sorted(jobs, key=_size, reverse=True):
@@ -367,8 +344,3 @@ def _shares(jobs: list, count: int) -> list:
         shares[k].append(job)
         loads[k] += _size(job)
     return [share for share in shares if share]
-
-
-def _run(jobs: list) -> None:
-    for writer, args in jobs:
-        writer(*args)

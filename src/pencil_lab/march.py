@@ -138,16 +138,17 @@ def _order(chart: Chart, order) -> tuple:
     return order
 
 
-def path_integral(chart: Chart, u: Unknown, order: tuple | None = None,
-                  state: dict | None = None) -> np.ndarray:
+def path_integral(chart: Chart, u: Unknown,
+                  order: tuple | None = None) -> np.ndarray:
     """One path-integration pass for ``u`` from its boundary data.
 
     Legs follow ``order`` (default 0..n-1); axes not yet traversed (and not
     free) stay pinned at the corner, so leg i asks each rhs for the slab of
-    the grid spanned by the free axis and the first i+1 legs.  Exact when the
-    rhs does not read ``state``.  Returns a C-contiguous grid.
+    the grid spanned by the free axis and the first i+1 legs.  Each rhs gets
+    the state None, so the pass is exact for an rhs that reads no unknown.
+    Returns a C-contiguous grid.
     """
-    return np.ascontiguousarray(_pass(chart, u, _order(chart, order), state))
+    return np.ascontiguousarray(_pass(chart, u, _order(chart, order), None))
 
 
 def _pass(chart: Chart, u: Unknown, order: tuple, state) -> np.ndarray:

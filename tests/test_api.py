@@ -33,13 +33,14 @@ REMOVED = {
     "geometry": ["ConnectionField"],
     "expr": ["Add", "Sub", "Mul", "Div"],
     "compat": ["DEFAULT_LAMBDAS"],
+    "io": ["write_all"],
 }
 
 # Methods that only tests called, or nothing did.
 REMOVED_METHODS = {
     MetricField: ["from_covariant", "diagonal_covariant", "is_diagonal"],
     Chart: ["cube", "refine"],
-    Expr: ["diff"],
+    Expr: ["diff", "__radd__", "__rsub__", "__rmul__", "__rtruediv__"],
 }
 
 
@@ -150,7 +151,8 @@ def test_a_frame_task_returns_no_more_than_its_slice(tmp_path, monkeypatch):
 
     def recording(fn, items):
         out = pool_map(fn, items)
-        results.extend(out)
+        if fn is not cli._write:  # the shift pool's call, not the writers'
+            results.extend(out)
         return out
 
     monkeypatch.setattr(cli, "_pool_map", recording)

@@ -416,6 +416,45 @@ def test_a_lost_shift_worker_is_a_run_failure(tmp_path, capsys, monkeypatch,
     _no_child_left()
 
 
+def test_a_lost_writer_is_a_run_failure(tmp_path, capsys, monkeypatch):
+    # a forked writer that ends without sending fails the run as a lost
+    # shift worker does: exit 1 with one line and no traceback
+    here = os.getpid()
+    write = cli.write_obj
+
+    def dying(*args):
+        if os.getpid() != here:
+            os._exit(7)
+        return write(*args)
+
+    monkeypatch.setattr(cli, "write_obj", dying)
+    monkeypatch.setenv("PENCIL_LAB_THREADS", "2")
+    assert main(["deform-surface", "--config",
+                 _write(tmp_path, "s.json", _cfg_surface()), "--out",
+                 str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == (
+        "run failed: a forked worker exited with status 7 before sending its "
+        "result\n")
+    _no_child_left()
+
+
+@pytest.mark.parametrize("command,cfg", [
+    ("check-compat", _cfg_compat(["1+R1^2", "3+R2^2"])),
+    ("check-hamiltonian", _cfg_ham())])
+def test_a_run_without_files_starts_no_pool(tmp_path, monkeypatch, command,
+                                            cfg):
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a pool")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
+    monkeypatch.setenv("PENCIL_LAB_THREADS", "2")
+    out = tmp_path / "o"
+    assert main([command, "--config", _write(tmp_path, "c.json", cfg),
+                 "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+
 def test_a_live_thread_keeps_the_shift_pool_in_threads(tmp_path,
                                                       monkeypatch):
     # a child would hold a copy of this thread only, so none is forked; the
@@ -1036,8 +1075,8 @@ def test_commands_touch_no_file(tmp_path, monkeypatch, command, cfg_dict):
         raise AssertionError("a command touched a file")
 
     monkeypatch.chdir(tmp_path)
-    for module, name in ((os, "makedirs"), (io, "write_all"),
-                         (cli, "write_all"), (cli, "write_json_report")):
+    for module, name in ((os, "makedirs"), (cli, "_write"),
+                         (cli, "write_json_report")):
         monkeypatch.setattr(module, name, refuse)
     before = sorted(tmp_path.rglob("*"))
     args = argparse.Namespace(out=None, lam=None, grid=None)

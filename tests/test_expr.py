@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -109,10 +110,23 @@ def _exprs(powers=False):
 @settings(max_examples=120, deadline=None)
 def test_print_parse_roundtrip(e):
     text = to_text(e)
+    assert str(e) == text
     again = parse_expr(text, 2)
     assert to_text(again) == text
     pt = (0.7, 1.1)
     assert evaluate(again, pt) == pytest.approx(evaluate(e, pt), abs=1e-12)
+
+
+@pytest.mark.parametrize("number", [2, 2.0, np.float64(2.0)])
+def test_arithmetic_takes_expressions_only(number):
+    # a number enters an expression through as_expr or const, never an
+    # operator
+    e = parse_expr("R1", 1)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        with pytest.raises(TypeError):
+            op(e, number)
+        with pytest.raises(TypeError):
+            op(number, e)
 
 
 @given(e=_exprs(), x=st.floats(0.2, 1.8), y=st.floats(0.2, 1.8))

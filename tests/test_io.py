@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import pencil_lab
-from pencil_lab import io
+from pencil_lab import cli, io
 from pencil_lab.grids import Chart
-from pencil_lab.io import (_BLOCK_ROWS, _fields, _shares, write_all,
+from pencil_lab.io import (_BLOCK_ROWS, _fields, _shares, run_forked,
                            write_csv_grid, write_obj)
 
 DIGEST = "d" * 64
@@ -214,6 +214,12 @@ def _jobs(tmp_path):
     return jobs
 
 
+def _write_files(jobs, monkeypatch, workers):
+    """The write path of ``main``: shares of the jobs through the pool."""
+    monkeypatch.setenv("PENCIL_LAB_THREADS", str(workers))
+    cli._pool_map(cli._write, _shares(jobs, cli._threads()))
+
+
 def _forks(monkeypatch):
     """Count the calls of os.fork, which still forks."""
     calls = []
@@ -239,7 +245,7 @@ def test_write_all_bytes_do_not_depend_on_the_split(tmp_path, monkeypatch,
     split.mkdir()
     forks = _forks(monkeypatch)
     jobs = _jobs(split)
-    write_all(jobs, workers)
+    _write_files(jobs, monkeypatch, workers)
     assert sorted(split.iterdir()) == sorted(args[0] for _, args in jobs)
     assert len(forks) == min(workers, len(jobs)) - 1
     _no_child_left()
@@ -262,23 +268,44 @@ def test_one_worker_never_forks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(os, "fork", refuse)
     jobs = _jobs(tmp_path)
-    write_all(jobs, 1)
+    _write_files(jobs, monkeypatch, 1)
     assert sorted(tmp_path.iterdir()) == sorted(args[0] for _, args in jobs)
 
 
 def test_a_live_thread_keeps_the_writers_here(tmp_path, monkeypatch):
+    # a child would hold a copy of this thread only, so the two shares go
+    # to the thread pool instead, with the same bytes
+    serial = tmp_path / "serial"
+    serial.mkdir()
+    for writer, args in _jobs(serial):
+        writer(*args)
+
     def refuse():
         raise AssertionError("forked with another thread alive")
 
+    pools = []
+
+    class Recording(cli.ThreadPoolExecutor):
+        def map(self, fn, *iterables):
+            items = list(*iterables)
+            pools.append(len(items))
+            return super().map(fn, items)
+
     monkeypatch.setattr(os, "fork", refuse)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+    threaded = tmp_path / "threaded"
+    threaded.mkdir()
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        write_all(_jobs(tmp_path), 2)
+        _write_files(_jobs(threaded), monkeypatch, 2)
     finally:
         release.set()
         thread.join()
+    assert pools == [2]
+    for name in ("g.csv", "m0.obj", "m1.obj", "m2.obj"):
+        assert (threaded / name).read_bytes() == (serial / name).read_bytes()
 
 
 def _broken(path, values):
@@ -286,12 +313,13 @@ def _broken(path, values):
 
 
 def test_a_writer_failing_in_the_child_raises(tmp_path, monkeypatch):
+    # the child sends its writer's own exception, which is raised here
     forks = _forks(monkeypatch)
     jobs = [(write_obj, (tmp_path / "big.obj", _values((71, 67, 3), 1),
                          _values((71, 67, 3), 2), DIGEST)),
             (_broken, (tmp_path / "small.csv", np.zeros(4)))]
-    with pytest.raises(OSError, match="small.csv failed in a child"):
-        write_all(jobs, 2)
+    with pytest.raises(RuntimeError, match="^cannot write .*small.csv$"):
+        _write_files(jobs, monkeypatch, 2)
     assert forks == [1]
     _no_child_left()
     # the share written here is complete
@@ -303,12 +331,13 @@ def _stall(path, values):
 
 
 def test_a_failure_here_kills_and_reaps_the_child(tmp_path, monkeypatch):
+    # item 0 fails in this process while item 1 stalls in the child
     forks = _forks(monkeypatch)
     jobs = [(_broken, (tmp_path / "big.csv", np.zeros(100))),
             (_stall, (tmp_path / "small.csv", np.zeros(4)))]
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="big.csv"):
-        write_all(jobs, 2)
+        run_forked(lambda job: job[0](*job[1]), jobs, 2)
     assert time.monotonic() - start < 30
     assert forks == [1]
     _no_child_left()
