@@ -55,25 +55,45 @@ def build_lax(sh: list, beta: dict, chart: Chart) -> tuple:
     return tuple(mats)
 
 
+def _is_skew(A: dict) -> bool:
+    """A has no diagonal entry, and A[k, i] equals -A[i, k] at every point."""
+    return all(i != k and (k, i) in A
+               and (i > k or np.array_equal(A[k, i], -A[i, k])) for i, k in A)
+
+
+def _deriv_of(A: dict, key, axis: int, h: list):
+    """d_axis of entry ``key`` of A, or None where it is absent."""
+    return deriv(A[key], axis, h[axis]) if key in A else None
+
+
 def zero_curvature_residual(conn: tuple, chart: Chart) -> float:
     """Max-abs of F_dj = d_d A_j - d_j A_d - [A_d, A_j] over the grid.
 
-    Works on the present entries only: it differentiates those and forms
-    the products by entries.matmul, grouped as (d_d A_j - d_j A_d) -
-    (A_d A_j - A_j A_d).  For real float64 that gives the values of the
-    dense einsum (complex ones may differ from it at round-off).  Serves the
-    frame connections and both surface connections (real 3x3, complex 2x2).
+    Works on the present entries only: it differentiates each one as its
+    entry of F needs it and forms the products by entries.matmul, grouped
+    as (d_d A_j - d_j A_d) - (A_d A_j - A_j A_d).  For real float64 that
+    gives the values of the dense einsum (complex ones may differ from it
+    at round-off).  When every A_d is skew (_is_skew: build_lax, and B1, B2
+    of the surface), Q = A_j A_d is P^T with P = A_d A_j, and F is skew,
+    both exactly, so only P is formed and F only on i <= k; F_ii is then
+    P_ii - P_ii, 0 or NaN.  Serves the frame connections and both surface
+    connections (real 3x3, complex 2x2).
     """
     n = chart.n
     h = chart.spacing()
+    skew = all(_is_skew(A) for A in conn)
     worst = 0.0
     for d in range(n):
         for j in range(d + 1, n):
-            dAj = {key: deriv(e, d, h[d]) for key, e in conn[j].items()}
-            dAd = {key: deriv(e, j, h[j]) for key, e in conn[d].items()}
-            P, Q = matmul(conn[d], conn[j]), matmul(conn[j], conn[d])
-            for key in {*dAj, *dAd, *P, *Q}:
-                F = lin((1, lin((1, dAj.get(key)), (-1, dAd.get(key)))),
+            Ad, Aj = conn[d], conn[j]
+            P = matmul(Ad, Aj)
+            Q = ({(k, i): v for (i, k), v in P.items()} if skew
+                 else matmul(Aj, Ad))
+            for key in {*Aj, *Ad, *P, *Q}:
+                if skew and key[0] > key[1]:
+                    continue
+                F = lin((1, lin((1, _deriv_of(Aj, key, d, h)),
+                                (-1, _deriv_of(Ad, key, j, h)))),
                         (-1, lin((1, P.get(key)), (-1, Q.get(key)))))
                 worst = max_abs(worst, F)
     return worst

@@ -1,4 +1,6 @@
 import argparse
+import ctypes
+import importlib
 import json
 import os
 import re
@@ -10,6 +12,7 @@ import threading
 import numpy as np
 import pytest
 
+import pencil_lab
 from pencil_lab import (cli, compat, diagonal, geometry, grids, io, march,
                         surface)
 from pencil_lab.cli import (CURVATURE_BAND, DEFORMATION_BAND, DIRECTION_BAND,
@@ -352,6 +355,61 @@ def test_one_thread_writes_the_artifacts_without_forking(tmp_path,
         assert main([command, "--config", _write(tmp_path, "c.json", cfg),
                      "--out", out]) == code
         assert len(_report(out)["artifacts"]) >= 2
+
+
+class _Libc:
+    """A C library whose mallopt records its calls."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+def test_main_sets_the_allocator_policy_and_importing_sets_none(
+        tmp_path, monkeypatch):
+    calls, opened = [], []
+
+    def cdll(name, *args, **kwargs):
+        opened.append(name)
+        return _Libc(calls)
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(pencil_lab, "cli", cli)
+    monkeypatch.delitem(sys.modules, "pencil_lab.cli")
+    fresh = importlib.import_module("pencil_lab.cli")
+    assert fresh is not cli and calls == [] and opened == []
+    assert fresh.main(["check-hamiltonian", "--config",
+                       _write(tmp_path, "c.json", _cfg_ham()),
+                       "--out", str(tmp_path / "out")]) == 0
+    assert opened == [None]
+    # glibc's M_MMAP_THRESHOLD (-3) at its 64-bit maximum of 32 MiB, and
+    # M_TRIM_THRESHOLD (-1) above it, so a freed grid is not trimmed
+    policy = dict(calls)
+    assert len(calls) == 2 and policy[-3] == 32 << 20
+    assert policy[-1] >= policy[-3]
+
+
+def _refuse(name, *args, **kwargs):
+    raise OSError("no process handle")
+
+
+@pytest.mark.parametrize("cdll", [lambda name, *a, **k: object(), _refuse],
+                         ids=["no-mallopt", "oserror"])
+def test_a_library_without_mallopt_changes_no_artifact(tmp_path, monkeypatch,
+                                                       cdll):
+    command, cfg, code = SPLIT_RUNS[0]
+    path = _write(tmp_path, "c.json", cfg)
+    outputs = []
+    for policy in ("set", "skipped"):
+        if policy == "skipped":
+            monkeypatch.setattr(ctypes, "CDLL", cdll)
+        out = tmp_path / policy
+        assert main([command, "--config", path, "--out", str(out)]) == code
+        outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert code == 0 and len(outputs[0]) >= 3 and outputs[0] == outputs[1]
 
 
 def _no_child_left():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pencil_lab import surface
+from pencil_lab import lax, surface
 from pencil_lab.cli import SOLVER_BAND
 from pencil_lab.compat import verdict
 from pencil_lab.diagonal import BoundaryData, DiagonalModel, solve_S, solve_lame
@@ -391,6 +391,50 @@ def test_zero_curvature_matches_einsum_on_solved_connection(eta, chart, solved):
     conn = build_lax(shift(0.5, eta), beta, chart)
     assert zero_curvature_residual(conn, chart) == \
         _zero_curvature_einsum(conn, chart)
+
+
+def _one_ulp_off(conn, d, key, idx):
+    """``conn`` with entry ``key`` of A_d moved up by one ulp at ``idx``."""
+    mats = [dict(A) for A in conn]
+    mats[d][key] = np.array(mats[d][key])
+    mats[d][key][idx] = np.nextafter(mats[d][key][idx], np.inf)
+    return tuple(mats)
+
+
+def test_a_connection_one_ulp_off_skew_takes_the_general_path(
+        eta, chart, solved, monkeypatch):
+    # a skew connection differentiates only its entries i < k; one ulp off
+    # skew, every entry is differentiated, and both give the einsum's value
+    beta, _ = solved
+    frame = build_lax(shift(0.5, eta), beta, chart)
+    ch, sm, fields = _surface_fields()
+    s1, s2 = (0.5 + eval_grid(e, ch) for e in (sm.eta1, sm.eta2))
+    B = surface._lax_mats(*fields, s1, s2)[:2]
+    calls = []
+    monkeypatch.setattr(lax, "deriv",
+                        lambda *args: calls.append(1) or deriv(*args))
+    for conn, c, off, want in (
+            (frame, chart, _one_ulp_off(frame, 1, (0, 1), (3, 4, 5)), 12),
+            (B, ch, _one_ulp_off(B, 0, (2, 0), (7, 9)), 4)):
+        for mats, n_derivs in ((conn, want), (off, 2 * want)):
+            calls.clear()
+            assert zero_curvature_residual(mats, c) == \
+                _zero_curvature_einsum(mats, c)
+            assert len(calls) == n_derivs
+
+
+def test_a_skew_connection_overflowing_on_the_diagonal_alone_is_nan():
+    # F_ii = P_ii - P_ii is 0 where P_ii is finite; here only A_0 A_1 on
+    # the diagonal overflows, and with its zeros filled in (not skew) the
+    # connection's residual is NaN too
+    ch = Chart(3, ((0.0, 1.0),) * 3, (5,) * 3)
+    big, one = np.full(ch.shape, 1e200), np.ones(ch.shape)
+    conn = ({(1, 0): big, (0, 1): -big, (2, 0): one, (0, 2): -one},
+            {(0, 1): big, (1, 0): -big, (2, 1): one, (1, 2): -one},
+            {(0, 1): one, (1, 0): -one})
+    with np.errstate(all="ignore"):   # as main runs every command
+        assert np.isnan(zero_curvature_residual(conn, ch))
+        assert np.isnan(zero_curvature_residual(_filled(conn, 3), ch))
 
 
 def _surface_fields(rng=None):
