@@ -14,8 +14,13 @@ identical configurations produce byte-identical artifacts.
 ``main`` reads the config and the chart and writes every file; a command
 returns its residual rows and its files, ``(name, writer, data)``.  The
 shift tasks, then the CSV and OBJ files, go through one pool, ``_pool_map``,
-of PENCIL_LAB_THREADS (read by ``_threads`` only) forked processes, or of
-threads where no fork can be.  A lost worker exits 1; a writer's OSError
+of PENCIL_LAB_THREADS (read by ``_threads`` only) processes, or of threads
+where no fork can be.  Two threads run a shift's many short numpy calls, or
+format numbers, no faster than one, so a second core helps only as a second
+process: ``run_forked`` forks the children, deals the items whole by
+``_deal`` (a shift weighs 1, a file the values it prints) and reaps them.
+Each item is computed by the same code from the same arrays in any process,
+so the split moves no byte.  A lost worker exits 1; a writer's OSError
 exits 3 and names its file.
 
 ``main`` first sets the C library's allocator policy (``_keep_freed_grids``):
@@ -41,8 +46,7 @@ from . import compat, diagonal, lax, surface
 from .expr import DomainError, ParseError, as_expr, coords_used
 from .geometry import MetricField, expr_array, grid_max, GeometryError
 from .grids import Chart, GridError, max_abs
-from .io import (_shares, canonical_digest, run_forked, write_csv_grid,
-                 write_json_report, write_obj)
+from .io import canonical_digest, write_csv_grid, write_json_report, write_obj
 from .march import MarchError, PoleError, shift
 
 __all__ = ["main"]
@@ -93,11 +97,11 @@ def _threads() -> int:
     return max(1, min(v, 64))
 
 
-def _pool_map(fn, items) -> list:
+def _pool_map(fn, items, weigh=None) -> list:
     """``fn`` over ``items``, in order, with floating-point errors ignored as
-    in ``main``: forked by io.run_forked (a lost worker is a MarchError)
-    given two or more workers, os.fork and no other live thread, which a
-    child would not copy; else in a thread pool (np.errstate per thread)."""
+    in ``main``: forked by ``run_forked``, dealt on ``weigh``, given two or
+    more workers, os.fork and no other live thread, which a child would not
+    copy; else in a thread pool (np.errstate per thread)."""
     def quiet(item):
         with np.errstate(all="ignore"):
             return fn(item)
@@ -106,16 +110,99 @@ def _pool_map(fn, items) -> list:
     if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
         with ThreadPoolExecutor(max_workers=_threads()) as pool:
             return list(pool.map(quiet, items))
+    return run_forked(quiet, items, workers, weigh)
+
+
+def _deal(weights: list, workers: int) -> list:
+    """The item indices of each of ``workers`` processes, as dealt: whole,
+    largest weight first, each to the process with the least weight so far
+    (the first on a tie), so equal weights give item k to process k mod
+    workers and this process, the first, takes the largest item."""
+    shares, loads = [[] for _ in range(workers)], [0] * workers
+    for k in sorted(range(len(weights)), key=weights.__getitem__,
+                    reverse=True):
+        w = loads.index(min(loads))
+        shares[w].append(k)
+        loads[w] += weights[k]
+    return shares
+
+
+def run_forked(fn, items, workers: int, weigh=None) -> list:
+    """``[fn(item) for item in items]`` in this process and up to
+    ``workers - 1`` children forked at once, with no other thread alive
+    (``_pool_map`` sees to it), dealt by ``_deal`` on ``weigh(item)``, 1
+    each by default.  A process runs its items in index order up to its
+    first failure; a child pickles its results and that failure through a
+    pipe.  The results come in item order and the lowest-index failure is
+    raised, as ``pool.map`` does; a child that exits without sending is a
+    MarchError.  The children are always reaped, killed first on an error
+    here or a failure of item 0 here."""
+    import pickle  # numpy has loaded it; only this path needs the name
+
+    shares = [sorted(s) for s in _deal([weigh(item) if weigh else 1
+                                        for item in items], workers) if s]
+
+    def run(share):  # (results, failure or None) of the items of share
+        done = []
+        try:
+            for k in share:
+                done.append(fn(items[k]))
+        except Exception as e:
+            return done, e
+        return done, None
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    pids, pipes = [], []  # per child: its pid, the two ends of its pipe
     try:
-        return run_forked(quiet, items, workers)
-    except ChildProcessError as e:
-        raise MarchError(str(e)) from None
+        for share in shares[1:]:
+            pipes.append([os.fdopen(fd, mode)
+                          for fd, mode in zip(os.pipe(), ("rb", "wb"))])
+            pids.append(os.fork())
+            if pids[-1] == 0:  # the child, which never returns
+                try:
+                    pipes[-1][1].write(pickle.dumps(run(share)))
+                    pipes[-1][1].close()
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            pipes[-1][1].close()
+        done, failure = run(shares[0])
+        if failure is not None and shares[0][len(done)] == 0:
+            raise failure  # no failure can precede item 0's
+        sent = [r.read() for r, _ in pipes]
+    except BaseException:
+        import signal  # only this path needs it; importing costs setup time
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for end in (end for pipe in pipes for end in pipe):
+            end.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid in pids]
+    for code in filter(None, codes):
+        raise MarchError(f"a forked worker exited with status {code} before "
+                         "sending its result")
+    outcomes = [(done, failure)] + [pickle.loads(data) for data in sent]
+    results, failures = [None] * len(items), {}
+    for share, (done, failure) in zip(shares, outcomes):
+        for k, result in zip(share, done):
+            results[k] = result
+        if failure is not None:  # the item it stopped at
+            failures[share[len(done)]] = failure
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
-def _write(share: list) -> None:
-    """Run a share of writer jobs: ``writer(*args)`` writes ``args[0]``."""
-    for writer, args in share:
-        writer(*args)
+def _size(job) -> int:
+    """A writer job's weight, the values it prints: the sizes of its array
+    arguments and of the arrays in a dict argument (the CSV columns)."""
+    arrays = []
+    for a in job[1]:
+        arrays += a.values() if isinstance(a, dict) else [a]
+    return sum(a.size for a in arrays if isinstance(a, np.ndarray))
 
 
 def _count(v) -> int:
@@ -455,8 +542,8 @@ def main(argv=None) -> int:
         # an OSError from a writer: the directory cannot take a file
         jobs = [(writer, (os.path.join(out, name), *data, digest))
                 for name, writer, data in files]
-        if jobs:  # one share of whole files per worker (none: no pool)
-            _pool_map(_write, _shares(jobs, _threads()))
+        if jobs:  # a run without files starts no pool
+            _pool_map(lambda job: job[0](*job[1]), jobs, _size)
         write_json_report(path, report)
     except (ConfigError, OSError, json.JSONDecodeError, ParseError,
             DomainError, PoleError) as e:

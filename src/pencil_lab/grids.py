@@ -145,11 +145,15 @@ def cumint(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
 def max_abs(*arrays) -> float:
     """Largest absolute entry over any number of arrays (0.0 when empty).
 
-    A NaN anywhere makes the result NaN, so that it cannot read as a pass.
+    A NaN anywhere makes the result NaN, so that it cannot read as a pass
+    (np.maximum keeps it; Python's max drops a NaN that is not its first
+    argument).  A float array is folded by its max and -min, with no |a|
+    temporary, and + 0.0 turns -min(0.0) into 0.0; any other dtype by |a|.
     """
     best = 0.0
     for a in arrays:
         a = np.asarray(a)
         if a.size:
-            best = np.maximum(best, np.max(np.abs(a)))
-    return float(best)
+            best = np.maximum(best, np.maximum(np.max(a), -np.min(a))
+                              if a.dtype.kind == "f" else np.max(np.abs(a)))
+    return float(best) + 0.0

@@ -16,13 +16,6 @@ rows; complex or text values raise TypeError.  A CSV coordinate is printed
 once per axis sample and an OBJ vertex number once per grid shape, and
 their text is copied to the rows that use it.  The kernel's tables are
 built on first use, so importing this module builds none.
-
-``run_forked`` maps a function over items in this process and forked
-children; ``cli`` runs its shift tasks and its writers through it.  Two
-threads write no faster than one, so a second core can only help as a
-second process.  ``_shares`` deals a run's files, whole and by size, into
-one share per process; each file is still made by the same writer from the
-same arrays, so its bytes do not depend on the split.
 """
 
 from __future__ import annotations
@@ -30,13 +23,11 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
-import sys
 
 import numpy as np
 
 __all__ = ["canonical_digest", "write_csv_grid", "write_obj",
-           "write_json_report", "run_forked"]
+           "write_json_report"]
 
 # Rows per formatted block: enough to amortize the numpy calls, few enough
 # that a block's temporaries (about 1 kB a row) do not raise the peak RSS.
@@ -262,85 +253,3 @@ def write_json_report(path, report: dict) -> None:
     with open(path, "w", newline="\n") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def run_forked(fn, items, workers: int):
-    """``[fn(item) for item in items]``, the items dealt round-robin to this
-    process and ``workers - 1`` children forked at once, with no other
-    thread alive (``cli._pool_map`` sees to it).  Each process stops at its
-    first failure; a child pickles its results and that failure through a
-    pipe.  The lowest-index failure is raised, as ``pool.map`` does, and a
-    child that exits without sending raises ChildProcessError.  The children
-    are always reaped, killed first on an error here or a failed item 0."""
-    import pickle  # numpy has loaded it; only this path needs the name
-
-    def share(w):  # (results, failure or None) of items w, w + workers, ...
-        done = []
-        try:
-            for item in items[w::workers]:
-                done.append(fn(item))
-        except Exception as e:
-            return done, e
-        return done, None
-
-    sys.stdout.flush()
-    sys.stderr.flush()
-    pids, pipes = [], []  # per child: its pid, the two ends of its pipe
-    try:
-        for w in range(1, workers):
-            pipes.append([os.fdopen(fd, mode)
-                          for fd, mode in zip(os.pipe(), ("rb", "wb"))])
-            pids.append(os.fork())
-            if pids[-1] == 0:  # the child, which never returns
-                try:
-                    pipes[-1][1].write(pickle.dumps(share(w)))
-                    pipes[-1][1].close()
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            pipes[-1][1].close()
-        shares = [share(0)]
-        if shares[0][1] is not None and not shares[0][0]:
-            raise shares[0][1]  # no failure can precede item 0's
-        sent = [r.read() for r, _ in pipes]
-    except BaseException:
-        import signal  # only this path needs it; importing costs setup time
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for end in (end for pipe in pipes for end in pipe):
-            end.close()
-        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                 for pid in pids]
-    for code in filter(None, codes):
-        raise ChildProcessError(f"a forked worker exited with status {code}"
-                                " before sending its result")
-    shares += [pickle.loads(data) for data in sent]
-    for k in range(len(items)):  # a worker's results end at its failure
-        done, failure = shares[k % workers]
-        if k // workers == len(done):
-            raise failure
-    return [shares[k % workers][0][k // workers] for k in range(len(items))]
-
-
-def _size(job) -> int:
-    """The values a job formats: the sizes of its array arguments and of the
-    arrays in a dict argument (the CSV columns)."""
-    arrays = []
-    for a in job[1]:
-        arrays += a.values() if isinstance(a, dict) else [a]
-    return sum(a.size for a in arrays if isinstance(a, np.ndarray))
-
-
-def _shares(jobs: list, count: int) -> list:
-    """The writer jobs ``(writer, args)`` in at most ``count`` shares: largest
-    first, each to the lightest share so far (the first on a tie); empty
-    shares are dropped."""
-    shares = [[] for _ in range(count)]
-    loads = [0] * count
-    for job in sorted(jobs, key=_size, reverse=True):
-        k = loads.index(min(loads))
-        shares[k].append(job)
-        loads[k] += _size(job)
-    return [share for share in shares if share]

@@ -30,7 +30,6 @@ exceeds BLOWUP = 1e6 or a value is not finite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -172,13 +171,6 @@ def _pass(chart: Chart, u: Unknown, order: tuple, state) -> np.ndarray:
     return part
 
 
-def _peak(best: float, a: np.ndarray) -> float:
-    """max(best, max |a|) for a real array with no |a| temporary, by the rules
-    of max_abs: a NaN in either gives NaN (np.maximum; Python's max drops a
-    NaN that is not its first argument), and + 0.0 turns -min(0.0) into 0.0."""
-    return float(np.maximum(best, np.maximum(np.max(a), -np.min(a)))) + 0.0
-
-
 def _guard(scale: float) -> None:
     # A NaN or inf makes scale non-finite, which this comparison rejects.
     if not scale <= BLOWUP:
@@ -205,10 +197,10 @@ def solve_compatible(chart: Chart, unknowns: list[Unknown],
         for u in unknowns:
             new = _pass(chart, u, order, state)
             # the old grid, dead once replaced, takes new - old
-            delta = _peak(delta, np.subtract(new, state[u.name],
-                                             out=state[u.name]))
+            delta = max_abs(delta, np.subtract(new, state[u.name],
+                                               out=state[u.name]))
             state[u.name] = new
-        scale = 1.0 + reduce(_peak, state.values(), 0.0)
+        scale = 1.0 + max_abs(*state.values())
         _guard(scale)  # a NaN or inf in delta also shows in scale
         if delta <= TOL * scale:
             return {name: np.ascontiguousarray(v) for name, v in state.items()}

@@ -1133,8 +1133,7 @@ def test_commands_touch_no_file(tmp_path, monkeypatch, command, cfg_dict):
         raise AssertionError("a command touched a file")
 
     monkeypatch.chdir(tmp_path)
-    for module, name in ((os, "makedirs"), (cli, "_write"),
-                         (cli, "write_json_report")):
+    for module, name in ((os, "makedirs"), (cli, "write_json_report")):
         monkeypatch.setattr(module, name, refuse)
     before = sorted(tmp_path.rglob("*"))
     args = argparse.Namespace(out=None, lam=None, grid=None)

@@ -15,8 +15,7 @@ from hypothesis import given, settings, strategies as st
 import pencil_lab
 from pencil_lab import cli, io
 from pencil_lab.grids import Chart
-from pencil_lab.io import (_BLOCK_ROWS, _fields, _shares, run_forked,
-                           write_csv_grid, write_obj)
+from pencil_lab.io import _BLOCK_ROWS, _fields, write_csv_grid, write_obj
 
 DIGEST = "d" * 64
 SPECIAL = [-0.0, 1e-300, 1.0 / 3.0, -2.5e300, 5e-324, np.nan, np.inf, 0.1]
@@ -215,9 +214,9 @@ def _jobs(tmp_path):
 
 
 def _write_files(jobs, monkeypatch, workers):
-    """The write path of ``main``: shares of the jobs through the pool."""
+    """The write path of ``main``: the jobs through the pool, by size."""
     monkeypatch.setenv("PENCIL_LAB_THREADS", str(workers))
-    cli._pool_map(cli._write, _shares(jobs, cli._threads()))
+    cli._pool_map(lambda job: job[0](*job[1]), jobs, cli._size)
 
 
 def _forks(monkeypatch):
@@ -234,8 +233,8 @@ def _forks(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
-def test_write_all_bytes_do_not_depend_on_the_split(tmp_path, monkeypatch,
-                                                     workers):
+def test_file_bytes_do_not_depend_on_the_split(tmp_path, monkeypatch,
+                                                workers):
     serial = tmp_path / "serial"
     serial.mkdir()
     jobs = _jobs(serial)
@@ -253,13 +252,15 @@ def test_write_all_bytes_do_not_depend_on_the_split(tmp_path, monkeypatch,
         assert (split / name).read_bytes() == (serial / name).read_bytes()
 
 
-def test_write_all_shares_are_whole_files_dealt_by_size():
+def test_the_deal_gives_whole_items_largest_first_to_the_lightest():
     sizes = [3, 50, 7, 20, 20]
     jobs = [(None, (f"f{k}", np.zeros(s))) for k, s in enumerate(sizes)]
-    shares = _shares(jobs, 2)
-    assert [[args[0] for _, args in share] for share in shares] == [
+    shares = cli._deal([cli._size(job) for job in jobs], 2)
+    assert [[jobs[k][1][0] for k in share] for share in shares] == [
         ["f1"], ["f3", "f4", "f2", "f0"]]
-    assert len(_shares(jobs[:1], 3)) == 1
+    assert cli._deal([cli._size(jobs[0])], 3) == [[0], [], []]
+    # equal weights, as the shift tasks have: item k to process k mod 3
+    assert cli._deal([1] * 7, 3) == [[0, 3, 6], [1, 4], [2, 5]]
 
 
 def test_one_worker_never_forks(tmp_path, monkeypatch):
@@ -273,7 +274,7 @@ def test_one_worker_never_forks(tmp_path, monkeypatch):
 
 
 def test_a_live_thread_keeps_the_writers_here(tmp_path, monkeypatch):
-    # a child would hold a copy of this thread only, so the two shares go
+    # a child would hold a copy of this thread only, so the four files go
     # to the thread pool instead, with the same bytes
     serial = tmp_path / "serial"
     serial.mkdir()
@@ -303,7 +304,7 @@ def test_a_live_thread_keeps_the_writers_here(tmp_path, monkeypatch):
     finally:
         release.set()
         thread.join()
-    assert pools == [2]
+    assert pools == [4]
     for name in ("g.csv", "m0.obj", "m1.obj", "m2.obj"):
         assert (threaded / name).read_bytes() == (serial / name).read_bytes()
 
@@ -337,7 +338,7 @@ def test_a_failure_here_kills_and_reaps_the_child(tmp_path, monkeypatch):
             (_stall, (tmp_path / "small.csv", np.zeros(4)))]
     start = time.monotonic()
     with pytest.raises(RuntimeError, match="big.csv"):
-        run_forked(lambda job: job[0](*job[1]), jobs, 2)
+        cli.run_forked(lambda job: job[0](*job[1]), jobs, 2)
     assert time.monotonic() - start < 30
     assert forks == [1]
     _no_child_left()

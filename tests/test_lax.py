@@ -361,7 +361,7 @@ def _zero_curvature_einsum(conn, chart):
             F = (deriv(Aj, d, h[d]) - deriv(Ad, j, h[j])
                  - (np.einsum("...ik,...kj->...ij", Ad, Aj)
                     - np.einsum("...ik,...kj->...ij", Aj, Ad)))
-            worst = max(worst, float(np.max(np.abs(F))))
+            worst = max_abs(worst, F)
     return worst
 
 
@@ -435,6 +435,7 @@ def test_a_skew_connection_overflowing_on_the_diagonal_alone_is_nan():
     with np.errstate(all="ignore"):   # as main runs every command
         assert np.isnan(zero_curvature_residual(conn, ch))
         assert np.isnan(zero_curvature_residual(_filled(conn, 3), ch))
+        assert np.isnan(_zero_curvature_einsum(conn, ch))
 
 
 def _surface_fields(rng=None):

@@ -5,7 +5,7 @@ from pencil_lab.expr import parse_expr
 from pencil_lab.grids import (_C_LEFT, _C_MID, Chart, GridError, cumint,
                               deriv, eval_grid, max_abs)
 from pencil_lab.march import (POLE_GUARD, MarchError, PoleError, Unknown,
-                              _peak, path_integral, position_vector, shift,
+                              path_integral, position_vector, shift,
                               solve_compatible, solve_frame)
 
 
@@ -196,9 +196,14 @@ def test_nan_in_the_second_vector_unknown_is_not_a_fixed_point():
     (0.0, [0.0, 0.0], "0.0"), (0.0, [-0.0, -0.0], "0.0"),
     (0.0, [0.0, -0.0], "0.0"), (0.0, [-2.0, 1.5], "2.0"),
     (3.0, [-2.0, 1.5], "3.0"), (0.0, [1.0, np.nan], "nan"),
-    (np.nan, [1.0, 2.0], "nan"), (1.0, [np.inf, 0.0], "inf")])
+    (np.nan, [1.0, 2.0], "nan"), (1.0, [np.inf, 0.0], "inf"),
+    (0.0, np.array([3 + 4j, -1j]), "5.0"), (6.0, [1j, np.nan], "nan"),
+    (0.0, np.array([False, True]), "1.0"), (0.0, np.zeros(2, bool), "0.0"),
+    (0.0, np.array([3, 250], np.uint8), "250.0"), (0.0, [-5, 2], "5.0")])
 def test_peak_keeps_the_rules_of_max_abs(best, values, want):
-    assert repr(_peak(best, np.array(values))) == want
+    # solve_compatible's peak is max_abs(best, a): a float array folded by
+    # its max and -min, any other dtype by |a|
+    assert repr(max_abs(best, np.asarray(values))) == want
     assert repr(max_abs([best], values)) == want
 
 
