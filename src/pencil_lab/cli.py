@@ -15,8 +15,9 @@ identical configurations produce byte-identical artifacts.
 returns its residual rows and its files, ``(name, writer, data)``.  The
 shift tasks, then the CSV and OBJ files, go through one pool, ``_pool_map``,
 of PENCIL_LAB_THREADS (read by ``_threads`` only) processes, or of threads
-where no fork can be.  Two threads run a shift's many short numpy calls, or
-format numbers, no faster than one, so a second core helps only as a second
+where no fork can be.  Two threads ran ``frame`` or ``deform-surface``
+0-25 % faster than one, two processes 25-35 % faster (2-core Xeon, warm
+runs in alternating rounds), so a second core helps most as a second
 process: ``run_forked`` forks the children, deals the items whole by
 ``_deal`` (a shift weighs 1, a file the values it prints) and reaps them.
 Each item is computed by the same code from the same arrays in any process,

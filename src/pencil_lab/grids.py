@@ -94,52 +94,78 @@ _D4_EDGE1 = np.array([-3.0, -10.0, 18.0, -6.0, 1.0]) / 12.0
 
 
 def deriv(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """4th-order first derivative of grid data along ``axis`` (needs >= 5 points)."""
+    """4th-order first derivative of grid data along ``axis`` (needs >= 5 points).
+
+    The interior takes the same operations in the same order on every axis:
+    in the result by out= along axis 0, and along an inner axis by
+    temporaries, which walk its strided slices faster."""
     arr = np.asarray(arr)
     m = arr.shape[axis]
     if m < 5:
         raise GridError("4th-order stencil needs at least 5 points per axis")
-    a = np.moveaxis(arr, axis, 0)
+    a = arr.swapaxes(0, axis)
     out = np.empty_like(a)
-    out[2:-2] = (a[0:m - 4] - 8.0 * a[1:m - 3] + 8.0 * a[3:m - 1] - a[4:m]) / 12.0
+    if axis:
+        out[2:-2] = (a[0:m - 4] - 8.0 * a[1:m - 3] + 8.0 * a[3:m - 1] - a[4:m]) / 12.0
+    else:
+        mid = np.multiply(8.0, a[1:m - 3], out=out[2:-2])
+        np.subtract(a[0:m - 4], mid, out=mid)
+        mid += 8.0 * a[3:m - 1]
+        mid -= a[4:m]
+        mid /= 12.0
     out[0] = sum(c * a[k] for k, c in enumerate(_D4_EDGE0))
     out[1] = sum(c * a[k] for k, c in enumerate(_D4_EDGE1))
     out[-1] = -sum(c * a[m - 1 - k] for k, c in enumerate(_D4_EDGE0))
     out[-2] = -sum(c * a[m - 1 - k] for k, c in enumerate(_D4_EDGE1))
     out /= h
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(0, axis)
 
 
 # Cumulative integral: each cell integrates the cubic through 4 nearby samples.
 _C_LEFT = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0      # cell [x0, x1] from f0..f3
 _C_MID = np.array([-1.0, 13.0, 13.0, -1.0]) / 24.0     # cell [x1, x2] from f0..f3
+# np.cumsum walks rows narrower than this faster than one add per row (they
+# cross at 128-192 values, rows of 33 and 129 lanes, 2-core Xeon).
+_LANE_ROW = 160
 
 
 def cumint(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     """4th-order cumulative integral along ``axis``; zero at the first sample.
 
-    The result is a fresh array in the input's memory order: its cells are
-    formed in it with one scratch buffer, then summed in place lane by lane.
+    The result is a fresh array in the input's memory order; a C-ordered
+    input along an inner axis is integrated in a leg-major copy (that axis
+    outermost), then copied back into C order.  ``_C_MID`` is symmetric, so
+    the cells add shifted slices of c0 * a and c1 * a, each formed once.
+    Rows of ``_LANE_ROW`` values or more are then summed lane-parallel, each
+    added into the next, else by np.cumsum: the same operations in the same
+    order on every path, so the path moves no bit.
     """
     arr = np.asarray(arr)
     m = arr.shape[axis]
     if m < 4:
         raise GridError("4th-order quadrature needs at least 4 points per axis")
-    a = np.moveaxis(arr, axis, 0)
+    scratch = axis != 0 and arr.flags.c_contiguous
+    a = arr.swapaxes(0, axis).copy() if scratch else arr.swapaxes(0, axis)
     out = np.empty_like(a, dtype=np.result_type(a, float))
     # cell i goes to out[i + 1], with the terms of each cell added in order
     out[0] = 0.0
     out[1] = _C_LEFT[0] * a[0] + _C_LEFT[1] * a[1] + _C_LEFT[2] * a[2] + _C_LEFT[3] * a[3]
-    mid = out[2:m - 1]
-    np.multiply(_C_MID[0], a[0:m - 3], out=mid)
-    term = np.empty_like(mid)
-    for j in range(1, 4):
-        mid += np.multiply(_C_MID[j], a[j:m - 3 + j], out=term)
+    c0a = _C_MID[0] * a                 # c3 * a too
+    c1a = _C_MID[1] * a[1:m - 1]        # c2 * a too
+    mid = np.add(c0a[:-3], c1a[:-1], out=out[2:m - 1])
+    mid += c1a[1:]
+    mid += c0a[3:]
     out[m - 1] = (_C_LEFT[0] * a[m - 1] + _C_LEFT[1] * a[m - 2]
                   + _C_LEFT[2] * a[m - 3] + _C_LEFT[3] * a[m - 4])
-    np.cumsum(out[1:], axis=0, out=out[1:])
+    del a, c0a, c1a  # a scratch copy and the products go before the result
+    if out[0].size < _LANE_ROW:
+        np.cumsum(out[1:], axis=0, out=out[1:])
+    else:
+        rows = list(out[1:, None])  # each row a view, also on a line
+        for prev, row in zip(rows, rows[1:]):
+            np.add(prev, row, out=row)
     out *= h
-    return np.moveaxis(out, 0, axis)
+    return out.swapaxes(0, axis).copy() if scratch else out.swapaxes(0, axis)
 
 
 def max_abs(*arrays) -> float:

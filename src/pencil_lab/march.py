@@ -18,8 +18,9 @@ leg over the whole grid, outermost in memory, then its component axes, then
 the other grid axes, so every slab cumint adds is contiguous.  solve_frame
 copies each entry of that leg's A_d into the same order once per solve
 (a product of mixed orders is several times slower).  Scalar unknowns, whose
-rhs read C-ordered grids, stay in C order.  Every public function returns
-C-contiguous grids.
+rhs read C-ordered grids, stay in C order; cumint integrates such a grid
+along an inner axis in a leg-major scratch and hands it back in C order.
+Every public function returns C-contiguous grids.
 
 The convergence contract is fixed: a solve has converged when the largest
 change of a sweep is at most TOL * scale = 1e-13 * (1 + max |unknown|), it

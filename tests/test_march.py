@@ -1,9 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pencil_lab import grids
 from pencil_lab.expr import parse_expr
-from pencil_lab.grids import (_C_LEFT, _C_MID, Chart, GridError, cumint,
-                              deriv, eval_grid, max_abs)
+from pencil_lab.grids import (_C_LEFT, _C_MID, _D4_EDGE0, _D4_EDGE1, Chart,
+                              GridError, cumint, deriv, eval_grid, max_abs)
 from pencil_lab.march import (POLE_GUARD, MarchError, PoleError, Unknown,
                               path_integral, position_vector, shift,
                               solve_compatible, solve_frame)
@@ -63,10 +67,13 @@ def _leg_major(arr, lead, comps):
     return np.ascontiguousarray(arr.transpose(perm)).transpose(np.argsort(perm))
 
 
+# (9, 20, 17), (5, 33, 33) and (33, 9, 9, 3) have rows of _LANE_ROW values
+# or more along most axes (test_cumint_kernel_constants)
 @pytest.mark.parametrize("shape", [(17, 9), (4, 6), (5, 5), (9, 7, 6),
                                    (4, 5, 6), (33, 1), (33, 1, 1),
                                    (33, 33, 1), (9, 7, 6, 3), (17, 9, 3),
-                                   (6, 5, 2, 2)])
+                                   (6, 5, 2, 2), (9, 20, 17), (5, 33, 33),
+                                   (33, 9, 9, 3)])
 def test_cumint_matches_loop_bytes(shape):
     rng = np.random.default_rng(sum(shape))
     arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
@@ -89,6 +96,139 @@ def test_cumint_matches_loop_bytes(shape):
     view = np.swapaxes(arr, 0, -1)
     if view.shape[0] >= 4:
         assert cumint(view, 0, 0.3).tobytes() == _cumint_loop(view, 0, 0.3).tobytes()
+
+
+def test_cumint_kernel_constants():
+    # the cells share c0 * a and c1 * a because _C_MID is symmetric bit for bit
+    assert _C_MID.tobytes() == _C_MID[::-1].tobytes()
+    # (9, 20, 17) has rows of 153 values along axis 1 and of 180 or more
+    # along axes 0 and 2
+    assert 9 * 17 < grids._LANE_ROW <= 9 * 20
+
+
+def _odd_inputs():
+    """(name, array) pairs of the kinds march._pass and the kernels hand in."""
+    rng = np.random.default_rng(31)
+    line = rng.standard_normal((33, 1, 1, 3))
+    yield "zero-stride lanes", np.broadcast_to(line, (33, 33, 1, 3))
+    yield "zero-stride line", np.broadcast_to(line[:, :, :, :1], (33, 9, 20, 1))
+    yield "constant", np.broadcast_to(np.float64(0.7), (17, 20, 9))
+    z = rng.standard_normal((9, 20, 17)) + 1j * rng.standard_normal((9, 20, 17))
+    yield "complex128", z
+    yield "complex128 leg-major", _leg_major(z, 2, 0)
+    special = rng.standard_normal((9, 20, 17))
+    special[(0, 4, 8), 3, 5] = np.nan, np.inf, -np.inf
+    for lane in ((slice(None), 0, 0), (4, slice(None), 1), (2, 2)):
+        special[lane] = np.inf
+    special[1, 0] = -np.inf
+    special[6, :, 12] = np.nan
+    yield "NaN and infinities", special
+    zz = z.copy()
+    zz[3, 4] = complex(np.inf, np.nan)
+    yield "complex NaN and infinity", zz
+    yield "m = 4", rng.standard_normal((4, 20, 17))
+
+
+@pytest.mark.parametrize("arr", [pytest.param(a, id=name)
+                                 for name, a in _odd_inputs()])
+def test_cumint_matches_loop_bytes_on_odd_values(arr):
+    with np.errstate(all="ignore"):
+        for axis in range(arr.ndim):
+            if arr.shape[axis] < 4:
+                continue
+            want = _cumint_loop(arr, axis, 0.1)
+            got = cumint(arr, axis, 0.1)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            if arr.flags.c_contiguous:
+                assert got.flags.c_contiguous
+
+
+_LAYOUTS = ("C", "F", "leg-major", "swapped")
+
+
+def _laid(arr, layout, axis, comps):
+    if layout == "F":
+        return np.asfortranarray(arr)
+    if layout == "leg-major":
+        return _leg_major(arr, axis, comps)
+    if layout == "swapped":  # a strided view of a C array
+        return np.ascontiguousarray(np.swapaxes(arr, 0, -1)).swapaxes(0, -1)
+    return arr
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_cumint_matches_loop_bytes_on_drawn_layouts(data):
+    ndim = data.draw(st.integers(1, 4), label="ndim")
+    axis = data.draw(st.integers(0, ndim - 1), label="axis")
+    shape = [data.draw(st.integers(1, 6)) for _ in range(ndim)]
+    shape[axis] = data.draw(st.integers(4, 40), label="m")
+    layout = data.draw(st.sampled_from(_LAYOUTS), label="layout")
+    comps = data.draw(st.integers(0, ndim - 1 - axis), label="comps")
+    dtype = data.draw(st.sampled_from(["f8", "c16", "f4", "i8"]), label="dtype")
+    # a small lane constant reaches the lane sum on small grids
+    lane_row = data.draw(st.sampled_from([grids._LANE_ROW, 1, 4]),
+                         label="lane_row")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    if dtype == "c16":
+        arr = arr + 1j * rng.standard_normal(shape)
+    arr = arr.astype(dtype)
+    if dtype != "i8" and data.draw(st.booleans(), label="non-finite"):
+        arr.reshape(-1)[rng.integers(0, arr.size, 3)] = np.nan, np.inf, -np.inf
+    arr = _laid(arr, layout, axis, comps)
+    with mock.patch.object(grids, "_LANE_ROW", lane_row), \
+            np.errstate(all="ignore"):
+        got = cumint(arr, axis, 0.1)
+        want = _cumint_loop(arr, axis, 0.1)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if arr.flags.c_contiguous:
+        assert got.flags.c_contiguous
+    elif 1 not in shape:
+        assert got.strides == want.strides
+
+
+def _deriv_loop(arr, axis, h):
+    """Reference: the per-row loop form of deriv, row by row."""
+    a = np.moveaxis(np.asarray(arr), axis, 0)
+    m = a.shape[0]
+    out = np.empty_like(a)
+    for i in range(2, m - 2):
+        out[i] = (a[i - 2] - 8.0 * a[i - 1] + 8.0 * a[i + 1] - a[i + 2]) / 12.0
+    # the one-sided rows read the samples from their own end of the line
+    for row, edge, end, sign in ((0, _D4_EDGE0, 0, 1), (1, _D4_EDGE1, 0, 1),
+                                 (m - 1, _D4_EDGE0, m - 1, -1),
+                                 (m - 2, _D4_EDGE1, m - 1, -1)):
+        acc = 0
+        for k, c in enumerate(edge):
+            acc = acc + c * a[end + sign * k]
+        out[row] = acc if sign > 0 else -acc
+    out /= h
+    return np.moveaxis(out, 0, axis)
+
+
+@pytest.mark.parametrize("shape", [(5, 5), (17, 9), (9, 7, 6), (17, 9, 3),
+                                   (6, 5, 2, 2), (33, 33), (9, 20, 17)])
+@pytest.mark.parametrize("layout", _LAYOUTS)
+def test_deriv_matches_loop_bytes(shape, layout):
+    rng = np.random.default_rng(sum(shape))
+    arr = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, shape)
+    arr.reshape(-1)[:: 7] *= -0.0  # signed zeros through the stencils
+    values = [arr, arr + 1j * rng.standard_normal(shape)]
+    special = arr.copy()
+    special.reshape(-1)[rng.integers(0, arr.size, 3)] = np.nan, np.inf, -np.inf
+    values.append(special)
+    with np.errstate(all="ignore"):
+        for v in values:
+            for axis in range(len(shape)):
+                if shape[axis] < 5:
+                    continue
+                x = _laid(v, layout, axis, 0)
+                want = _deriv_loop(x, axis, 0.1)
+                got = deriv(x, axis, 0.1)
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                assert got.strides == want.strides
 
 
 def test_chart_mesh_is_cached_and_read_only():
